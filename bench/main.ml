@@ -471,14 +471,8 @@ let run_analyze_gate () =
   Printf.printf
     "selection: XORA_15 old whole-circuit scan -> dense %b; Auto -> %s \
      (backend.select.stabilizer = %d, metrics in %s)\n"
-    old_scan_dense
-    (match selected with
-    | `Stabilizer -> "stabilizer"
-    | `Exact -> "exact"
-    | `Dense -> "dense"
-    | `Sparse -> "sparse"
-    | `Hybrid -> "hybrid")
-    stab_count analyze_gate_json_path;
+    old_scan_dense (Sim.Backend.engine_name selected) stab_count
+    analyze_gate_json_path;
   (* overhead: analysis must stay a sliver of pipeline compile *)
   let dj = Algorithms.Dj.circuit and_9 in
   let options =
@@ -589,7 +583,7 @@ let run_opt_gate () =
    2. per-segment selection witness — Auto routes the basis-sparse
       randomized AND ladder (a Table-I-style Toffoli network under
       the dyn2 ancilla-unrolled substitution) to the sparse engine
-      and the mixed-sparsity workload to the hybrid executor with
+      and the mixed-sparsity workload to a hybrid plan with
       per-shot representation handoffs, counters written to
       BENCH_sparse.json, histograms identical to forced dense;
    3. over the dense cap — a >= 28-qubit basis-sparse dyn2 ladder
@@ -658,13 +652,6 @@ let hybrid_witness () =
   Circ.Builder.measure b ~qubit:14 ~bit:0;
   Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
 
-let engine_tag = function
-  | `Dense -> "dense"
-  | `Sparse -> "sparse"
-  | `Hybrid -> "hybrid"
-  | `Stabilizer -> "stabilizer"
-  | `Exact -> "exact"
-
 let run_sparse_gate () =
   section
     "Sparse gate: dense/sparse differential + per-segment hybrid execution";
@@ -732,7 +719,8 @@ let run_sparse_gate () =
   Printf.printf
     "selection: AND-7 rladder dyn2 -> %s, hybrid witness -> %s (%d \
      dense->sparse handoffs over %d shots, metrics in %s)\n"
-    (engine_tag sel_rl) (engine_tag sel_hw) d2s shots sparse_gate_json_path;
+    (Sim.Backend.engine_name sel_rl) (Sim.Backend.engine_name sel_hw) d2s shots
+    sparse_gate_json_path;
   Printf.printf
     "cross-engine histograms: auto = forced dense on both workloads: %b\n"
     agree_ok;
@@ -1459,7 +1447,7 @@ let run_bechamel () =
   in
   (* engine-selection and handoff telemetry from one instrumented pass
      over the sparse study workloads: which engine Auto picked and how
-     many per-shot representation conversions the hybrid executor paid *)
+     many per-shot representation conversions the hybrid plan paid *)
   let sparse_extra =
     let rl = and_ladder_dyn2 ~inputs:6 ~superposed:6 in
     let hw = hybrid_witness () in

@@ -671,15 +671,8 @@ let analyze_cmd =
           print_endline (Dqc.Analysis.to_string (Dqc.Analysis.analyze ~mct c));
           print_newline ();
           print_endline (Lint.Resource.to_string summary);
-          let selected =
-            match Sim.Backend.select ~shots:1024 c with
-            | `Stabilizer -> "stabilizer"
-            | `Exact -> "exact"
-            | `Dense -> "dense"
-            | `Sparse -> "sparse"
-            | `Hybrid -> "hybrid"
-          in
-          Printf.printf "auto backend (1024 shots): %s\n" selected;
+          Printf.printf "auto backend (1024 shots): %s\n"
+            (Sim.Backend.engine_name (Sim.Backend.select ~shots:1024 c));
           let plan = Sim.Backend.segment_plan c in
           Printf.printf "segment engine plan: %s\n"
             (Sim.Backend.segment_plan_string plan)

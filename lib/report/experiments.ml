@@ -796,14 +796,6 @@ let sparsity_entry ~name ~scheme c =
   let summary = Lint.Resource.analyze c in
   let log2_bound = summary.Lint.Resource.log2_bound_peak in
   let log2_measured = measured_log2_peak c in
-  let engine =
-    match Sim.Backend.select ~shots:1024 c with
-    | `Stabilizer -> "stabilizer"
-    | `Exact -> "exact"
-    | `Dense -> "dense"
-    | `Sparse -> "sparse"
-    | `Hybrid -> "hybrid"
-  in
   {
     name;
     scheme;
@@ -813,7 +805,7 @@ let sparsity_entry ~name ~scheme c =
     log2_bound;
     log2_measured;
     sound = log2_measured <= log2_bound;
-    engine;
+    engine = Sim.Backend.engine_name (Sim.Backend.select ~shots:1024 c);
     plan =
       (let plan = Sim.Backend.segment_plan c in
        let total = List.length plan in

@@ -64,82 +64,23 @@ let resource_summary c =
       e.summary <- Some s;
       s
 
-module Prefix = struct
-  type t = {
-    state : Statevector.t;
-    suffix : Instruction.t list;
-    suffix_program : Program.t;
-  }
-
-  let split c =
-    let rec go acc = function
-      | (Instruction.Measure _ | Instruction.Reset _) :: _ as rest ->
-          (List.rev acc, rest)
-      | ((Instruction.Unitary _ | Instruction.Conditioned _
-         | Instruction.Barrier _) as i)
-        :: rest -> go (i :: acc) rest
-      | [] -> (List.rev acc, [])
-    in
-    go [] (Circ.instructions c)
-
-  (* Share of the circuit's non-branching instructions simulated once by
-     the cache: 1.0 on terminal-measurement workloads (the whole unitary
-     part is prefix), lower when mid-circuit measure/reset cuts it off.
-     An all-branching circuit caches everything cacheable, hence 1.0. *)
-  let fraction c =
-    let prefix, suffix = split c in
-    let unitary =
-      List.length prefix
-      + List.length
-          (List.filter
-             (function
-               | Instruction.Measure _ | Instruction.Reset _ -> false
-               | Instruction.Unitary _ | Instruction.Conditioned _
-               | Instruction.Barrier _ -> true)
-             suffix)
-    in
-    if unitary = 0 then 1.0
-    else float_of_int (List.length prefix) /. float_of_int unitary
-
-  (* the prefix consumes no randomness: measure/reset never appear in it *)
-  let no_random () = assert false
-
-  (* The cache keys on compiled program segments: the whole circuit is
-     lowered once (through the per-circuit memo) and split at the first
-     measure/reset op (the same boundary as the instruction-level
-     [split] — fusion never crosses it), the prefix segment is executed
-     once here, and [run_shot] replays only the compiled suffix. *)
-  let prepare c =
-    Obs.with_span "backend.prefix.prepare" (fun () ->
-        let _, suffix = split c in
-        let program = compiled c in
-        let prefix_program, suffix_program = Program.split_prefix program in
-        let st = Program.fresh_state program in
-        Program.exec ~random:no_random st prefix_program;
-        Obs.set_gauge "backend.prefix.fraction" (fraction c);
-        if Obs.Flight.enabled () then
-          Obs.Flight.record ~kind:"backend.prefix.prepared"
-            [ ("fraction", Obs.Json.Float (fraction c)) ];
-        { state = st; suffix; suffix_program })
-
-  let state t = t.state
-  let suffix t = t.suffix
-
-  let run_shot t ~rng =
-    let st = Statevector.copy t.state in
-    let random () = Random.State.float rng 1.0 in
-    Program.exec ~random st t.suffix_program;
-    Statevector.register st
-end
-
-let branch_points c =
-  List.fold_left
-    (fun acc i ->
-      match i with
-      | Instruction.Measure _ | Instruction.Reset _ -> acc + 1
+(* Share of the circuit's non-branching instructions that precede the
+   first measure/reset — what the plan executor simulates once: 1.0 on
+   terminal-measurement workloads (the whole unitary part is prefix),
+   lower when mid-circuit measure/reset cuts it off.  An all-branching
+   circuit caches everything cacheable, hence 1.0. *)
+let prefix_fraction c =
+  let prefix = ref 0 and unitary = ref 0 and cut = ref false in
+  List.iter
+    (function
+      | Instruction.Measure _ | Instruction.Reset _ -> cut := true
       | Instruction.Unitary _ | Instruction.Conditioned _
-      | Instruction.Barrier _ -> acc)
-    0 (Circ.instructions c)
+      | Instruction.Barrier _ ->
+          incr unitary;
+          if not !cut then incr prefix)
+    (Circ.instructions c);
+  if !unitary = 0 then 1.0
+  else float_of_int !prefix /. float_of_int !unitary
 
 (* The exact backend pays ~2^k statevector replays up front and then
    O(1) per shot, where k is the analyzer's count of measure/reset
@@ -173,8 +114,8 @@ let check_dense_fits ~who c =
    leaves a comfortable margin under the dense dimension: with at most
    2^b nonzeros against 2^n dense amplitudes, sparse replay wins once
    the hash-table constant factor (~2^margin) is covered.  Past the
-   dense cap there is no choice — every segment is sparse, which is
-   the planning-time face of the [State.Dense_cap_exceeded] fallback. *)
+   dense cap there is no choice — every segment is sparse, so no [Auto]
+   plan allocates a dense state that does not fit. *)
 let sparse_margin = 6
 
 (* Beyond this bound the hash-map state is dense-like (2^b entries)
@@ -186,12 +127,17 @@ let sparse_worthwhile ~n (g : Lint.Resource.segment) =
   || (g.Lint.Resource.log2_bound_peak <= sparse_log2_cap
      && n - g.Lint.Resource.log2_bound_peak >= sparse_margin)
 
+let engine_name = function
+  | `Stabilizer -> "stabilizer"
+  | `Exact -> "exact"
+  | `Dense -> "dense"
+  | `Sparse -> "sparse"
+  | `Hybrid -> "hybrid"
+
 type segment_engine = {
   seg_start : int;
   seg_stop : int;
   seg_engine : [ `Dense | `Sparse ];
-  seg_log2_bound : int;
-  seg_clifford : bool;
 }
 
 let segment_plan c =
@@ -203,17 +149,11 @@ let segment_plan c =
         seg_start = g.Lint.Resource.start;
         seg_stop = g.Lint.Resource.stop;
         seg_engine = (if sparse_worthwhile ~n g then `Sparse else `Dense);
-        seg_log2_bound = g.Lint.Resource.log2_bound_peak;
-        seg_clifford = g.Lint.Resource.clifford;
       })
     s.Lint.Resource.segments
 
 let segment_plan_string plan =
-  String.concat ","
-    (List.map
-       (fun p ->
-         match p.seg_engine with `Dense -> "dense" | `Sparse -> "sparse")
-       plan)
+  String.concat "," (List.map (fun p -> engine_name p.seg_engine) plan)
 
 (* Clifford routing under [Auto]: the whole-circuit scan is the cheap
    path; failing that, the analyzer's witness — the same circuit minus
@@ -258,9 +198,8 @@ let select_gen ?(policy = Auto) ~shots ~extra_branches c =
         if stabilizer_circuit c <> None then `Stabilizer
         else if exact_tractable ~shots ~extra_branches c then `Exact
         else begin
-          (* per-segment planning: all-dense plans run the classic
-             dense path, all-sparse plans the sparse engine, mixed
-             plans the hybrid executor with representation handoffs *)
+          (* per-segment planning: all-dense plans run dense,
+             all-sparse plans sparse, mixed plans hybrid *)
           let plan = segment_plan c in
           let sparse_segs =
             List.length (List.filter (fun p -> p.seg_engine = `Sparse) plan)
@@ -276,146 +215,107 @@ let select_gen ?(policy = Auto) ~shots ~extra_branches c =
           end
         end
   in
-  (match engine with
-  | `Stabilizer -> Obs.incr "backend.select.stabilizer"
-  | `Exact -> Obs.incr "backend.select.exact"
-  | `Dense -> Obs.incr "backend.select.dense"
-  | `Sparse -> Obs.incr "backend.select.sparse"
-  | `Hybrid -> Obs.incr "backend.select.hybrid");
+  if Obs.enabled () then Obs.incr ("backend.select." ^ engine_name engine);
   engine
 
 let select ?policy ~shots c = select_gen ?policy ~shots ~extra_branches:0 c
 
-let engine_name = function
-  | `Stabilizer -> "stabilizer"
-  | `Exact -> "exact"
-  | `Dense -> "dense"
-  | `Sparse -> "sparse"
-  | `Hybrid -> "hybrid"
-
 (* ------------------------------------------------------------------ *)
-(* Sparse and hybrid dispatch                                         *)
+(* The plan executor                                                  *)
 
-(* the prefix segment consumes no randomness (same as Prefix above) *)
-let no_random_sparse () = assert false
+(* A plan is the list of (engine, compiled program) steps a shot
+   threads one state through: a dense or sparse run is one step over
+   the memoized whole-circuit program, a hybrid run one step per
+   analyzer segment ([segment_plan]), each compiled from that segment's
+   instruction range.  Segments cut where [Program.split_prefix] cuts,
+   so a segment boundary never falls inside a fusion window. *)
+let engine_module = function
+  | `Dense -> (module Statevector.Dense_engine : Engine.S)
+  | `Sparse -> (module Sparse.Sparse_engine : Engine.S)
 
-(* Sparse twin of the dense prefix-cached dispatch: execute the
-   deterministic compiled prefix once on the sparse engine, replay
-   only the suffix per shot. *)
-let run_sparse ?domains ~seed ~width ~shots ~prefix_cache base =
-  let program = compiled base in
-  if prefix_cache then begin
-    let prefix_program, suffix_program = Program.split_prefix program in
-    let cached =
-      Sparse.create (Circ.num_qubits base) ~num_bits:(Circ.num_bits base)
-    in
-    Sparse.exec ~random:no_random_sparse cached prefix_program;
-    Obs.incr ~n:shots "backend.prefix.hit";
-    Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
-        let st = Sparse.copy cached in
-        Sparse.exec ~random:(fun () -> Random.State.float rng 1.0) st
-          suffix_program;
-        Sparse.register st)
-  end
-  else begin
-    Obs.incr ~n:shots "backend.prefix.miss";
-    Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
-        Sparse.register (Sparse.run ~rng program))
-  end
+let plan_steps engine base =
+  match engine with
+  | (`Dense | `Sparse) as e -> [ (engine_module e, compiled base) ]
+  | `Hybrid ->
+      let num_qubits = Circ.num_qubits base and num_bits = Circ.num_bits base in
+      let instrs = Array.of_list (Circ.instructions base) in
+      List.map
+        (fun s ->
+          ( engine_module s.seg_engine,
+            Program.compile_instructions ~num_qubits ~num_bits
+              (Array.to_list
+                 (Array.sub instrs s.seg_start (s.seg_stop - s.seg_start))) ))
+        (segment_plan base)
 
-(* Hybrid execution threads one state through the analyzer's segments,
-   converting representation at engine boundaries.  Segments are
-   compiled from the instruction ranges of [Lint.Resource.analyze] —
-   the same boundary rule as [Program.split_prefix], so segment 0 is
-   exactly the deterministic prefix whenever the circuit opens with a
-   unitary run, and it is then executed once and shared across shots. *)
-type hstate = Hdense of State.t | Hsparse of Sparse.t
+(* One shot's pass over the plan: hand the state to each step's engine
+   and replay the step. *)
+let rec replay ~random st = function
+  | [] -> Engine.register st
+  | (e, program) :: rest ->
+      let st = Engine.convert e st in
+      Engine.exec ~random st program;
+      replay ~random st rest
 
-let hcopy = function
-  | Hdense d -> Hdense (State.copy d)
-  | Hsparse s -> Hsparse (Sparse.copy s)
-
-let hregister = function
-  | Hdense d -> State.register d
-  | Hsparse s -> Sparse.register s
-
-let hconvert h tag =
-  match (h, tag) with
-  | Hdense _, `Dense | Hsparse _, `Sparse -> h
-  | Hdense d, `Sparse -> Hsparse (Sparse.of_state d)
-  | Hsparse s, `Dense -> Hdense (Sparse.to_state s)
-
-let hexec ~random h prog =
-  match h with
-  | Hdense d -> Program.exec ~random d prog
-  | Hsparse s -> Sparse.exec ~random s prog
-
-let run_hybrid ?domains ~seed ~width ~shots base =
-  let n = Circ.num_qubits base and nbits = Circ.num_bits base in
-  let plan = segment_plan base in
-  let instrs = Array.of_list (Circ.instructions base) in
-  let segs =
-    List.map
-      (fun p ->
-        ( p.seg_engine,
-          Program.compile_instructions ~num_qubits:n ~num_bits:nbits
-            (Array.to_list
-               (Array.sub instrs p.seg_start (p.seg_stop - p.seg_start))) ))
-      plan
+(* The prefix of the first step (everything before its first
+   measure/reset) draws no randomness: with [prefix_cache] it runs
+   once, and every shot copies the result, replays the rest of the
+   first step and converts the state at each engine change.  Handoffs
+   happen at the same step boundaries every shot, so they are counted
+   once per run, as [backend.handoff.dense_to_sparse] /
+   [.sparse_to_dense] (the per-shot path stays counter-free). *)
+let execute ?domains ~seed ~shots ~prefix_cache base steps =
+  let names = List.map (fun ((module E : Engine.S), _) -> E.name) steps in
+  let rec handoffs = function
+    | a :: (b :: _ as rest) ->
+        if String.equal a b then handoffs rest
+        else (a ^ "_to_" ^ b) :: handoffs rest
+    | [ _ ] | [] -> []
   in
-  let fresh () =
-    match segs with
-    | (`Sparse, _) :: _ -> Hsparse (Sparse.create n ~num_bits:nbits)
-    | (`Dense, _) :: _ | [] -> Hdense (State.create n ~num_bits:nbits)
-  in
-  (* segment 0 is cacheable iff it contains no measure/reset op *)
-  let cached, per_shot_segs =
-    match segs with
-    | (tag, prog0) :: rest
-      when Program.length (snd (Program.split_prefix prog0))
-           = 0 ->
-        let h = hconvert (fresh ()) tag in
-        hexec ~random:no_random_sparse h prog0;
-        (h, rest)
-    | (_, _) :: _ | [] -> (fresh (), segs)
-  in
-  (* handoff accounting is static per shot: conversions happen at the
-     same boundaries every replay, so the counters are bumped once per
-     dispatch (the per-shot path stays counter-free) *)
-  let cached_tag =
-    match cached with Hdense _ -> `Dense | Hsparse _ -> `Sparse
-  in
-  let d2s, s2d =
-    List.fold_left
-      (fun (cur, (d2s, s2d)) (tag, _) ->
-        ( tag,
-          match (cur, tag) with
-          | `Dense, `Sparse -> (d2s + 1, s2d)
-          | `Sparse, `Dense -> (d2s, s2d + 1)
-          | `Dense, `Dense | `Sparse, `Sparse -> (d2s, s2d) ))
-      (cached_tag, (0, 0))
-      per_shot_segs
-    |> snd
-  in
-  if d2s > 0 then Obs.incr ~n:(d2s * shots) "backend.handoff.dense_to_sparse";
-  if s2d > 0 then Obs.incr ~n:(s2d * shots) "backend.handoff.sparse_to_dense";
-  if Obs.Flight.enabled () then
+  let handoffs = handoffs names in
+  List.iter (fun h -> Obs.incr ~n:shots ("backend.handoff." ^ h)) handoffs;
+  if Obs.Flight.enabled () && List.length steps > 1 then
     Obs.Flight.record ~kind:"backend.hybrid.plan"
       [
-        ("segments", Obs.Json.String (segment_plan_string plan));
-        ("handoffs_per_shot", Obs.Json.Int (d2s + s2d));
+        ("segments", Obs.Json.String (String.concat "," names));
+        ("handoffs_per_shot", Obs.Json.Int (List.length handoffs));
       ];
-  Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
-      let random () = Random.State.float rng 1.0 in
-      let h =
-        List.fold_left
-          (fun h (tag, prog) ->
-            let h = hconvert h tag in
-            hexec ~random h prog;
-            h)
-          (hcopy cached) per_shot_segs
-      in
-      hregister h)
+  let start, steps =
+    match steps with
+    | [] ->
+        (* only an instruction-free circuit has no segments, and Auto
+           never runs one hybrid *)
+        invalid_arg "Backend.run: empty plan"
+    | ((module E : Engine.S) as e, first) :: rest ->
+        let st =
+          Engine.pack (module E)
+            (E.create (Circ.num_qubits base) ~num_bits:(Circ.num_bits base))
+        in
+        if prefix_cache then
+          Obs.with_span "backend.prefix.prepare" (fun () ->
+              let prefix, suffix = Program.split_prefix first in
+              Engine.exec ~random:Program.no_random st prefix;
+              let fraction = prefix_fraction base in
+              Obs.set_gauge "backend.prefix.fraction" fraction;
+              if Obs.Flight.enabled () then
+                Obs.Flight.record ~kind:"backend.prefix.prepared"
+                  [ ("fraction", Obs.Json.Float fraction) ];
+              (* counted once per run, not per shot: a counter bump is
+                 a name lookup in the domain buffer, too expensive for
+                 the per-shot path under the <2% telemetry budget *)
+              Obs.incr ~n:shots "backend.prefix.hit";
+              (st, (e, suffix) :: rest))
+        else begin
+          if Obs.Flight.enabled () then
+            Obs.Flight.record ~kind:"backend.prefix.bypassed" [];
+          Obs.incr ~n:shots "backend.prefix.miss";
+          (st, steps)
+        end
+  in
+  Parallel.run ?domains ~seed ~width:(Circ.num_bits base) ~shots
+    (fun ~rng ~index:_ ->
+      replay
+        ~random:(fun () -> Random.State.float rng 1.0)
+        (Engine.copy start) steps)
 
 let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
     ?(prefix_cache = true) ~shots c =
@@ -447,7 +347,7 @@ let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
         ("qubits", Obs.Json.Int (Circ.num_qubits base));
         ("prefix_cache", Obs.Json.Bool prefix_cache);
       ];
-  let dispatch_inner () =
+  let dispatch () =
     match engine with
     | `Stabilizer ->
         (* an Auto selection may be backed by the analyzer's witness —
@@ -464,53 +364,14 @@ let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
         let sampler = Dist.sampler (Exact.register_distribution base) in
         Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
             Dist.sample sampler rng)
-    | `Dense ->
-        if prefix_cache then begin
-          let cached = Prefix.prepare base in
-          (* counted once per dispatch, not per shot: a counter bump is
-             a name lookup in the domain buffer, too expensive for the
-             per-shot path under the <2% telemetry budget *)
-          Obs.incr ~n:shots "backend.prefix.hit";
-          Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
-              Prefix.run_shot cached ~rng)
-        end
-        else begin
-          (* still compiled — one whole-circuit program replayed per
-             shot, bit-identical to the prefix-cached execution *)
-          if Obs.Flight.enabled () then
-            Obs.Flight.record ~kind:"backend.prefix.bypassed" [];
-          let program = compiled base in
-          Obs.incr ~n:shots "backend.prefix.miss";
-          Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
-              Statevector.register (Program.run ~rng program))
-        end
-    | `Sparse -> run_sparse ?domains ~seed ~width ~shots ~prefix_cache base
-    | `Hybrid -> run_hybrid ?domains ~seed ~width ~shots base
-  in
-  (* Under [Auto] the typed dense-cap signal is a routing event, not an
-     error: a dense attempt that outgrows [State.max_qubits] falls back
-     to the sparse engine.  (Selection already plans around the cap;
-     this is the catch the escape hatch documents.)  A forced policy
-     keeps its failure. *)
-  let dispatch () =
-    match policy with
-    | None | Some Auto -> (
-        try dispatch_inner ()
-        with State.Dense_cap_exceeded _ ->
-          Obs.incr "backend.fallback.sparse";
-          if Obs.Flight.enabled () then
-            Obs.Flight.record ~kind:"backend.fallback.sparse"
-              [ ("qubits", Obs.Json.Int (Circ.num_qubits base)) ];
-          run_sparse ?domains ~seed ~width ~shots ~prefix_cache base)
-    | Some (Statevector_dense | Sparse_statevector | Stabilizer | Exact_branch)
-      ->
-        dispatch_inner ()
+    | (`Dense | `Sparse | `Hybrid) as e ->
+        execute ?domains ~seed ~shots ~prefix_cache base (plan_steps e base)
   in
   if not (Obs.enabled ()) then dispatch ()
   else begin
     let name = engine_name engine in
     Obs.incr ("backend.run." ^ name);
-    (* dense dispatches execute compiled programs: count them under the
+    (* plan-executor runs replay compiled programs: count them under the
        program engine as well so the compiled/interpreted split is
        visible in the metrics JSON *)
     (match engine with

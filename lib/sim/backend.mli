@@ -9,7 +9,7 @@ open Circuit
 
     Backends:
     - {e dense statevector} — the general engine, one replay per shot,
-      accelerated by the shared-prefix cache (see {!Prefix});
+      accelerated by the shared-prefix cache (see {!run});
     - {e sparse statevector} — hash-map basis-amplitude storage
       ({!Sparse}): memory and per-op work scale with the nonzero
       count, which is what lets basis-sparse dynamic circuits (the
@@ -21,9 +21,9 @@ open Circuit
       shots are drawn from it with the O(1) alias sampler.
 
     [Auto] additionally plans {e per segment} (see {!segment_plan}):
-    when the analyzer proves only part of the circuit basis-sparse,
-    the hybrid executor runs each segment on its best engine and
-    converts the state representation at the handoffs.
+    when the analyzer proves only part of the circuit basis-sparse, a
+    hybrid run executes each segment on its best engine and converts
+    the state representation at the handoffs.
 
     Determinism: for a fixed [seed] the histogram is byte-identical
     regardless of [domains] and of the prefix cache, because every
@@ -49,49 +49,12 @@ val policy_of_string : string -> policy option
 
 val pp_policy : Format.formatter -> policy -> unit
 
-(** {1 Shared-prefix cache}
-
-    Every instruction before the first measurement/reset is
-    deterministic (unitaries, barriers, and conditioned gates reading
-    the still-all-zero register), so the prefix state is simulated once
-    and only the suffix is replayed per shot.  On terminal-measurement
-    workloads (the paper's Tables I–II benchmarks run through a
-    {!Measurement_plan}) the whole circuit is prefix and a shot
-    collapses to copy + measure. *)
-module Prefix : sig
-  type t
-
-  (** Split at the first measurement/reset: [(prefix, suffix)]. *)
-  val split : Circ.t -> Instruction.t list * Instruction.t list
-
-  (** Share of the circuit's non-branching (unitary/barrier/conditioned)
-      instructions that fall in the cached prefix — [1.0] exactly when
-      every measurement is terminal.  Also published as the
-      [backend.prefix.fraction] telemetry gauge by {!prepare}. *)
-  val fraction : Circ.t -> float
-
-  (** Compile the circuit and simulate the deterministic prefix
-      segment once; the cache keys on the compiled program's
-      prefix/suffix split ({!Program.split_prefix}).
-      @raise State.Dense_cap_exceeded beyond {!Statevector.max_qubits}
-      (under the [Auto] policy, {!run} catches it and falls back to
-      the sparse engine). *)
-  val prepare : Circ.t -> t
-
-  (** The cached state — shared read-only across shots and domains. *)
-  val state : t -> Statevector.t
-
-  val suffix : t -> Instruction.t list
-
-  (** [run_shot t ~rng] copies the cached state, replays the suffix
-      and returns the final register. *)
-  val run_shot : t -> rng:Random.State.t -> int
-end
-
-(** Measurement/reset instructions in the circuit — the {e syntactic}
-    branch-point count ([Auto] now uses the analyzer's semantic count,
-    {!Lint.Resource.summary}[.nondet_branches], instead). *)
-val branch_points : Circ.t -> int
+(** Share of the circuit's non-branching (unitary/barrier/conditioned)
+    instructions that precede the first measurement/reset — the
+    deterministic prefix {!run} simulates once and shares across
+    shots; [1.0] exactly when every measurement is terminal.  Also
+    published as the [backend.prefix.fraction] telemetry gauge. *)
+val prefix_fraction : Circ.t -> float
 
 (** The circuit's static resource summary ({!Lint.Resource.analyze}),
     memoized per physical circuit value alongside the compiled program
@@ -113,14 +76,12 @@ type segment_engine = {
   seg_start : int;  (** first instruction index of the segment *)
   seg_stop : int;  (** one past the last instruction index *)
   seg_engine : [ `Dense | `Sparse ];
-  seg_log2_bound : int;
-      (** the analyzer's certified peak [log2] nonzero-amplitude bound *)
-  seg_clifford : bool;
 }
 
-(** The per-segment engine assignment [Auto] executes when it picks
-    [`Sparse] (all segments sparse) or [`Hybrid] (mixed).  Reported by
-    [dqc_cli analyze] and the sparsity experiment. *)
+(** The per-segment engine assignment [Auto] decides on: all sparse
+    selects [`Sparse], mixed selects [`Hybrid], whose run executes one
+    step per entry.  Reported by [dqc_cli analyze] and the sparsity
+    experiment. *)
 val segment_plan : Circ.t -> segment_engine list
 
 (** ["dense,sparse,..."] — the plan's engines, comma-joined. *)
@@ -135,9 +96,9 @@ val segment_plan_string : segment_engine list -> string
     [shots] and either the circuit is narrow or the static amplitude
     bound is; otherwise the per-segment {!segment_plan} — all-dense
     plans run dense, all-sparse plans run {!Sparse}, mixed plans run
-    the hybrid executor with representation conversions at segment
-    handoffs.  Selection bumps the [backend.select.<engine>] counter
-    ([dense]/[sparse]/[hybrid]/[stabilizer]/[exact]).
+    hybrid, converting the state representation at segment handoffs.
+    Selection bumps the [backend.select.<engine>] counter (see
+    {!engine_name}).
     @raise Stabilizer.Unsupported when the [Stabilizer] policy is
     forced on a non-Clifford circuit.
     @raise Invalid_argument when [Statevector_dense]/[Exact_branch] is
@@ -149,35 +110,42 @@ val select :
   Circ.t ->
   [ `Dense | `Stabilizer | `Exact | `Sparse | `Hybrid ]
 
+(** The engine's tag — ["dense"], ["sparse"], ["hybrid"],
+    ["stabilizer"] or ["exact"] — as used in the
+    [backend.select.<engine>] and [backend.run.<engine>] counters. *)
+val engine_name :
+  [ `Dense | `Stabilizer | `Exact | `Sparse | `Hybrid ] -> string
+
 (** [run ?policy ?seed ?domains ?plan ?prefix_cache ~shots c] executes
     [shots] shots of [c] (instrumented with [plan]'s terminal
     measurements when given) on the selected backend, sharded across
     [domains] workers (default [Domain.recommended_domain_count ()]).
-    [prefix_cache] (default [true]) enables the shared-prefix cache on
-    the dense backend; disabling it replays the full circuit per shot
-    and yields the same histogram bit-for-bit.
+
+    Dense, sparse and hybrid runs share one plan executor: a list of
+    (engine, compiled program) steps — one step over the whole circuit
+    for dense or sparse, one per {!segment_plan} entry for hybrid —
+    that every shot threads one {!Engine.packed} state through,
+    converting it ({!Engine.convert}) where the engine changes.  With
+    [prefix_cache] (default [true]) the first step's deterministic
+    prefix ({!Program.split_prefix}) is simulated once and each shot
+    starts from a copy of it; disabling it replays every step from
+    |0...0> per shot and yields the same histogram bit-for-bit.
 
     [seed] defaults to {!Runner.default_seed} — the constant shared
     with the serial engine.
 
-    Under [Auto], a dense dispatch that raises
-    {!State.Dense_cap_exceeded} is caught and rerun on the sparse
-    engine ([backend.fallback.sparse] counter + flight event); forced
-    policies propagate their failures.
-
     Telemetry (when an [Obs] collector is installed): a [backend.run]
     span (attrs: engine, shots, qubits) around the dispatch, counters
-    [backend.run.<engine>], [backend.shots], per-shot
-    [backend.prefix.hit] / [backend.prefix.miss], and the
-    [backend.prefix.fraction] gauge.  Dense, sparse and hybrid
-    dispatches execute compiled kernel programs ({!Program}) and
-    additionally bump [backend.run.program].  Hybrid dispatches count
+    [backend.run.<engine>] and [backend.shots].  Plan-executor runs
+    also bump [backend.run.program], count their shots into
+    [backend.prefix.hit] / [backend.prefix.miss], publish the
+    [backend.prefix.fraction] gauge ({!prefix_fraction}), and count
     per-shot representation conversions into
     [backend.handoff.dense_to_sparse] /
-    [backend.handoff.sparse_to_dense] and record a
-    [backend.hybrid.plan] flight event with the segment-engine string.
-    The histogram itself is byte-identical whether or not telemetry is
-    on. *)
+    [backend.handoff.sparse_to_dense]; a multi-step (hybrid) plan
+    records a [backend.hybrid.plan] flight event with the
+    segment-engine string.  The histogram itself is byte-identical
+    whether or not telemetry is on. *)
 val run :
   ?policy:policy ->
   ?seed:int ->

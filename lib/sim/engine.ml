@@ -45,6 +45,8 @@ module type S = sig
   val run : rng:Random.State.t -> Program.t -> state
   val probabilities : state -> float array
   val nonzero_probabilities : state -> (int * float) list
+  val of_state : State.t -> state
+  val to_state : state -> State.t
 end
 
 type packed = Packed : (module S with type state = 's) * 's -> packed
@@ -52,9 +54,14 @@ type packed = Packed : (module S with type state = 's) * 's -> packed
 let pack (type s) (module E : S with type state = s) (st : s) =
   Packed ((module E), st)
 
-let name (Packed ((module E), _)) = E.name
 let register (Packed ((module E), st)) = E.register st
 let copy (Packed ((module E), st)) = Packed ((module E), E.copy st)
 
 let exec ~random (Packed ((module E), st)) program =
   E.exec ~random st program
+
+(* every handoff goes through the dense representation: identity on
+   the dense side, a scan or a table walk on the other *)
+let convert (module F : S) (Packed ((module E), st) as p) =
+  if String.equal E.name F.name then p
+  else Packed ((module F), F.of_state (E.to_state st))

@@ -96,14 +96,29 @@ module type S = sig
       nonzero probability, ascending by index — the width-safe
       distribution extractor. *)
   val nonzero_probabilities : state -> (int * float) list
+
+  (** Take over a dense state — the handoff into this engine (the
+      identity on the dense engine). *)
+  val of_state : State.t -> state
+
+  (** Densify — the handoff out of this engine (the identity on the
+      dense engine).
+      @raise State.Dense_cap_exceeded when [2^n] does not fit. *)
+  val to_state : state -> State.t
 end
 
-(** A state packed with its engine — what the hybrid executor threads
-    through segment boundaries. *)
+(** A state packed with its engine — what {!Backend}'s plan executor
+    threads through the steps of a shot. *)
 type packed = Packed : (module S with type state = 's) * 's -> packed
 
 val pack : (module S with type state = 's) -> 's -> packed
-val name : packed -> string
 val register : packed -> int
 val copy : packed -> packed
 val exec : random:(unit -> float) -> packed -> Program.t -> unit
+
+(** [convert e p] hands [p] over to engine [e]: [p] itself when it
+    already lives there (same {!S.name}), otherwise [e]'s [of_state]
+    of [p]'s [to_state].
+    @raise State.Dense_cap_exceeded when the handoff densifies past
+    the dense cap. *)
+val convert : (module S) -> packed -> packed

@@ -155,9 +155,6 @@ let prefix_noise_free ~num_qubits model prefix_program =
   done;
   not !conditional)
 
-(* the prefix segment consumes no randomness: no measure/reset ops *)
-let no_random () = assert false
-
 let run_shots ?(seed = 0xD1CE) ?domains ?plan ?(engine = dense_engine) ~model
     ~shots c =
   let (module E : Engine.S) = engine in
@@ -173,7 +170,7 @@ let run_shots ?(seed = 0xD1CE) ?domains ?plan ?(engine = dense_engine) ~model
   let prefix_program, suffix_program = Program.split_prefix program in
   if prefix_noise_free ~num_qubits model prefix_program then begin
     let cached = E.create num_qubits ~num_bits:(Circ.num_bits c) in
-    E.exec ~random:no_random cached prefix_program;
+    E.exec ~random:Program.no_random cached prefix_program;
     Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
         run_ops (module E) ~rng ~model ~num_qubits (E.copy cached)
           suffix_program)

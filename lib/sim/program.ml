@@ -235,6 +235,18 @@ let compile ?fuse c =
       compile_instructions ?fuse ~num_qubits:(Circ.num_qubits c)
         ~num_bits:(Circ.num_bits c) (Circ.instructions c))
 
+exception Unexpected_random_draw
+
+let () =
+  Printexc.register_printer (function
+    | Unexpected_random_draw ->
+        Some
+          "Sim.Program.Unexpected_random_draw: ops before the first \
+           measure/reset draw no randomness, yet a no-random replay drew"
+    | _ -> None)
+
+let no_random () = raise Unexpected_random_draw
+
 let split_prefix t =
   let is_branch = function
     | Mk _ | Rk _ -> true

@@ -62,9 +62,21 @@ val fused_count : t -> int
 val fallback_count : t -> int
 
 (** Split at the first measure/reset op: [(prefix, suffix)].  The
-    prefix is deterministic (no randomness), which is what the
-    {!Backend.Prefix} shot cache executes once and shares. *)
+    prefix is deterministic (no randomness), which is what
+    {!Backend.run}'s plan executor and {!Noise.run_shots} execute once
+    and share across shots. *)
 val split_prefix : t -> t * t
+
+(** Raised by {!no_random}. *)
+exception Unexpected_random_draw
+
+(** The [~random] source for replays that must not branch: a
+    {!split_prefix} prefix, a unitary-only program, a single unitary
+    op.  Randomness is drawn only by measure/reset ops, so the ops
+    before the first measure/reset draw none; a call here means a
+    branching op reached such a replay.
+    @raise Unexpected_random_draw always. *)
+val no_random : unit -> float
 
 (** [apply st op] applies a unitary or conditioned op in place (a
     conditioned op tests the classical register itself).

@@ -343,15 +343,13 @@ let exec ~random st program =
   done;
   if Obs.enabled () then Obs.incr ~n:(Array.length plan) "sim.sparse.ops"
 
-let no_random () = assert false
-
 let apply st op =
   match Program.kernel op with
   | Program.Kmeasure _ | Program.Kreset _ ->
       invalid_arg "Sparse.apply: branching op"
   | ( Program.Kx _ | Program.Kh _ | Program.Kphase _ | Program.Kdiag _
     | Program.Ku2 _ | Program.Kcond _ ) as k ->
-      exec_kernel ~random:no_random st k
+      exec_kernel ~random:Program.no_random st k
 
 let run ~rng program =
   let st =
@@ -438,4 +436,6 @@ module Sparse_engine : Engine.S with type state = t = struct
   let run = run
   let probabilities = probabilities
   let nonzero_probabilities = nonzero_probabilities
+  let of_state = of_state
+  let to_state = to_state
 end

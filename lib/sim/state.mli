@@ -20,15 +20,14 @@ type t
     the exact-branch enumerator's forked states exceed typical host
     memory, so the cap stays at 24 until the big-memory kernels of
     ROADMAP item 2 land.  Wider circuits are not rejected outright:
-    {!Backend} catches {!Dense_cap_exceeded} and falls back to the
-    hash-map sparse engine ({!Sparse}), which costs memory per
-    {e nonzero} amplitude instead of per dimension. *)
+    {!Backend}'s [Auto] policy plans every segment of a circuit past
+    the cap on the hash-map sparse engine ({!Sparse}), which costs
+    memory per {e nonzero} amplitude instead of per dimension. *)
 val max_qubits : int
 
 (** Raised by {!create} when the requested width exceeds
     {!max_qubits} — a typed signal (rather than a blanket
-    [Invalid_argument]) so engine-selection layers can catch it and
-    reroute to a representation that fits. *)
+    [Invalid_argument]) that names the width and the cap. *)
 exception Dense_cap_exceeded of { qubits : int; max_qubits : int }
 
 (** [create n ~num_bits] is |0...0> with an all-zero classical

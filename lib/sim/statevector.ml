@@ -98,7 +98,7 @@ let probabilities = State.probabilities
 
 (* The dense SoA storage as an [Engine.S] instance: every primitive
    delegates to [State] / [Program], so engine-polymorphic callers
-   (Runner, Noise, Backend's hybrid executor) behave bit-for-bit like
+   (Runner, Noise, Backend's plan executor) behave bit-for-bit like
    the historical direct calls. *)
 module Dense_engine : Engine.S with type state = State.t = struct
   type state = State.t
@@ -149,4 +149,7 @@ module Dense_engine : Engine.S with type state = State.t = struct
       if ps.(k) > 0. then acc := (k, ps.(k)) :: !acc
     done;
     !acc
+
+  let of_state st = st
+  let to_state st = st
 end

@@ -20,8 +20,7 @@ val max_qubits : int
 (** [create n ~num_bits] is |0...0> with an all-zero classical
     register.  [n] is capped at {!max_qubits} (dense vector).
     @raise State.Dense_cap_exceeded beyond the cap (see {!State}'s
-    memory rationale; {!Backend} catches it to fall back to the
-    sparse engine). *)
+    memory rationale). *)
 val create : int -> num_bits:int -> t
 
 val num_qubits : t -> int

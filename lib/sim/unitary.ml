@@ -23,15 +23,13 @@ let of_instrs ?(max_qubits = default_max_qubits) ~n instrs =
   let dim = 1 lsl n in
   let m = Linalg.Cmat.make dim dim in
   let program = Program.compile_instructions ~num_qubits:n ~num_bits:0 instrs in
-  (* unitary-only input: the program never branches *)
-  let no_random () = assert false in
   for k = 0 to dim - 1 do
     let st = E.create n ~num_bits:0 in
     (* start in |k>: flip the set bits *)
     for q = 0 to n - 1 do
       if Bits.get k q then E.flip st q
     done;
-    E.exec ~random:no_random st program;
+    E.exec ~random:Program.no_random st program;
     let v = Statevector.amplitudes st in
     for r = 0 to dim - 1 do
       Linalg.Cmat.set m r k (Linalg.Cvec.get v r)

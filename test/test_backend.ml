@@ -196,22 +196,6 @@ let test_agreement_exact_reference () =
 (* ------------------------------------------------------------------ *)
 (* Shared-prefix cache                                                *)
 
-let test_prefix_split () =
-  let c = dyn2_and () in
-  let prefix, suffix = Sim.Backend.Prefix.split c in
-  check_int "partition"
-    (List.length (Circuit.Circ.instructions c))
-    (List.length prefix + List.length suffix);
-  check_bool "prefix has no branch instruction" true
-    (List.for_all
-       (function
-         | Circuit.Instruction.Measure _ | Circuit.Instruction.Reset _ -> false
-         | _ -> true)
-       prefix);
-  match suffix with
-  | (Circuit.Instruction.Measure _ | Circuit.Instruction.Reset _) :: _ -> ()
-  | _ -> Alcotest.fail "suffix must start at the first measurement/reset"
-
 let test_prefix_cache_equivalence () =
   (* byte-identical to the uncached dense engine, which reuses the same
      per-shot RNG states: the prefix consumes no randomness *)
@@ -294,7 +278,6 @@ let () =
         ] );
       ( "prefix",
         [
-          Alcotest.test_case "split" `Quick test_prefix_split;
           Alcotest.test_case "cache equivalence" `Quick
             test_prefix_cache_equivalence;
         ] );

@@ -1,5 +1,5 @@
 (* Telemetry layer: runtime switch semantics, span nesting, the
-   Backend.Prefix observability invariants, determinism of counter
+   prefix-cache observability invariants, determinism of counter
    totals across domain counts, and well-formedness of the Chrome-trace
    and metrics-JSON exports (checked with a small JSON parser below). *)
 
@@ -251,7 +251,7 @@ let test_policy_case_insensitive () =
     (Sim.Backend.policy_of_string "QPU" = None)
 
 (* ------------------------------------------------------------------ *)
-(* Backend.Prefix observability invariants                            *)
+(* Prefix-cache observability invariants                              *)
 
 let shots = 256
 
@@ -261,8 +261,8 @@ let run_dense ?prefix_cache ?(domains = 1) c =
 
 let test_prefix_fraction () =
   check_bool "terminal-only measures -> 1.0" true
-    (Sim.Backend.Prefix.fraction (terminal_only ()) = 1.0);
-  let f = Sim.Backend.Prefix.fraction (dyn2_and ()) in
+    (Sim.Backend.prefix_fraction (terminal_only ()) = 1.0);
+  let f = Sim.Backend.prefix_fraction (dyn2_and ()) in
   check_bool "mid-circuit measures -> inside (0,1)" true (f > 0.0 && f < 1.0)
 
 let test_prefix_hits_equal_shots () =
@@ -272,9 +272,9 @@ let test_prefix_hits_equal_shots () =
     (Obs.Collector.counter c "backend.prefix.miss");
   check_int "backend.shots" shots (Obs.Collector.counter c "backend.shots");
   check_int "engine tagged" 1 (Obs.Collector.counter c "backend.run.dense");
-  check_bool "fraction gauge matches Prefix.fraction" true
+  check_bool "fraction gauge matches prefix_fraction" true
     (Obs.Collector.gauge c "backend.prefix.fraction"
-    = Some (Sim.Backend.Prefix.fraction (dyn2_and ())))
+    = Some (Sim.Backend.prefix_fraction (dyn2_and ())))
 
 let test_prefix_misses_with_cache_off () =
   let c, _h =

@@ -220,7 +220,12 @@ let test_split_prefix () =
   in
   let prefix, suffix = Sim.Program.split_prefix (Sim.Program.compile c) in
   check_int "prefix = the H" 1 (Sim.Program.length prefix);
-  check_int "suffix = measure + X" 2 (Sim.Program.length suffix)
+  check_int "suffix = measure + X" 2 (Sim.Program.length suffix);
+  (* the prefix draws no randomness; the suffix opens with a draw *)
+  let st = Sim.Program.fresh_state prefix in
+  Sim.Program.exec ~random:Sim.Program.no_random st prefix;
+  Alcotest.check_raises "suffix draws" Sim.Program.Unexpected_random_draw
+    (fun () -> Sim.Program.exec ~random:Sim.Program.no_random st suffix)
 
 (* ------------------------------------------------------------------ *)
 (* Default-seed contract (shared constant across engines)             *)

@@ -2,8 +2,11 @@
    (Sim.Sparse) against the dense engine: amplitude-for-amplitude
    agreement over hundreds of random dynamic circuits, identical
    seed-deterministic shot streams through the engine-polymorphic
-   runner, and the over-the-dense-cap basis-sparse acceptance
-   workload (a >= 28-qubit dyn2-substituted Toffoli ladder). *)
+   runner and through Backend.run's plan executor (forced dense and
+   sparse, prefix cache on and off, one and two domains, and the
+   hybrid witness against forced dense), and the over-the-dense-cap
+   basis-sparse acceptance workload (a >= 28-qubit dyn2-substituted
+   Toffoli ladder). *)
 
 open Circuit
 
@@ -194,6 +197,93 @@ let test_wide_backend_auto () =
   check_int "deterministic outcome" 64
     (List.fold_left max 0 (List.map snd (Sim.Runner.to_list auto)))
 
+(* ------------------------------------------------------------------ *)
+(* Backend.run's plan executor: the forced dense and sparse one-step
+   plans must give the same histogram with and without the shared
+   prefix, on one domain or two.                                      *)
+
+let test_backend_plans_identical () =
+  let rng = Random.State.make [| 0x9A7 |] in
+  let runs =
+    List.concat_map
+      (fun policy ->
+        List.concat_map
+          (fun prefix_cache ->
+            List.map (fun domains -> (policy, prefix_cache, domains)) [ 1; 2 ])
+          [ true; false ])
+      Sim.Backend.[ Statevector_dense; Sparse_statevector ]
+  in
+  for k = 0 to 29 do
+    let c = random_dynamic_circuit rng in
+    let run (policy, prefix_cache, domains) =
+      Sim.Backend.run ~policy ~seed:(200 + k) ~domains ~prefix_cache
+        ~shots:100 c
+    in
+    let reference = run (List.hd runs) in
+    List.iter
+      (fun ((policy, prefix_cache, domains) as r) ->
+        check_hist
+          (Printf.sprintf "circuit %d, %s, prefix cache %b, %d domain(s)" k
+             (Sim.Backend.policy_to_string policy)
+             prefix_cache domains)
+          reference (run r))
+      runs
+  done
+
+(* The mixed-sparsity witness (bench/main.ml's hybrid witness at width
+   [m]): [m] qubits in uniform superposition measured up front — an
+   amplitude bound too close to the register width for sparse — then a
+   basis Toffoli under the dyn2 substitution with measure / reset /
+   feed-forward on three more, which the analyzer bounds near zero.
+   Auto runs it hybrid, handing the state from dense to sparse once
+   per shot after a shared dense prefix. *)
+let hybrid_witness ~m =
+  let b =
+    Circ.Builder.make ~roles:(Array.make (m + 3) Circ.Data) ~num_bits:(m + 1) ()
+  in
+  for q = 0 to m - 1 do
+    Circ.Builder.h b q
+  done;
+  for q = 0 to m - 1 do
+    Circ.Builder.measure b ~qubit:q ~bit:(q + 1)
+  done;
+  Circ.Builder.x b m;
+  Circ.Builder.x b (m + 1);
+  Circ.Builder.ccx b m (m + 1) (m + 2);
+  Circ.Builder.measure b ~qubit:(m + 2) ~bit:0;
+  Circ.Builder.reset b (m + 2);
+  Circ.Builder.conditioned b ~bit:0 Gate.X (m + 2);
+  Circ.Builder.measure b ~qubit:(m + 2) ~bit:0;
+  Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
+
+let test_hybrid_witness () =
+  let shots = 64 in
+  List.iter
+    (fun m ->
+      let c = hybrid_witness ~m in
+      (match Sim.Backend.select ~shots c with
+      | `Hybrid -> ()
+      | (`Dense | `Sparse | `Stabilizer | `Exact) as e ->
+          Alcotest.failf "m = %d: expected hybrid, Auto selected %s" m
+            (Sim.Backend.engine_name e));
+      let obs, auto =
+        Obs.with_collector (fun () -> Sim.Backend.run ~seed:3 ~shots c)
+      in
+      let dense =
+        Sim.Backend.run ~policy:Sim.Backend.Statevector_dense ~seed:3 ~shots c
+      in
+      let counter = Obs.Collector.counter obs in
+      check_hist (Printf.sprintf "m = %d: auto = forced dense" m) dense auto;
+      check_int
+        (Printf.sprintf "m = %d: one dense->sparse handoff per shot" m)
+        shots
+        (counter "backend.handoff.dense_to_sparse");
+      check_int
+        (Printf.sprintf "m = %d: every shot starts from the shared prefix" m)
+        shots
+        (counter "backend.prefix.hit"))
+    [ 4; 8 ]
+
 (* Conversions: densify/sparsify roundtrips preserve amplitudes and
    the classical register. *)
 let test_conversions_roundtrip () =
@@ -236,5 +326,11 @@ let () =
           Alcotest.test_case "wide basis-sparse acceptance" `Quick
             test_wide_basis_sparse_acceptance;
           Alcotest.test_case "wide backend auto" `Quick test_wide_backend_auto;
+        ] );
+      ( "backend plans",
+        [
+          Alcotest.test_case "dense/sparse x prefix cache x domains" `Quick
+            test_backend_plans_identical;
+          Alcotest.test_case "hybrid witness" `Quick test_hybrid_witness;
         ] );
     ]
