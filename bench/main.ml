@@ -1069,22 +1069,29 @@ let group_of_name name =
   | Some k -> String.sub name 0 k
   | None -> name
 
-(* Best-effort git revision for the dqc.bench/2 provenance field:
-   baselines only make sense against a known commit. *)
-let git_revision () =
+(* Best-effort git provenance for the dqc.bench/2 fields: baselines
+   only make sense against a known commit and a clean tree.  Outside a
+   git work tree both fields are null. *)
+let git args =
   try
-    let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    match (Unix.close_process_in ic, line) with
-    | Unix.WEXITED 0, rev when rev <> "" -> Some rev
-    | (Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _), _ -> None
+    let ic = Unix.open_process_in ("git " ^ args ^ " 2>/dev/null") in
+    let out = In_channel.input_all ic in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> Some (String.trim out)
+    | Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> None
   with Unix.Unix_error _ | Sys_error _ -> None
 
 let bench_schema = "dqc.bench/2"
 
 let revision_json () =
-  match git_revision () with
-  | Some rev -> Obs.Json.String rev
+  match git "rev-parse HEAD" with
+  | Some rev when rev <> "" -> Obs.Json.String rev
+  | Some _ | None -> Obs.Json.Null
+
+(* true when [git status --porcelain] lists anything *)
+let dirty_json () =
+  match git "status --porcelain" with
+  | Some status -> Obs.Json.Bool (status <> "")
   | None -> Obs.Json.Null
 
 let write_bechamel_json ?(extra = []) estimates =
@@ -1108,6 +1115,7 @@ let write_bechamel_json ?(extra = []) estimates =
          ("schema", Obs.Json.String bench_schema);
          ("unit", Obs.Json.String "ns/op");
          ("revision", revision_json ());
+         ("dirty", dirty_json ());
          ("results", Obs.Json.List (results @ extra));
        ]);
   Printf.printf "\nmachine-readable results written to %s\n" bench_json_path
@@ -1215,6 +1223,7 @@ let write_perf_json ~path series =
          ("schema", Obs.Json.String bench_schema);
          ("unit", Obs.Json.String "ns/op");
          ("revision", revision_json ());
+         ("dirty", dirty_json ());
          ("results", Obs.Json.List (List.map perf_series_json series));
        ]);
   Printf.printf "\npercentile results written to %s\n" path

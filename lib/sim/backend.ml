@@ -152,6 +152,9 @@ let segment_plan c =
       })
     s.Lint.Resource.segments
 
+let all_sparse plan =
+  plan <> [] && List.for_all (fun p -> p.seg_engine = `Sparse) plan
+
 let segment_plan_string plan =
   String.concat "," (List.map (fun p -> engine_name p.seg_engine) plan)
 
@@ -201,14 +204,12 @@ let select_gen ?(policy = Auto) ~shots ~extra_branches c =
           (* per-segment planning: all-dense plans run dense,
              all-sparse plans sparse, mixed plans hybrid *)
           let plan = segment_plan c in
-          let sparse_segs =
-            List.length (List.filter (fun p -> p.seg_engine = `Sparse) plan)
-          in
-          if plan <> [] && sparse_segs = List.length plan then begin
+          if all_sparse plan then begin
             check_sparse_fits c;
             `Sparse
           end
-          else if sparse_segs > 0 then `Hybrid
+          else if List.exists (fun p -> p.seg_engine = `Sparse) plan then
+            `Hybrid
           else begin
             check_dense_fits ~who:"dense" c;
             `Dense
@@ -246,6 +247,12 @@ let plan_steps engine base =
               (Array.to_list
                  (Array.sub instrs s.seg_start (s.seg_stop - s.seg_start))) ))
         (segment_plan base)
+
+(* The exact enumerator keeps one state per open fork: on the sparse
+   engine when the analyzer plans every segment sparse — the same facts
+   [select] consults for the sampled plan — and dense otherwise. *)
+let exact_engine c =
+  engine_module (if all_sparse (segment_plan c) then `Sparse else `Dense)
 
 (* One shot's pass over the plan: hand the state to each step's engine
    and replay the step. *)
@@ -361,7 +368,11 @@ let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
         Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
             Stabilizer.register (Stabilizer.run ~rng cs))
     | `Exact ->
-        let sampler = Dist.sampler (Exact.register_distribution base) in
+        let sampler =
+          Dist.sampler
+            (Exact.program_distribution ~engine:(exact_engine c)
+               (Program.compile base))
+        in
         Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
             Dist.sample sampler rng)
     | (`Dense | `Sparse | `Hybrid) as e ->

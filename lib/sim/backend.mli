@@ -17,8 +17,12 @@ open Circuit
     - {e stabilizer} — CHP tableau when the circuit is Clifford
       ({!Stabilizer.supports}); scales to hundreds of qubits;
     - {e exact branch} — when the measurement/reset count is small the
-      exact branching distribution ({!Exact}) is computed once and
-      shots are drawn from it with the O(1) alias sampler.
+      exact branching distribution ({!Exact.program_distribution}) is
+      computed once and shots are drawn from it with the O(1) alias
+      sampler.  The branch states live on the sparse engine when every
+      {!segment_plan} entry is sparse and on the dense engine
+      otherwise, and measurements that end the circuit are read in one
+      pass per branch instead of forking.
 
     [Auto] additionally plans {e per segment} (see {!segment_plan}):
     when the analyzer proves only part of the circuit basis-sparse, a

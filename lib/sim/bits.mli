@@ -11,6 +11,10 @@ val get : int -> int -> bool
 (** [set v k b] is [v] with bit [k] forced to [b]. *)
 val set : int -> int -> bool -> int
 
+(** [gather v positions] packs bits [positions.(0)], [positions.(1)],
+    ... of [v] into bits 0, 1, ... of the result. *)
+val gather : int -> int array -> int
+
 (** [to_string ~width v] renders bit 0 first. *)
 val to_string : width:int -> int -> string
 

@@ -2,8 +2,9 @@ open Circuit
 
 (* The engine abstraction: one signature every statevector-like
    execution engine implements, so the shot engines (Runner, Parallel,
-   Backend) and the noisy-trajectory engine (Noise) can be written
-   once against [S] instead of hard-coding the dense SoA storage.
+   Backend), the noisy-trajectory engine (Noise) and the exact-branch
+   enumerator (Exact) can be written once against [S] instead of
+   hard-coding the dense SoA storage.
 
    Instances:
    - [Statevector.Dense_engine] — the dense SoA amplitudes ([State]),
@@ -44,7 +45,7 @@ module type S = sig
   val exec : random:(unit -> float) -> state -> Program.t -> unit
   val run : rng:Random.State.t -> Program.t -> state
   val probabilities : state -> float array
-  val nonzero_probabilities : state -> (int * float) list
+  val outcome_probabilities : state -> int array -> (int * float) list
   val of_state : State.t -> state
   val to_state : state -> State.t
 end

@@ -15,8 +15,9 @@ open Circuit
     capped at {!State.max_qubits}) and {!Sparse.Sparse_engine} (hash-map
     basis-amplitude storage, memory per {e nonzero} amplitude).
     {!Backend} picks between them — per whole circuit or per
-    analyzer segment (hybrid execution) — and {!Runner} / {!Noise}
-    accept any instance through their [?engine] parameter.
+    analyzer segment (hybrid execution) — {!Runner} / {!Noise}
+    accept any instance through their [?engine] parameter, and
+    {!Exact} enumerates measurement branches on either.
 
     Contract every instance honours, so shot streams are
     seed-deterministic {e across} engines: randomness is consumed
@@ -89,13 +90,17 @@ module type S = sig
   (** Probability of each basis state, as a dense [2^n] array.
       @raise State.Dense_cap_exceeded when [2^n] does not fit
       (sparse states past the dense cap); use
-      {!nonzero_probabilities} there. *)
+      {!outcome_probabilities} there. *)
   val probabilities : state -> float array
 
-  (** [(basis_index, probability)] for every stored amplitude with
-      nonzero probability, ascending by index — the width-safe
-      distribution extractor. *)
-  val nonzero_probabilities : state -> (int * float) list
+  (** [outcome_probabilities st qubits] is the Born distribution of
+      measuring the distinct [qubits] together, in one pass over the
+      stored amplitudes and without collapsing [st]: [(outcome, p)]
+      pairs with nonzero [p], ascending by outcome, where bit [j] of
+      [outcome] is the result on [qubits.(j)] ({!Bits.gather} of the
+      basis index).  Over every qubit in order it is the basis-state
+      distribution — the width-safe distribution extractor. *)
+  val outcome_probabilities : state -> int array -> (int * float) list
 
   (** Take over a dense state — the handoff into this engine (the
       identity on the dense engine). *)

@@ -4,7 +4,23 @@ open Circuit
     active reset, by enumerating measurement branches with their Born
     probabilities.  This is the distribution a shot-based simulator
     (the paper uses AER with 1024 shots) converges to, computed without
-    sampling noise — the basis of the functional-equivalence checks. *)
+    sampling noise — the basis of the functional-equivalence checks.
+
+    One depth-first enumerator, written against {!Engine.S}, serves
+    every entry point: it replays the compiled program ({!Program}) on
+    one branch state, copying it only where a measure or reset forks
+    with both outcomes above the prune threshold.  Only {!leaves}
+    keeps the states it reaches; the distributions fold
+    [(register, probability)] pairs in DFS order and hold one state per
+    open fork.  When the program ends in a run of measurements, the
+    distributions read those outcomes in one pass over each branch's
+    probabilities ({!Engine.S.outcome_probabilities}) instead of
+    forking [2^k] times.
+
+    Telemetry: an [exact.enumerate] span (attrs [qubits], [engine])
+    around each enumeration, and a [sim.exact.leaves] count of the
+    fork-tree leaves reached — a trailing-measurement pass counts
+    once. *)
 
 (** A leaf of the branching execution. *)
 type leaf = {
@@ -13,11 +29,23 @@ type leaf = {
   state : Statevector.t;  (** final (normalized) quantum state *)
 }
 
-(** All leaves with probability above [prune] (default 1e-12).
+(** All leaves with probability above [prune] (default 1e-12), forking
+    on every measurement, trailing ones included, on the dense engine.
     @raise Invalid_argument when [prune] is negative or NaN. *)
 val leaves : ?prune:float -> Circ.t -> leaf list
 
-(** Exact distribution over the classical register. *)
+(** [program_distribution ~engine p] is the exact register
+    distribution of the compiled program [p], enumerated on [engine]
+    (the dense {!Statevector.Dense_engine} or the sparse
+    {!Sparse.Sparse_engine}; {!Backend.run} picks by its segment plan).
+    Both engines give the same law within rounding.  Outcomes at or
+    below [prune] (default 1e-12) are dropped, as in {!leaves}.
+    @raise Invalid_argument when [prune] is negative or NaN. *)
+val program_distribution :
+  ?prune:float -> engine:(module Engine.S) -> Program.t -> Dist.t
+
+(** Exact distribution over the classical register: {!program_distribution}
+    of the compiled circuit on the dense engine. *)
 val register_distribution : ?prune:float -> Circ.t -> Dist.t
 
 (** [plan_distribution ~plan c] instruments [c] with the plan's

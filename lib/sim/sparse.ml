@@ -397,14 +397,19 @@ let probabilities st =
   done;
   ps
 
-let nonzero_probabilities st =
-  let acc = ref [] in
+let outcome_probabilities st qubits =
+  let acc = Hashtbl.create 16 in
   for s = 0 to st.size - 1 do
     let r = st.re.(s) and x = st.im.(s) in
     let p = (r *. r) +. (x *. x) in
-    if p > 0. then acc := (st.idx.(s), p) :: !acc
+    if p > 0. then begin
+      let o = Bits.gather st.idx.(s) qubits in
+      Hashtbl.replace acc o
+        (p +. Option.value ~default:0. (Hashtbl.find_opt acc o))
+    end
   done;
-  List.sort (fun (a, _) (b, _) -> compare a b) !acc
+  Hashtbl.fold (fun o p pairs -> (o, p) :: pairs) acc []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* ------------------------------------------------------------------ *)
 
@@ -435,7 +440,7 @@ module Sparse_engine : Engine.S with type state = t = struct
   let exec = exec
   let run = run
   let probabilities = probabilities
-  let nonzero_probabilities = nonzero_probabilities
+  let outcome_probabilities = outcome_probabilities
   let of_state = of_state
   let to_state = to_state
 end

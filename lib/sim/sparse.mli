@@ -102,10 +102,7 @@ val of_state : State.t -> t
     @raise State.Dense_cap_exceeded past {!State.max_qubits}. *)
 val probabilities : t -> float array
 
-(** [(basis_index, probability)] per stored entry, ascending — the
-    width-safe distribution extractor. *)
-val nonzero_probabilities : t -> (int * float) list
-
 (** The {!Engine.S} instance — what {!Backend} dispatches to on
-    [`Sparse] selections and sparse hybrid segments. *)
+    [`Sparse] selections and sparse hybrid segments, and what its
+    exact-branch runs enumerate on when every segment is sparse. *)
 module Sparse_engine : Engine.S with type state = t

@@ -142,13 +142,25 @@ module Dense_engine : Engine.S with type state = State.t = struct
   let run ~rng program = Program.run ~rng program
   let probabilities = State.probabilities
 
-  let nonzero_probabilities st =
-    let ps = State.probabilities st in
-    let acc = ref [] in
-    for k = Array.length ps - 1 downto 0 do
-      if ps.(k) > 0. then acc := (k, ps.(k)) :: !acc
+  (* one accumulator slot per outcome: 2^k floats for k <= n qubits,
+     at most half the size of the state itself *)
+  let outcome_probabilities st qubits =
+    let v = State.raw st in
+    let re = Linalg.Cvec.re v and im = Linalg.Cvec.im v in
+    let acc = Array.make (1 lsl Array.length qubits) 0. in
+    for i = 0 to Array.length re - 1 do
+      let r = Array.unsafe_get re i and x = Array.unsafe_get im i in
+      let p = (r *. r) +. (x *. x) in
+      if p > 0. then begin
+        let o = Bits.gather i qubits in
+        acc.(o) <- acc.(o) +. p
+      end
     done;
-    !acc
+    let pairs = ref [] in
+    for o = Array.length acc - 1 downto 0 do
+      if acc.(o) > 0. then pairs := (o, acc.(o)) :: !pairs
+    done;
+    !pairs
 
   let of_state st = st
   let to_state st = st

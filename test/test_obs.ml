@@ -350,7 +350,23 @@ let test_exact_counters () =
   check_bool "enumeration span" true
     (List.exists
        (fun (s : Obs.Collector.span) -> s.name = "exact.enumerate")
-       (Obs.Collector.spans c))
+       (Obs.Collector.spans c));
+  check_bool "enumerated on the dense engine" true
+    (List.exists
+       (fun (s : Obs.Collector.span) ->
+         s.name = "exact.enumerate"
+         && List.assoc_opt "engine" s.attrs = Some "dense")
+       (Obs.Collector.spans c));
+  (* measurements that end the circuit are read in one pass, one leaf,
+     where forking on each of them reaches every outcome *)
+  let leaves_counted f =
+    Obs.Collector.counter (fst (Obs.with_collector f)) "sim.exact.leaves"
+  in
+  let c = terminal_only () in
+  check_bool "forking reaches several leaves" true
+    (leaves_counted (fun () -> Sim.Exact.leaves c) > 1);
+  check_int "one pass over the trailing measurements" 1
+    (leaves_counted (fun () -> Sim.Exact.register_distribution c))
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline spans                                                     *)

@@ -4,9 +4,10 @@
    seed-deterministic shot streams through the engine-polymorphic
    runner and through Backend.run's plan executor (forced dense and
    sparse, prefix cache on and off, one and two domains, and the
-   hybrid witness against forced dense), and the over-the-dense-cap
+   hybrid witness against forced dense), the over-the-dense-cap
    basis-sparse acceptance workload (a >= 28-qubit dyn2-substituted
-   Toffoli ladder). *)
+   Toffoli ladder), and exact-branch evaluation on either engine
+   against the law of forking on every measurement. *)
 
 open Circuit
 
@@ -305,6 +306,91 @@ let test_conversions_roundtrip () =
     check_bool (Printf.sprintf "roundtrip %d" k) true !ok
   done
 
+(* ------------------------------------------------------------------ *)
+(* Exact-branch evaluation: one enumerator on either engine, with the
+   measurements that end a circuit read in one pass, must give the law
+   folded from Exact.leaves, which forks on every measurement.        *)
+
+let fork_law ?prune c =
+  Sim.Dist.create ~width:(Circ.num_bits c)
+    (List.map
+       (fun (l : Sim.Exact.leaf) -> (l.register, l.probability))
+       (Sim.Exact.leaves ?prune c))
+
+let exact_on ?prune engine c =
+  Sim.Exact.program_distribution ?prune ~engine (Sim.Program.compile c)
+
+let test_exact_engines_match_fork_law () =
+  let rng = Random.State.make [| 0xE7AC7 |] in
+  for k = 0 to 29 do
+    let c = random_dynamic_circuit rng in
+    let measured =
+      Sim.Measurement_plan.instrument Sim.Measurement_plan.measure_all c
+    in
+    List.iter
+      (fun ((tag, c), prune) ->
+        let law = fork_law ?prune c in
+        let outcomes d = List.map fst (Sim.Dist.to_list d) in
+        List.iter
+          (fun (name, engine) ->
+            let d = exact_on ?prune engine c in
+            let msg =
+              Printf.sprintf "circuit %d%s, prune %s: %s" k tag
+                (Option.fold ~none:"default" ~some:string_of_float prune)
+                name
+            in
+            check_bool (msg ^ " = fork-everything law") true
+              (Sim.Dist.approx_equal ~eps:1e-12 law d);
+            (* outcomes at or below the prune threshold are dropped on
+               every path, so both laws list the same outcomes *)
+            Alcotest.(check (list int)) (msg ^ " outcomes") (outcomes law)
+              (outcomes d))
+          [ ("dense", dense_engine); ("sparse", sparse_engine) ])
+      (List.concat_map
+         (fun case -> [ (case, None); (case, Some 0.1) ])
+         [ ("", c); (" + measure-all", measured) ])
+  done
+
+(* Past the dense cap only the sparse engine can enumerate; the
+   all-ones ladder is deterministic, so its law is a point mass. *)
+let test_exact_wide_sparse () =
+  let c =
+    dyn2_ladder ~inputs:wide_inputs ~ones:(List.init wide_inputs Fun.id)
+  in
+  match Sim.Dist.to_list (exact_on sparse_engine c) with
+  | [ (1, p) ] ->
+      check_bool "bit 0 reads 1 with probability 1" true
+        (abs_float (p -. 1.) <= 1e-12)
+  | pairs ->
+      Alcotest.failf "expected a point mass on 1, got %d outcomes"
+        (List.length pairs)
+
+(* Auto sends a narrow deterministic dyn2 ladder to the exact engine,
+   and its all-sparse segment plan makes the enumeration sparse. *)
+let test_exact_auto_sparse () =
+  let c = dyn2_ladder ~inputs:6 ~ones:(List.init 6 Fun.id) in
+  check_bool "at most 16 qubits" true (Circ.num_qubits c <= 16);
+  check_bool "every segment planned sparse" true
+    (List.for_all
+       (fun (s : Sim.Backend.segment_engine) -> s.seg_engine = `Sparse)
+       (Sim.Backend.segment_plan c));
+  (match Sim.Backend.select ~shots:64 c with
+  | `Exact -> ()
+  | (`Dense | `Sparse | `Stabilizer | `Hybrid) as e ->
+      Alcotest.failf "expected exact, Auto selected %s"
+        (Sim.Backend.engine_name e));
+  let obs, h =
+    Obs.with_collector (fun () -> Sim.Backend.run ~seed:5 ~shots:64 c)
+  in
+  check_bool "enumerated on the sparse engine" true
+    (List.exists
+       (fun (s : Obs.Collector.span) ->
+         s.name = "exact.enumerate"
+         && List.assoc_opt "engine" s.attrs = Some "sparse")
+       (Obs.Collector.spans obs));
+  Alcotest.check hist_pairs "every shot reads the AND" [ (1, 64) ]
+    (Sim.Runner.to_list h)
+
 let () =
   Alcotest.run "sparse"
     [
@@ -332,5 +418,14 @@ let () =
           Alcotest.test_case "dense/sparse x prefix cache x domains" `Quick
             test_backend_plans_identical;
           Alcotest.test_case "hybrid witness" `Quick test_hybrid_witness;
+        ] );
+      ( "exact engines",
+        [
+          Alcotest.test_case "dense/sparse = fork-everything law" `Quick
+            test_exact_engines_match_fork_law;
+          Alcotest.test_case "43 qubits on the sparse engine" `Quick
+            test_exact_wide_sparse;
+          Alcotest.test_case "auto enumerates sparse" `Quick
+            test_exact_auto_sparse;
         ] );
     ]
