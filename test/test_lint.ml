@@ -1,7 +1,9 @@
 (* Circuit linter: abstract-domain transfer function, the negative
    corpus (one hand-built circuit per pass, which must trigger exactly
-   that diagnostic), and the positive gate — every Table I/II
-   benchmark and its dynamic-1/dynamic-2 compilation lints clean. *)
+   that diagnostic, and the examples/*.qasm files, which must be
+   rejected), and the positive side — every Table I/II benchmark and
+   generated oracle compiles under dynamic-1/dynamic-2 to a circuit
+   that lints clean. *)
 
 open Circuit
 
@@ -286,6 +288,32 @@ let corpus_cond_after_clobber_negative () =
   let r = Lint.run ~passes:Lint.certifier_passes c in
   check_int "silent" 0 (List.length (of_pass "cond-after-clobber" r))
 
+(* The negative corpus on disk: every examples/*.qasm must parse and
+   carry an error-severity diagnostic under the general passes, which
+   is what makes `dqc_cli lint --file` exit 1 on it. *)
+let test_examples_rejected () =
+  let dir = Filename.concat ".." "examples" in
+  let files =
+    List.sort compare
+      (List.filter
+         (fun f -> Filename.check_suffix f ".qasm")
+         (Array.to_list (Sys.readdir dir)))
+  in
+  check_bool "examples/*.qasm is not empty" true (files <> []);
+  List.iter
+    (fun f ->
+      let src =
+        In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all
+      in
+      match Qasm.parse src with
+      | exception Qasm.Parse_error msg -> Alcotest.failf "%s: %s" f msg
+      | c ->
+          check_bool
+            (f ^ ": error-severity diagnostic")
+            true
+            (severities Lint.Diagnostic.Error (Lint.run c) <> []))
+    files
+
 (* Each corpus circuit makes the CLI gate (and Lint.check) reject. *)
 let test_check_raises () =
   let c =
@@ -412,6 +440,33 @@ let test_certifier_passes_silent_on_compilations () =
                (Dqc.Toffoli_scheme.to_string scheme))
             (Lint.run ~passes:Lint.certifier_passes r.circuit))
         Algorithms.Dj_toffoli.oracles)
+    [ Dqc.Toffoli_scheme.Dynamic_1; Dqc.Toffoli_scheme.Dynamic_2 ]
+
+(* The benchmark-wide corpus (the Table II oracles and the generated
+   ones of 4 to 8 inputs) compiled as `dqc_cli lint` compiles it — no
+   lint inside the pipeline, the DQC passes for one live data qubit
+   run on the output — and held to [Lint.clean]: no errors.  Warnings
+   are allowed, since the dyn2 outputs of the wider generated oracles
+   carry some. *)
+let test_oracle_corpus_clean () =
+  let module O = Dqc.Pipeline.Options in
+  List.iter
+    (fun scheme ->
+      let options =
+        O.default |> O.with_scheme scheme |> O.with_mode `Algorithm1
+        |> O.with_slots 1 |> O.with_check_equivalence false
+        |> O.with_lint false
+      in
+      List.iter
+        (fun (o : Algorithms.Oracle.t) ->
+          let out = Dqc.Pipeline.compile ~options (Algorithms.Dj.circuit o) in
+          let r = Lint.run ~passes:(Lint.dqc_passes ~max_live:1 ()) out.circuit in
+          check_bool
+            (Printf.sprintf "%s [%s]: %s" o.name
+               (Dqc.Toffoli_scheme.to_string scheme)
+               (Lint.summary r))
+            true (Lint.clean r))
+        Testkit.table2_and_generated_oracles)
     [ Dqc.Toffoli_scheme.Dynamic_1; Dqc.Toffoli_scheme.Dynamic_2 ]
 
 let test_direct_mct_lint_clean () =
@@ -579,6 +634,8 @@ let () =
           Alcotest.test_case "nonzero-global-phase-reset" `Quick
             corpus_nonzero_global_phase_reset;
           Alcotest.test_case "Lint.check raises" `Quick test_check_raises;
+          Alcotest.test_case "examples/*.qasm rejected" `Quick
+            test_examples_rejected;
         ] );
       ( "constructors",
         [
@@ -604,6 +661,8 @@ let () =
           Alcotest.test_case "certifier passes silent" `Quick
             test_certifier_passes_silent_on_compilations;
           Alcotest.test_case "direct mct" `Quick test_direct_mct_lint_clean;
+          Alcotest.test_case "18 oracles x 2 schemes" `Quick
+            test_oracle_corpus_clean;
         ] );
       ( "report",
         [

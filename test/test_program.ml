@@ -1,8 +1,9 @@
 open Circuit
 
-(* Compiled execution plans ([Sim.Program]): randomized differential
-   tests against the generic interpreter ([Statevector.run_reference]),
-   fusion unit tests, and the default-seed contract. *)
+(* Compiled execution plans ([Sim.Program]): differential tests
+   against the generic interpreter ([Statevector.run_reference]) on
+   random circuits and on the paper's DJ family, fusion unit tests, and
+   the default-seed contract. *)
 
 let check_int = Alcotest.(check int)
 
@@ -143,6 +144,31 @@ let test_differential_unfused () =
     check_states ~msg:(Printf.sprintf "unfused case %d" case) compiled reference
   done
 
+(* The paper's DJ family, traditional and under both dynamic schemes:
+   the compiled run must match the interpreter on every seed. *)
+let test_differential_dj_family () =
+  List.iter
+    (fun name ->
+      let o = Option.get (Algorithms.Dj_toffoli.oracle_by_name name) in
+      let dj = Algorithms.Dj.circuit o in
+      let dyn scheme = (Dqc.Toffoli_scheme.transform scheme dj).circuit in
+      List.iter
+        (fun (label, c) ->
+          List.iter
+            (fun seed ->
+              let run_with f = f ~rng:(Random.State.make [| seed |]) c in
+              check_states
+                ~msg:(Printf.sprintf "DJ(%s) %s, seed %d" name label seed)
+                (run_with Sim.Statevector.run)
+                (run_with Sim.Statevector.run_reference))
+            [ 1; 7; 42 ])
+        [
+          ("traditional", dj);
+          ("dyn1", dyn Dqc.Toffoli_scheme.Dynamic_1);
+          ("dyn2", dyn Dqc.Toffoli_scheme.Dynamic_2);
+        ])
+    [ "AND"; "OR"; "NAND"; "CARRY" ]
+
 (* ------------------------------------------------------------------ *)
 (* Fusion units                                                       *)
 
@@ -262,6 +288,8 @@ let () =
             test_differential_random;
           Alcotest.test_case "unfused lowering" `Quick
             test_differential_unfused;
+          Alcotest.test_case "DJ family x schemes" `Quick
+            test_differential_dj_family;
         ] );
       ( "fusion",
         [

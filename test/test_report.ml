@@ -200,6 +200,62 @@ let test_slots_rows () =
     | Some k -> k >= 4
     | None -> false)
 
+(* Qubit reuse over the algorithm suite: a rewiring that saves qubits
+   must be certified, and every Grover, QPE and Simon row saves some. *)
+let test_reuse_rows () =
+  let rows = Report.Experiments.reuse_rows () in
+  List.iter
+    (fun (r : Report.Experiments.reuse_row) ->
+      if r.saved > 0 then check_bool (r.name ^ " certified") true r.certified)
+    rows;
+  List.iter
+    (fun prefix ->
+      let family =
+        List.filter
+          (fun (r : Report.Experiments.reuse_row) ->
+            String.starts_with ~prefix r.name)
+          rows
+      in
+      check_bool (prefix ^ " rows present") true (family <> []);
+      List.iter
+        (fun (r : Report.Experiments.reuse_row) ->
+          check_bool (r.name ^ " saves qubits") true (r.saved > 0))
+        family)
+    [ "GROVER"; "QPE"; "SIMON" ]
+
+(* The certified optimizer over its corpus: a Refuted rewrite (the
+   optimizer contradicting its own certificate) fails, every row is
+   Proved, every dyn2 row shrinks strictly, and measurement folding and
+   reset removal each fire somewhere. *)
+let test_optimize_rows () =
+  let rows =
+    try Report.Experiments.optimize_rows ()
+    with Dqc.Optimize.Refuted msg -> Alcotest.failf "refuted rewrite: %s" msg
+  in
+  List.iter
+    (fun (r : Report.Experiments.optimize_row) ->
+      check_bool (Printf.sprintf "%s [%s] proved" r.name r.scheme) true r.proved)
+    rows;
+  let dyn2 =
+    List.filter
+      (fun (r : Report.Experiments.optimize_row) -> r.scheme = "dyn2")
+      rows
+  in
+  check_bool "dyn2 rows present" true (dyn2 <> []);
+  List.iter
+    (fun (r : Report.Experiments.optimize_row) ->
+      check_bool
+        (Printf.sprintf "%s [dyn2]: %d -> %d gates" r.name r.gates_before
+           r.gates_after)
+        true
+        (r.gates_after < r.gates_before))
+    dyn2;
+  let total f = List.fold_left (fun acc r -> acc + f r) 0 rows in
+  check_bool "measures folded" true
+    (total (fun (r : Report.Experiments.optimize_row) -> r.folded) > 0);
+  check_bool "resets removed" true
+    (total (fun (r : Report.Experiments.optimize_row) -> r.resets_removed) > 0)
+
 let test_reports_render () =
   check_bool "table1 report" true
     (contains (Report.Experiments.table1_report ()) "BV_111");
@@ -244,5 +300,7 @@ let () =
           Alcotest.test_case "scale rows" `Slow test_scale_rows;
           Alcotest.test_case "slots rows" `Slow test_slots_rows;
           Alcotest.test_case "reports render" `Slow test_reports_render;
+          Alcotest.test_case "reuse rows" `Slow test_reuse_rows;
+          Alcotest.test_case "optimize rows" `Slow test_optimize_rows;
         ] );
     ]

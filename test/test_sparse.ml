@@ -4,10 +4,12 @@
    seed-deterministic shot streams through the engine-polymorphic
    runner and through Backend.run's plan executor (forced dense and
    sparse, prefix cache on and off, one and two domains, and the
-   hybrid witness against forced dense), the over-the-dense-cap
-   basis-sparse acceptance workload (a >= 28-qubit dyn2-substituted
-   Toffoli ladder), and exact-branch evaluation on either engine
-   against the law of forking on every measurement. *)
+   hybrid witness and the randomized ladder against forced dense), the
+   over-the-dense-cap basis-sparse acceptance workload (a >= 28-qubit
+   dyn2-substituted Toffoli ladder), exact-branch evaluation on either
+   engine against the law of forking on every measurement, and the
+   static analyzer behind Auto's choices: its amplitude bounds against
+   dense replay and its per-segment Clifford witness. *)
 
 open Circuit
 
@@ -22,44 +24,15 @@ let check_hist msg a b =
 let dense_engine = (module Sim.Statevector.Dense_engine : Sim.Engine.S)
 let sparse_engine = (module Sim.Sparse.Sparse_engine : Sim.Engine.S)
 
-(* Random dynamic circuits from the same family as the analyze-gate
-   differential suite: Clifford+T 1-qubit gates, CX/CZ, Toffolis,
-   mid-circuit measures, resets and conditioned gates. *)
+(* The random dynamic circuits (Clifford+T 1-qubit gates, CX/CZ,
+   Toffolis, mid-circuit measures, resets, conditioned gates) of
+   Testkit: this file's own stream draws up to 8 qubits and 32
+   instructions, the wide stream up to 10 and 35. *)
 let random_dynamic_circuit rng =
-  let nq = 2 + Random.State.int rng 7 in
-  let nb = 1 + Random.State.int rng 2 in
-  let m = 5 + Random.State.int rng 28 in
-  let gates = Gate.[ H; X; Y; Z; S; Sdg; T; Tdg; V; Rz 0.37 ] in
-  let any_gate () = List.nth gates (Random.State.int rng (List.length gates)) in
-  let instr _ =
-    match Random.State.int rng 10 with
-    | 0 | 1 | 2 | 3 ->
-        Instruction.Unitary
-          (Instruction.app (any_gate ()) (Random.State.int rng nq))
-    | 4 | 5 ->
-        let c = Random.State.int rng nq and t = Random.State.int rng nq in
-        let g = if Random.State.bool rng then Gate.X else Gate.Z in
-        if c = t then Instruction.Unitary (Instruction.app g t)
-        else Instruction.Unitary (Instruction.app ~controls:[ c ] g t)
-    | 6 ->
-        let c1 = Random.State.int rng nq
-        and c2 = Random.State.int rng nq
-        and t = Random.State.int rng nq in
-        if c1 = t || c2 = t || c1 = c2 then
-          Instruction.Unitary (Instruction.app Gate.X t)
-        else Instruction.Unitary (Instruction.app ~controls:[ c1; c2 ] Gate.X t)
-    | 7 ->
-        Instruction.Measure
-          { qubit = Random.State.int rng nq; bit = Random.State.int rng nb }
-    | 8 -> Instruction.Reset (Random.State.int rng nq)
-    | _ ->
-        Instruction.Conditioned
-          ( Instruction.cond_bit (Random.State.int rng nb)
-              (Random.State.bool rng),
-            Instruction.app (any_gate ()) (Random.State.int rng nq) )
-  in
-  let roles = Array.make nq Circ.Data in
-  Circ.create ~roles ~num_bits:nb (List.init m instr)
+  Testkit.random_dynamic_circuit ~max_qubits:8 ~max_instrs:32 rng
+
+let wide_random_circuit rng =
+  Testkit.random_dynamic_circuit ~max_qubits:10 ~max_instrs:35 rng
 
 (* Sparse kernels mirror the dense float expressions term for term, so
    the engines agree to rounding noise; the pruning threshold
@@ -85,16 +58,82 @@ let engines_agree ~seed c =
   done;
   !ok
 
-let test_differential_random_circuits () =
-  let rng = Random.State.make [| 0x5AB5E |] in
-  let failures = ref 0 in
-  for k = 0 to 219 do
-    let c = random_dynamic_circuit rng in
+(* [count] circuits drawn by [draw] from one stream, each replayed
+   from every seed [seeds k] gives for circuit [k]. *)
+let differential ~stream ~draw ~count ~seeds () =
+  let rng = Random.State.make [| stream |] in
+  for k = 0 to count - 1 do
+    let c = draw rng in
     List.iter
-      (fun seed -> if not (engines_agree ~seed c) then incr failures)
-      [ 11; 12 + k; 4242 ]
-  done;
-  check_int "amplitude mismatches over 220 circuits x 3 seeds" 0 !failures
+      (fun seed ->
+        check_bool
+          (Printf.sprintf "circuit %d (%d qubits), seed %d" k
+             (Circ.num_qubits c) seed)
+          true (engines_agree ~seed c))
+      (seeds k)
+  done
+
+let test_differential_random_circuits =
+  differential ~stream:0x5AB5E ~draw:random_dynamic_circuit ~count:220
+    ~seeds:(fun k -> [ 11; 12 + k; 4242 ])
+
+let test_differential_wide_circuits =
+  differential ~stream:0x5FA25E ~draw:wide_random_circuit ~count:150
+    ~seeds:(fun _ -> [ 17; 4242 ])
+
+(* The analyzer's per-segment bounds against dense replay: after every
+   instruction [i] the nonzero-amplitude count stays within 2^bound of
+   the segment holding instruction [i+1] (a segment's peak covers the
+   pre-states of its instructions), on every seed; and each Clifford
+   verdict comes with a witness the stabilizer engine accepts. *)
+let test_analyzer_bounds_sound () =
+  let rng = Random.State.make [| 0xA17A |] in
+  for k = 1 to 200 do
+    let c = wide_random_circuit rng in
+    let summary = Lint.Resource.analyze c in
+    let instrs = Array.of_list (Circ.instructions c) in
+    let m = Array.length instrs in
+    let segs = Array.of_list summary.Lint.Resource.segments in
+    let seg_of = Array.make m 0 in
+    Array.iteri
+      (fun s (g : Lint.Resource.segment) ->
+        for i = g.Lint.Resource.start to g.Lint.Resource.stop - 1 do
+          seg_of.(i) <- s
+        done)
+      segs;
+    let bound_after i =
+      let s = if i + 1 < m then seg_of.(i + 1) else Array.length segs - 1 in
+      segs.(s).Lint.Resource.log2_bound_peak
+    in
+    let nq = Circ.num_qubits c and nb = Circ.num_bits c in
+    List.iter
+      (fun seed ->
+        let rng = Random.State.make [| seed |] in
+        let random () = Random.State.float rng 1.0 in
+        let st = Sim.State.create nq ~num_bits:nb in
+        Array.iteri
+          (fun i instr ->
+            Sim.Program.exec ~random st
+              (Sim.Program.compile_instructions ~fuse:false ~num_qubits:nq
+                 ~num_bits:nb [ instr ]);
+            let v = Sim.State.amplitudes st in
+            let nz = ref 0 in
+            for a = 0 to Linalg.Cvec.dim v - 1 do
+              if Complex.norm2 (Linalg.Cvec.get v a) > 1e-18 then incr nz
+            done;
+            if !nz > 1 lsl bound_after i then
+              Alcotest.failf
+                "circuit %d, seed %d: %d nonzero amplitudes after instruction \
+                 %d, bound 2^%d"
+                k seed !nz i (bound_after i))
+          instrs)
+      [ 1; 7; 42 ];
+    if summary.Lint.Resource.clifford then
+      check_bool
+        (Printf.sprintf "circuit %d: stabilizer accepts the witness" k)
+        true
+        (Sim.Stabilizer.supports summary.Lint.Resource.witness)
+  done
 
 (* The engine-polymorphic runner must produce byte-identical
    histograms on both engines for a fixed seed: shot i's register
@@ -115,23 +154,8 @@ let test_shot_streams_deterministic_across_engines () =
    every per-shot state stays within a handful of basis amplitudes
    regardless of width.                                               *)
 
-(* [inputs] X-prepared input qubits 0..k-1, ladder ancillas k..2k-3;
-   the last ancilla holds AND of all inputs, measured into bit 0. *)
-let toffoli_ladder ~inputs ~ones =
-  let k = inputs in
-  let nq = (2 * k) - 1 in
-  let b = Circ.Builder.make ~roles:(Array.make nq Circ.Data) ~num_bits:1 () in
-  List.iter (fun q -> Circ.Builder.x b q) ones;
-  Circ.Builder.ccx b 0 1 k;
-  for j = 1 to k - 2 do
-    Circ.Builder.ccx b (k + j - 1) (j + 1) (k + j)
-  done;
-  Circ.Builder.measure b ~qubit:(nq - 1) ~bit:0;
-  Circ.Builder.build b
-
 let dyn2_ladder ~inputs ~ones =
-  Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2
-    (toffoli_ladder ~inputs ~ones)
+  Testkit.dyn2_ladder ~inputs ~superposed:0 ~ones
 
 (* Ground truth at a dense-simulable width: the dyn2 ladder computes
    AND on every input combination, identically on both engines. *)
@@ -231,37 +255,14 @@ let test_backend_plans_identical () =
       runs
   done
 
-(* The mixed-sparsity witness (bench/main.ml's hybrid witness at width
-   [m]): [m] qubits in uniform superposition measured up front — an
-   amplitude bound too close to the register width for sparse — then a
-   basis Toffoli under the dyn2 substitution with measure / reset /
-   feed-forward on three more, which the analyzer bounds near zero.
-   Auto runs it hybrid, handing the state from dense to sparse once
-   per shot after a shared dense prefix. *)
-let hybrid_witness ~m =
-  let b =
-    Circ.Builder.make ~roles:(Array.make (m + 3) Circ.Data) ~num_bits:(m + 1) ()
-  in
-  for q = 0 to m - 1 do
-    Circ.Builder.h b q
-  done;
-  for q = 0 to m - 1 do
-    Circ.Builder.measure b ~qubit:q ~bit:(q + 1)
-  done;
-  Circ.Builder.x b m;
-  Circ.Builder.x b (m + 1);
-  Circ.Builder.ccx b m (m + 1) (m + 2);
-  Circ.Builder.measure b ~qubit:(m + 2) ~bit:0;
-  Circ.Builder.reset b (m + 2);
-  Circ.Builder.conditioned b ~bit:0 Gate.X (m + 2);
-  Circ.Builder.measure b ~qubit:(m + 2) ~bit:0;
-  Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
-
+(* The mixed-sparsity witness (Testkit.hybrid_witness, the circuit the
+   bench runs at m = 12): Auto runs it hybrid, handing the state from
+   dense to sparse once per shot after a shared dense prefix. *)
 let test_hybrid_witness () =
   let shots = 64 in
   List.iter
     (fun m ->
-      let c = hybrid_witness ~m in
+      let c = Testkit.hybrid_witness ~m in
       (match Sim.Backend.select ~shots c with
       | `Hybrid -> ()
       | (`Dense | `Sparse | `Stabilizer | `Exact) as e ->
@@ -275,6 +276,10 @@ let test_hybrid_witness () =
       in
       let counter = Obs.Collector.counter obs in
       check_hist (Printf.sprintf "m = %d: auto = forced dense" m) dense auto;
+      check_bool
+        (Printf.sprintf "m = %d: backend.select.hybrid >= 1" m)
+        true
+        (counter "backend.select.hybrid" >= 1);
       check_int
         (Printf.sprintf "m = %d: one dense->sparse handoff per shot" m)
         shots
@@ -283,7 +288,47 @@ let test_hybrid_witness () =
         (Printf.sprintf "m = %d: every shot starts from the shared prefix" m)
         shots
         (counter "backend.prefix.hit"))
-    [ 4; 8 ]
+    [ 4; 8; 12 ]
+
+(* The randomized AND-7 ladder (six superposed inputs, the seventh
+   X-prepared): the analyzer bounds it far under the register width, so
+   Auto plans it sparse, and its shots equal forced dense's. *)
+let test_randomized_ladder () =
+  let shots = 64 in
+  let c = Testkit.dyn2_ladder ~inputs:7 ~superposed:6 ~ones:[ 6 ] in
+  (match Sim.Backend.select ~shots c with
+  | `Sparse -> ()
+  | (`Dense | `Hybrid | `Stabilizer | `Exact) as e ->
+      Alcotest.failf "expected sparse, Auto selected %s"
+        (Sim.Backend.engine_name e));
+  let obs, auto =
+    Obs.with_collector (fun () -> Sim.Backend.run ~seed:3 ~shots c)
+  in
+  check_bool "backend.select.sparse >= 1" true
+    (Obs.Collector.counter obs "backend.select.sparse" >= 1);
+  check_hist "auto = forced dense"
+    (Sim.Backend.run ~policy:Sim.Backend.Statevector_dense ~seed:3 ~shots c)
+    auto
+
+(* Per-segment Clifford selection: the 17-qubit adaptive-parity circuit
+   fails the whole-circuit stabilizer scan and is wider than a 16-qubit
+   exact cut, so a whole-circuit rule runs it dense; its analyzer
+   witness is Clifford, so Auto picks the tableau engine. *)
+let test_adaptive_parity_stabilizer () =
+  let c = Algorithms.Mct_bench.adaptive_parity 15 in
+  check_bool "whole-circuit scan rejects it" false (Sim.Stabilizer.supports c);
+  check_bool "wider than the exact engine's 16 qubits" true
+    (Circ.num_qubits c > 16);
+  let obs, selected =
+    Obs.with_collector (fun () -> Sim.Backend.select ~shots:1024 c)
+  in
+  (match selected with
+  | `Stabilizer -> ()
+  | (`Dense | `Sparse | `Hybrid | `Exact) as e ->
+      Alcotest.failf "expected stabilizer, Auto selected %s"
+        (Sim.Backend.engine_name e));
+  check_bool "backend.select.stabilizer >= 1" true
+    (Obs.Collector.counter obs "backend.select.stabilizer" >= 1)
 
 (* Conversions: densify/sparsify roundtrips preserve amplitudes and
    the classical register. *)
@@ -402,6 +447,10 @@ let () =
             test_shot_streams_deterministic_across_engines;
           Alcotest.test_case "conversions roundtrip" `Quick
             test_conversions_roundtrip;
+          Alcotest.test_case "150 circuits up to 10 qubits" `Slow
+            test_differential_wide_circuits;
+          Alcotest.test_case "analyzer bounds and witnesses" `Slow
+            test_analyzer_bounds_sound;
         ] );
       ( "dyn2 ladder",
         [
@@ -418,6 +467,10 @@ let () =
           Alcotest.test_case "dense/sparse x prefix cache x domains" `Quick
             test_backend_plans_identical;
           Alcotest.test_case "hybrid witness" `Quick test_hybrid_witness;
+          Alcotest.test_case "randomized AND-7 ladder" `Slow
+            test_randomized_ladder;
+          Alcotest.test_case "adaptive parity on stabilizer" `Quick
+            test_adaptive_parity_stabilizer;
         ] );
       ( "exact engines",
         [

@@ -142,6 +142,7 @@ let certify_scheme scheme (o : Algorithms.Oracle.t) =
   ( Dqc.Certifier.certify dj r,
     Printf.sprintf "%s %s" o.name (Dqc.Toffoli_scheme.to_string scheme) )
 
+(* the Table II oracles and the generated ones of 4 to 8 inputs *)
 let test_table2_certified () =
   List.iter
     (fun scheme ->
@@ -149,7 +150,7 @@ let test_table2_certified () =
         (fun (o : Algorithms.Oracle.t) ->
           let verdict, label = certify_scheme scheme o in
           check_bool (label ^ " proved") true (C.is_proved verdict))
-        Algorithms.Dj_toffoli.oracles)
+        Testkit.table2_and_generated_oracles)
     [ Dqc.Toffoli_scheme.Dynamic_1; Dqc.Toffoli_scheme.Dynamic_2 ]
 
 (* dynamic-2 on the violation-free 2-input oracles must reach the
