@@ -70,24 +70,22 @@ let () =
   (* the repair: one extra physical data slot keeps the CX sandwich
      quantum, and the sound scheduler certifies exactness *)
   print_endline
-    "\nThe multi-slot repair (Dqc.Multi_transform, an extension):";
+    "\nThe multi-slot repair (Dqc.Transform.transform ~slots, an extension):";
   List.iter
     (fun (o : Algorithms.Oracle.t) ->
       let dj = Algorithms.Dj.circuit o in
       let prepared =
         Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_1 dj
       in
-      match Dqc.Multi_transform.min_exact_slots prepared with
+      match Dqc.Transform.min_exact_slots prepared with
       | Some k ->
-          let m =
-            Dqc.Multi_transform.transform ~mode:`Sound ~slots:k prepared
-          in
+          let m = Dqc.Transform.transform ~mode:`Sound ~slots:k prepared in
           Printf.printf
             "  %-8s dynamic-1 provably exact with %d data slot(s): %d qubits \
              (traditional %d), TV %.1e\n"
             o.name k
             (Circuit.Circ.num_qubits m.circuit)
             (Circuit.Circ.num_qubits dj)
-            (Dqc.Multi_transform.tv_distance prepared m)
+            (Dqc.Equivalence.tv_distance prepared m)
       | None -> Printf.printf "  %-8s no certified width\n" o.name)
     (List.filteri (fun k _ -> k < 3) Algorithms.Dj_toffoli.oracles)

@@ -47,7 +47,7 @@ let analyze ?(mct = false) ?(check_equivalence = true) c =
   in
   let min_exact_slots =
     if check_equivalence && Circ.num_qubits c <= 10 then
-      Multi_transform.min_exact_slots ~mct c
+      Transform.min_exact_slots ~mct c
     else None
   in
   let base = { base with min_exact_slots } in

@@ -9,9 +9,7 @@ type config = {
   backend_policy : Sim.Backend.policy;
 }
 
-type transformed =
-  | Single of Transform.result
-  | Multi of Multi_transform.result
+type transformed = Single of Transform.result | Multi of Transform.result
 
 type ctx = {
   config : config;

@@ -22,33 +22,20 @@ let prepare_body (ctx : Pass.ctx) =
 let transform_body (ctx : Pass.ctx) =
   let config = ctx.Pass.config in
   let mct = config.Pass.scheme = Toffoli_scheme.Direct_mct in
-  if config.Pass.slots = 1 then begin
-    let r = Transform.transform ~mode:config.Pass.mode ~mct ctx.Pass.circuit in
-    {
-      ctx with
-      Pass.circuit = r.Transform.circuit;
-      Pass.transformed = Some (Pass.Single r);
-      Pass.data_bit = r.Transform.data_bit;
-      Pass.answer_phys = r.Transform.answer_phys;
-      Pass.iterations = List.length r.Transform.iteration_order;
-      Pass.violations = List.length r.Transform.violations;
-    }
-  end
-  else begin
-    let m =
-      Multi_transform.transform ~mode:config.Pass.mode ~mct
-        ~slots:config.Pass.slots ctx.Pass.circuit
-    in
-    {
-      ctx with
-      Pass.circuit = m.Multi_transform.circuit;
-      Pass.transformed = Some (Pass.Multi m);
-      Pass.data_bit = m.Multi_transform.data_bit;
-      Pass.answer_phys = m.Multi_transform.answer_phys;
-      Pass.iterations = List.length m.Multi_transform.iteration_order;
-      Pass.violations = List.length m.Multi_transform.violations;
-    }
-  end
+  let r =
+    Transform.transform ~mode:config.Pass.mode ~mct ~slots:config.Pass.slots
+      ctx.Pass.circuit
+  in
+  {
+    ctx with
+    Pass.circuit = r.Transform.circuit;
+    Pass.transformed =
+      Some (if config.Pass.slots = 1 then Pass.Single r else Pass.Multi r);
+    Pass.data_bit = r.Transform.data_bit;
+    Pass.answer_phys = r.Transform.answer_phys;
+    Pass.iterations = List.length r.Transform.iteration_order;
+    Pass.violations = List.length r.Transform.violations;
+  }
 
 (* strongest evidence first: the symbolic certifier proves equivalence
    exactly, at any width, without dispatching a simulation backend;
@@ -71,7 +58,7 @@ let equivalence_body (ctx : Pass.ctx) =
     let reference = ctx.Pass.reference in
     let small = Circ.num_qubits reference <= exact_check_max_qubits in
     match ctx.Pass.transformed with
-    | Some (Pass.Single r) ->
+    | Some (Pass.Single r | Pass.Multi r) ->
         if small then
           {
             ctx with
@@ -92,10 +79,6 @@ let equivalence_body (ctx : Pass.ctx) =
                    ~policy:ctx.Pass.config.Pass.backend_policy reference r);
             Pass.tv_sampled = true;
           }
-        else ctx
-    | Some (Pass.Multi m) ->
-        if small then
-          { ctx with Pass.tv = Some (Multi_transform.tv_distance reference m) }
         else ctx
     | None -> ctx
   end

@@ -10,6 +10,17 @@ open Circuit
     first — choosing the Barenco or ancilla-unrolled netlist there is
     exactly the paper's dynamic-1 / dynamic-2 choice).
 
+    {2 Data slots}
+
+    [~slots:k] (an extension; the paper's design point is [k = 1])
+    keeps the k most recent work qubits live on k physical data
+    qubits, assigned round-robin.  Gates between co-live qubits stay
+    quantum and only longer-range interactions become classically
+    controlled, so k interpolates between the paper's DQC and the
+    traditional circuit (k = the number of work qubits).  With one
+    extra slot, dynamic-1 becomes sound-certified exact on the 2-input
+    Table II benchmarks (experiment E11, {!min_exact_slots}).
+
     {2 Soundness modes}
 
     Algorithm 1 scans the input in program order each iteration and
@@ -42,35 +53,51 @@ type violation = {
 }
 
 type result = {
-  circuit : Circ.t;  (** the DQC: qubit 0 is the physical data qubit *)
+  circuit : Circ.t;
+      (** the DQC: qubits [0..slots-1] are the physical data qubits
+          (role Data), then the answers *)
   data_bit : (int * int) list;
       (** input data qubit -> classical register bit *)
   answer_phys : (int * int) list;  (** input answer qubit -> DQC qubit *)
   iteration_order : int list;  (** work qubits in iteration order *)
   violations : violation list;  (** empty in [`Sound] mode *)
+  slots : int;
+      (** physical data qubits: the requested count, capped at the
+          number of work qubits *)
 }
 
-(** [transform ?mode ?mct c] runs the transformation ([mode] defaults
-    to [`Algorithm1]).  With [~mct:true] gates with two or more quantum
-    controls are realized {e directly}: controls on measured data
-    qubits become a conjunctive classical condition and live controls
-    stay quantum — the dynamic multiple-control Toffoli realization the
-    paper lists as future work.  With the default [~mct:false] such
-    gates are rejected (decompose them first, as the paper does).
+(** [transform ?mode ?mct ?order ?slots c] runs the transformation
+    ([mode] defaults to [`Algorithm1], [slots] to 1).  With [~mct:true]
+    gates with two or more quantum controls are realized {e directly}:
+    controls on measured data qubits become a conjunctive classical
+    condition and live controls stay quantum — the dynamic
+    multiple-control Toffoli realization the paper lists as future
+    work.  With the default [~mct:false] such gates are rejected
+    (decompose them first, as the paper does).
+
+    [?order] overrides the default (smallest-index-first topological)
+    iteration order; it must be a permutation of the work qubits
+    respecting every Case-2 edge, else {!Not_transformable}.  When the
+    Case-2 digraph is cyclic and [slots >= 2], the default order falls
+    back to qubit-index order and the scheduler decides feasibility.
     @raise Not_transformable when a gate can never be emitted (e.g. a
     quantum gate targets an already-measured data qubit, an unmeasured
     ancilla would need to serve as a classical control, a multi-control
     gate was not decomposed, or [`Sound] scheduling gets stuck).
-    @raise Interaction.Cyclic when Case-2 ordering is impossible. *)
+    @raise Interaction.Cyclic when Case-2 ordering is impossible.
+    @raise Invalid_argument when [slots < 1]. *)
 val transform :
   ?mode:[ `Algorithm1 | `Sound ] ->
   ?mct:bool ->
   ?order:int list ->
+  ?slots:int ->
   Circ.t ->
   result
-(** [?order] overrides the default (smallest-index-first topological)
-    iteration order; it must be a permutation of the work qubits
-    respecting every Case-2 edge, else {!Not_transformable}. *)
+
+(** Smallest [slots] for which [`Sound] scheduling succeeds, searched
+    in 1..max_slots (default: the number of work qubits).  [None] when
+    even the traditional width fails. *)
+val min_exact_slots : ?max_slots:int -> ?mct:bool -> Circ.t -> int option
 
 (** Count of classically controlled gates in the result — the metric
     the paper uses to contrast dynamic-1 and dynamic-2. *)

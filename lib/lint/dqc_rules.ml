@@ -1,8 +1,8 @@
 (* DQC-discipline passes: invariants of the paper's dynamic
    transformation outputs that the general catalogue cannot know
    about — the single-physical-data-qubit discipline (generalized to
-   [max_live] slots for Multi_transform outputs) and the rule that
-   answer qubits stay live across iterations. *)
+   [max_live] slots for [Transform.transform ~slots] outputs) and the
+   rule that answer qubits stay live across iterations. *)
 
 open Circuit
 
