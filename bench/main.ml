@@ -8,7 +8,8 @@
    - backend: the execution-backend study, which exits non-zero when
      the dense configurations or the instrumented run disagree;
    - gate: the timing gate (analyzer overhead, Auto against forced
-     dense), exiting non-zero and naming any row over its bound;
+     dense on the AND-7 ladder and against forced sparse on the hybrid
+     shape), exiting non-zero and naming any row over its bound;
    - bechamel: OLS timings of the shared workloads, into
      BENCH_backend.json;
    - perf [--against base.json] [...]: the same workloads sampled into
@@ -192,7 +193,7 @@ let run_backend () =
     (Sim.Runner.shots h_auto);
   (* One full-size instrumented replay of the prefix-cached
      configuration: checks the collector does not perturb the sampled
-     histogram and seeds the BENCH_obs.json metrics trajectory. *)
+     histogram and writes its metrics to BENCH_obs.json. *)
   let collector, (h_obs, _) =
     Obs.with_collector (fun () ->
         time (fun () ->
@@ -288,7 +289,7 @@ let run_backend () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Timing gate: the two checks that are timings rather than properties
+(* Timing gate: the three checks that are timings rather than properties
    of a result, so they live here and not in the tier-1 tests.  A row
    measures one value and passes while it stays under its bound;
    `gate` prints one line per row and exits 1 naming each failed row. *)
@@ -299,11 +300,11 @@ type gate_row = {
   measure : unit -> float * string;  (** the value and how it was made *)
 }
 
-(* Best of 20 runs in process CPU time (ns), which CPU steal on a
-   shared host cannot inflate. *)
-let cpu_best f =
+(* Best of [runs] (default 20) in process CPU time (ns), which CPU
+   steal on a shared host cannot inflate. *)
+let cpu_best ?(runs = 20) f =
   let best = ref infinity in
-  for _ = 1 to 20 do
+  for _ = 1 to runs do
     let t0 = Obs.Clock.now_cpu_ns () in
     ignore (f ());
     let dt = Int64.to_float (Int64.sub (Obs.Clock.now_cpu_ns ()) t0) in
@@ -349,6 +350,21 @@ let auto_over_dense () =
     Printf.sprintf "auto %.1f ms, forced dense %.1f ms" (t_auto *. 1000.)
       (t_dense *. 1000.) )
 
+(* Hybrid's reason to exist: 16 shots of Testkit.hybrid_win (n = 10)
+   on one domain under Auto, which plans it hybrid, over forced sparse,
+   the faster single engine there.  Best of 3 in CPU time. *)
+let hybrid_over_sparse () =
+  let c = Testkit.hybrid_win ~n:10 ~layers:8 ~tail:10 in
+  let time policy =
+    cpu_best ~runs:3 (fun () ->
+        Sim.Backend.run ?policy ~seed:3 ~domains:1 ~shots:16 c)
+  in
+  let t_auto = time None in
+  let t_sparse = time (Some Sim.Backend.Sparse_statevector) in
+  ( t_auto /. t_sparse,
+    Printf.sprintf "auto %.1f ms, forced sparse %.1f ms" (t_auto /. 1e6)
+      (t_sparse /. 1e6) )
+
 let gate_rows =
   [
     {
@@ -360,6 +376,11 @@ let gate_rows =
       row = "auto/dense 64 AND-7 rladder, wall";
       bound = 1.0;
       measure = auto_over_dense;
+    };
+    {
+      row = "auto/sparse 16 hybrid-win n10, CPU";
+      bound = 1. /. 1.2;
+      measure = hybrid_over_sparse;
     };
   ]
 

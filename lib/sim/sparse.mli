@@ -16,11 +16,11 @@ open Circuit
     expression-for-expression (absent partners read as 0.), so dense
     and sparse agree amplitude-for-amplitude within the pruning
     tolerance and replay identical seed-deterministic shot streams
-    (the differential suite in test/test_sparse.ml and [make
-    sparse-gate] enforce both).  After each mixing kernel (H / generic
-    2x2), entries with [|amp|^2 <= 1e-24] are pruned — far below
-    rounding noise on any normalized Born sum, so pruning never flips
-    a measurement outcome.
+    (test/test_sparse.ml's "differential" cases enforce both, up to
+    10 qubits).  After each mixing kernel (H / generic 2x2), entries
+    with [|amp|^2 <= 1e-24] are pruned — far below rounding noise on
+    any normalized Born sum, so pruning never flips a measurement
+    outcome.
 
     Telemetry: [sim.sparse.measure] / [sim.sparse.reset] counter bumps
     per collapse, and [sim.sparse.ops] per replayed op (collector

@@ -110,3 +110,45 @@ let hybrid_witness ~m =
   Circ.Builder.conditioned b ~bit:0 Gate.X (m + 2);
   Circ.Builder.measure b ~qubit:(m + 2) ~bit:0;
   Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
+
+(* The shape hybrid exists for: a gate-heavy segment at full support
+   (H on [n] data qubits, then [layers] rounds of T on each and a CX
+   chain) whose measurements collapse the state ahead of a long
+   basis-sparse tail ([tail] rounds of the witness's dyn2 Toffoli with
+   measure / reset / feed-forward on three more qubits, a = n,
+   b = n + 1, t = n + 2).  A measured one-qubit prologue opens a
+   sparse first segment.  Auto plans it sparse, dense, dense, sparse,
+   ...; at n = 10, layers = 8, tail = 10 the hybrid run beats both
+   forced engines. *)
+let hybrid_win ~n ~layers ~tail =
+  let a = n and b' = n + 1 and t = n + 2 in
+  let b =
+    Circ.Builder.make ~roles:(Array.make (n + 3) Circ.Data) ~num_bits:(n + 1) ()
+  in
+  Circ.Builder.h b 0;
+  Circ.Builder.measure b ~qubit:0 ~bit:1;
+  for q = 0 to n - 1 do
+    Circ.Builder.h b q
+  done;
+  for _ = 1 to layers do
+    for q = 0 to n - 1 do
+      Circ.Builder.gate b Gate.T q
+    done;
+    for q = 0 to n - 2 do
+      Circ.Builder.cx b q (q + 1)
+    done
+  done;
+  for q = 0 to n - 1 do
+    Circ.Builder.measure b ~qubit:q ~bit:(q + 1)
+  done;
+  for _ = 1 to tail do
+    Circ.Builder.x b a;
+    Circ.Builder.x b b';
+    Circ.Builder.ccx b a b' t;
+    Circ.Builder.measure b ~qubit:t ~bit:0;
+    Circ.Builder.reset b t;
+    Circ.Builder.conditioned b ~bit:0 Gate.X t;
+    Circ.Builder.measure b ~qubit:t ~bit:0;
+    List.iter (Circ.Builder.reset b) [ a; b'; t ]
+  done;
+  Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)

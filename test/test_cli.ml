@@ -18,11 +18,17 @@ let run args =
 let scratch = Filename.temp_dir "dqc_cli_test" ""
 let missing = Filename.concat scratch "missing.qasm"
 
-let malformed =
-  let path = Filename.concat scratch "malformed.qasm" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc "this is not qasm\n");
+let write_scratch name text =
+  let path = Filename.concat scratch name in
+  Out_channel.with_open_text path (fun oc -> output_string oc text);
   path
+
+let malformed = write_scratch "malformed.qasm" "this is not qasm\n"
+
+(* two data qubits that control each other: no Case-2 iteration order *)
+let cyclic =
+  write_scratch "cyclic.qasm"
+    "OPENQASM 3.0;\nqubit[2] q;\ncx q[0], q[1];\ncx q[1], q[0];\n"
 
 (* (label, argv, expected exit code); the label stands in for argv
    where argv holds a scratch path *)
@@ -36,6 +42,9 @@ let exit_code_rows =
       ([ "lint"; "AND_4"; "--scheme"; "dynamic-2" ], 0);
       ([ "lint"; "--file"; "../examples/lint_violation.qasm" ], 1);
       ([ "simulate"; "AND"; "--backend"; "stabilizer" ], 1);
+      (* ADDER_2 measures its sum: Algorithm 1 rejects the input *)
+      ([ "simulate"; "ADDER_2"; "--dynamic" ], 1);
+      ([ "lint"; "ADDER_2" ], 1);
       ([ "analyze" ], 1);
       ([ "reuse"; "GROVER_3" ], 0);
     ]
@@ -46,6 +55,7 @@ let exit_code_rows =
           (cmd ^ " --file <malformed>", [ cmd; "--file"; malformed ], 1);
         ])
       [ "analyze"; "lint"; "verify" ]
+  @ [ ("verify --file <cyclic>", [ "verify"; "--file"; cyclic ], 1) ]
 
 let exit_code_case (label, args, code) =
   Alcotest.test_case label `Quick (fun () ->

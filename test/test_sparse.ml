@@ -3,8 +3,9 @@
    agreement over hundreds of random dynamic circuits, identical
    seed-deterministic shot streams through the engine-polymorphic
    runner and through Backend.run's plan executor (forced dense and
-   sparse, prefix cache on and off, one and two domains, and the
-   hybrid witness and the randomized ladder against forced dense), the
+   sparse, prefix cache on and off, one and two domains, the hybrid
+   witness and the randomized ladder against forced dense, and the
+   hybrid-shaped circuit against forced sparse), the
    over-the-dense-cap basis-sparse acceptance workload (a >= 28-qubit
    dyn2-substituted Toffoli ladder), exact-branch evaluation on either
    engine against the law of forking on every measurement, and the
@@ -290,6 +291,29 @@ let test_hybrid_witness () =
         (counter "backend.prefix.hit"))
     [ 4; 8; 12 ]
 
+(* Testkit.hybrid_win, the shape hybrid is kept for (bench gate's
+   third row times it): Auto plans it hybrid, its shots equal forced
+   sparse's, and the state changes engine once each way per shot. *)
+let test_hybrid_win () =
+  let shots = 16 in
+  let c = Testkit.hybrid_win ~n:10 ~layers:8 ~tail:10 in
+  (match Sim.Backend.select ~shots c with
+  | `Hybrid -> ()
+  | (`Dense | `Sparse | `Stabilizer | `Exact) as e ->
+      Alcotest.failf "expected hybrid, Auto selected %s"
+        (Sim.Backend.engine_name e));
+  let obs, auto =
+    Obs.with_collector (fun () -> Sim.Backend.run ~seed:3 ~shots c)
+  in
+  check_hist "auto = forced sparse"
+    (Sim.Backend.run ~policy:Sim.Backend.Sparse_statevector ~seed:3 ~shots c)
+    auto;
+  List.iter
+    (fun h ->
+      check_int ("backend.handoff." ^ h) shots
+        (Obs.Collector.counter obs ("backend.handoff." ^ h)))
+    [ "sparse_to_dense"; "dense_to_sparse" ]
+
 (* The randomized AND-7 ladder (six superposed inputs, the seventh
    X-prepared): the analyzer bounds it far under the register width, so
    Auto plans it sparse, and its shots equal forced dense's. *)
@@ -467,6 +491,7 @@ let () =
           Alcotest.test_case "dense/sparse x prefix cache x domains" `Quick
             test_backend_plans_identical;
           Alcotest.test_case "hybrid witness" `Quick test_hybrid_witness;
+          Alcotest.test_case "hybrid win shape" `Quick test_hybrid_win;
           Alcotest.test_case "randomized AND-7 ladder" `Slow
             test_randomized_ladder;
           Alcotest.test_case "adaptive parity on stabilizer" `Quick
