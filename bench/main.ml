@@ -103,12 +103,13 @@ let run_ablation () =
        ~rows ())
 
 (* ------------------------------------------------------------------ *)
-(* Execution-backend study: the tentpole acceptance run.  Times the
-   seed serial runner against Backend.run in its dense configurations
-   (prefix cache on/off, 1 vs all domains) and the auto-selected
-   backend, on 4096 shots of the 10-qubit Table II DJ family head, and
-   exits non-zero unless every dense configuration (and the one run
-   under the telemetry collector) samples the same histogram. *)
+(* Execution-backend study: the tentpole acceptance run.  Times
+   Backend.run in its dense configurations (prefix cache on/off, 1 vs
+   all domains) and the auto-selected backend against the uncached
+   one-domain dense replay, on 4096 shots of the 10-qubit Table II DJ
+   family head, and exits non-zero unless every dense configuration
+   (and the one run under the telemetry collector) samples the same
+   histogram. *)
 
 let obs_json_path = "BENCH_obs.json"
 
@@ -128,7 +129,7 @@ let and_9 =
     ]
 
 let run_backend () =
-  section "E12 / Execution backends: serial vs parallel vs prefix-cached";
+  section "E12 / Execution backends: uncached vs prefix-cached vs parallel";
   let dj = Algorithms.Dj.circuit and_9 in
   let plan = Sim.Measurement_plan.measure_all in
   let shots = 4096 in
@@ -147,9 +148,6 @@ let run_backend () =
     (h, Unix.gettimeofday () -. t0)
   in
   let dense = Sim.Backend.Statevector_dense in
-  let h_serial, t_serial =
-    time (fun () -> Sim.Runner.run_plan ~seed ~shots ~plan dj)
-  in
   let h_nocache, t_nocache =
     time (fun () ->
         Sim.Backend.run ~policy:dense ~seed ~domains:1 ~plan
@@ -164,10 +162,9 @@ let run_backend () =
   in
   let h_auto, t_auto = time (fun () -> Sim.Backend.run ~seed ~plan ~shots dj) in
   let line label t =
-    Printf.printf "  %-46s %9.1f ms   %5.2fx vs serial\n" label (t *. 1000.)
-      (t_serial /. t)
+    Printf.printf "  %-46s %9.1f ms   %5.2fx vs no cache\n" label
+      (t *. 1000.) (t_nocache /. t)
   in
-  line "Runner.run_shots (seed serial baseline)" t_serial;
   line "Backend.run dense, 1 domain, no prefix cache" t_nocache;
   line "Backend.run dense, 1 domain, prefix cache" t_prefix;
   line
@@ -187,9 +184,8 @@ let run_backend () =
     "\ndeterminism: dense histograms identical across 1/%d/4 domains and \
      prefix-cache on/off: %b\n"
     domains deterministic;
-  Printf.printf
-    "serial baseline total %d shots, parallel total %d, auto total %d\n"
-    (Sim.Runner.shots h_serial) (Sim.Runner.shots h_par)
+  Printf.printf "no-cache total %d shots, parallel total %d, auto total %d\n"
+    (Sim.Runner.shots h_nocache) (Sim.Runner.shots h_par)
     (Sim.Runner.shots h_auto);
   (* One full-size instrumented replay of the prefix-cached
      configuration: checks the collector does not perturb the sampled
@@ -487,16 +483,6 @@ let workloads () : (string * (unit -> unit)) list =
         let rng = Random.State.make [| 1 |] in
         ignore (Sim.Statevector.run ~rng c) )
   in
-  let shots =
-    let o = Option.get (Algorithms.Dj_toffoli.oracle_by_name "AND") in
-    let r =
-      Dqc.Toffoli_scheme.transform Dqc.Toffoli_scheme.Dynamic_2
-        (Algorithms.Dj.circuit o)
-    in
-    ( "1024 shots DJ(AND) dyn2",
-      fun () ->
-        ignore (Sim.Runner.run_shots ~shots:1024 r.Dqc.Transform.circuit) )
-  in
   let peephole =
     let o = Option.get (Algorithms.Dj_toffoli.oracle_by_name "CARRY") in
     let r =
@@ -560,16 +546,15 @@ let workloads () : (string * (unit -> unit)) list =
         fun () -> ignore (Sim.Statevector.run_reference ~rng:(rng ()) c) );
     ]
   in
-  (* serial vs parallel vs prefix-cached shot execution on the Table II
-     DJ family (dense backend throughout, so only the engine varies) *)
+  (* uncached vs prefix-cached vs parallel shot execution on the Table
+     II DJ family (dense backend throughout, so only the executor's
+     configuration varies) *)
   let backend_engines =
     let o = Option.get (Algorithms.Dj_toffoli.oracle_by_name "CARRY") in
     let dj = Algorithms.Dj.circuit o in
     let plan = Sim.Measurement_plan.measure_all in
     let dense = Sim.Backend.Statevector_dense in
     [
-      ( "backend serial 256 DJ(CARRY)",
-        fun () -> ignore (Sim.Runner.run_plan ~shots:256 ~plan dj) );
       ( "backend dense-nocache 256 DJ(CARRY)",
         fun () ->
           ignore
@@ -689,7 +674,6 @@ let workloads () : (string * (unit -> unit)) list =
     statevector 8;
     statevector 12;
     statevector 16;
-    shots;
     peephole;
     stabilizer 16;
     stabilizer 48;

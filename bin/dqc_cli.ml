@@ -101,7 +101,9 @@ let algorithm_circuit name =
 
 let benchmark_circuit name =
   if String.length name > 3 && String.sub name 0 3 = "BV_" then
-    Some (Algorithms.Bv.circuit (String.sub name 3 (String.length name - 3)))
+    try
+      Some (Algorithms.Bv.circuit (String.sub name 3 (String.length name - 3)))
+    with Invalid_argument _ -> None
   else
     match algorithm_circuit name with
     | Some c -> Some c
@@ -997,17 +999,21 @@ let qpe_cmd =
     Arg.(value & opt int 4 & info [ "bits" ] ~doc:"Precision bits")
   in
   let run phase bits =
-    let dt = Algorithms.Qpe.distribution `Traditional ~bits ~phase in
-    let di = Algorithms.Qpe.distribution `Iterative ~bits ~phase in
-    let best = Algorithms.Qpe.best_estimate ~bits ~phase in
-    Printf.printf
-      "phase %.6f, %d bits: best estimate %d (%.6f)\n\
-       P[best]: traditional %.4f, iterative (2 qubits) %.4f, TV %.2e\n"
-      phase bits best
-      (float_of_int best /. float_of_int (1 lsl bits))
-      (Sim.Dist.prob dt best) (Sim.Dist.prob di best)
-      (Sim.Dist.tv_distance dt di);
-    Circuit.Draw.print (Algorithms.Qpe.iterative ~bits ~phase)
+    match
+      ( Algorithms.Qpe.distribution `Traditional ~bits ~phase,
+        Algorithms.Qpe.distribution `Iterative ~bits ~phase )
+    with
+    | exception Invalid_argument msg -> prerr_endline msg; exit 1
+    | dt, di ->
+        let best = Algorithms.Qpe.best_estimate ~bits ~phase in
+        Printf.printf
+          "phase %.6f, %d bits: best estimate %d (%.6f)\n\
+           P[best]: traditional %.4f, iterative (2 qubits) %.4f, TV %.2e\n"
+          phase bits best
+          (float_of_int best /. float_of_int (1 lsl bits))
+          (Sim.Dist.prob dt best) (Sim.Dist.prob di best)
+          (Sim.Dist.tv_distance dt di);
+        Circuit.Draw.print (Algorithms.Qpe.iterative ~bits ~phase)
   in
   Cmd.v
     (Cmd.info "qpe" ~doc:"Run iterative (2-qubit) quantum phase estimation")
@@ -1220,6 +1226,7 @@ let simon_cmd =
   let run secret =
     let n = String.length secret in
     match Algorithms.Simon.recover_secret ~dynamic:true secret with
+    | exception Invalid_argument msg -> prerr_endline msg; exit 1
     | Some found ->
         Printf.printf
           "Simon on %d+1 qubits (traditionally %d): recovered %s (%s)\n"
@@ -1241,10 +1248,13 @@ let grover_cmd =
     Arg.(value & opt int 5 & info [ "marked" ] ~doc:"Marked basis state")
   in
   let run n marked =
-    Printf.printf "Grover n=%d marked=%d: success probability %.4f (%d iterations)\n"
-      n marked
-      (Algorithms.Grover.success_probability ~n ~marked)
-      (Algorithms.Grover.optimal_iterations n)
+    match Algorithms.Grover.success_probability ~n ~marked with
+    | exception Invalid_argument msg -> prerr_endline msg; exit 1
+    | p ->
+        Printf.printf
+          "Grover n=%d marked=%d: success probability %.4f (%d iterations)\n"
+          n marked p
+          (Algorithms.Grover.optimal_iterations n)
   in
   Cmd.v (Cmd.info "grover" ~doc:"Run the Grover extension example")
     Term.(const run $ n $ marked)

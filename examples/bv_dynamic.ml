@@ -37,7 +37,7 @@ let () =
   let expected = Algorithms.Bv.expected_outcome s in
   Printf.printf "Exact P[register = %s] = %.4f\n" s (Sim.Dist.prob dist expected);
 
-  let hist = Sim.Runner.run_shots ~shots:1024 r.circuit in
+  let hist = Sim.Backend.run ~shots:1024 r.circuit in
   Printf.printf "1024 shots, observed %s in %d shots\n"
     s (Sim.Runner.count hist expected);
 

@@ -37,7 +37,7 @@ let () =
 
   (* 1024 shots, like the paper's experiments *)
   let hist =
-    Sim.Runner.run_shots_measured ~shots:1024
+    Sim.Backend.run_measured ~shots:1024
       ~measures:(List.init n (fun q -> (q, q)))
       c
   in

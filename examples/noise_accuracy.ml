@@ -58,22 +58,6 @@ let () =
   row "depolarizing only"
     { Sim.Noise.ideal with Sim.Noise.p_depol1 = 0.001; p_depol2 = 0.01 };
 
-  (* Measurement-error mitigation: calibrate the 4-bit confusion
-     matrix and un-mix the noisy dynamic BV histogram. *)
-  let p_flip = 0.06 in
-  let model = { Sim.Noise.ideal with Sim.Noise.p_meas_flip = p_flip } in
-  let noisy =
-    Sim.Runner.to_dist (Sim.Noise.run_shots ~model ~shots:20000 r.circuit)
-  in
-  let exact_reg = Sim.Exact.register_distribution r.circuit in
-  let cal = Sim.Mitigation.ideal_confusion ~p_flip ~bits:4 in
-  let mitigated = Sim.Mitigation.apply cal noisy in
-  Printf.printf
-    "\nReadout mitigation on dynamic BV_%s at %.0f%% flip error:\n\
-     TV to ideal: %.4f raw -> %.4f mitigated\n" s (100. *. p_flip)
-    (Sim.Dist.tv_distance noisy exact_reg)
-    (Sim.Dist.tv_distance mitigated exact_reg);
-
   (* Sweep the feed-forward dephasing rate on a Toffoli-based DJ: the
      conditioned gates of dynamic-1 act on a superposed data qubit,
      dynamic-2's act on a basis-state ancilla — so only dynamic-1

@@ -58,6 +58,6 @@ let () =
     (Sim.Dist.tv_distance dt di);
 
   (* 1024 shots of the dynamic circuit *)
-  let hist = Sim.Runner.run_shots ~shots:1024 iterative in
+  let hist = Sim.Backend.run ~shots:1024 iterative in
   Printf.printf "\n1024 shots of the 2-qubit iterative QPE:\n";
   Format.printf "%a@." Sim.Runner.pp hist

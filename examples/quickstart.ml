@@ -69,8 +69,6 @@ let () =
   let measures =
     List.mapi (fun k (_, phys) -> (phys, nd + k)) dyn2.answer_phys
   in
-  let hist =
-    Sim.Runner.run_shots_measured ~shots:1024 ~measures dyn2.circuit
-  in
+  let hist = Sim.Backend.run_measured ~shots:1024 ~measures dyn2.circuit in
   print_endline "\n1024 shots of the dynamic-2 DQC (data bits then answer bit):";
   Format.printf "%a@." Sim.Runner.pp hist

@@ -43,37 +43,16 @@ let work_qubits c =
     (fun q -> Circ.role c q <> Circ.Answer)
     (List.init (Circ.num_qubits c) Fun.id)
 
-(* a legal iteration order is a permutation of the work qubits that
-   respects every Case-2 edge (control before target) *)
-let valid_order c order =
-  let index q =
-    let rec go k = function
-      | [] -> -1
-      | x :: rest -> if x = q then k else go (k + 1) rest
-    in
-    go 0 order
-  in
-  List.sort compare order = work_qubits c
-  && List.for_all
-       (fun (ctl, target) -> index ctl < index target)
-       (Interaction.edges c)
-
-let transform ?(mode = `Algorithm1) ?(mct = false) ?order ?(slots = 1) c =
+let transform ?(mode = `Algorithm1) ?(mct = false) ?(slots = 1) c =
   if slots < 1 then invalid_arg "Transform.transform: slots < 1";
   check_input ~mct c;
   let work = work_qubits c in
   let order =
-    match order with
-    | Some o ->
-        if not (valid_order c o) then
-          fail "supplied iteration order violates Case-2 constraints";
-        o
-    | None -> (
-        (* with two or more slots a cyclic digraph may still schedule:
-           iterate in qubit order and let the scheduler decide *)
-        match Interaction.iteration_order c with
-        | o -> o
-        | exception Interaction.Cyclic _ when slots >= 2 -> work)
+    (* with two or more slots a cyclic digraph may still schedule:
+       iterate in qubit order and let the scheduler decide *)
+    match Interaction.iteration_order c with
+    | o -> o
+    | exception Interaction.Cyclic _ when slots >= 2 -> work
   in
   let answers = Circ.qubits_with_role c Circ.Answer in
   let data = Circ.qubits_with_role c Circ.Data in

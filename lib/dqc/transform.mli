@@ -66,7 +66,7 @@ type result = {
           number of work qubits *)
 }
 
-(** [transform ?mode ?mct ?order ?slots c] runs the transformation
+(** [transform ?mode ?mct ?slots c] runs the transformation
     ([mode] defaults to [`Algorithm1], [slots] to 1).  With [~mct:true]
     gates with two or more quantum controls are realized {e directly}:
     controls on measured data qubits become a conjunctive classical
@@ -75,11 +75,10 @@ type result = {
     work.  With the default [~mct:false] such gates are rejected
     (decompose them first, as the paper does).
 
-    [?order] overrides the default (smallest-index-first topological)
-    iteration order; it must be a permutation of the work qubits
-    respecting every Case-2 edge, else {!Not_transformable}.  When the
-    Case-2 digraph is cyclic and [slots >= 2], the default order falls
-    back to qubit-index order and the scheduler decides feasibility.
+    Work qubits iterate in the smallest-index-first topological order
+    of the Case-2 digraph.  When that digraph is cyclic and
+    [slots >= 2], the order falls back to qubit-index order and the
+    scheduler decides feasibility.
     @raise Not_transformable when a gate can never be emitted (e.g. a
     quantum gate targets an already-measured data qubit, an unmeasured
     ancilla would need to serve as a classical control, a multi-control
@@ -89,7 +88,6 @@ type result = {
 val transform :
   ?mode:[ `Algorithm1 | `Sound ] ->
   ?mct:bool ->
-  ?order:int list ->
   ?slots:int ->
   Circ.t ->
   result

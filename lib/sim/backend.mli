@@ -135,8 +135,8 @@ val engine_name :
     starts from a copy of it; disabling it replays every step from
     |0...0> per shot and yields the same histogram bit-for-bit.
 
-    [seed] defaults to {!Runner.default_seed} — the constant shared
-    with the serial engine.
+    [seed] defaults to {!Runner.default_seed}, the constant shared
+    with {!Parallel.run}.
 
     Telemetry (when an [Obs] collector is installed): a [backend.run]
     span (attrs: engine, shots, qubits) around the dispatch, counters
@@ -160,8 +160,8 @@ val run :
   Circ.t ->
   Runner.histogram
 
-(** [run_measured] is {!run} with [Measurement_plan.of_pairs measures]
-    — the drop-in replacement for {!Runner.run_shots_measured}. *)
+(** [run_measured] is {!run} with
+    [Measurement_plan.of_pairs measures]. *)
 val run_measured :
   ?policy:policy ->
   ?seed:int ->

@@ -1,10 +1,7 @@
-open Circuit
-
 (* The engine abstraction: one signature every statevector-like
-   execution engine implements, so the shot engines (Runner, Parallel,
-   Backend), the noisy-trajectory engine (Noise) and the exact-branch
-   enumerator (Exact) can be written once against [S] instead of
-   hard-coding the dense SoA storage.
+   execution engine implements, so Backend's plan executor and the
+   exact-branch enumerator (Exact) can be written once against [S]
+   instead of hard-coding the dense SoA storage.
 
    Instances:
    - [Statevector.Dense_engine] — the dense SoA amplitudes ([State]),
@@ -36,8 +33,6 @@ module type S = sig
   val amplitude : state -> int -> Complex.t
   val prob_one : state -> int -> float
   val apply : state -> Program.op -> unit
-  val apply_gate : state -> Gate.t -> int -> unit
-  val apply_kraus1 : state -> Linalg.Cmat.t -> int -> unit
   val project : state -> int -> bool -> float
   val flip : state -> int -> unit
   val measure : random:float -> state -> qubit:int -> bit:int -> bool

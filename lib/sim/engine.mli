@@ -1,23 +1,18 @@
-open Circuit
-
 (** The pluggable execution-engine abstraction.
 
     [S] is the one signature every statevector-like engine implements:
     state lifecycle (create/copy), the compiled-op replay
     ({!S.apply}/{!S.exec} over {!Program} ops), the collapse
-    primitives ({!S.measure}/{!S.reset}/{!S.project}), the
+    primitives ({!S.measure}/{!S.reset}/{!S.project}) and the
     probability/amplitude observers the samplers and differential
-    tests consume, and the boxed-matrix entry points the
-    noisy-trajectory engine needs ({!S.apply_gate},
-    {!S.apply_kraus1}).
+    tests consume.
 
     Instances: {!Statevector.Dense_engine} (dense SoA amplitudes,
     capped at {!State.max_qubits}) and {!Sparse.Sparse_engine} (hash-map
     basis-amplitude storage, memory per {e nonzero} amplitude).
     {!Backend} picks between them — per whole circuit or per
-    analyzer segment (hybrid execution) — {!Runner} / {!Noise}
-    accept any instance through their [?engine] parameter, and
-    {!Exact} enumerates measurement branches on either.
+    analyzer segment (hybrid execution) — and {!Exact} enumerates
+    measurement branches on either.
 
     Contract every instance honours, so shot streams are
     seed-deterministic {e across} engines: randomness is consumed
@@ -62,13 +57,6 @@ module type S = sig
   (** Apply a unitary or conditioned compiled op in place.
       @raise Invalid_argument on a measure/reset op. *)
   val apply : state -> Program.op -> unit
-
-  (** Apply a plain 1-qubit gate (boxed-matrix path). *)
-  val apply_gate : state -> Gate.t -> int -> unit
-
-  (** Apply an arbitrary 2x2 operator and renormalize — the
-      quantum-trajectory primitive (see {!Statevector.apply_kraus1}). *)
-  val apply_kraus1 : state -> Linalg.Cmat.t -> int -> unit
 
   (** Collapse a qubit onto an outcome; returns the branch probability.
       @raise State.Zero_probability_branch when that probability is 0. *)

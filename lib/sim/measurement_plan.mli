@@ -3,9 +3,9 @@ open Circuit
 (** One shared description of terminal measurements.
 
     The [(qubit, bit)] association list convention used to be
-    duplicated across {!Exact.measured_distribution},
-    {!Runner.run_shots_measured} and the noise executor; a plan is the
-    single type all executors (and {!Backend.run}) accept.  A plan is
+    duplicated across {!Exact.measured_distribution}, the shot
+    samplers and the noise executor; a plan is the single type all
+    executors ({!Backend.run}, {!Noise.run_shots}, {!Exact}) accept.  A plan is
     resolved against a concrete circuit: [measure_all] expands to one
     terminal measurement per qubit (qubit [q] into bit [q]). *)
 

@@ -52,47 +52,44 @@ let random_pauli rng =
   | 1 -> Gate.Y
   | _ -> Gate.Z
 
-let dense_engine = (module Statevector.Dense_engine : Engine.S)
-
-(* Noisy trajectories run over a compiled program ([Program]) lowered
-   with [~fuse:false]: fusion would merge the very gate boundaries the
-   channels attach to, so the 1:1 gate-to-op lowering keeps noise
-   injection points identical to the source circuit.  [Program.view]
-   recovers the target/control structure each channel needs; the state
-   primitives all go through the engine instance, so trajectories run
-   unchanged on dense or sparse storage. *)
-let run_ops (type s) (module E : Engine.S with type state = s) ~rng ~model
-    ~num_qubits (st : s) program =
+(* Noisy trajectories run on the dense statevector over a compiled
+   program ([Program]) lowered with [~fuse:false]: fusion would merge
+   the very gate boundaries the channels attach to, so the 1:1
+   gate-to-op lowering keeps noise injection points identical to the
+   source circuit.  [Program.view] recovers the target/control
+   structure each channel needs. *)
+let run_ops ~rng ~model ~num_qubits st program =
   let maybe_depolarize ~p q =
     if p > 0. && Random.State.float rng 1.0 < p then
-      E.apply_gate st (random_pauli rng) q
+      Statevector.apply_gate st (random_pauli rng) q
   in
   (* quantum-trajectory unraveling of amplitude damping: jump with
      probability gamma.P(1) (relax to |0>), otherwise apply the no-jump
      operator diag(1, sqrt(1-gamma)) and renormalize *)
   let maybe_amp_damp ~gamma q =
     if gamma > 0. then begin
-      let p_jump = gamma *. E.prob_one st q in
+      let p_jump = gamma *. State.prob_one st q in
       if p_jump > 0. && Random.State.float rng 1.0 < p_jump then begin
-        ignore (E.project st q true);
-        E.apply_gate st Gate.X q
+        ignore (State.project st q true);
+        Statevector.apply_gate st Gate.X q
       end
       else
-        E.apply_kraus1 st
+        Statevector.apply_kraus1 st
           (Linalg.Cmat.of_reim_lists
              [ [ (1., 0.); (0., 0.) ]; [ (0., 0.); (sqrt (1. -. gamma), 0.) ] ])
           q
     end
   in
   let maybe_dephase ~p q =
-    if p > 0. && Random.State.float rng 1.0 < p then E.apply_gate st Gate.Z q
+    if p > 0. && Random.State.float rng 1.0 < p then
+      Statevector.apply_gate st Gate.Z q
   in
   let len = Program.length program in
   for k = 0 to len - 1 do
     let op = Program.get program k in
     match Program.view ~n:num_qubits op with
     | Program.Unitary { target; controls } ->
-        E.apply st op;
+        Program.apply st op;
         let p = if controls = [] then model.p_depol1 else model.p_depol2 in
         List.iter
           (fun q ->
@@ -108,36 +105,35 @@ let run_ops (type s) (module E : Engine.S with type state = s) ~rng ~model
             for q = 0 to num_qubits - 1 do
               maybe_dephase ~p:model.p_feedforward_z q
             done);
-        if E.register st land mask = value then begin
-          E.apply st op;
+        if State.register st land mask = value then begin
+          Program.apply st op;
           let p = if controls = [] then model.p_depol1 else model.p_depol2 in
           List.iter (fun q -> maybe_depolarize ~p q) (controls @ [ target ])
         end
     | Program.Measurement { qubit; bit } ->
         let outcome =
-          E.measure ~random:(Random.State.float rng 1.0) st ~qubit ~bit
+          State.measure ~random:(Random.State.float rng 1.0) st ~qubit ~bit
         in
         if
           model.p_meas_flip > 0.
           && Random.State.float rng 1.0 < model.p_meas_flip
-        then E.set_bit st bit (not outcome)
+        then State.set_bit st bit (not outcome)
     | Program.Reset q ->
-        E.reset ~random:(Random.State.float rng 1.0) st q;
+        State.reset ~random:(Random.State.float rng 1.0) st q;
         if
           model.p_reset_flip > 0.
           && Random.State.float rng 1.0 < model.p_reset_flip
-        then E.flip st q
+        then State.flip st q
   done;
-  E.register st
+  State.register st
 
 let compile_noisy c = Program.compile ~fuse:false c
 
-let run_shot ?(engine = dense_engine) ~rng ~model c =
-  let (module E : Engine.S) = engine in
+let run_shot ~rng ~model c =
   validate model;
   let program = compile_noisy c in
-  let st = E.create (Circ.num_qubits c) ~num_bits:(Circ.num_bits c) in
-  run_ops (module E) ~rng ~model ~num_qubits:(Circ.num_qubits c) st program
+  let st = State.create (Circ.num_qubits c) ~num_bits:(Circ.num_bits c) in
+  run_ops ~rng ~model ~num_qubits:(Circ.num_qubits c) st program
 
 (* The shared-prefix cache is sound under noise only when the model
    injects nothing into the prefix: no per-unitary channels, and no
@@ -155,9 +151,7 @@ let prefix_noise_free ~num_qubits model prefix_program =
   done;
   not !conditional)
 
-let run_shots ?(seed = 0xD1CE) ?domains ?plan ?(engine = dense_engine) ~model
-    ~shots c =
-  let (module E : Engine.S) = engine in
+let run_shots ?(seed = 0xD1CE) ?domains ?plan ~model ~shots c =
   validate model;
   let c =
     match plan with
@@ -169,16 +163,15 @@ let run_shots ?(seed = 0xD1CE) ?domains ?plan ?(engine = dense_engine) ~model
   let program = compile_noisy c in
   let prefix_program, suffix_program = Program.split_prefix program in
   if prefix_noise_free ~num_qubits model prefix_program then begin
-    let cached = E.create num_qubits ~num_bits:(Circ.num_bits c) in
-    E.exec ~random:Program.no_random cached prefix_program;
+    let cached = State.create num_qubits ~num_bits:(Circ.num_bits c) in
+    Program.exec ~random:Program.no_random cached prefix_program;
     Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
-        run_ops (module E) ~rng ~model ~num_qubits (E.copy cached)
-          suffix_program)
+        run_ops ~rng ~model ~num_qubits (State.copy cached) suffix_program)
   end
   else
     Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
-        let st = E.create num_qubits ~num_bits:(Circ.num_bits c) in
-        run_ops (module E) ~rng ~model ~num_qubits st program)
+        let st = State.create num_qubits ~num_bits:(Circ.num_bits c) in
+        run_ops ~rng ~model ~num_qubits st program)
 
 let expected_outcome_probability ?seed ?domains ~model ~shots ~expected c =
   let h = run_shots ?seed ?domains ~model ~shots c in

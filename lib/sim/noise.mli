@@ -47,11 +47,9 @@ val default : model
 val validate : model -> unit
 (** @raise Invalid_argument when a probability is outside [0, 1]. *)
 
-(** [run_shot ?engine ~rng ~model c] executes one noisy trajectory on
-    [engine] (default {!Statevector.Dense_engine}) and returns the
-    final classical register. *)
-val run_shot :
-  ?engine:(module Engine.S) -> rng:Random.State.t -> model:model -> Circ.t -> int
+(** [run_shot ~rng ~model c] executes one noisy trajectory on the
+    dense statevector and returns the final classical register. *)
+val run_shot : rng:Random.State.t -> model:model -> Circ.t -> int
 
 (** [run_shots ?seed ?domains ?plan ~model ~shots c] tallies noisy
     trajectories, sharded across domains by the parallel shot engine
@@ -61,14 +59,12 @@ val run_shot :
     own noise injection point).  When the model injects no noise into
     the deterministic prefix (before the first measurement/reset) the
     prefix segment is simulated once and shared across all
-    trajectories.  [plan] appends terminal measurements.  [engine]
-    picks the statevector engine trajectories run on (default
-    {!Statevector.Dense_engine}). *)
+    trajectories.  [plan] appends terminal measurements.
+    Trajectories run on the dense statevector. *)
 val run_shots :
   ?seed:int ->
   ?domains:int ->
   ?plan:Measurement_plan.t ->
-  ?engine:(module Engine.S) ->
   model:model ->
   shots:int ->
   Circ.t ->

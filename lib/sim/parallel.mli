@@ -37,9 +37,9 @@ val shot_sample_every : int
     given bit [width].  [f] runs concurrently on [domains] workers
     (default {!recommended_domains}; clamped to [shots]) and must not
     share mutable state across calls beyond [rng], which is private to
-    shot [index].  [seed] defaults to {!Runner.default_seed} — the
-    same constant the serial engine uses, so the default-seed contract
-    is engine-independent.
+    shot [index].  [seed] defaults to {!Runner.default_seed}, as
+    [Backend.run]'s does, so the default-seed contract is
+    engine-independent.
     @raise Invalid_argument when [shots < 0] or [domains < 1]. *)
 val run :
   ?domains:int ->

@@ -1,37 +1,14 @@
-open Circuit
-
 type histogram = { w : int; total : int; counts : (int, int) Hashtbl.t }
 
 let tally_n counts outcome n =
   let prev = Option.value ~default:0 (Hashtbl.find_opt counts outcome) in
   Hashtbl.replace counts outcome (prev + n)
 
-let tally counts outcome = tally_n counts outcome 1
-
-(* The one default-seed constant of the execution layer: Runner,
-   Parallel and Backend all default to it, so the serial and parallel
-   engines sample the same configuration when the caller does not pick
-   a seed (asserted in test/test_program.ml). *)
+(* The one default-seed constant of the execution layer: Parallel and
+   Backend both default to it, so every histogram a caller samples
+   without picking a seed comes from the same configuration (asserted
+   in test/test_program.ml). *)
 let default_seed = 0xC0FFEE
-
-let dense_engine = (module Statevector.Dense_engine : Engine.S)
-
-let run_shots ?(seed = default_seed) ?(engine = dense_engine) ~shots c =
-  let (module E : Engine.S) = engine in
-  let rng = Random.State.make [| seed |] in
-  let prog = Program.compile c in
-  let counts = Hashtbl.create 16 in
-  for _ = 1 to shots do
-    let st = E.run ~rng prog in
-    tally counts (E.register st)
-  done;
-  { w = Circ.num_bits c; total = shots; counts }
-
-let run_plan ?seed ~shots ~plan c =
-  run_shots ?seed ~shots (Measurement_plan.instrument plan c)
-
-let run_shots_measured ?seed ~shots ~measures c =
-  run_plan ?seed ~shots ~plan:(Measurement_plan.of_pairs measures) c
 
 let of_counts ~width pairs =
   let counts = Hashtbl.create 16 in
@@ -50,18 +27,6 @@ let merge a b =
   let counts = Hashtbl.copy a.counts in
   Hashtbl.iter (fun outcome n -> tally_n counts outcome n) b.counts;
   { w = a.w; total = a.total + b.total; counts }
-
-let collect ~width ~shots f =
-  let counts = Hashtbl.create 16 in
-  for _ = 1 to shots do
-    tally counts (f ())
-  done;
-  { w = width; total = shots; counts }
-
-let sample_dist ?(seed = 0xA11A5) ~shots dist =
-  let sm = Dist.sampler dist in
-  let rng = Random.State.make [| seed |] in
-  collect ~width:(Dist.width dist) ~shots (fun () -> Dist.sample sm rng)
 
 let shots h = h.total
 let width h = h.w

@@ -1,36 +1,12 @@
-open Circuit
-
-(** Shot-based execution (the 1024-shot experiments of §V) and
-    histogram utilities. *)
+(** Shot histograms — what {!Backend.run} and {!Noise.run_shots}
+    return — and the default seed of the shot engines. *)
 
 type histogram
 
-(** The default RNG seed (0xC0FFEE) shared by every shot engine:
-    {!run_shots}, {!Parallel.run} and [Backend.run] all default to it,
-    so serial and parallel execution sample the same configuration
-    unless the caller picks a seed explicitly. *)
+(** The default RNG seed (0xC0FFEE) of {!Parallel.run} and
+    [Backend.run]: a caller that picks no seed samples the same
+    configuration whichever engine runs. *)
 val default_seed : int
-
-(** [run_shots ?seed ?engine ~shots c] executes [c] independently
-    [shots] times and tallies final register values ([seed] defaults
-    to {!default_seed}).  The circuit is compiled once ({!Program})
-    and the program replayed per shot on one serial RNG stream, on
-    [engine] (default {!Statevector.Dense_engine}; pass
-    [(module Sparse.Sparse_engine)] for the sparse engine — for a
-    fixed seed the shot stream is identical across engines);
-    {!Backend.run} is the parallel, backend-dispatched entry point. *)
-val run_shots :
-  ?seed:int -> ?engine:(module Engine.S) -> shots:int -> Circ.t -> histogram
-
-(** [run_plan ?seed ~shots ~plan c] instruments [c] with the plan's
-    terminal measurements before running. *)
-val run_plan :
-  ?seed:int -> shots:int -> plan:Measurement_plan.t -> Circ.t -> histogram
-
-(** [run_shots_measured ?seed ~shots ~measures c] is {!run_plan} with
-    [Measurement_plan.of_pairs measures]. *)
-val run_shots_measured :
-  ?seed:int -> shots:int -> measures:(int * int) list -> Circ.t -> histogram
 
 (** [of_counts ~width pairs] builds a histogram from (outcome, count)
     pairs (duplicates accumulate; total = sum of counts).
@@ -41,16 +17,6 @@ val of_counts : width:int -> (int * int) list -> histogram
     parallel shot engine applies to per-domain tallies.
     @raise Invalid_argument on width mismatch. *)
 val merge : histogram -> histogram -> histogram
-
-(** [collect ~width ~shots f] tallies [shots] samples of [f ()] — the
-    generic entry point other executors (e.g. {!Noise}) build on. *)
-val collect : width:int -> shots:int -> (unit -> int) -> histogram
-
-(** [sample_dist ?seed ~shots dist] draws shots from an exact
-    distribution with the O(1) alias sampler — equivalent in law to
-    {!run_shots} on the circuit that produced [dist], at a fraction of
-    the cost. *)
-val sample_dist : ?seed:int -> shots:int -> Dist.t -> histogram
 
 val shots : histogram -> int
 val width : histogram -> int

@@ -1,5 +1,3 @@
-open Circuit
-
 (* Hash-map basis-amplitude statevector.
 
    The state is a compact table of (basis index, amplitude) entries:
@@ -271,28 +269,6 @@ let reset ~random st q =
   if outcome then flip st q
 
 (* ------------------------------------------------------------------ *)
-(* Boxed-matrix entry points (noise channels)                         *)
-
-let mat8 m =
-  let z r c : Complex.t = Linalg.Cmat.get m r c in
-  let m00 = z 0 0 and m01 = z 0 1 and m10 = z 1 0 and m11 = z 1 1 in
-  [| m00.re; m00.im; m01.re; m01.im; m10.re; m10.im; m11.re; m11.im |]
-
-let apply_gate st g q = ku2 st ~bit:(1 lsl q) ~cmask:0 (mat8 (Gate.matrix g))
-
-let apply_kraus1 st m q =
-  if Linalg.Cmat.rows m <> 2 || Linalg.Cmat.cols m <> 2 then
-    invalid_arg "Sparse.apply_kraus1: not a 1-qubit operator";
-  ku2 st ~bit:(1 lsl q) ~cmask:0 (mat8 m);
-  let n2 = norm2 st in
-  if n2 <= 1e-18 then invalid_arg "Sparse.apply_kraus1: zero-norm result";
-  let sc = 1. /. sqrt n2 in
-  for s = 0 to st.size - 1 do
-    st.re.(s) <- st.re.(s) *. sc;
-    st.im.(s) <- st.im.(s) *. sc
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Program execution                                                  *)
 
 (* Per-program kernel plans, memoized on the physical program value —
@@ -431,8 +407,6 @@ module Sparse_engine : Engine.S with type state = t = struct
   let amplitude = amplitude
   let prob_one = prob_one
   let apply = apply
-  let apply_gate = apply_gate
-  let apply_kraus1 = apply_kraus1
   let project = project
   let flip = flip
   let measure = measure

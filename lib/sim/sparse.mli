@@ -1,5 +1,3 @@
-open Circuit
-
 (** Hash-map basis-amplitude statevector — the sparse execution
     engine.
 
@@ -72,13 +70,6 @@ val reset : random:float -> t -> int -> unit
 (** [apply st op] applies a unitary or conditioned compiled op.
     @raise Invalid_argument on a measure/reset op. *)
 val apply : t -> Program.op -> unit
-
-(** [apply_gate st g q] applies a plain 1-qubit gate. *)
-val apply_gate : t -> Gate.t -> int -> unit
-
-(** Arbitrary 2x2 operator + renormalize (trajectory unraveling).
-    @raise Invalid_argument on shape mismatch or zero-norm result. *)
-val apply_kraus1 : t -> Linalg.Cmat.t -> int -> unit
 
 (** Replay a compiled program.  The program's op array is lowered to
     {!Program.kernel}s once and memoized on the program value, so

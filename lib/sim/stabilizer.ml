@@ -193,8 +193,3 @@ let run ~rng c =
   in
   List.iter step (Circ.instructions c);
   st
-
-let run_shots ?(seed = 0x57AB) ~shots c =
-  let rng = Random.State.make [| seed |] in
-  Runner.collect ~width:(Circ.num_bits c) ~shots (fun () ->
-      register (run ~rng c))

@@ -30,9 +30,6 @@ exception Unsupported of string
     @raise Unsupported on non-Clifford instructions. *)
 val run : rng:Random.State.t -> Circ.t -> t
 
-(** [run_shots ?seed ~shots c] tallies register outcomes. *)
-val run_shots : ?seed:int -> shots:int -> Circ.t -> Runner.histogram
-
 (** Measure qubit [q] mid-simulation (used by {!run}; exposed for
     custom drivers).  Returns the outcome. *)
 val measure : rng:Random.State.t -> t -> int -> bool

@@ -98,8 +98,8 @@ let probabilities = State.probabilities
 
 (* The dense SoA storage as an [Engine.S] instance: every primitive
    delegates to [State] / [Program], so engine-polymorphic callers
-   (Runner, Noise, Backend's plan executor) behave bit-for-bit like
-   the historical direct calls. *)
+   (Backend's plan executor, Exact's enumerator) behave bit-for-bit
+   like the direct calls. *)
 module Dense_engine : Engine.S with type state = State.t = struct
   type state = State.t
 
@@ -131,8 +131,6 @@ module Dense_engine : Engine.S with type state = State.t = struct
 
   let prob_one = State.prob_one
   let apply = Program.apply
-  let apply_gate = apply_gate
-  let apply_kraus1 = apply_kraus1
   let project = State.project
   let flip = State.flip
   let measure = State.measure

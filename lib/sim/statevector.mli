@@ -89,9 +89,9 @@ val run_reference : rng:Random.State.t -> Circ.t -> t
 val probabilities : t -> float array
 
 (** The dense SoA storage as a pluggable execution engine — the
-    {!Engine.S} instance behind {!Backend}'s dense dispatch and the
-    default of every [?engine] parameter ({!Runner.run_shots},
-    {!Noise.run_shots}).  [apply]/[exec] replay compiled {!Program}
-    kernels; everything else delegates to {!State}, so running through
-    the instance is bit-identical to the direct calls. *)
+    {!Engine.S} instance behind {!Backend}'s dense dispatch and
+    {!Exact}'s dense enumerator.  [apply]/[exec] replay compiled
+    {!Program} kernels; everything else delegates to {!State}, so
+    running through the instance is bit-identical to the direct
+    calls. *)
 module Dense_engine : Engine.S with type state = t

@@ -1,8 +1,9 @@
 (* Circuits shared by the tests and the benchmark harness: the random
    dynamic-circuit generator, the oracle corpus of the benchmark-wide
-   lint and certification tests, the dyn2 Toffoli ladder and the
-   mixed-sparsity hybrid witness.  Each exists once, so a test and a
-   bench row that name the same workload run the same circuit. *)
+   lint and certification tests, the dyn2 Toffoli ladder, the
+   mixed-sparsity hybrid witness and the teleportation circuit.  Each
+   exists once, so a test and a bench row that name the same workload
+   run the same circuit. *)
 
 open Circuit
 
@@ -152,3 +153,22 @@ let hybrid_win ~n ~layers ~tail =
     List.iter (Circ.Builder.reset b) [ a; b'; t ]
   done;
   Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
+
+(* Quantum teleportation of [prep]|0> from qubit 0 to qubit 2: a Bell
+   pair on qubits 1 and 2, a Bell measurement of qubits 0 and 1 into
+   bits 0 and 1, and the X and Z corrections on qubit 2 conditioned on
+   those bits.  Two mid-circuit measurements feed two conditioned
+   gates, and qubit 2 itself stays unmeasured. *)
+let teleport prep =
+  let roles = [| Circ.Data; Circ.Data; Circ.Answer |] in
+  let b = Circ.Builder.make ~roles ~num_bits:2 () in
+  Circ.Builder.gate b prep 0;
+  Circ.Builder.h b 1;
+  Circ.Builder.cx b 1 2;
+  Circ.Builder.cx b 0 1;
+  Circ.Builder.h b 0;
+  Circ.Builder.measure b ~qubit:0 ~bit:0;
+  Circ.Builder.measure b ~qubit:1 ~bit:1;
+  Circ.Builder.conditioned b ~bit:1 Gate.X 2;
+  Circ.Builder.conditioned b ~bit:0 Gate.Z 2;
+  Circ.Builder.build b

@@ -512,24 +512,6 @@ let test_qpe_shapes () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Teleport                                                           *)
-
-let test_teleport_fidelity () =
-  List.iter
-    (fun prep ->
-      check_float
-        ("fidelity " ^ Gate.name prep)
-        1.
-        (Algorithms.Teleport.fidelity prep))
-    Gate.[ H; X; T; Ry 0.7; Rx (-1.2); V ]
-
-let test_teleport_structure () =
-  let c = Algorithms.Teleport.circuit Gate.H in
-  let s = Metrics.stats c in
-  check_int "two measurements" 2 s.Metrics.measure;
-  check_int "two corrections" 2 s.Metrics.conditioned
-
-(* ------------------------------------------------------------------ *)
 (* Grover                                                             *)
 
 let test_grover_iterations () =
@@ -663,11 +645,6 @@ let () =
           Alcotest.test_case "forms agree" `Quick test_qpe_forms_agree;
           Alcotest.test_case "peak quality" `Quick test_qpe_peak_quality;
           Alcotest.test_case "shapes" `Quick test_qpe_shapes;
-        ] );
-      ( "teleport",
-        [
-          Alcotest.test_case "fidelity" `Quick test_teleport_fidelity;
-          Alcotest.test_case "structure" `Quick test_teleport_structure;
         ] );
       ( "grover",
         [

@@ -178,7 +178,7 @@ let test_agreement_dj () =
     [ Sim.Backend.Statevector_dense; Exact_branch ]
 
 let test_agreement_teleport () =
-  let c = Algorithms.Teleport.circuit Circuit.Gate.H in
+  let c = Testkit.teleport Circuit.Gate.H in
   agree "teleport(H)" c
     (Sim.Measurement_plan.measure ~qubit:2 ~bit:2)
     [ Sim.Backend.Statevector_dense; Exact_branch ]
@@ -207,8 +207,7 @@ let test_prefix_cache_equivalence () =
     check_hist name (run true) (run false)
   in
   check_circuit "dyn2 DJ(AND)" (dyn2_and ());
-  check_circuit "teleport"
-    (Algorithms.Teleport.circuit Circuit.Gate.H);
+  check_circuit "teleport" (Testkit.teleport Circuit.Gate.H);
   check_circuit "terminal-only measures"
     (Sim.Measurement_plan.instrument Sim.Measurement_plan.measure_all
        (dj_and ()))

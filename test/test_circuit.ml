@@ -414,71 +414,6 @@ let prop_qasm_roundtrip =
       let parsed = Qasm.parse ~roles (Qasm.to_string c) in
       Circ.equal parsed c)
 
-(* ------------------------------------------------------------------ *)
-(* Serial                                                             *)
-
-let test_serial_roundtrip () =
-  let roles = [| Circ.Data; Circ.Ancilla; Circ.Answer |] in
-  let b = Circ.Builder.make ~roles ~num_bits:2 () in
-  Circ.Builder.h b 0;
-  Circ.Builder.gate b (Gate.Rz 0.12345) 1;
-  Circ.Builder.ccx b 0 1 2;
-  Circ.Builder.measure b ~qubit:0 ~bit:0;
-  Circ.Builder.reset b 0;
-  Circ.Builder.conditioned_on b (Instruction.cond_all [ 0; 1 ]) Gate.X 2;
-  Circ.Builder.barrier b [ 0; 2 ];
-  let c = Circ.Builder.build b in
-  let parsed = Serial.of_string (Serial.to_string c) in
-  check_bool "roundtrip" true (Circ.equal parsed c);
-  (* roles survive, unlike the QASM path *)
-  check_bool "roles survive" true (Circ.role parsed 1 = Circ.Ancilla)
-
-let test_serial_errors () =
-  let bad src =
-    try
-      ignore (Serial.of_string src);
-      false
-    with Serial.Parse_error _ -> true
-  in
-  check_bool "not a circuit" true (bad "(nope)");
-  check_bool "unterminated" true (bad "(circuit (roles data)");
-  check_bool "unknown role" true
-    (bad "(circuit (roles wizard) (bits 0) (instrs))");
-  check_bool "unknown instr" true
-    (bad "(circuit (roles data) (bits 0) (instrs (frobnicate 1)))")
-
-let serial_instr_gen =
-  QCheck2.Gen.(
-    oneof
-      [
-        map2
-          (fun g q -> Instruction.Unitary (Instruction.app g q))
-          (oneofl (all_fixed_gates @ [ Gate.Rz 0.25; Gate.Phase (-1.5) ]))
-          (int_range 0 2);
-        map3
-          (fun g c t ->
-            if c = t then Instruction.Unitary (Instruction.app g t)
-            else Instruction.Unitary (Instruction.app ~controls:[ c ] g t))
-          (oneofl all_fixed_gates) (int_range 0 2) (int_range 0 2);
-        map2
-          (fun q b -> Instruction.Measure { qubit = q; bit = b })
-          (int_range 0 2) (int_range 0 1);
-        map (fun q -> Instruction.Reset q) (int_range 0 2);
-        map3
-          (fun g q b ->
-            Instruction.Conditioned
-              (Instruction.cond_bit b (q mod 2 = 0), Instruction.app g q))
-          (oneofl all_fixed_gates) (int_range 0 2) (int_range 0 1);
-      ])
-
-let prop_serial_roundtrip =
-  QCheck2.Test.make ~name:"sexp roundtrip on random circuits" ~count:100
-    QCheck2.Gen.(list_size (int_range 0 20) serial_instr_gen)
-    (fun instrs ->
-      let roles = [| Circ.Data; Circ.Ancilla; Circ.Answer |] in
-      let c = Circ.create ~roles ~num_bits:2 instrs in
-      Circ.equal (Serial.of_string (Serial.to_string c)) c)
-
 let prop_qasm_parser_total =
   (* the parser never escapes with an unexpected exception *)
   QCheck2.Test.make ~name:"qasm parser is total" ~count:200
@@ -556,12 +491,6 @@ let () =
           Alcotest.test_case "draw" `Quick test_draw;
           Alcotest.test_case "draw wrapping" `Quick test_draw_wrapping;
           Alcotest.test_case "qasm" `Quick test_qasm;
-        ] );
-      ( "serial",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_serial_roundtrip;
-          Alcotest.test_case "errors" `Quick test_serial_errors;
-          QCheck_alcotest.to_alcotest prop_serial_roundtrip;
         ] );
       ( "qasm_parser",
         [

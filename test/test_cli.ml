@@ -47,6 +47,13 @@ let exit_code_rows =
       ([ "lint"; "ADDER_2" ], 1);
       ([ "analyze" ], 1);
       ([ "reuse"; "GROVER_3" ], 0);
+      (* a BV_ suffix that is not a bit string names no benchmark *)
+      ([ "transform"; "BV_40" ], 1);
+      ([ "simulate"; "BV_2x" ], 1);
+      (* out-of-range algorithm parameters are bad input *)
+      ([ "qpe"; "--bits"; "0" ], 1);
+      ([ "grover"; "--marked"; "99" ], 1);
+      ([ "simon"; "--secret"; "012" ], 1);
     ]
   @ List.concat_map
       (fun cmd ->

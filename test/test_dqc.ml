@@ -542,63 +542,6 @@ let test_multi_invalid_slots () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Order override / Order_search                                      *)
-
-let test_order_override () =
-  let c = bv "101" in
-  let r = Dqc.Transform.transform ~order:[ 2; 0; 1 ] c in
-  Alcotest.(check (list int)) "order honoured" [ 2; 0; 1 ] r.iteration_order;
-  check_bool "still exact" true (Dqc.Equivalence.equivalent c r);
-  (* non-permutation and edge-violating orders are rejected *)
-  check_bool "bad order rejected" true
-    (try
-       ignore (Dqc.Transform.transform ~order:[ 0; 1 ] c);
-       false
-     with Dqc.Transform.Not_transformable _ -> true);
-  let roles = [| Circ.Data; Circ.Data; Circ.Answer |] in
-  let chained =
-    circ ~roles [ u ~controls:[ 0 ] Gate.X 1; u ~controls:[ 1 ] Gate.X 2 ]
-  in
-  check_bool "edge-violating order rejected" true
-    (try
-       ignore (Dqc.Transform.transform ~order:[ 1; 0 ] chained);
-       false
-     with Dqc.Transform.Not_transformable _ -> true)
-
-let test_order_search_bv () =
-  let cands = Dqc.Order_search.search (bv "101") in
-  check_int "3! orders" 6 (List.length cands);
-  List.iter
-    (fun (cand : Dqc.Order_search.candidate) ->
-      check_bool "all exact" true (cand.tv < 1e-9))
-    cands
-
-let test_order_search_constrained () =
-  let o = Option.get (Algorithms.Dj_toffoli.oracle_by_name "AND") in
-  let p1 =
-    Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_1
-      (Algorithms.Dj.circuit o)
-  in
-  (* the CX sandwich forces q0 before q1: exactly one legal order *)
-  check_int "single legal order" 1 (List.length (Dqc.Order_search.search p1))
-
-let test_order_invariance_of_deviation () =
-  (* the Fig 7 deviation cannot be scheduled away: every legal order
-     of CARRY/dynamic-2 has the same TV distance *)
-  let o = Option.get (Algorithms.Dj_toffoli.oracle_by_name "CARRY") in
-  let p2 =
-    Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2
-      (Algorithms.Dj.circuit o)
-  in
-  let cands = Dqc.Order_search.search p2 in
-  check_bool "several orders" true (List.length cands > 1);
-  let tvs = List.map (fun (c : Dqc.Order_search.candidate) -> c.tv) cands in
-  List.iter
-    (fun tv ->
-      check_bool "order-invariant" true (abs_float (tv -. List.hd tvs) < 1e-9))
-    tvs
-
-(* ------------------------------------------------------------------ *)
 (* Analysis                                                           *)
 
 let test_analysis_verdicts () =
@@ -881,14 +824,6 @@ let () =
           Alcotest.test_case "invalid slots" `Quick test_multi_invalid_slots;
           Alcotest.test_case "direct mct width" `Quick
             test_multi_direct_mct_width;
-        ] );
-      ( "order_search",
-        [
-          Alcotest.test_case "override" `Quick test_order_override;
-          Alcotest.test_case "bv all orders" `Quick test_order_search_bv;
-          Alcotest.test_case "constrained" `Quick test_order_search_constrained;
-          Alcotest.test_case "deviation order-invariant" `Slow
-            test_order_invariance_of_deviation;
         ] );
       ( "analysis",
         [

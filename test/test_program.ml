@@ -265,9 +265,10 @@ let test_default_seed () =
   Circ.Builder.measure b ~qubit:1 ~bit:1;
   let c = Circ.Builder.build b in
   let shots = 200 in
-  check_hist "Runner default = explicit default_seed"
-    (Sim.Runner.run_shots ~shots c)
-    (Sim.Runner.run_shots ~seed:Sim.Runner.default_seed ~shots c);
+  check_hist "Backend dense default = explicit default_seed"
+    (Sim.Backend.run ~policy:Sim.Backend.Statevector_dense ~shots c)
+    (Sim.Backend.run ~policy:Sim.Backend.Statevector_dense
+       ~seed:Sim.Runner.default_seed ~shots c);
   check_hist "Backend default = explicit default_seed"
     (Sim.Backend.run ~shots c)
     (Sim.Backend.run ~seed:Sim.Runner.default_seed ~shots c);

@@ -276,18 +276,24 @@ let test_unitary_global_phase () =
   check_bool "not exact" false (Sim.Unitary.equivalent ~up_to_phase:false c id)
 
 (* ------------------------------------------------------------------ *)
-(* Runner                                                             *)
+(* Runner histograms, sampled on the dense engine                     *)
 
 let test_runner_deterministic () =
   let b = Circ.Builder.make ~roles:(roles 1) ~num_bits:1 () in
   Circ.Builder.x b 0;
   Circ.Builder.measure b ~qubit:0 ~bit:0;
-  let h = Sim.Runner.run_shots ~shots:100 (Circ.Builder.build b) in
+  let h =
+    Sim.Backend.run ~policy:Sim.Backend.Statevector_dense ~shots:100
+      (Circ.Builder.build b)
+  in
   check_int "all ones" 100 (Sim.Runner.count h 1);
   check_float "frequency" 1. (Sim.Runner.frequency h 1)
 
 let test_runner_bell_stats () =
-  let h = Sim.Runner.run_shots ~seed:42 ~shots:2000 (bell_circuit ()) in
+  let h =
+    Sim.Backend.run ~policy:Sim.Backend.Statevector_dense ~seed:42 ~shots:2000
+      (bell_circuit ())
+  in
   check_int "shots" 2000 (Sim.Runner.shots h);
   check_bool "both outcomes seen" true
     (Sim.Runner.count h 0b00 > 800 && Sim.Runner.count h 0b11 > 800);
@@ -296,13 +302,12 @@ let test_runner_bell_stats () =
   check_float "to_dist total" 1. (Sim.Dist.total (Sim.Runner.to_dist h))
 
 let test_runner_seed_reproducible () =
-  let h1 = Sim.Runner.run_shots ~seed:7 ~shots:50 (bell_circuit ()) in
-  let h2 = Sim.Runner.run_shots ~seed:7 ~shots:50 (bell_circuit ()) in
+  let run () =
+    Sim.Backend.run ~policy:Sim.Backend.Statevector_dense ~seed:7 ~shots:50
+      (bell_circuit ())
+  in
+  let h1 = run () and h2 = run () in
   check_bool "same counts" true (Sim.Runner.to_list h1 = Sim.Runner.to_list h2)
-
-let test_collect () =
-  let h = Sim.Runner.collect ~width:1 ~shots:10 (fun () -> 1) in
-  check_int "collected" 10 (Sim.Runner.count h 1)
 
 (* ------------------------------------------------------------------ *)
 (* Noise                                                              *)
@@ -447,7 +452,9 @@ let test_density_qubit_cap () =
 (* Stabilizer                                                         *)
 
 let test_stab_bell () =
-  let h = Sim.Stabilizer.run_shots ~shots:1000 (bell_circuit ()) in
+  let h =
+    Sim.Backend.run ~policy:Sim.Backend.Stabilizer ~shots:1000 (bell_circuit ())
+  in
   check_int "no mixed outcomes" 0
     (Sim.Runner.count h 0b01 + Sim.Runner.count h 0b10);
   check_bool "both corners seen" true
@@ -459,7 +466,10 @@ let test_stab_deterministic () =
   Circ.Builder.cx b 0 1;
   Circ.Builder.measure b ~qubit:0 ~bit:0;
   Circ.Builder.measure b ~qubit:1 ~bit:1;
-  let h = Sim.Stabilizer.run_shots ~shots:50 (Circ.Builder.build b) in
+  let h =
+    Sim.Backend.run ~policy:Sim.Backend.Stabilizer ~shots:50
+      (Circ.Builder.build b)
+  in
   check_int "always 11" 50 (Sim.Runner.count h 0b11)
 
 let test_stab_conditioned_and_reset () =
@@ -470,7 +480,10 @@ let test_stab_conditioned_and_reset () =
   Circ.Builder.reset b 0;
   Circ.Builder.conditioned b ~bit:0 Gate.X 1;
   Circ.Builder.measure b ~qubit:1 ~bit:1;
-  let h = Sim.Stabilizer.run_shots ~shots:50 (Circ.Builder.build b) in
+  let h =
+    Sim.Backend.run ~policy:Sim.Backend.Stabilizer ~shots:50
+      (Circ.Builder.build b)
+  in
   check_int "bit forwarded" 50 (Sim.Runner.count h 0b11)
 
 let test_stab_bv_at_scale () =
@@ -529,20 +542,28 @@ let prop_stabilizer_matches_exact =
       in
       let d_exact = Sim.Exact.register_distribution c in
       let d_stab =
-        Sim.Runner.to_dist (Sim.Stabilizer.run_shots ~shots:3000 c)
+        Sim.Runner.to_dist
+          (Sim.Backend.run ~policy:Sim.Backend.Stabilizer ~shots:3000 c)
       in
       Sim.Dist.tv_distance d_exact d_stab < 0.08)
 
+(* The exact-branch backend's shot loop: alias draws from [d] on the
+   parallel shot engine. *)
+let alias_shots ?seed ~shots d =
+  let sm = Sim.Dist.sampler d in
+  Sim.Parallel.run ?seed ~width:(Sim.Dist.width d) ~shots (fun ~rng ~index:_ ->
+      Sim.Dist.sample sm rng)
+
 let test_sampler_frequencies () =
   let d = Sim.Dist.create ~width:2 [ (0, 0.7); (3, 0.2); (1, 0.1) ] in
-  let h = Sim.Runner.sample_dist ~seed:5 ~shots:50000 d in
+  let h = alias_shots ~seed:5 ~shots:50000 d in
   check_bool "outcome 0" true (abs_float (Sim.Runner.frequency h 0 -. 0.7) < 0.02);
   check_bool "outcome 3" true (abs_float (Sim.Runner.frequency h 3 -. 0.2) < 0.02);
   check_bool "outcome 1" true (abs_float (Sim.Runner.frequency h 1 -. 0.1) < 0.02)
 
 let test_sampler_deterministic_dist () =
   let d = Sim.Dist.create ~width:3 [ (5, 1.0) ] in
-  let h = Sim.Runner.sample_dist ~shots:100 d in
+  let h = alias_shots ~shots:100 d in
   check_int "point mass" 100 (Sim.Runner.count h 5);
   Alcotest.check_raises "empty" (Invalid_argument "Dist.sampler: empty distribution")
     (fun () -> ignore (Sim.Dist.sampler (Sim.Dist.create ~width:1 [])))
@@ -552,7 +573,9 @@ let test_sampler_matches_circuit_shots () =
      the circuit *)
   let c = bell_circuit () in
   let exact = Sim.Exact.register_distribution c in
-  let h = Sim.Runner.sample_dist ~seed:3 ~shots:20000 exact in
+  let h =
+    Sim.Backend.run ~policy:Sim.Backend.Exact_branch ~seed:3 ~shots:20000 c
+  in
   check_bool "close" true
     (Sim.Dist.tv_distance (Sim.Runner.to_dist h) exact < 0.02)
 
@@ -589,7 +612,7 @@ let test_stabilizer_cz_and_s () =
   Circ.Builder.measure b ~qubit:1 ~bit:1;
   let c = Circ.Builder.build b in
   check_bool "supported" true (Sim.Stabilizer.supports c);
-  let h = Sim.Stabilizer.run_shots ~shots:500 c in
+  let h = Sim.Backend.run ~policy:Sim.Backend.Stabilizer ~shots:500 c in
   (* H CZ H = CX: bell-type correlations *)
   check_int "no mixed" 0 (Sim.Runner.count h 0b01 + Sim.Runner.count h 0b10)
 
@@ -624,27 +647,24 @@ let test_amp_damp_nonunital () =
   check_float "biased towards ground" ((1. -. gamma) /. 2.) (Sim.Dist.prob d 1)
 
 (* ------------------------------------------------------------------ *)
-(* Observable                                                         *)
+(* The answer qubit's X eigenvalue                                    *)
 
-let test_observable_bell () =
-  let st = Sim.Statevector.create 2 ~num_bits:0 in
-  Sim.Statevector.apply_gate st Gate.H 0;
-  Sim.Statevector.apply_app st (Instruction.app ~controls:[ 0 ] Gate.X 1);
-  check_float "<Z0>" 0. (Sim.Observable.expectation st (Sim.Observable.z 0));
-  check_float "<Z0 Z1>" 1. (Sim.Observable.expectation st (Sim.Observable.zz 0 1));
-  let xx =
-    [ { Sim.Observable.coeff = 1.; paulis = [ (0, Sim.Observable.X); (1, Sim.Observable.X) ] } ]
+(* P(X on [answer] measures -1): H maps the X eigenstate |-> to |1>,
+   so append H and a measurement of [answer] into a fresh bit and read
+   that bit's exact probability of 1. *)
+let prob_x_minus c answer =
+  let nb = Circ.num_bits c in
+  let probe =
+    Circ.create ~roles:(Circ.roles c) ~num_bits:(nb + 1)
+      (Circ.instructions c
+      @ [
+          Instruction.Unitary (Instruction.app Gate.H answer);
+          Instruction.Measure { qubit = answer; bit = nb };
+        ])
   in
-  check_float "<X0 X1>" 1. (Sim.Observable.expectation st xx)
-
-let test_observable_combinators () =
-  let st = Sim.Statevector.create 1 ~num_bits:0 in
-  let o = Sim.Observable.add (Sim.Observable.z 0) (Sim.Observable.scale 2. (Sim.Observable.x 0)) in
-  (* |0>: <Z> = 1, <X> = 0 *)
-  check_float "combined" 1. (Sim.Observable.expectation st o);
-  Sim.Statevector.apply_gate st Gate.H 0;
-  (* |+>: <Z> = 0, <X> = 1 *)
-  check_float "after H" 2. (Sim.Observable.expectation st o)
+  Sim.Dist.prob
+    (Sim.Dist.marginal ~bits:[ nb ] (Sim.Exact.register_distribution probe))
+    1
 
 let test_observable_phase_kickback_invariant () =
   (* the answer qubit of a DJ oracle stays in the <X> = -1 eigenstate
@@ -652,98 +672,10 @@ let test_observable_phase_kickback_invariant () =
      oracle act purely as phase kickback on the data qubits *)
   let o = Option.get (Algorithms.Dj_toffoli.oracle_by_name "OR") in
   let dj = Algorithms.Dj.circuit o in
-  let leaves = Sim.Exact.leaves dj in
-  check_float "<X_answer> = -1" (-1.)
-    (Sim.Observable.expectation_leaves leaves (Sim.Observable.x 2));
+  check_float "<X_answer> = -1" 1. (prob_x_minus dj 2);
   (* and the same holds in the 2-qubit dynamic realization *)
   let r = Dqc.Toffoli_scheme.transform Dqc.Toffoli_scheme.Dynamic_2 dj in
-  let dyn_leaves = Sim.Exact.leaves r.circuit in
-  check_float "dynamic <X_answer> = -1" (-1.)
-    (Sim.Observable.expectation_leaves dyn_leaves (Sim.Observable.x 1))
-
-let test_observable_errors () =
-  let st = Sim.Statevector.create 1 ~num_bits:0 in
-  check_bool "out of range" true
-    (try
-       ignore (Sim.Observable.expectation st (Sim.Observable.z 5));
-       false
-     with Invalid_argument _ -> true);
-  let repeated =
-    [ { Sim.Observable.coeff = 1.; paulis = [ (0, Sim.Observable.Z); (0, Sim.Observable.X) ] } ]
-  in
-  check_bool "repeated qubit" true
-    (try
-       ignore (Sim.Observable.expectation st repeated);
-       false
-     with Invalid_argument _ -> true)
-
-(* ------------------------------------------------------------------ *)
-(* Mitigation                                                         *)
-
-let test_confusion_columns () =
-  let t = Sim.Mitigation.ideal_confusion ~p_flip:0.1 ~bits:3 in
-  for prepared = 0 to 7 do
-    let total = ref 0. in
-    for observed = 0 to 7 do
-      total := !total +. Sim.Mitigation.confusion t ~observed ~prepared
-    done;
-    check_float "column mass" 1. !total
-  done;
-  check_float "diagonal" (0.9 ** 3.)
-    (Sim.Mitigation.confusion t ~observed:5 ~prepared:5);
-  check_float "one flip" (0.1 *. 0.9 *. 0.9)
-    (Sim.Mitigation.confusion t ~observed:4 ~prepared:5)
-
-let test_calibrate_matches_analytic () =
-  let p = 0.1 in
-  let model = { Sim.Noise.ideal with Sim.Noise.p_meas_flip = p } in
-  let cal =
-    Sim.Mitigation.calibrate ~shots:20000 ~model ~qubits:[ 0; 1 ] ~num_qubits:2 ()
-  in
-  let analytic = Sim.Mitigation.ideal_confusion ~p_flip:p ~bits:2 in
-  for prepared = 0 to 3 do
-    for observed = 0 to 3 do
-      check_bool "entries close" true
-        (abs_float
-           (Sim.Mitigation.confusion cal ~observed ~prepared
-           -. Sim.Mitigation.confusion analytic ~observed ~prepared)
-        < 0.02)
-    done
-  done
-
-let test_mitigation_recovers () =
-  let s = "1011" in
-  let r = Dqc.Transform.transform (Algorithms.Bv.circuit s) in
-  let p = 0.06 in
-  let model = { Sim.Noise.ideal with Sim.Noise.p_meas_flip = p } in
-  let noisy =
-    Sim.Runner.to_dist (Sim.Noise.run_shots ~model ~shots:20000 r.circuit)
-  in
-  let ideal = Sim.Exact.register_distribution r.circuit in
-  let cal = Sim.Mitigation.ideal_confusion ~p_flip:p ~bits:4 in
-  let mitigated = Sim.Mitigation.apply cal noisy in
-  let before = Sim.Dist.tv_distance noisy ideal in
-  let after = Sim.Dist.tv_distance mitigated ideal in
-  check_bool "noise visible" true (before > 0.1);
-  check_bool "10x improvement" true (after < before /. 10.)
-
-let test_mitigation_errors () =
-  let t = Sim.Mitigation.ideal_confusion ~p_flip:0.1 ~bits:2 in
-  let wrong = Sim.Dist.create ~width:3 [ (0, 1.) ] in
-  check_bool "width mismatch" true
-    (try
-       ignore (Sim.Mitigation.apply t wrong);
-       false
-     with Invalid_argument _ -> true);
-  (* p = 0.5 makes the confusion matrix singular *)
-  let singular = Sim.Mitigation.ideal_confusion ~p_flip:0.5 ~bits:1 in
-  check_bool "singular detected" true
-    (try
-       ignore
-         (Sim.Mitigation.apply singular
-            (Sim.Dist.create ~width:1 [ (0, 0.5); (1, 0.5) ]));
-       false
-     with Invalid_argument _ -> true)
+  check_float "dynamic <X_answer> = -1" 1. (prob_x_minus r.circuit 1)
 
 let () =
   Alcotest.run "sim"
@@ -799,7 +731,6 @@ let () =
           Alcotest.test_case "bell stats" `Quick test_runner_bell_stats;
           Alcotest.test_case "seed reproducible" `Quick
             test_runner_seed_reproducible;
-          Alcotest.test_case "collect" `Quick test_collect;
         ] );
       ( "density",
         [
@@ -822,11 +753,8 @@ let () =
         ] );
       ( "observable",
         [
-          Alcotest.test_case "bell" `Quick test_observable_bell;
-          Alcotest.test_case "combinators" `Quick test_observable_combinators;
           Alcotest.test_case "phase kickback invariant" `Quick
             test_observable_phase_kickback_invariant;
-          Alcotest.test_case "errors" `Quick test_observable_errors;
         ] );
       ( "sampler",
         [
@@ -834,14 +762,6 @@ let () =
           Alcotest.test_case "point mass" `Quick test_sampler_deterministic_dist;
           Alcotest.test_case "matches circuit shots" `Slow
             test_sampler_matches_circuit_shots;
-        ] );
-      ( "mitigation",
-        [
-          Alcotest.test_case "confusion columns" `Quick test_confusion_columns;
-          Alcotest.test_case "calibrate matches analytic" `Slow
-            test_calibrate_matches_analytic;
-          Alcotest.test_case "recovers noisy BV" `Slow test_mitigation_recovers;
-          Alcotest.test_case "errors" `Quick test_mitigation_errors;
         ] );
       ( "stabilizer",
         [

@@ -1,11 +1,11 @@
 (* Differential validation of the sparse basis-amplitude engine
    (Sim.Sparse) against the dense engine: amplitude-for-amplitude
    agreement over hundreds of random dynamic circuits, identical
-   seed-deterministic shot streams through the engine-polymorphic
-   runner and through Backend.run's plan executor (forced dense and
-   sparse, prefix cache on and off, one and two domains, the hybrid
-   witness and the randomized ladder against forced dense, and the
-   hybrid-shaped circuit against forced sparse), the
+   seed-deterministic shot streams through Backend.run's plan executor
+   (forced dense and sparse on random circuits, prefix cache on and
+   off, one and two domains, the hybrid witness and the randomized
+   ladder against forced dense, and the hybrid-shaped circuit against
+   forced sparse), the
    over-the-dense-cap basis-sparse acceptance workload (a >= 28-qubit
    dyn2-substituted Toffoli ladder), exact-branch evaluation on either
    engine against the law of forking on every measurement, and the
@@ -136,15 +136,16 @@ let test_analyzer_bounds_sound () =
         (Sim.Stabilizer.supports summary.Lint.Resource.witness)
   done
 
-(* The engine-polymorphic runner must produce byte-identical
-   histograms on both engines for a fixed seed: shot i's register
+(* Backend.run forced dense and forced sparse must produce
+   byte-identical histograms for a fixed seed: shot i's register
    depends only on (seed, i), never on the state representation. *)
 let test_shot_streams_deterministic_across_engines () =
   let rng = Random.State.make [| 0xBEEF |] in
+  let run policy ~seed c = Sim.Backend.run ~policy ~seed ~shots:150 c in
   for k = 0 to 9 do
     let c = random_dynamic_circuit rng in
-    let dense = Sim.Runner.run_shots ~seed:(100 + k) ~engine:dense_engine ~shots:150 c in
-    let sparse = Sim.Runner.run_shots ~seed:(100 + k) ~engine:sparse_engine ~shots:150 c in
+    let dense = run Sim.Backend.Statevector_dense ~seed:(100 + k) c in
+    let sparse = run Sim.Backend.Sparse_statevector ~seed:(100 + k) c in
     check_hist (Printf.sprintf "circuit %d" k) dense sparse
   done
 
