@@ -2,9 +2,9 @@
 
 open Circuit
 
-let certify ?max_refute_vars (c : Circ.t) (r : Transform.result) =
+let certify (c : Circ.t) (r : Transform.result) =
   let verdict =
-    Verify.Certify.certify ?max_refute_vars ~traditional:c
+    Verify.Certify.certify ~traditional:c
       ~data_bit:r.data_bit ~answer_phys:r.answer_phys
       ~iteration_order:r.iteration_order
       ~violations:(List.length r.violations) r.circuit

@@ -41,11 +41,6 @@ type proof = {
 
 type verdict = Proved of proof | Refuted of counterexample | Unknown of string
 
-type refutation =
-  | Equal  (** exhaustively, exactly equal — itself a proof *)
-  | Differs of counterexample
-  | Inconclusive of string
-
 (** [certify ~traditional ~data_bit ~answer_phys ~iteration_order
     ~violations dqc] certifies the transform output [dqc] against
     [traditional].  The bookkeeping arguments are the fields of the
@@ -53,11 +48,11 @@ type refutation =
     (0: any difference is {!Refuted}) and the [Dynamics] claim
     (> 0: the channel difference is expected, so the certifier proves
     the dynamics faithful to the schedule instead).
-    [max_refute_vars] bounds exhaustive enumeration (default 14).
+    Exhaustive refutation runs only when both reduced sums have at
+    most 14 path variables.
     Telemetry: [verify.certify] span, [verify.{proved,refuted,unknown,
     path_vars}] counters.  Never dispatches a simulation backend. *)
 val certify :
-  ?max_refute_vars:int ->
   traditional:Circ.t ->
   data_bit:(int * int) list ->
   answer_phys:(int * int) list ->
@@ -74,8 +69,9 @@ val certify :
     qubit count and instruction order but must agree on every measured
     bit).  Both sides run from |0…0⟩; qubits left unmeasured are
     traced out as environment.  [Proved] always carries [Channel]
-    scope.  With [max_refute_vars = 0] the exhaustive fallback is
-    disabled and only the structural comparator can prove equality.
+    scope.  [max_refute_vars] (default 14) bounds the exhaustive
+    fallback on each side; with 0 it is disabled and only the
+    structural comparator can prove equality.
     Telemetry as {!certify}. *)
 val check_channel : ?max_refute_vars:int -> Circ.t -> Circ.t -> verdict
 
@@ -86,11 +82,6 @@ val check_channel : ?max_refute_vars:int -> Circ.t -> Circ.t -> verdict
     a refutation.
     @raise Symexec.Unsupported outside the exact gate fragment. *)
 val check_static : ?inputs:[ `Symbolic | `Zero ] -> Circ.t -> Circ.t -> bool
-
-(** Exhaustive exact comparison of two path sums' outcome channels
-    over the shared bits.  [Equal] is a proof of channel equality. *)
-val refute :
-  ?max_vars:int -> Pathsum.t -> Pathsum.t -> shared:int list -> refutation
 
 val scope_to_string : scope -> string
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -188,12 +188,6 @@ module Phase = struct
       (fun acc (m, c) -> add acc (of_term c (List.map f m)))
       zero t
 
-  let eval assign (t : t) =
-    norm_coeff
-      (List.fold_left
-         (fun acc (m, c) -> if List.for_all assign m then acc + c else acc)
-         0 t)
-
   let terms (t : t) = t
 
   let to_string (t : t) =
@@ -285,11 +279,6 @@ let protected_vars t =
   | Some a -> acc := Bexpr.union_vars !acc (List.sort compare (Array.to_list a))
   | None -> ());
   !acc
-
-(* exact amplitude of one path assignment *)
-let amplitude t assign =
-  if t.zero_amplitude then Ring.zero
-  else Ring.div_root2 t.scale (Ring.omega_pow (Phase.eval assign t.phase))
 
 let pp fmt t =
   if t.zero_amplitude then Format.fprintf fmt "@[<v>zero amplitude@]"

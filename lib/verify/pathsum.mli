@@ -92,7 +92,6 @@ module Phase : sig
 
   val subst : int -> Bexpr.t -> t -> t
   val rename : (int -> int) -> t -> t
-  val eval : (int -> bool) -> t -> int
 
   (** The terms: (monomial, coefficient in 1..7) pairs. *)
   val terms : t -> (int list * int) list
@@ -124,9 +123,6 @@ val all_vars : t -> int list
 (** Variables that parametrize an observation (recorded bit, ghost) or
     a symbolic input — reduction must never eliminate these. *)
 val protected_vars : t -> int list
-
-(** Exact amplitude of one complete path assignment. *)
-val amplitude : t -> (int -> bool) -> Ring.t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
