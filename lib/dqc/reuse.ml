@@ -37,13 +37,14 @@ let dependencies instrs =
   in
   let preds = Array.make m 0 in
   let succs = Array.make m [] in
+  let commute = Commute.memo () in
   for j = 1 to m - 1 do
     for i = 0 to j - 1 do
       let share =
         List.exists (fun q -> List.mem q qubits_of.(j)) qubits_of.(i)
         || List.exists (fun b -> List.mem b bits_of.(j)) bits_of.(i)
       in
-      if share && not (Commute.instrs instrs.(i) instrs.(j)) then begin
+      if share && not (Commute.instrs commute instrs.(i) instrs.(j)) then begin
         succs.(i) <- j :: succs.(i);
         preds.(j) <- preds.(j) + 1
       end

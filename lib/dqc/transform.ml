@@ -120,10 +120,12 @@ let transform ?(mode = `Algorithm1) ?(mct = false) ?(slots = 1) c =
         (* not in [gates] *)
         assert false
   in
+  let commute = Commute.memo () in
   let non_commuting_before pos =
     let acc = ref [] in
     for k = pos - 1 downto 0 do
-      if (not emitted.(k)) && not (Commute.instrs gates.(k) gates.(pos)) then
+      if (not emitted.(k)) && not (Commute.instrs commute gates.(k) gates.(pos))
+      then
         acc := gates.(k) :: !acc
     done;
     !acc
