@@ -64,20 +64,30 @@ let adjoint = function
   | Measure _ | Reset _ | Barrier _ ->
       invalid_arg "Instruction.adjoint: non-unitary instruction"
 
-let rec distinct = function
+(* every entry of the list in [0, n), none repeated *)
+let rec in_range_distinct n = function
   | [] -> true
-  | x :: rest -> (not (List.mem x rest)) && distinct rest
+  | x :: rest ->
+      x >= 0 && x < n && (not (List.mem x rest)) && in_range_distinct n rest
 
-let well_formed ~num_qubits ~num_bits t =
-  let q_ok q = q >= 0 && q < num_qubits in
-  let b_ok b = b >= 0 && b < num_bits in
-  List.for_all q_ok (qubits t)
-  && List.for_all b_ok (bits t)
-  &&
-  match t with
-  | Unitary a | Conditioned (_, a) -> distinct (app_qubits a)
-  | Measure _ | Reset _ -> true
-  | Barrier qs -> distinct qs
+let app_ok n (a : app) =
+  in_range_distinct n a.controls
+  && a.target >= 0 && a.target < n
+  && not (List.mem a.target a.controls)
+
+let rec bits_ok n = function
+  | [] -> true
+  | (b, _) :: rest -> b >= 0 && b < n && bits_ok n rest
+
+(* checked without building the qubit or bit lists: Circ.create runs
+   this on every instruction of every circuit *)
+let well_formed ~num_qubits ~num_bits = function
+  | Unitary a -> app_ok num_qubits a
+  | Conditioned (c, a) -> bits_ok num_bits c.bits && app_ok num_qubits a
+  | Measure { qubit; bit } ->
+      qubit >= 0 && qubit < num_qubits && bit >= 0 && bit < num_bits
+  | Reset q -> q >= 0 && q < num_qubits
+  | Barrier qs -> in_range_distinct num_qubits qs
 
 let counts_as_gate = function
   | Unitary _ | Conditioned _ | Reset _ -> true

@@ -1,8 +1,8 @@
-let dot a b =
-  let rec popcount acc v =
-    if v = 0 then acc else popcount (acc + (v land 1)) (v lsr 1)
-  in
-  popcount 0 (a land b) land 1 = 1
+let popcount v =
+  let rec go acc v = if v = 0 then acc else go (acc + 1) (v land (v - 1)) in
+  go 0 v
+
+let dot a b = popcount (a land b) land 1 = 1
 
 (* Highest set bit of [v <> 0] by binary search — the row-reduction
    kernels call this per row per query, so the naive per-bit scan from
@@ -26,14 +26,14 @@ let echelon ~width vectors =
         if (v lsr pivot) land 1 = 1 then v lxor row else v)
       v !rows
   in
+  let rec insert pivot v = function
+    | ((p, _) as row) :: rest when p > pivot -> row :: insert pivot v rest
+    | rows -> (pivot, v) :: rows
+  in
   List.iter
     (fun v ->
       let v = reduce (v land ((1 lsl width) - 1)) in
-      if v <> 0 then begin
-        let pivot = top_bit v in
-        rows :=
-          List.sort (fun (a, _) (b, _) -> compare b a) ((pivot, v) :: !rows)
-      end)
+      if v <> 0 then rows := insert (top_bit v) v !rows)
     vectors;
   !rows
 

@@ -36,3 +36,9 @@ val nullspace : width:int -> int list -> int list
 
 (** Parity dot product over GF(2). *)
 val dot : int -> int -> bool
+
+(** Number of set bits. *)
+val popcount : int -> int
+
+(** Index of the highest set bit of a nonzero vector. *)
+val top_bit : int -> int

@@ -23,31 +23,47 @@ let dead_on_zero ~controlled (g : Gate.t) =
   | Gate.H | Gate.X | Gate.Y | Gate.V | Gate.Vdg | Gate.Rx _ | Gate.Ry _ ->
       false
 
-let simplify_app pre (a : Instruction.app) =
-  if List.exists (fun c -> qubit_value pre c = Some false) a.controls then None
-  else
-    let controls =
-      List.filter (fun c -> qubit_value pre c <> Some true) a.controls
-    in
-    if
-      qubit_value pre a.target = Some false
-      && dead_on_zero ~controlled:(controls <> []) a.gate
-    then None
-    else Some { a with controls }
+exception Dead
 
+(* the controls left once those pinned to 1 drop out, physically the
+   same list when none does; [Dead] when one is pinned to 0 *)
+let rec live_controls pre = function
+  | [] -> []
+  | c :: rest as l -> (
+      match qubit_value pre c with
+      | Some false -> raise Dead
+      | Some true -> live_controls pre rest
+      | None ->
+          let rest' = live_controls pre rest in
+          if rest' == rest then l else c :: rest')
+
+let simplify_app pre (a : Instruction.app) =
+  match live_controls pre a.controls with
+  | exception Dead -> None
+  | controls ->
+      if
+        dead_on_zero ~controlled:(controls <> []) a.gate
+        && qubit_value pre a.target = Some false
+      then None
+      else if controls == a.controls then Some a
+      else Some { a with controls }
+
+(* the instruction itself when its application survives unchanged *)
 let witness_instr pre (i : Instruction.t) =
+  let rebuild a wrap =
+    match simplify_app pre a with
+    | None -> None
+    | Some a' -> Some (if a' == a then i else wrap a')
+  in
   match i with
-  | Instruction.Unitary a ->
-      Option.map (fun a -> Instruction.Unitary a) (simplify_app pre a)
+  | Instruction.Unitary a -> rebuild a (fun a -> Instruction.Unitary a)
   | Instruction.Conditioned (cond, a) -> (
       match State.cond_status pre cond with
       | State.Fails -> None
       | State.Holds ->
           Option.map (fun a -> Instruction.Unitary a) (simplify_app pre a)
       | State.Unknown ->
-          Option.map
-            (fun a -> Instruction.Conditioned (cond, a))
-            (simplify_app pre a))
+          rebuild a (fun a -> Instruction.Conditioned (cond, a)))
   | Instruction.Measure _ | Instruction.Reset _ | Instruction.Barrier _ ->
       Some i
 

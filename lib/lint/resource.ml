@@ -59,6 +59,36 @@ let is_collapse (i : Instruction.t) =
     ->
       false
 
+(* Per-qubit bookkeeping over an instruction's qubit list, written as
+   plain recursion: the analyzer runs on every compile, so its inner
+   loop allocates no closures. *)
+
+(* whether [qs] is free of repeats, stamping each qubit with [i] *)
+let rec stamp last i = function
+  | [] -> true
+  | q :: qs ->
+      let fresh = last.(q) <> i in
+      last.(q) <- i;
+      fresh && stamp last i qs
+
+let rec touch ~usage ~first_use ~last_use i = function
+  | [] -> ()
+  | q :: qs ->
+      usage.(q) <- usage.(q) + 1;
+      if first_use.(q) < 0 then first_use.(q) <- i;
+      last_use.(q) <- i;
+      touch ~usage ~first_use ~last_use i qs
+
+let rec max_over a acc = function
+  | [] -> acc
+  | q :: qs -> max_over a (max acc a.(q)) qs
+
+let rec set_all a v = function
+  | [] -> ()
+  | q :: qs ->
+      a.(q) <- v;
+      set_all a v qs
+
 (* ------------------------------------------------------------------ *)
 
 let analyze_body trace =
@@ -146,46 +176,31 @@ let analyze_body trace =
   and bdepth = Array.make nb 0
   and bff = Array.make nb 0 in
   let usage = Array.make nq 0 in
-  let ranges = Array.make nq None in
+  let first_use = Array.make nq (-1) and last_use = Array.make nq (-1) in
   for i = 0 to m - 1 do
     let instr = Trace.instr trace i in
-    let qs = List.sort_uniq compare (Instruction.qubits instr) in
-    List.iter
-      (fun q ->
-        usage.(q) <- usage.(q) + 1;
-        ranges.(q) <-
-          (match ranges.(q) with
-          | None -> Some { first = i; last = i }
-          | Some r -> Some { r with last = i }))
-      qs;
-    let qd = List.fold_left (fun acc q -> max acc qdepth.(q)) 0 qs in
-    let qf = List.fold_left (fun acc q -> max acc qff.(q)) 0 qs in
+    let qs =
+      (* a well-formed instruction names each qubit once *)
+      let qs = Instruction.qubits instr in
+      if stamp last_use i qs then qs else List.sort_uniq Int.compare qs
+    in
+    touch ~usage ~first_use ~last_use i qs;
+    let qd = max_over qdepth 0 qs and qf = max_over qff 0 qs in
     match instr with
     | Instruction.Barrier _ ->
         (* synchronization only: aligns depths without adding a layer *)
-        List.iter
-          (fun q ->
-            qdepth.(q) <- qd;
-            qff.(q) <- qf)
-          qs
+        set_all qdepth qd qs;
+        set_all qff qf qs
     | Instruction.Unitary _ ->
-        List.iter
-          (fun q ->
-            qdepth.(q) <- qd + 1;
-            qff.(q) <- qf)
-          qs
+        set_all qdepth (qd + 1) qs;
+        set_all qff qf qs
     | Instruction.Conditioned (cond, _) ->
-        let bs = List.sort_uniq compare (List.map fst cond.bits) in
-        let d =
-          List.fold_left (fun acc b -> max acc bdepth.(b)) (qd + 1) bs
-        in
+        let bs = List.sort_uniq Int.compare (List.map fst cond.bits) in
+        let d = max_over bdepth (qd + 1) bs in
         (* reading a measured bit into a gate is the feed-forward hop *)
-        let f = List.fold_left (fun acc b -> max acc (bff.(b) + 1)) qf bs in
-        List.iter
-          (fun q ->
-            qdepth.(q) <- d;
-            qff.(q) <- f)
-          qs
+        let f = 1 + max_over bff (qf - 1) bs in
+        set_all qdepth d qs;
+        set_all qff f qs
     | Instruction.Measure { qubit; bit } ->
         qdepth.(qubit) <- qd + 1;
         bdepth.(bit) <- qd + 1;
@@ -205,7 +220,9 @@ let analyze_body trace =
   in
   let witness =
     Circ.create ~roles:(Circ.roles c) ~num_bits:nb
-      (List.filter_map Fun.id (Array.to_list witness_at))
+      (Array.fold_right
+         (fun w acc -> match w with Some i -> i :: acc | None -> acc)
+         witness_at [])
   in
   let sum f = List.fold_left (fun acc (s : segment) -> acc + f s) 0 segments in
   Obs.incr ~n:(List.length segments) "analyze.segment";
@@ -226,7 +243,10 @@ let analyze_body trace =
     dynamic_depth;
     feedforward_depth;
     usage_counts = usage;
-    live_ranges = ranges;
+    live_ranges =
+      Array.init nq (fun q ->
+          if first_use.(q) < 0 then None
+          else Some { first = first_use.(q); last = last_use.(q) });
   }
 
 let analyze ?trace c =
@@ -236,7 +256,8 @@ let analyze ?trace c =
       let trace =
         match trace with
         | Some t ->
-            if not (Circ.equal (Trace.circuit t) c) then
+            let tc = Trace.circuit t in
+            if not (tc == c || Circ.equal tc c) then
               invalid_arg "Resource.analyze: trace belongs to a different \
                            circuit";
             t
