@@ -856,7 +856,14 @@ let verify_cmd =
       & info [ "corrupt" ]
           ~doc:
             "Fault-inject the compiled circuit (flip the qubit under its \
-             first measurement) before certifying — demonstrates Refuted")
+             first measurement) before certifying.  The verdict is \
+             Refuted (exit 2) when the schedule has no violations and \
+             the flip changes the outcome distribution, as on DJ_XOR \
+             under dynamic-1.  It is still proved (exit 0) when the flip \
+             leaves the distribution unchanged (a uniform data bit, as \
+             on the 2-input DJ oracles) or when violations put the \
+             certificate at dynamics scope, whose replay includes the \
+             flip.")
   in
   let run bench file scheme mode json corrupt flight =
     let subject =
