@@ -10,7 +10,8 @@ open Circuit
     The rewiring is commutation-aware: instructions form a dependency
     DAG with an edge between two program-ordered instructions exactly
     when they share a qubit or classical bit {e and}
-    {!Commute.instrs} cannot prove them interchangeable.  Any linear
+    {!Commute.instrs} cannot prove them interchangeable (one
+    {!Commute.memo} per [rewire] call).  Any linear
     extension of that DAG is reachable from the original order by
     adjacent commuting swaps, so scheduling over it is sound.  A
     lazy-allocation list scheduler then picks, among ready
