@@ -1,4 +1,4 @@
-.PHONY: all build test bench ci fmt-check gate perf-gate perf-baseline clean
+.PHONY: all build test bench ci fmt-check state-check gate perf-gate perf-baseline clean
 
 all: build
 
@@ -20,6 +20,17 @@ fmt-check:
 	if [ -n "$$bad" ]; then \
 	  echo "fmt-check: tabs or trailing whitespace in:"; echo "$$bad"; exit 1; \
 	else echo "fmt-check: OK"; fi
+
+# No hidden process-wide state: outside the telemetry layer (lib/obs),
+# no module in lib/ keeps an ephemeron, a mutex or a top-level
+# Hashtbl/ref/Atomic, so nothing caches between a caller and the code
+# it calls.
+state-check:
+	@bad=$$(grep -rnE 'Ephemeron|Mutex\.create|^let [a-z_]+ *(:[^=]*)?= *(Hashtbl\.create|ref |Atomic\.make)' \
+	  lib --include='*.ml' | grep -v '^lib/obs/' || true); \
+	if [ -n "$$bad" ]; then \
+	  echo "state-check: process-wide state outside lib/obs:"; echo "$$bad"; exit 1; \
+	else echo "state-check: OK"; fi
 
 # Timing gate: the three checks that are timings, one row each — the
 # static analyzer's marginal cost stays under 5% of pipeline compile
@@ -48,13 +59,15 @@ perf-baseline:
 # check, the CLI's exit codes and telemetry exports included) + the
 # execution-backend study (non-zero exit when its dense configurations
 # disagree) + the timing gate + the perf regression gate + source
-# hygiene (OCAMLRUNPARAM=b: backtraces on uncaught exceptions).
+# hygiene + the no-hidden-state check (OCAMLRUNPARAM=b: backtraces on
+# uncaught exceptions).
 ci:
 	OCAMLRUNPARAM=b dune build @runtest
 	OCAMLRUNPARAM=b dune exec bench/main.exe -- backend
 	$(MAKE) gate
 	$(MAKE) perf-gate
 	$(MAKE) fmt-check
+	$(MAKE) state-check
 
 clean:
 	dune clean

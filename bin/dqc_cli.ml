@@ -464,7 +464,7 @@ let stats_cmd =
       & info [ "passes" ]
           ~doc:
             "Override the pass schedule with a comma-separated list of \
-             registered pass names (see the passes subcommand)")
+             built-in pass names (see the passes subcommand)")
   in
   let run name scheme mode shots seed backend domains no_check passes trace
       metrics flight =
@@ -1068,7 +1068,7 @@ let passes_cmd =
   in
   Cmd.v
     (Cmd.info "passes"
-       ~doc:"List the registered compilation passes (name, kind, summary)")
+       ~doc:"List the built-in compilation passes (name, kind, summary)")
     Term.(const run $ const ())
 
 (* ------------------------------------------------------------------ *)

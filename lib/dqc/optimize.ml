@@ -300,13 +300,8 @@ let bump (s : stats) =
       Obs.incr ~n:s.measures_removed "optimize.removed.measures"
   end
 
-let certified ~certify ~family before (after, stats) =
+let certified ~family before (after, stats) =
   if not (changed stats) then { circuit = before; stats = zero; reverted = false }
-  else if not certify then begin
-    bump stats;
-    flight family "uncertified" stats before after;
-    { circuit = after; stats; reverted = false }
-  end
   else
     match Verify.Certify.check_channel before after with
     | Verify.Certify.Proved _ ->
@@ -323,7 +318,7 @@ let certified ~certify ~family before (after, stats) =
         flight family "reverted" stats before after;
         { circuit = before; stats = zero; reverted = true }
 
-let sweep ~family ~run ?(certify = true) ?trace c =
+let sweep ~family ~run ?trace c =
   Obs.with_span ("optimize." ^ family) (fun () ->
       let trace = trace_for ?trace c in
       let instrs, stats = run trace in
@@ -332,23 +327,18 @@ let sweep ~family ~run ?(certify = true) ?trace c =
           Circ.create ~roles:(Circ.roles c) ~num_bits:(Circ.num_bits c) instrs
         else c
       in
-      certified ~certify ~family c (after, stats))
+      certified ~family c (after, stats))
 
-let fold ?certify ?trace c =
-  sweep ~family:"fold"
-    ~run:(fun t -> fold_sweep t)
-    ?certify ?trace c
+let fold ?trace c = sweep ~family:"fold" ~run:(fun t -> fold_sweep t) ?trace c
 
-let affine ?certify ?trace c =
-  sweep ~family:"affine"
-    ~run:(fun t -> affine_sweep t)
-    ?certify ?trace c
+let affine ?trace c =
+  sweep ~family:"affine" ~run:(fun t -> affine_sweep t) ?trace c
 
-let dce ?(certify = true) ?trace c =
+let dce ?trace c =
   Obs.with_span "optimize.dce" (fun () ->
       let trace = trace_for ?trace c in
       let after, stats = dce_sweep trace in
-      certified ~certify ~family:"dce" c (after, stats))
+      certified ~family:"dce" c (after, stats))
 
 (* ------------------------------------------------------------------ *)
 
@@ -360,7 +350,7 @@ type result = {
   proved : bool;
 }
 
-let run ?(certify = true) ?(max_sweeps = 4) c =
+let run ?(max_sweeps = 4) c =
   Obs.with_span "optimize.run" (fun () ->
       let total = ref zero in
       let proved = ref true in
@@ -370,9 +360,9 @@ let run ?(certify = true) ?(max_sweeps = 4) c =
       while !continue && !rounds < max_sweeps do
         incr rounds;
         let trace = Trace.run !current in
-        let r1 = fold ~certify ~trace !current in
-        let r2 = dce ~certify ~trace r1.circuit in
-        let r3 = affine ~certify ~trace r2.circuit in
+        let r1 = fold ~trace !current in
+        let r2 = dce ~trace r1.circuit in
+        let r3 = affine ~trace r2.circuit in
         let round_stats = add r1.stats (add r2.stats r3.stats) in
         if r1.reverted || r2.reverted || r3.reverted then proved := false;
         total := add !total round_stats;

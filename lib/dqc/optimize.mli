@@ -80,18 +80,17 @@ type rewrite = {
           rather than trusted — never a sampled fallback *)
 }
 
-(** [fold ?certify ?trace c] — single constant-measurement /
-    feed-forward folding sweep.  [trace] (when it belongs to [c])
-    avoids re-running the abstract interpreter; [certify] defaults to
-    [true].
+(** [fold ?trace c] — single constant-measurement / feed-forward
+    folding sweep, certified when it changes [c].  [trace] (when it
+    belongs to [c]) avoids re-running the abstract interpreter.
     @raise Refuted when the certifier disproves the rewrite. *)
-val fold : ?certify:bool -> ?trace:Lint.Trace.t -> Circ.t -> rewrite
+val fold : ?trace:Lint.Trace.t -> Circ.t -> rewrite
 
 (** Single dead-gate / redundant-reset / dead-wire sweep. *)
-val dce : ?certify:bool -> ?trace:Lint.Trace.t -> Circ.t -> rewrite
+val dce : ?trace:Lint.Trace.t -> Circ.t -> rewrite
 
 (** Single affine-fact (constant-control) sweep. *)
-val affine : ?certify:bool -> ?trace:Lint.Trace.t -> Circ.t -> rewrite
+val affine : ?trace:Lint.Trace.t -> Circ.t -> rewrite
 
 (** Aggregate outcome of {!run}. *)
 type result = {
@@ -109,7 +108,7 @@ type result = {
     rounds, default 4).  Each round interprets the current circuit
     once and shares the trace across the three sweeps' fact queries.
     @raise Refuted as the sweeps do. *)
-val run : ?certify:bool -> ?max_sweeps:int -> Circ.t -> result
+val run : ?max_sweeps:int -> Circ.t -> result
 
 val gates_delta : result -> int  (** paper-convention gate count, before - after *)
 

@@ -74,18 +74,3 @@ let kind_to_string = function
   | Analysis -> "analysis"
   | Transform -> "transform"
   | Gate -> "gate"
-
-(* registry: a name-to-pass table plus the first-registration order,
-   so listings are stable regardless of re-registration *)
-let registry : (string, t) Hashtbl.t = Hashtbl.create 31
-let order : string list ref = ref []
-
-let register p =
-  if not (Hashtbl.mem registry p.name) then order := !order @ [ p.name ];
-  Hashtbl.replace registry p.name p
-
-let find name = Hashtbl.find_opt registry name
-let names () = !order
-
-let all () =
-  List.filter_map (fun name -> Hashtbl.find_opt registry name) !order

@@ -11,7 +11,8 @@ open Circuit
     downstream passes need not re-interpret), reports and free-form
     notes.  Passes never talk to each other directly — the context is
     the only channel, which is what makes schedules reorderable and
-    custom passes composable with the built-in ones.
+    custom passes composable with the built-in ones: a schedule is a
+    plain [t list] for {!Pass_manager.run}.
 
     See docs/PASSES.md for the catalogue, the default schedules and a
     worked custom-pass example. *)
@@ -90,20 +91,3 @@ type t = { name : string; kind : kind; doc : string; run : ctx -> ctx }
 val make : name:string -> kind:kind -> doc:string -> (ctx -> ctx) -> t
 
 val kind_to_string : kind -> string
-
-(** {1 Registry}
-
-    A process-wide name-to-pass table.  The pipeline registers its
-    built-in stages at initialization; library users add their own
-    with {!register} and can then schedule them by name through
-    [Pipeline.Options.with_passes]. *)
-
-(** Register (or replace, keeping the original position) a pass. *)
-val register : t -> unit
-
-val find : string -> t option
-
-(** Registered names, in first-registration order. *)
-val names : unit -> string list
-
-val all : unit -> t list

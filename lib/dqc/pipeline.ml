@@ -188,8 +188,7 @@ let reuse_certify_body (ctx : Pass.ctx) =
    are fresh; a changed circuit invalidates them implicitly
    ([Pass.fresh_facts] compares circuits). *)
 let optimize_pass family
-    (runf :
-      ?certify:bool -> ?trace:Lint.Trace.t -> Circ.t -> Optimize.rewrite)
+    (runf : ?trace:Lint.Trace.t -> Circ.t -> Optimize.rewrite)
     (ctx : Pass.ctx) =
   let r = runf ?trace:(Pass.fresh_facts ctx) ctx.Pass.circuit in
   if r.Optimize.reverted then
@@ -303,11 +302,10 @@ let builtin_passes =
       lint_body;
   ]
 
-let () = List.iter Pass.register builtin_passes
-let registered_passes () = Pass.all ()
+let registered_passes () = builtin_passes
 
 (* ------------------------------------------------------------------ *)
-(* Options: a thin schedule builder over the registry                  *)
+(* Options: a thin schedule builder over the built-in passes           *)
 
 module Options = struct
   type t = {
@@ -365,7 +363,9 @@ module Options = struct
   let with_optimize optimize t = { t with optimize }
 
   let lookup name =
-    match Pass.find name with
+    match
+      List.find_opt (fun (p : Pass.t) -> p.Pass.name = name) builtin_passes
+    with
     | Some p -> p
     | None ->
         raise

@@ -1,7 +1,7 @@
 open Circuit
 
 (** End-to-end compilation driver, built on the staged pass manager:
-    {!Options} assembles a schedule of registered {!Pass}es and
+    {!Options} assembles a schedule of built-in {!Pass}es and
     {!compile} hands it to {!Pass_manager.run}, so every stage runs
     inside a [pipeline.pass.<name>] span with before/after metrics
     snapshots (see docs/PASSES.md).
@@ -24,7 +24,7 @@ open Circuit
     ]} *)
 
 (** Raised by the {!Options} builders on invalid input — a slot count
-    below 1, a schedule naming an unregistered pass. *)
+    below 1, a schedule naming an unknown pass. *)
 exception Invalid_options of string
 
 (** Raised by the [reuse_certify] gate pass when the certifier
@@ -42,9 +42,8 @@ exception Reuse_refuted of string
     {!Optimize.Refuted}. *)
 exception Optimize_refuted of string
 
-(** The built-in passes, in registration order — what
-    [dqc_cli passes] lists.  Calling this (or anything else in this
-    module) guarantees the built-ins are registered. *)
+(** The built-in passes, in listing order — what [dqc_cli passes]
+    lists and what {!Options.with_passes} looks names up in. *)
 val registered_passes : unit -> Pass.t list
 
 module Options : sig
@@ -98,11 +97,11 @@ module Options : sig
       path-sum certifier; a refutation raises {!Optimize_refuted}. *)
   val with_optimize : bool -> t -> t
 
-  (** Replace the derived schedule with an explicit pass list, looked
-      up in the registry — the escape hatch for custom passes
-      ({!Pass.register} first) and experiments.  All other options
-      still feed the pass context's configuration.
-      @raise Invalid_options on an unregistered name. *)
+  (** Replace the derived schedule with an explicit list of built-in
+      pass names ({!registered_passes}) — for experiments.  All other
+      options still feed the pass context's configuration.  A custom
+      pass runs in a {!Pass_manager.run} schedule instead.
+      @raise Invalid_options on an unknown name. *)
   val with_passes : string list -> t -> t
 
   val scheme : t -> Toffoli_scheme.t
@@ -127,7 +126,7 @@ module Options : sig
   val schedule_names : t -> string list
 
   (** The resolved schedule.
-      @raise Invalid_options on an unregistered name. *)
+      @raise Invalid_options on an unknown name. *)
   val schedule : t -> Pass.t list
 end
 

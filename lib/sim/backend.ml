@@ -20,49 +20,7 @@ let policy_of_string s =
 
 let pp_policy fmt p = Format.pp_print_string fmt (policy_to_string p)
 
-(* Per-circuit memo of the compiled program and the static resource
-   summary, keyed on the physical circuit value: repeated [run]s of the
-   same circuit pay for compilation and analysis once.  Keys are weak
-   (ephemerons), so the cache never outlives its circuits. *)
-module Cache = Ephemeron.K1.Make (struct
-  type t = Circ.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-type cached = {
-  mutable program : Program.t option;
-  mutable summary : Lint.Resource.summary option;
-}
-
-let cache : cached Cache.t = Cache.create 32
-
-let cache_entry c =
-  match Cache.find_opt cache c with
-  | Some e -> e
-  | None ->
-      let e = { program = None; summary = None } in
-      Cache.add cache c e;
-      e
-
-let compiled c =
-  let e = cache_entry c in
-  match e.program with
-  | Some p -> p
-  | None ->
-      let p = Program.compile c in
-      e.program <- Some p;
-      p
-
-let resource_summary c =
-  let e = cache_entry c in
-  match e.summary with
-  | Some s -> s
-  | None ->
-      let s = Lint.Resource.analyze c in
-      e.summary <- Some s;
-      s
+let resource_summary c = Lint.Resource.analyze c
 
 (* Share of the circuit's non-branching instructions that precede the
    first measure/reset — what the plan executor simulates once: 1.0 on
@@ -91,10 +49,12 @@ let prefix_fraction c =
    proves the live amplitude set itself is small. *)
 let exact_auto_max_qubits = 16
 
-let exact_tractable ~shots ~extra_branches c =
+(* [summary] is the circuit's lazy resource summary: every helper below
+   forces the same one, so a call analyzes its circuit at most once. *)
+let exact_tractable ~shots ~extra_branches summary c =
   Circ.num_qubits c <= Statevector.max_qubits
   &&
-  let s = resource_summary c in
+  let s = Lazy.force summary in
   let k = s.Lint.Resource.nondet_branches + extra_branches in
   (Circ.num_qubits c <= exact_auto_max_qubits
   || s.Lint.Resource.log2_bound_peak <= exact_auto_max_qubits)
@@ -140,9 +100,7 @@ type segment_engine = {
   seg_engine : [ `Dense | `Sparse ];
 }
 
-let segment_plan c =
-  let n = Circ.num_qubits c in
-  let s = resource_summary c in
+let plan_of_summary ~n (s : Lint.Resource.summary) =
   List.map
     (fun (g : Lint.Resource.segment) ->
       {
@@ -151,6 +109,8 @@ let segment_plan c =
         seg_engine = (if sparse_worthwhile ~n g then `Sparse else `Dense);
       })
     s.Lint.Resource.segments
+
+let segment_plan c = plan_of_summary ~n:(Circ.num_qubits c) (resource_summary c)
 
 let all_sparse plan =
   plan <> [] && List.for_all (fun p -> p.seg_engine = `Sparse) plan
@@ -163,10 +123,10 @@ let segment_plan_string plan =
    statically-dead gates — is consulted, so a per-segment-Clifford
    dynamic circuit whose only non-Clifford gates are provably dead
    still lands on the tableau engine. *)
-let stabilizer_circuit c =
+let stabilizer_circuit summary c =
   if Stabilizer.supports c then Some c
   else
-    let s = resource_summary c in
+    let s = Lazy.force summary in
     if s.Lint.Resource.clifford && Stabilizer.supports s.Lint.Resource.witness
     then Some s.Lint.Resource.witness
     else None
@@ -177,10 +137,16 @@ let check_sparse_fits c =
       (Printf.sprintf "Backend.run: sparse backend capped at %d qubits (got %d)"
          Sparse.max_qubits (Circ.num_qubits c))
 
+let engine_of = function
+  | `Stabilizer _ -> `Stabilizer
+  | (`Dense | `Sparse | `Hybrid | `Exact) as e -> e
+
 (* [extra_branches] accounts for terminal measurements a measurement
-   plan appends after selection (each at most one branch point). *)
-let select_gen ?(policy = Auto) ~shots ~extra_branches c =
-  let engine =
+   plan appends after selection (each at most one branch point).  A
+   stabilizer choice carries the circuit the tableau runs: [c], or
+   under [Auto] possibly the analyzer's witness. *)
+let select_gen ?(policy = Auto) ~shots ~extra_branches summary c =
+  let choice =
     match policy with
     | Statevector_dense ->
         check_dense_fits ~who:"dense" c;
@@ -193,50 +159,57 @@ let select_gen ?(policy = Auto) ~shots ~extra_branches c =
           raise
             (Stabilizer.Unsupported
                "Backend.run: stabilizer policy on a non-Clifford circuit");
-        `Stabilizer
+        `Stabilizer c
     | Exact_branch ->
         check_dense_fits ~who:"exact-branch" c;
         `Exact
-    | Auto ->
-        if stabilizer_circuit c <> None then `Stabilizer
-        else if exact_tractable ~shots ~extra_branches c then `Exact
-        else begin
-          (* per-segment planning: all-dense plans run dense,
-             all-sparse plans sparse, mixed plans hybrid *)
-          let plan = segment_plan c in
-          if all_sparse plan then begin
-            check_sparse_fits c;
-            `Sparse
-          end
-          else if List.exists (fun p -> p.seg_engine = `Sparse) plan then
-            `Hybrid
-          else begin
-            check_dense_fits ~who:"dense" c;
-            `Dense
-          end
-        end
+    | Auto -> (
+        match stabilizer_circuit summary c with
+        | Some w -> `Stabilizer w
+        | None ->
+            if exact_tractable ~shots ~extra_branches summary c then `Exact
+            else begin
+              (* per-segment planning: all-dense plans run dense,
+                 all-sparse plans sparse, mixed plans hybrid *)
+              let plan =
+                plan_of_summary ~n:(Circ.num_qubits c) (Lazy.force summary)
+              in
+              if all_sparse plan then begin
+                check_sparse_fits c;
+                `Sparse
+              end
+              else if List.exists (fun p -> p.seg_engine = `Sparse) plan then
+                `Hybrid
+              else begin
+                check_dense_fits ~who:"dense" c;
+                `Dense
+              end
+            end)
   in
-  if Obs.enabled () then Obs.incr ("backend.select." ^ engine_name engine);
-  engine
+  if Obs.enabled () then
+    Obs.incr ("backend.select." ^ engine_name (engine_of choice));
+  choice
 
-let select ?policy ~shots c = select_gen ?policy ~shots ~extra_branches:0 c
+let select ?policy ~shots c =
+  engine_of
+    (select_gen ?policy ~shots ~extra_branches:0 (lazy (resource_summary c)) c)
 
 (* ------------------------------------------------------------------ *)
 (* The plan executor                                                  *)
 
 (* A plan is the list of (engine, compiled program) steps a shot
    threads one state through: a dense or sparse run is one step over
-   the memoized whole-circuit program, a hybrid run one step per
-   analyzer segment ([segment_plan]), each compiled from that segment's
+   the whole-circuit program, a hybrid run one step per analyzer
+   segment ([segment_plan]), each compiled from that segment's
    instruction range.  Segments cut where [Program.split_prefix] cuts,
    so a segment boundary never falls inside a fusion window. *)
 let engine_module = function
   | `Dense -> (module Statevector.Dense_engine : Engine.S)
   | `Sparse -> (module Sparse.Sparse_engine : Engine.S)
 
-let plan_steps engine base =
+let plan_steps engine summary base =
   match engine with
-  | (`Dense | `Sparse) as e -> [ (engine_module e, compiled base) ]
+  | (`Dense | `Sparse) as e -> [ (engine_module e, Program.compile base) ]
   | `Hybrid ->
       let num_qubits = Circ.num_qubits base and num_bits = Circ.num_bits base in
       let instrs = Array.of_list (Circ.instructions base) in
@@ -246,13 +219,14 @@ let plan_steps engine base =
             Program.compile_instructions ~num_qubits ~num_bits
               (Array.to_list
                  (Array.sub instrs s.seg_start (s.seg_stop - s.seg_start))) ))
-        (segment_plan base)
+        (plan_of_summary ~n:num_qubits (Lazy.force summary))
 
 (* The exact enumerator keeps one state per open fork: on the sparse
    engine when the analyzer plans every segment sparse — the same facts
    [select] consults for the sampled plan — and dense otherwise. *)
-let exact_engine c =
-  engine_module (if all_sparse (segment_plan c) then `Sparse else `Dense)
+let exact_engine summary c =
+  let plan = plan_of_summary ~n:(Circ.num_qubits c) (Lazy.force summary) in
+  engine_module (if all_sparse plan then `Sparse else `Dense)
 
 (* One shot's pass over the plan: hand the state to each step's engine
    and replay the step. *)
@@ -326,10 +300,9 @@ let execute ?domains ~seed ~shots ~prefix_cache base steps =
 
 let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
     ?(prefix_cache = true) ~shots c =
-  (* selection happens on the un-instrumented circuit (the plan's
+  (* selection happens on the un-instrumented circuit: the plan's
      terminal measurements change neither the gate set nor the qubit
-     count; their branch points are accounted separately), so the
-     per-circuit analysis memo keys on the caller's stable value *)
+     count, and their branch points are accounted separately *)
   let extra_branches =
     match plan with
     | None -> 0
@@ -337,7 +310,9 @@ let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
         List.length
           (Measurement_plan.to_pairs ~num_qubits:(Circ.num_qubits c) plan)
   in
-  let engine = select_gen ?policy ~shots ~extra_branches c in
+  let summary = lazy (resource_summary c) in
+  let choice = select_gen ?policy ~shots ~extra_branches summary c in
+  let engine = engine_of choice in
   let instrument circuit =
     match plan with
     | None -> circuit
@@ -355,28 +330,30 @@ let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
         ("prefix_cache", Obs.Json.Bool prefix_cache);
       ];
   let dispatch () =
-    match engine with
-    | `Stabilizer ->
+    match choice with
+    | `Stabilizer cs ->
         (* an Auto selection may be backed by the analyzer's witness —
            run that circuit: it is observationally equivalent and inside
            the tableau gate set *)
-        let cs =
-          match stabilizer_circuit c with
-          | Some w -> instrument w
-          | None -> base
-        in
+        let cs = instrument cs in
         Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
             Stabilizer.register (Stabilizer.run ~rng cs))
     | `Exact ->
         let sampler =
           Dist.sampler
-            (Exact.program_distribution ~engine:(exact_engine c)
+            (Exact.program_distribution ~engine:(exact_engine summary c)
                (Program.compile base))
         in
         Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
             Dist.sample sampler rng)
     | (`Dense | `Sparse | `Hybrid) as e ->
-        execute ?domains ~seed ~shots ~prefix_cache base (plan_steps e base)
+        (* a hybrid run with a measurement plan takes its segments from
+           the instrumented circuit *)
+        let summary =
+          if base == c then summary else lazy (resource_summary base)
+        in
+        execute ?domains ~seed ~shots ~prefix_cache base
+          (plan_steps e summary base)
   in
   if not (Obs.enabled ()) then dispatch ()
   else begin

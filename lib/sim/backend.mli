@@ -60,10 +60,9 @@ val pp_policy : Format.formatter -> policy -> unit
     published as the [backend.prefix.fraction] telemetry gauge. *)
 val prefix_fraction : Circ.t -> float
 
-(** The circuit's static resource summary ({!Lint.Resource.analyze}),
-    memoized per physical circuit value alongside the compiled program
-    — repeated [select]/[run] calls on the same circuit analyze it
-    once. *)
+(** The circuit's static resource summary ({!Lint.Resource.analyze}).
+    Nothing is memoized: each call analyzes, and so does each
+    {!select}/{!run} call, at most once per circuit it plans. *)
 val resource_summary : Circ.t -> Lint.Resource.summary
 
 (** {1 Per-segment engine planning}

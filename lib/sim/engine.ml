@@ -32,7 +32,7 @@ module type S = sig
   val norm2 : state -> float
   val amplitude : state -> int -> Complex.t
   val prob_one : state -> int -> float
-  val apply : state -> Program.op -> unit
+  val apply : state -> Program.kernel -> unit
   val project : state -> int -> bool -> float
   val flip : state -> int -> unit
   val measure : random:float -> state -> qubit:int -> bit:int -> bool

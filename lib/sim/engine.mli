@@ -2,7 +2,7 @@
 
     [S] is the one signature every statevector-like engine implements:
     state lifecycle (create/copy), the compiled-op replay
-    ({!S.apply}/{!S.exec} over {!Program} ops), the collapse
+    ({!S.apply}/{!S.exec} over {!Program.kernel} ops), the collapse
     primitives ({!S.measure}/{!S.reset}/{!S.project}) and the
     probability/amplitude observers the samplers and differential
     tests consume.
@@ -56,7 +56,7 @@ module type S = sig
 
   (** Apply a unitary or conditioned compiled op in place.
       @raise Invalid_argument on a measure/reset op. *)
-  val apply : state -> Program.op -> unit
+  val apply : state -> Program.kernel -> unit
 
   (** Collapse a qubit onto an outcome; returns the branch probability.
       @raise State.Zero_probability_branch when that probability is 0. *)

@@ -14,7 +14,7 @@ let default_prune = 1e-12
 let enumerate (type s) (module E : Engine.S with type state = s) ~prune ~stop
     program (at_stop : s -> float -> unit) =
   if not (prune >= 0.) then invalid_arg "Exact: negative prune threshold";
-  let kinds = Program.kernels program in
+  let ops = Program.kernels program in
   let rec go st prob k =
     if prob > prune then
       if k = stop then begin
@@ -22,16 +22,16 @@ let enumerate (type s) (module E : Engine.S with type state = s) ~prune ~stop
         at_stop st prob
       end
       else
-        match kinds.(k) with
+        match ops.(k) with
         | Program.Kmeasure { qubit; bit } ->
             fork st prob qubit (k + 1) ~on_branch:(fun st' outcome ->
                 E.set_bit st' bit outcome)
         | Program.Kreset q ->
             fork st prob q (k + 1) ~on_branch:(fun st' outcome ->
                 if outcome then E.flip st' q)
-        | Program.Kx _ | Program.Kh _ | Program.Kphase _ | Program.Kdiag _
-        | Program.Ku2 _ | Program.Kcond _ ->
-            E.apply st (Program.get program k);
+        | ( Program.Kx _ | Program.Kh _ | Program.Kphase _ | Program.Kdiag _
+          | Program.Ku2 _ | Program.Kcond _ ) as op ->
+            E.apply st op;
             go st prob (k + 1)
   and fork st prob qubit rest ~on_branch =
     let p1 = E.prob_one st qubit in
@@ -73,7 +73,7 @@ let trailing_measurements program =
   let rec back k run =
     if k = 0 then (k, run)
     else
-      match Program.kernel (Program.get program (k - 1)) with
+      match Program.get program (k - 1) with
       | Program.Kmeasure { qubit; bit } -> back (k - 1) ((qubit, bit) :: run)
       | Program.Kx _ | Program.Kh _ | Program.Kphase _ | Program.Kdiag _
       | Program.Ku2 _ | Program.Kreset _ | Program.Kcond _ ->

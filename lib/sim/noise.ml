@@ -52,12 +52,34 @@ let random_pauli rng =
   | 1 -> Gate.Y
   | _ -> Gate.Z
 
+(* Target bit and control mask of a unitary op. *)
+let layout = function
+  | Program.Kx { bit; cmask; _ }
+  | Program.Kh { bit; cmask; _ }
+  | Program.Kphase { bit; cmask; _ }
+  | Program.Kdiag { bit; cmask; _ }
+  | Program.Ku2 { bit; cmask; _ } ->
+      (bit, cmask)
+  | Program.Kmeasure _ | Program.Kreset _ | Program.Kcond _ ->
+      invalid_arg "Noise: not a unitary op"
+
+let rec qubit_of_bit bit = if bit <= 1 then 0 else 1 + qubit_of_bit (bit lsr 1)
+
+(* The qubits a unitary op touches, in the order its channels draw
+   randomness: the controls ascending, then the target. *)
+let touched ~num_qubits (bit, cmask) =
+  let qs = ref [ qubit_of_bit bit ] in
+  for q = num_qubits - 1 downto 0 do
+    if cmask land (1 lsl q) <> 0 then qs := q :: !qs
+  done;
+  !qs
+
 (* Noisy trajectories run on the dense statevector over a compiled
    program ([Program]) lowered with [~fuse:false]: fusion would merge
    the very gate boundaries the channels attach to, so the 1:1
    gate-to-op lowering keeps noise injection points identical to the
-   source circuit.  [Program.view] recovers the target/control
-   structure each channel needs. *)
+   source circuit.  Each op's [bit] and [cmask] give the qubits its
+   channels act on. *)
 let run_ops ~rng ~model ~num_qubits st program =
   let maybe_depolarize ~p q =
     if p > 0. && Random.State.float rng 1.0 < p then
@@ -84,33 +106,34 @@ let run_ops ~rng ~model ~num_qubits st program =
     if p > 0. && Random.State.float rng 1.0 < p then
       Statevector.apply_gate st Gate.Z q
   in
-  let len = Program.length program in
-  for k = 0 to len - 1 do
-    let op = Program.get program k in
-    match Program.view ~n:num_qubits op with
-    | Program.Unitary { target; controls } ->
+  for k = 0 to Program.length program - 1 do
+    match Program.get program k with
+    | ( Program.Kx _ | Program.Kh _ | Program.Kphase _ | Program.Kdiag _
+      | Program.Ku2 _ ) as op ->
         Program.apply st op;
-        let p = if controls = [] then model.p_depol1 else model.p_depol2 in
+        let ((_, cmask) as l) = layout op in
+        let p = if cmask = 0 then model.p_depol1 else model.p_depol2 in
         List.iter
           (fun q ->
             maybe_depolarize ~p q;
             maybe_amp_damp ~gamma:model.p_amp_damp q)
-          (controls @ [ target ])
-    | Program.Conditional { mask; value; target; controls } ->
+          (touched ~num_qubits l)
+    | Program.Kcond { mask; value; body } ->
+        let ((bit, cmask) as l) = layout body in
         (* the feed-forward latency penalty applies whether or not the
            gate fires: the controller must wait for the classical value *)
         (match model.feedforward_scope with
-        | `Target -> maybe_dephase ~p:model.p_feedforward_z target
+        | `Target -> maybe_dephase ~p:model.p_feedforward_z (qubit_of_bit bit)
         | `All_qubits ->
             for q = 0 to num_qubits - 1 do
               maybe_dephase ~p:model.p_feedforward_z q
             done);
         if State.register st land mask = value then begin
-          Program.apply st op;
-          let p = if controls = [] then model.p_depol1 else model.p_depol2 in
-          List.iter (fun q -> maybe_depolarize ~p q) (controls @ [ target ])
+          Program.apply st body;
+          let p = if cmask = 0 then model.p_depol1 else model.p_depol2 in
+          List.iter (fun q -> maybe_depolarize ~p q) (touched ~num_qubits l)
         end
-    | Program.Measurement { qubit; bit } ->
+    | Program.Kmeasure { qubit; bit } ->
         let outcome =
           State.measure ~random:(Random.State.float rng 1.0) st ~qubit ~bit
         in
@@ -118,7 +141,7 @@ let run_ops ~rng ~model ~num_qubits st program =
           model.p_meas_flip > 0.
           && Random.State.float rng 1.0 < model.p_meas_flip
         then State.set_bit st bit (not outcome)
-    | Program.Reset q ->
+    | Program.Kreset q ->
         State.reset ~random:(Random.State.float rng 1.0) st q;
         if
           model.p_reset_flip > 0.
@@ -138,18 +161,16 @@ let run_shot ~rng ~model c =
 (* The shared-prefix cache is sound under noise only when the model
    injects nothing into the prefix: no per-unitary channels, and no
    feed-forward dephasing if the prefix holds a conditioned op. *)
-let prefix_noise_free ~num_qubits model prefix_program =
+let prefix_noise_free model prefix_program =
   model.p_depol1 = 0. && model.p_depol2 = 0. && model.p_amp_damp = 0.
-  &&
-  (model.p_feedforward_z = 0.
-  ||
-  let conditional = ref false in
-  for k = 0 to Program.length prefix_program - 1 do
-    match Program.view ~n:num_qubits (Program.get prefix_program k) with
-    | Program.Conditional _ -> conditional := true
-    | Program.Unitary _ | Program.Measurement _ | Program.Reset _ -> ()
-  done;
-  not !conditional)
+  && (model.p_feedforward_z = 0.
+     || Array.for_all
+          (function
+            | Program.Kcond _ -> false
+            | Program.Kx _ | Program.Kh _ | Program.Kphase _ | Program.Kdiag _
+            | Program.Ku2 _ | Program.Kmeasure _ | Program.Kreset _ ->
+                true)
+          (Program.kernels prefix_program))
 
 let run_shots ?(seed = 0xD1CE) ?domains ?plan ~model ~shots c =
   validate model;
@@ -162,7 +183,7 @@ let run_shots ?(seed = 0xD1CE) ?domains ?plan ~model ~shots c =
   let num_qubits = Circ.num_qubits c in
   let program = compile_noisy c in
   let prefix_program, suffix_program = Program.split_prefix program in
-  if prefix_noise_free ~num_qubits model prefix_program then begin
+  if prefix_noise_free model prefix_program then begin
     let cached = State.create num_qubits ~num_bits:(Circ.num_bits c) in
     Program.exec ~random:Program.no_random cached prefix_program;
     Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->

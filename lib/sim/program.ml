@@ -3,9 +3,9 @@ open Circuit
 (* Compiled execution plans.
 
    [compile] lowers a circuit's instruction list once into an array of
-   specialized ops; [exec] then replays the array against a [State.t]
-   with allocation-free float kernels.  The wins over the generic
-   interpreter ([Statevector.apply_app]):
+   specialized ops ([kernel]s); [exec] then replays the array against
+   a [State.t] with float kernels that allocate nothing.  The wins over
+   the generic interpreter ([Statevector.apply_app]):
 
    - {b no matrix load}: X / H / phase / diagonal gates dispatch to
      bit-trick kernels instead of a boxed 2x2 complex multiply;
@@ -21,28 +21,40 @@ open Circuit
    The generic interpreter stays as the differential-testing reference
    (see test/test_program.ml). *)
 
-(* Iteration plan for one (possibly controlled) 1-qubit op: [bit] is
-   the target bit, [cmask] the control bits (all required 1), [pos]
-   the positions of every fixed bit (controls + target), ascending —
-   the data the subspace enumeration below expands a counter through. *)
-type plan = { target : int; bit : int; cmask : int; pos : int array }
-
-type op =
-  | Xk of plan
-  | Hk of plan
-  | Phasek of { p : plan; re1 : float; im1 : float }
+(* One compiled op.  A unitary carries its target bit [bit], its
+   control bits [cmask] (all required 1) and [pos], the positions of
+   every fixed bit (controls + target), ascending — the data the
+   subspace enumeration below expands a counter through. *)
+type kernel =
+  | Kx of { bit : int; cmask : int; pos : int array }
+  | Kh of { bit : int; cmask : int; pos : int array }
+  | Kphase of {
+      bit : int;
+      cmask : int;
+      pos : int array;
+      re1 : float;
+      im1 : float;
+    }
       (* diag(1, re1 + i.im1): touches only the |1> half of each pair *)
-  | Diagk of { p : plan; re0 : float; im0 : float; re1 : float; im1 : float }
-  | U2k of { p : plan; m : float array }
+  | Kdiag of {
+      bit : int;
+      cmask : int;
+      pos : int array;
+      re0 : float;
+      im0 : float;
+      re1 : float;
+      im1 : float;
+    }
+  | Ku2 of { bit : int; cmask : int; pos : int array; m : float array }
       (* generic 2x2: [| m00re; m00im; m01re; m01im; m10re; ... |] *)
-  | Mk of { qubit : int; bit : int }
-  | Rk of int
-  | Ck of { mask : int; value : int; body : op }
+  | Kmeasure of { qubit : int; bit : int }
+  | Kreset of int
+  | Kcond of { mask : int; value : int; body : kernel }
 
 type t = {
   n : int;
   num_bits : int;
-  ops : op array;
+  ops : kernel array;
   source_gates : int;
   fused : int;
   fallback : int;
@@ -52,6 +64,7 @@ let num_qubits t = t.n
 let num_bits t = t.num_bits
 let length t = Array.length t.ops
 let get t k = t.ops.(k)
+let kernels t = t.ops
 let source_gates t = t.source_gates
 let fused_count t = t.fused
 let fallback_count t = t.fallback
@@ -66,21 +79,12 @@ let is0 x = abs_float x <= eps
 let mask_of_controls controls =
   List.fold_left (fun acc c -> acc lor (1 lsl c)) 0 controls
 
-let controls_of_mask ~n cmask =
-  let acc = ref [] in
-  for q = n - 1 downto 0 do
-    if cmask land (1 lsl q) <> 0 then acc := q :: !acc
-  done;
-  !acc
-
-let make_plan ~n ~target ~cmask =
-  let bit = 1 lsl target in
-  let fixed = cmask lor bit in
+let fixed_positions ~n fixed =
   let pos = ref [] in
   for q = n - 1 downto 0 do
     if fixed land (1 lsl q) <> 0 then pos := q :: !pos
   done;
-  { target; bit; cmask; pos = Array.of_list !pos }
+  Array.of_list !pos
 
 let mat_of_gate g =
   let m = Gate.matrix g in
@@ -119,29 +123,32 @@ let is_identity m =
    hit the specialized cases with their exact float entries, so the
    kernels reproduce the generic interpreter bit-for-bit; fused
    products classify within [eps]. *)
-let specialize plan m =
+let specialize ~n ~target ~cmask m =
+  let bit = 1 lsl target in
+  let pos = fixed_positions ~n (cmask lor bit) in
   let offdiag0 = is0 m.(2) && is0 m.(3) && is0 m.(4) && is0 m.(5) in
   let diag0 = is0 m.(0) && is0 m.(1) && is0 m.(6) && is0 m.(7) in
   if offdiag0 then
     if is0 (m.(0) -. 1.) && is0 m.(1) then
-      Phasek { p = plan; re1 = m.(6); im1 = m.(7) }
+      Kphase { bit; cmask; pos; re1 = m.(6); im1 = m.(7) }
     else
-      Diagk { p = plan; re0 = m.(0); im0 = m.(1); re1 = m.(6); im1 = m.(7) }
+      Kdiag
+        { bit; cmask; pos; re0 = m.(0); im0 = m.(1); re1 = m.(6); im1 = m.(7) }
   else if
     diag0
     && is0 (m.(2) -. 1.)
     && is0 m.(3)
     && is0 (m.(4) -. 1.)
     && is0 m.(5)
-  then Xk plan
+  then Kx { bit; cmask; pos }
   else if
     is0 m.(1) && is0 m.(3) && is0 m.(5) && is0 m.(7)
     && is0 (m.(0) -. sq2)
     && is0 (m.(2) -. sq2)
     && is0 (m.(4) -. sq2)
     && is0 (m.(6) +. sq2)
-  then Hk plan
-  else U2k { p = plan; m }
+  then Kh { bit; cmask; pos }
+  else Ku2 { bit; cmask; pos; m }
 
 let compile_instructions ?(fuse = true) ~num_qubits:n ~num_bits instrs =
   let ops = ref [] in
@@ -149,10 +156,14 @@ let compile_instructions ?(fuse = true) ~num_qubits:n ~num_bits instrs =
   let gates = ref 0 and fused = ref 0 and fallback = ref 0 in
   let emit op =
     (match op with
-    | U2k _ | Ck { body = U2k _; _ } -> incr fallback
-    | Xk _ | Hk _ | Phasek _ | Diagk _ | Mk _ | Rk _
-    | Ck { body = Xk _ | Hk _ | Phasek _ | Diagk _ | Mk _ | Rk _ | Ck _; _ }
-      ->
+    | Ku2 _ | Kcond { body = Ku2 _; _ } -> incr fallback
+    | Kx _ | Kh _ | Kphase _ | Kdiag _ | Kmeasure _ | Kreset _
+    | Kcond
+        {
+          body =
+            Kx _ | Kh _ | Kphase _ | Kdiag _ | Kmeasure _ | Kreset _ | Kcond _;
+          _;
+        } ->
         ());
     ops := op :: !ops;
     incr count
@@ -163,11 +174,10 @@ let compile_instructions ?(fuse = true) ~num_qubits:n ~num_bits instrs =
     match !pending with
     | None -> ()
     | Some (target, cmask, m, absorbed) ->
-        let plan = make_plan ~n ~target ~cmask in
         if is_identity m then fused := !fused + absorbed
         else begin
           fused := !fused + (absorbed - 1);
-          emit (specialize plan m)
+          emit (specialize ~n ~target ~cmask m)
         end;
         pending := None
   in
@@ -175,7 +185,7 @@ let compile_instructions ?(fuse = true) ~num_qubits:n ~num_bits instrs =
     let cmask = mask_of_controls a.controls in
     let m = mat_of_gate a.gate in
     incr gates;
-    if not fuse then emit (specialize (make_plan ~n ~target:a.target ~cmask) m)
+    if not fuse then emit (specialize ~n ~target:a.target ~cmask m)
     else
       match !pending with
       | Some (t, cm, pm, absorbed) when t = a.target && cm = cmask ->
@@ -199,15 +209,15 @@ let compile_instructions ?(fuse = true) ~num_qubits:n ~num_bits instrs =
           in
           let cmask = mask_of_controls a.controls in
           let body =
-            specialize (make_plan ~n ~target:a.target ~cmask) (mat_of_gate a.gate)
+            specialize ~n ~target:a.target ~cmask (mat_of_gate a.gate)
           in
-          emit (Ck { mask; value; body })
+          emit (Kcond { mask; value; body })
       | Measure { qubit; bit } ->
           flush ();
-          emit (Mk { qubit; bit })
+          emit (Kmeasure { qubit; bit })
       | Reset q ->
           flush ();
-          emit (Rk q)
+          emit (Kreset q)
       | Barrier _ -> flush ())
     instrs;
   flush ();
@@ -249,8 +259,8 @@ let no_random () = raise Unexpected_random_draw
 
 let split_prefix t =
   let is_branch = function
-    | Mk _ | Rk _ -> true
-    | Xk _ | Hk _ | Phasek _ | Diagk _ | U2k _ | Ck _ -> false
+    | Kmeasure _ | Kreset _ -> true
+    | Kx _ | Kh _ | Kphase _ | Kdiag _ | Ku2 _ | Kcond _ -> false
   in
   let len = Array.length t.ops in
   let k = ref 0 in
@@ -276,7 +286,10 @@ let[@inline] expand pos k =
   done;
   !idx
 
-let kernel_x re im { bit; cmask; pos; _ } =
+(* The only kernel without float arithmetic: without the annotation
+   OCaml types [re]/[im] as ['a array] and boxes both floats of every
+   swap. *)
+let kernel_x (re : float array) (im : float array) bit cmask pos =
   let dim = Array.length re in
   if cmask = 0 then begin
     let base = ref 0 in
@@ -315,7 +328,7 @@ let[@inline] butterfly_h re im i0 i1 =
   Array.unsafe_set re i1 ((sq2 *. r0) -. (sq2 *. r1));
   Array.unsafe_set im i1 ((sq2 *. x0) -. (sq2 *. x1))
 
-let kernel_h re im { bit; cmask; pos; _ } =
+let kernel_h re im bit cmask pos =
   let dim = Array.length re in
   if cmask = 0 then begin
     let base = ref 0 in
@@ -337,7 +350,7 @@ let[@inline] rotate re im i zre zim =
   Array.unsafe_set re i ((zre *. r) -. (zim *. x));
   Array.unsafe_set im i ((zre *. x) +. (zim *. r))
 
-let kernel_phase re im { bit; cmask; pos; _ } zre zim =
+let kernel_phase re im bit cmask pos zre zim =
   let dim = Array.length re in
   if cmask = 0 then begin
     let base = ref bit in
@@ -355,7 +368,7 @@ let kernel_phase re im { bit; cmask; pos; _ } zre zim =
     done
   end
 
-let kernel_diag re im { bit; cmask; pos; _ } d0re d0im d1re d1im =
+let kernel_diag re im bit cmask pos d0re d0im d1re d1im =
   let dim = Array.length re in
   if cmask = 0 then begin
     let base = ref 0 in
@@ -399,7 +412,7 @@ let[@inline] butterfly_u2 re im i0 i1 m =
   Array.unsafe_set im i1
     (((m10re *. x0) +. (m10im *. r0)) +. ((m11re *. x1) +. (m11im *. r1)))
 
-let kernel_u2 re im { bit; cmask; pos; _ } m =
+let kernel_u2 re im bit cmask pos m =
   let dim = Array.length re in
   if cmask = 0 then begin
     let base = ref 0 in
@@ -423,33 +436,35 @@ let rec apply st op =
   let v = State.raw st in
   let re = Linalg.Cvec.re v and im = Linalg.Cvec.im v in
   match op with
-  | Xk p -> kernel_x re im p
-  | Hk p -> kernel_h re im p
-  | Phasek { p; re1; im1 } -> kernel_phase re im p re1 im1
-  | Diagk { p; re0; im0; re1; im1 } -> kernel_diag re im p re0 im0 re1 im1
-  | U2k { p; m } -> kernel_u2 re im p m
-  | Ck { mask; value; body } ->
+  | Kx { bit; cmask; pos } -> kernel_x re im bit cmask pos
+  | Kh { bit; cmask; pos } -> kernel_h re im bit cmask pos
+  | Kphase { bit; cmask; pos; re1; im1 } ->
+      kernel_phase re im bit cmask pos re1 im1
+  | Kdiag { bit; cmask; pos; re0; im0; re1; im1 } ->
+      kernel_diag re im bit cmask pos re0 im0 re1 im1
+  | Ku2 { bit; cmask; pos; m } -> kernel_u2 re im bit cmask pos m
+  | Kcond { mask; value; body } ->
       if State.register st land mask = value then apply st body
-  | Mk _ | Rk _ -> invalid_arg "Program.apply: branching op"
+  | Kmeasure _ | Kreset _ -> invalid_arg "Program.apply: branching op"
 
 let[@inline] exec_op ~random st op =
   match op with
-  | Mk { qubit; bit } ->
+  | Kmeasure { qubit; bit } ->
       ignore (State.measure ~random:(random ()) st ~qubit ~bit)
-  | Rk q -> State.reset ~random:(random ()) st q
-  | (Xk _ | Hk _ | Phasek _ | Diagk _ | U2k _ | Ck _) as op -> apply st op
+  | Kreset q -> State.reset ~random:(random ()) st q
+  | (Kx _ | Kh _ | Kphase _ | Kdiag _ | Ku2 _ | Kcond _) as op -> apply st op
 
 (* Constant per-class histogram names: the timed loop must not build
    strings per op. *)
 let op_hist_name = function
-  | Xk _ -> "sim.program.op.x"
-  | Hk _ -> "sim.program.op.h"
-  | Phasek _ -> "sim.program.op.phase"
-  | Diagk _ -> "sim.program.op.diag"
-  | U2k _ -> "sim.program.op.u2"
-  | Ck _ -> "sim.program.op.cond"
-  | Mk _ -> "sim.program.op.measure"
-  | Rk _ -> "sim.program.op.reset"
+  | Kx _ -> "sim.program.op.x"
+  | Kh _ -> "sim.program.op.h"
+  | Kphase _ -> "sim.program.op.phase"
+  | Kdiag _ -> "sim.program.op.diag"
+  | Ku2 _ -> "sim.program.op.u2"
+  | Kcond _ -> "sim.program.op.cond"
+  | Kmeasure _ -> "sim.program.op.measure"
+  | Kreset _ -> "sim.program.op.reset"
 
 (* Per-op timing is sampled: one replay in [op_sample_every] runs the
    timed loop, the rest run the production loop even with a collector
@@ -509,56 +524,3 @@ let run ~rng t =
   st
 
 let run_circuit ~rng c = run ~rng (compile c)
-
-(* ------------------------------------------------------------------ *)
-(* Introspection                                                      *)
-
-type kernel =
-  | Kx of { bit : int; cmask : int }
-  | Kh of { bit : int; cmask : int }
-  | Kphase of { bit : int; cmask : int; re1 : float; im1 : float }
-  | Kdiag of {
-      bit : int;
-      cmask : int;
-      re0 : float;
-      im0 : float;
-      re1 : float;
-      im1 : float;
-    }
-  | Ku2 of { bit : int; cmask : int; m : float array }
-  | Kmeasure of { qubit : int; bit : int }
-  | Kreset of int
-  | Kcond of { mask : int; value : int; body : kernel }
-
-let rec kernel_of_op = function
-  | Xk p -> Kx { bit = p.bit; cmask = p.cmask }
-  | Hk p -> Kh { bit = p.bit; cmask = p.cmask }
-  | Phasek { p; re1; im1 } -> Kphase { bit = p.bit; cmask = p.cmask; re1; im1 }
-  | Diagk { p; re0; im0; re1; im1 } ->
-      Kdiag { bit = p.bit; cmask = p.cmask; re0; im0; re1; im1 }
-  | U2k { p; m } -> Ku2 { bit = p.bit; cmask = p.cmask; m }
-  | Mk { qubit; bit } -> Kmeasure { qubit; bit }
-  | Rk q -> Kreset q
-  | Ck { mask; value; body } ->
-      Kcond { mask; value; body = kernel_of_op body }
-
-let kernel op = kernel_of_op op
-let kernels t = Array.map kernel_of_op t.ops
-
-type view =
-  | Unitary of { target : int; controls : int list }
-  | Conditional of { mask : int; value : int; target : int; controls : int list }
-  | Measurement of { qubit : int; bit : int }
-  | Reset of int
-
-let rec view ~n op =
-  match op with
-  | Xk p | Hk p | Phasek { p; _ } | Diagk { p; _ } | U2k { p; _ } ->
-      Unitary { target = p.target; controls = controls_of_mask ~n p.cmask }
-  | Mk { qubit; bit } -> Measurement { qubit; bit }
-  | Rk q -> Reset q
-  | Ck { mask; value; body } -> (
-      match view ~n body with
-      | Unitary { target; controls } -> Conditional { mask; value; target; controls }
-      | Conditional _ | Measurement _ | Reset _ ->
-          invalid_arg "Program.view: malformed conditional body")

@@ -1,8 +1,11 @@
 open Circuit
 
 (** Compiled execution plans: a circuit lowered once into an array of
-    specialized ops, replayed with allocation-free float kernels over
-    the SoA amplitude storage ({!State}, {!Linalg.Cvec}).
+    specialized ops ({!kernel}s), replayed with float kernels over the
+    SoA amplitude storage ({!State}, {!Linalg.Cvec}).  Replaying
+    unitary and conditioned ops allocates nothing (test/test_program.ml
+    pins it on X, CX, CCX, H, phase and conditioned X); measure and
+    reset ops allocate a few words each.
 
     Lowering specializes each gate to the cheapest kernel its matrix
     admits — bit-trick X, Hadamard butterfly, diagonal/phase rotation,
@@ -32,8 +35,41 @@ open Circuit
 
 type t
 
-(** One compiled op.  Opaque; see {!view} and {!apply}. *)
-type op
+(** One compiled op: kernel class, fixed-bit layout ([bit] is the
+    target bit, [cmask] the required-1 control bits, [pos] the
+    positions of every fixed bit — controls and target — ascending)
+    and the exact matrix floats the kernels use.  The dense kernels
+    run it directly; {!Sparse} replays it with kernels that mirror the
+    dense ones expression-for-expression (the property the
+    differential suite in test/test_sparse.ml leans on), and {!Exact}
+    and {!Noise} dispatch on it.  The [pos] and [m] arrays are shared
+    with the program — treat them as read-only. *)
+type kernel =
+  | Kx of { bit : int; cmask : int; pos : int array }
+  | Kh of { bit : int; cmask : int; pos : int array }
+  | Kphase of {
+      bit : int;
+      cmask : int;
+      pos : int array;
+      re1 : float;
+      im1 : float;
+    }
+      (** diag(1, re1 + i.im1) *)
+  | Kdiag of {
+      bit : int;
+      cmask : int;
+      pos : int array;
+      re0 : float;
+      im0 : float;
+      re1 : float;
+      im1 : float;
+    }
+  | Ku2 of { bit : int; cmask : int; pos : int array; m : float array }
+      (** generic 2x2, [[| m00re; m00im; m01re; m01im; m10re; ... |]] *)
+  | Kmeasure of { qubit : int; bit : int }
+  | Kreset of int
+  | Kcond of { mask : int; value : int; body : kernel }
+      (** [body] runs when [register land mask = value] *)
 
 (** [compile ?fuse c] lowers the circuit ([fuse] defaults to [true];
     [~fuse:false] keeps a 1:1 gate-to-op mapping — what the noisy
@@ -50,7 +86,11 @@ val num_bits : t -> int
 (** Number of compiled ops. *)
 val length : t -> int
 
-val get : t -> int -> op
+val get : t -> int -> kernel
+
+(** [kernels t] is the program's op array itself, in execution order —
+    not a copy, so treat it as read-only. *)
+val kernels : t -> kernel array
 
 (** Unitary (incl. conditioned) gate instructions compiled. *)
 val source_gates : t -> int
@@ -81,7 +121,7 @@ val no_random : unit -> float
 (** [apply st op] applies a unitary or conditioned op in place (a
     conditioned op tests the classical register itself).
     @raise Invalid_argument on a measure/reset op. *)
-val apply : State.t -> op -> unit
+val apply : State.t -> kernel -> unit
 
 (** [exec ~random st t] replays the whole program; [random] is
     consulted by measure/reset ops only, in source order. *)
@@ -95,45 +135,3 @@ val run : rng:Random.State.t -> t -> State.t
 
 (** [run_circuit ~rng c] is [run ~rng (compile c)]. *)
 val run_circuit : rng:Random.State.t -> Circ.t -> State.t
-
-(** {1 Introspection} — what the exact-branch enumerator and the noisy
-    trajectory engine dispatch on. *)
-
-(** The arithmetic content of one compiled op: kernel class, fixed-bit
-    layout ([bit] is the target bit, [cmask] the required-1 control
-    bits) and the exact matrix floats the dense kernels use.  This is
-    what a non-dense {!Engine} implementation replays so its
-    arithmetic can mirror the dense kernels expression-for-expression
-    (the property the differential suite in test/test_sparse.ml leans
-    on).  The [m] array of {!Ku2} is shared with the op — treat it as
-    read-only. *)
-type kernel =
-  | Kx of { bit : int; cmask : int }
-  | Kh of { bit : int; cmask : int }
-  | Kphase of { bit : int; cmask : int; re1 : float; im1 : float }
-  | Kdiag of {
-      bit : int;
-      cmask : int;
-      re0 : float;
-      im0 : float;
-      re1 : float;
-      im1 : float;
-    }
-  | Ku2 of { bit : int; cmask : int; m : float array }
-  | Kmeasure of { qubit : int; bit : int }
-  | Kreset of int
-  | Kcond of { mask : int; value : int; body : kernel }
-
-val kernel : op -> kernel
-
-(** [kernels t] is every op's {!kernel}, in execution order — what a
-    sparse engine lowers once per program (see {!Sparse}). *)
-val kernels : t -> kernel array
-
-type view =
-  | Unitary of { target : int; controls : int list }
-  | Conditional of { mask : int; value : int; target : int; controls : int list }
-  | Measurement of { qubit : int; bit : int }
-  | Reset of int
-
-val view : n:int -> op -> view

@@ -271,41 +271,16 @@ let reset ~random st q =
 (* ------------------------------------------------------------------ *)
 (* Program execution                                                  *)
 
-(* Per-program kernel plans, memoized on the physical program value —
-   sparse replay is per shot, lowering to [Program.kernel] is once.
-   Parallel shot workers share programs, so the memo is lock-guarded
-   (unlike Backend's cache, which only the main domain touches). *)
-module Plans = Ephemeron.K1.Make (struct
-  type t = Program.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let plans : Program.kernel array Plans.t = Plans.create 32
-let plans_lock = Mutex.create ()
-
-let plan_of_program p =
-  Mutex.lock plans_lock;
-  let k =
-    match Plans.find_opt plans p with
-    | Some k -> k
-    | None ->
-        let k = Program.kernels p in
-        Plans.add plans p k;
-        k
-  in
-  Mutex.unlock plans_lock;
-  k
-
+(* Sparse replay runs the program's kernels as they are: no per-shot
+   lowering, no lookup. *)
 let rec exec_kernel ~random st k =
   match k with
-  | Program.Kx { bit; cmask } -> kx st ~bit ~cmask
-  | Program.Kh { bit; cmask } -> kh st ~bit ~cmask
-  | Program.Kphase { bit; cmask; re1; im1 } -> kphase st ~bit ~cmask re1 im1
-  | Program.Kdiag { bit; cmask; re0; im0; re1; im1 } ->
+  | Program.Kx { bit; cmask; _ } -> kx st ~bit ~cmask
+  | Program.Kh { bit; cmask; _ } -> kh st ~bit ~cmask
+  | Program.Kphase { bit; cmask; re1; im1; _ } -> kphase st ~bit ~cmask re1 im1
+  | Program.Kdiag { bit; cmask; re0; im0; re1; im1; _ } ->
       kdiag st ~bit ~cmask re0 im0 re1 im1
-  | Program.Ku2 { bit; cmask; m } -> ku2 st ~bit ~cmask m
+  | Program.Ku2 { bit; cmask; m; _ } -> ku2 st ~bit ~cmask m
   | Program.Kmeasure { qubit; bit } ->
       ignore (measure ~random:(random ()) st ~qubit ~bit)
   | Program.Kreset q -> reset ~random:(random ()) st q
@@ -313,18 +288,18 @@ let rec exec_kernel ~random st k =
       if st.reg land mask = value then exec_kernel ~random st body
 
 let exec ~random st program =
-  let plan = plan_of_program program in
-  for k = 0 to Array.length plan - 1 do
-    exec_kernel ~random st (Array.unsafe_get plan k)
+  let ops = Program.kernels program in
+  for k = 0 to Array.length ops - 1 do
+    exec_kernel ~random st (Array.unsafe_get ops k)
   done;
-  if Obs.enabled () then Obs.incr ~n:(Array.length plan) "sim.sparse.ops"
+  if Obs.enabled () then Obs.incr ~n:(Array.length ops) "sim.sparse.ops"
 
-let apply st op =
-  match Program.kernel op with
+let apply st k =
+  match k with
   | Program.Kmeasure _ | Program.Kreset _ ->
       invalid_arg "Sparse.apply: branching op"
-  | ( Program.Kx _ | Program.Kh _ | Program.Kphase _ | Program.Kdiag _
-    | Program.Ku2 _ | Program.Kcond _ ) as k ->
+  | Program.Kx _ | Program.Kh _ | Program.Kphase _ | Program.Kdiag _
+  | Program.Ku2 _ | Program.Kcond _ ->
       exec_kernel ~random:Program.no_random st k
 
 let run ~rng program =

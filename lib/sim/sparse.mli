@@ -69,11 +69,9 @@ val reset : random:float -> t -> int -> unit
 
 (** [apply st op] applies a unitary or conditioned compiled op.
     @raise Invalid_argument on a measure/reset op. *)
-val apply : t -> Program.op -> unit
+val apply : t -> Program.kernel -> unit
 
-(** Replay a compiled program.  The program's op array is lowered to
-    {!Program.kernel}s once and memoized on the program value, so
-    per-shot replays pay only the table lookup. *)
+(** Replay a compiled program: its {!Program.kernels}, in order. *)
 val exec : random:(unit -> float) -> t -> Program.t -> unit
 
 (** Execute a compiled program from a fresh |0...0> state. *)

@@ -130,17 +130,25 @@ let test_per_pass_counters () =
 exception Boom
 
 let test_short_circuit_on_failure () =
-  Dqc.Pass.register
-    (Dqc.Pass.make ~name:"test_boom" ~kind:Dqc.Pass.Gate
-       ~doc:"always fails (test only)" (fun _ -> raise Boom));
-  let options =
-    Dqc.Pipeline.Options.(
-      default |> with_passes [ "prepare"; "test_boom"; "transform" ])
+  let boom =
+    Dqc.Pass.make ~name:"test_boom" ~kind:Dqc.Pass.Gate
+      ~doc:"always fails (test only)" (fun _ -> raise Boom)
+  in
+  let builtin name =
+    List.find
+      (fun (p : Dqc.Pass.t) -> p.Dqc.Pass.name = name)
+      (Dqc.Pipeline.registered_passes ())
+  in
+  let schedule = [ builtin "prepare"; boom; builtin "transform" ] in
+  let ctx =
+    Dqc.Pass.init
+      ~config:Dqc.Pipeline.Options.(config default)
+      (bv "11")
   in
   let c, raised =
     Obs.with_collector (fun () ->
         try
-          ignore (Dqc.Pipeline.compile ~options (bv "11"));
+          ignore (Dqc.Pass_manager.run schedule ctx);
           false
         with Boom -> true)
   in

@@ -254,6 +254,46 @@ let test_split_prefix () =
     (fun () -> Sim.Program.exec ~random:Sim.Program.no_random st suffix)
 
 (* ------------------------------------------------------------------ *)
+(* Allocation                                                         *)
+
+(* Minor-heap words [f] allocates, net of what reading the counter
+   around an empty call costs. *)
+let minor_words f =
+  let measure f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  measure f -. measure ignore
+
+(* The unitary and conditioned kernels allocate nothing: replaying X,
+   CX, CCX, H, a phase and a conditioned X 100 times leaves the minor
+   heap untouched. *)
+let test_replay_allocation_free () =
+  let app ?controls g q = Instruction.app ?controls g q in
+  let c =
+    circuit_of ~n:4 ~num_bits:1
+      [
+        Instruction.Unitary (app Gate.X 0);
+        Instruction.Unitary (app ~controls:[ 0 ] Gate.X 1);
+        Instruction.Unitary (app ~controls:[ 0; 1 ] Gate.X 2);
+        Instruction.Unitary (app Gate.H 3);
+        Instruction.Unitary (app Gate.T 2);
+        Instruction.Conditioned (Instruction.cond_bit 0 false, app Gate.X 1);
+      ]
+  in
+  let p = Sim.Program.compile c in
+  check_int "one op per gate" 6 (Sim.Program.length p);
+  let st = Sim.Program.fresh_state p in
+  let replay () =
+    for _ = 1 to 100 do
+      Sim.Program.exec ~random:Sim.Program.no_random st p
+    done
+  in
+  replay ();
+  Alcotest.(check (float 0.)) "minor words" 0. (minor_words replay)
+
+(* ------------------------------------------------------------------ *)
 (* Default-seed contract (shared constant across engines)             *)
 
 let test_default_seed () =
@@ -308,4 +348,9 @@ let () =
         ] );
       ( "seed",
         [ Alcotest.test_case "default-seed contract" `Quick test_default_seed ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "replay allocates nothing" `Quick
+            test_replay_allocation_free;
+        ] );
     ]
