@@ -271,8 +271,6 @@ let reset ~random st q =
 (* ------------------------------------------------------------------ *)
 (* Program execution                                                  *)
 
-(* Sparse replay runs the program's kernels as they are: no per-shot
-   lowering, no lookup. *)
 let rec exec_kernel ~random st k =
   match k with
   | Program.Kx { bit; cmask; _ } -> kx st ~bit ~cmask
