@@ -60,9 +60,9 @@ val pp_policy : Format.formatter -> policy -> unit
     published as the [backend.prefix.fraction] telemetry gauge. *)
 val prefix_fraction : Circ.t -> float
 
-(** The circuit's static resource summary ({!Lint.Resource.analyze}).
-    Nothing is memoized: each call analyzes, and so does each
-    {!select}/{!run} call, at most once per circuit it plans. *)
+(** The circuit's static resource summary ({!Lint.Resource.analyze}),
+    computed afresh on every call.  {!select} and {!run} analyze each
+    circuit they plan at most once per call. *)
 val resource_summary : Circ.t -> Lint.Resource.summary
 
 (** {1 Per-segment engine planning}

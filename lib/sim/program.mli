@@ -2,10 +2,11 @@ open Circuit
 
 (** Compiled execution plans: a circuit lowered once into an array of
     specialized ops ({!kernel}s), replayed with float kernels over the
-    SoA amplitude storage ({!State}, {!Linalg.Cvec}).  Replaying
-    unitary and conditioned ops allocates nothing (test/test_program.ml
-    pins it on X, CX, CCX, H, phase and conditioned X); measure and
-    reset ops allocate a few words each.
+    SoA amplitude storage ({!State}, {!Linalg.Cvec}).  With no [Obs]
+    collector installed, replaying unitary and conditioned ops
+    allocates nothing (test/test_program.ml pins it on X, CX, CCX, H,
+    phase and conditioned X); measure and reset ops allocate a few
+    words each.
 
     Lowering specializes each gate to the cheapest kernel its matrix
     admits — bit-trick X, Hadamard butterfly, diagonal/phase rotation,
