@@ -8,8 +8,11 @@
    - backend: the execution-backend study, which exits non-zero when
      the dense configurations or the instrumented run disagree;
    - gate: the timing gate (analyzer overhead, Auto against forced
-     dense on the AND-7 ladder and against forced sparse on the hybrid
-     shape), exiting non-zero and naming any row over its bound;
+     dense on the AND-7 ladder, against forced sparse on the hybrid
+     shape and against the best forced engine on the wide-sim shapes),
+     exiting non-zero and naming any row over its bound;
+   - calibrate: the cost model's constants, printed as the source of
+     lib/sim/calibration.ml;
    - bechamel: OLS timings of the shared workloads, into
      BENCH_backend.json;
    - perf [--against base.json] [...]: the same workloads sampled into
@@ -285,7 +288,7 @@ let run_backend () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Timing gate: the three checks that are timings rather than properties
+(* Timing gate: the four checks that are timings rather than properties
    of a result, so they live here and not in the tier-1 tests.  A row
    measures one value and passes while it stays under its bound;
    `gate` prints one line per row and exits 1 naming each failed row. *)
@@ -361,6 +364,46 @@ let hybrid_over_sparse () =
     Printf.sprintf "auto %.1f ms, forced sparse %.1f ms" (t_auto /. 1e6)
       (t_sparse /. 1e6) )
 
+(* Auto against the faster of forced sparse and forced exact on the
+   Testkit mirrors of perfbench's wide-sim rows, at its shot counts, on
+   one domain, summed over the shapes: best of 3 in CPU time per run,
+   the three runs of a shape taken in turns so no engine always runs
+   on the heap another left. *)
+let auto_over_best_forced () =
+  let all_ones k = List.init k Fun.id in
+  let shapes =
+    [
+      (Testkit.dyn2_ladder ~inputs:7 ~superposed:7 ~ones:[], 384);
+      (Testkit.hybrid_witness ~m:8, 64);
+      (Testkit.dyn2_ladder ~inputs:15 ~superposed:0 ~ones:(all_ones 15), 8192);
+      ( Sim.Measurement_plan.instrument Sim.Measurement_plan.measure_all
+          (Algorithms.Dj.circuit (Algorithms.Mct_bench.and_n 8)),
+        1024 );
+    ]
+  in
+  let policies =
+    [ None; Some Sim.Backend.Sparse_statevector; Some Sim.Backend.Exact_branch ]
+  in
+  let t_auto, t_best =
+    List.fold_left
+      (fun (auto, best) (c, shots) ->
+        let t = Array.make (List.length policies) infinity in
+        for _ = 1 to 3 do
+          List.iteri
+            (fun i policy ->
+              t.(i) <-
+                Float.min t.(i)
+                  (cpu_best ~runs:1 (fun () ->
+                       Sim.Backend.run ?policy ~seed:3 ~domains:1 ~shots c)))
+            policies
+        done;
+        (auto +. t.(0), best +. Float.min t.(1) t.(2)))
+      (0., 0.) shapes
+  in
+  ( t_auto /. t_best,
+    Printf.sprintf "auto %.2f ms, best forced %.2f ms" (t_auto /. 1e6)
+      (t_best /. 1e6) )
+
 let gate_rows =
   [
     {
@@ -377,6 +420,11 @@ let gate_rows =
       row = "auto/sparse 16 hybrid-win n10, CPU";
       bound = 1. /. 1.2;
       measure = hybrid_over_sparse;
+    };
+    {
+      row = "auto/best-forced wide shapes, CPU";
+      bound = 1.25;
+      measure = auto_over_best_forced;
     };
   ]
 
@@ -398,6 +446,187 @@ let run_gate () =
       (String.concat ", " (List.map (fun g -> g.row) failed));
     exit 1
   end
+
+(* ------------------------------------------------------------------ *)
+(* Calibration: the constants of Backend's cost model, printed as the
+   source of lib/sim/calibration.ml.  Each is the best of
+   [calibration_runs] CPU-time measurements of a fixed program, with
+   the work the model charges it divided out:
+   - per op class: a 64-op stream on a 14-qubit state whose first 8
+     qubits are in |+> (2^14 amplitudes on the dense engine, 2^8 live
+     entries on the sparse one), the state's copy taken off;
+   - per shot and per amplitude copied: forced runs of circuits of H
+     gates only, whose shots copy the cached prefix state, on 9 and 14
+     qubits (dense) or with 1 and 8 H gates (sparse), solved for the
+     two;
+   - per leaf: an enumeration that forks on 10 H-measure pairs of one
+     qubit, less the model's tree work;
+   - per handoff: both conversions of a 14-qubit basis state;
+   - per alias draw: 20000 exact shots of a one-qubit circuit. *)
+
+let calibration_runs = 15
+
+let unitary g q = Circuit.Instruction.Unitary (Circuit.Instruction.app g q)
+let measure q = Circuit.Instruction.Measure { qubit = q; bit = 0 }
+
+let circuit_of n instrs =
+  Circuit.Circ.create ~roles:(Array.make n Circuit.Circ.Data) ~num_bits:1 instrs
+
+let cal_program n instrs =
+  Sim.Program.compile_instructions ~fuse:false ~num_qubits:n ~num_bits:1 instrs
+
+let ns_best f = cpu_best ~runs:calibration_runs f
+
+let calibrate_engine policy (module E : Sim.Engine.S) =
+  let n = 14 and b = 8 and ops = 64 in
+  let dense = E.name = "dense" in
+  (* the amplitudes an op touches, its post-state holding 2^(b + up) *)
+  let width up = Float.ldexp 1. (if dense then n else b + up) in
+  let hs k = List.init k (unitary Circuit.Gate.H) in
+  let prep = E.create n ~num_bits:1 in
+  E.exec ~random:Sim.Program.no_random prep (cal_program n (hs b));
+  let rng = Random.State.make [| 7 |] in
+  let random () = Random.State.float rng 1.0 in
+  let copy_ns = ns_best (fun () -> E.copy prep) in
+  let per_op instrs =
+    let p = cal_program n instrs in
+    (ns_best (fun () -> E.exec ~random (E.copy prep) p) -. copy_ns)
+    /. float_of_int (List.length instrs)
+  in
+  (* a qubit outside the |+> block, so X and H act on |0> *)
+  let free i = b + (i mod (n - b)) in
+  let pairs f = List.concat (List.init (ops / 2) f) in
+  let x =
+    per_op (List.init ops (fun i -> unitary Circuit.Gate.X (free i))) /. width 0
+  in
+  let mix =
+    per_op
+      (pairs (fun i ->
+           [ unitary Circuit.Gate.H (free i); unitary Circuit.Gate.H (free i) ]))
+    /. width 1
+  in
+  let diag =
+    per_op (List.init ops (fun i -> unitary Circuit.Gate.T (i mod b))) /. width 0
+  in
+  (* measuring the |+> qubits one by one halves the live entries each
+     time: the model charges measurement j its 2^(b - j) pre-state *)
+  let collapse =
+    per_op (List.init b measure)
+    *. float_of_int b
+    /. List.fold_left ( +. ) 0. (List.init b (fun j -> width (-j)))
+  in
+  (* per shot: a circuit of H gates only is all prefix, so each shot
+     copies the prefix state (2^w amplitudes) and reads its register *)
+  let per_shot ~qubits ~prefix ~shots =
+    let c = circuit_of qubits (hs (max 1 prefix)) in
+    ns_best (fun () -> Sim.Backend.run ~policy ~seed:1 ~domains:1 ~shots c)
+    /. float_of_int shots
+  in
+  let (w0, t0), (w1, t1) =
+    if dense then
+      ( (9, per_shot ~qubits:9 ~prefix:1 ~shots:20000),
+        (14, per_shot ~qubits:14 ~prefix:1 ~shots:2000) )
+    else
+      ( (1, per_shot ~qubits:n ~prefix:1 ~shots:20000),
+        (b, per_shot ~qubits:n ~prefix:b ~shots:2000) )
+  in
+  let w0 = Float.ldexp 1. w0 and w1 = Float.ldexp 1. w1 in
+  let copy = (t1 -. t0) /. (w1 -. w0) in
+  let shot = t0 -. (copy *. w0) in
+  (* a leaf: k forks, each H then measure of one qubit, then an X on a
+     second so the measurements do not end the circuit.  Fork j runs
+     its H and measure and copies its state on 2^j branches, the X
+     runs on all 2^k leaves; the states hold 4 amplitudes (dense) or at
+     most 2 entries (sparse). *)
+  let k = 10 in
+  let forks =
+    cal_program 2
+      (List.concat
+         (List.init k (fun _ -> [ unitary Circuit.Gate.H 0; measure 0 ]))
+      @ [ unitary Circuit.Gate.X 1 ])
+  in
+  let tree =
+    ns_best (fun () ->
+        Sim.Exact.program_distribution ~engine:(module E : Sim.Engine.S) forks)
+  in
+  let leaves = Float.ldexp 1. k in
+  let w = if dense then 4. else 2. in
+  let leaf =
+    ((tree -. ((leaves -. 1.) *. (mix +. collapse +. copy) *. w)) /. leaves)
+    -. (x *. if dense then w else 1.)
+  in
+  { Sim.Calibration.x; mix; diag; collapse; copy; shot; leaf }
+
+let run_calibrate () =
+  let dense =
+    calibrate_engine Sim.Backend.Statevector_dense
+      (module Sim.Statevector.Dense_engine)
+  and sparse =
+    calibrate_engine Sim.Backend.Sparse_statevector
+      (module Sim.Sparse.Sparse_engine)
+  in
+  (* a conversion each way of a 14-qubit basis state, per dense amplitude *)
+  let handoff =
+    let n = 14 in
+    let d = Sim.Statevector.Dense_engine.create n ~num_bits:1 in
+    let sp = Sim.Sparse.Sparse_engine.create n ~num_bits:1 in
+    (ns_best (fun () -> Sim.Sparse.of_state d)
+    +. ns_best (fun () -> Sim.Sparse.to_state sp))
+    /. 2. /. Float.ldexp 1. n
+  in
+  (* an exact shot: a one-qubit enumeration is negligible next to 20000
+     alias draws *)
+  let alias =
+    let shots = 20000 in
+    ns_best (fun () ->
+        Sim.Backend.run ~policy:Sim.Backend.Exact_branch ~seed:1 ~domains:1
+          ~shots
+          (circuit_of 1 [ unitary Circuit.Gate.H 0; measure 0 ]))
+    /. float_of_int shots
+  in
+  (* an OCaml float literal *)
+  let lit v =
+    let s = Printf.sprintf "%.4g" v in
+    if String.exists (fun ch -> ch = '.' || ch = 'e') s then s else s ^ "."
+  in
+  let engine name (c : Sim.Calibration.engine) =
+    Printf.sprintf
+      "let %s =\n\
+      \  {\n\
+      \    x = %s;\n\
+      \    mix = %s;\n\
+      \    diag = %s;\n\
+      \    collapse = %s;\n\
+      \    copy = %s;\n\
+      \    shot = %s;\n\
+      \    leaf = %s;\n\
+      \  }\n"
+      name (lit c.x) (lit c.mix) (lit c.diag) (lit c.collapse) (lit c.copy)
+      (lit c.shot) (lit c.leaf)
+  in
+  print_string
+    ("(* Engine costs behind Backend's Auto selection, in ns of CPU time.\n\
+     \   Generated; regenerate with\n\
+     \     dune exec bench/main.exe -- calibrate > lib/sim/calibration.ml\n\
+     \   on a quiet machine (see the calibration section of bench/main.ml\n\
+     \   for what each constant times). *)\n\n\
+     type engine = {\n\
+     \  x : float;  (** per amplitude an X op touches *)\n\
+     \  mix : float;  (** per amplitude an H or generic 2x2 op touches *)\n\
+     \  diag : float;  (** per amplitude a phase or diagonal op touches *)\n\
+     \  collapse : float;  (** per amplitude a measure or reset touches *)\n\
+     \  copy : float;  (** per amplitude of a state copy *)\n\
+     \  shot : float;  (** per sampled shot, beside its state copy *)\n\
+     \  leaf : float;  (** per enumerated leaf, beside its fork copies *)\n\
+     }\n\n"
+    ^ engine "dense" dense ^ "\n" ^ engine "sparse" sparse
+    ^ Printf.sprintf
+        "\n\
+         (* per dense amplitude of one handoff between engines *)\n\
+         let handoff = %s\n\n\
+         (* per shot drawn from an exact distribution *)\n\
+         let alias = %s\n"
+        (lit handoff) (lit alias))
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timing                                                    *)
@@ -1170,7 +1399,7 @@ let parse_perf_args argv =
 
 let targets =
   "table1|table2|fig7|equivalence|mct|routing|duration|scale|slots|reuse|\
-   sparsity|ablation|backend|gate|bechamel|perf|all"
+   sparsity|ablation|backend|gate|calibrate|bechamel|perf|all"
 
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
@@ -1189,6 +1418,7 @@ let () =
   | "ablation" -> run_ablation ()
   | "backend" -> run_backend ()
   | "gate" -> run_gate ()
+  | "calibrate" -> run_calibrate ()
   | "bechamel" -> run_bechamel ()
   | "perf" -> parse_perf_args Sys.argv
   | "all" ->

@@ -692,9 +692,25 @@ let analyze_cmd =
           print_endline (Lint.Resource.to_string summary);
           Printf.printf "auto backend (1024 shots): %s\n"
             (Sim.Backend.engine_name (Sim.Backend.select ~shots:1024 c));
-          let plan = Sim.Backend.segment_plan c in
+          let p = Sim.Backend.predict ~shots:1024 c in
+          Printf.printf "  forks %d: exact enumerates at most 2^%d leaves\n"
+            p.forks p.forks;
+          List.iter
+            (fun (e, cost) ->
+              let name = Sim.Backend.engine_name e in
+              match cost with
+              | Ok ms ->
+                  Printf.printf "  %-7s predicted %.3f ms%s\n" name ms
+                    (match (e, p.exact_engine) with
+                    | `Exact, Some `Dense -> " on the dense engine"
+                    | `Exact, Some `Sparse -> " on the sparse engine"
+                    | ( (`Exact | `Dense | `Sparse | `Hybrid | `Stabilizer),
+                        (Some _ | None) ) ->
+                        "")
+              | Error why -> Printf.printf "  %-7s ruled out: %s\n" name why)
+            p.costs;
           Printf.printf "segment engine plan: %s\n"
-            (Sim.Backend.segment_plan_string plan)
+            (Sim.Backend.segment_plan_string p.plan)
         end
   in
   Cmd.v

@@ -23,7 +23,9 @@ type summary = {
   t_count : int;
   non_clifford : int;
   log2_bound_peak : int;
+  log2_bounds : int array;
   nondet_branches : int;
+  forks : int array;
   dynamic_depth : int;
   feedforward_depth : int;
   usage_counts : int array;
@@ -111,6 +113,21 @@ let analyze_body trace =
   let witness_at =
     Array.init m (fun i -> witness_instr (Trace.pre trace i) (Trace.instr trace i))
   in
+  (* the measurements (barriers aside) that end the circuit start at
+     [trailing]: one exact pass reads them without forking *)
+  let trailing =
+    let rec back i =
+      if i = 0 then 0
+      else
+        match Trace.instr trace (i - 1) with
+        | Instruction.Measure _ | Instruction.Barrier _ -> back (i - 1)
+        | Instruction.Unitary _ | Instruction.Conditioned _
+        | Instruction.Reset _ ->
+            i
+    in
+    back m
+  in
+  let forks = Array.make (m + 1) 0 in
   (* nondeterministic branch points: measure/reset whose outcome the
      analysis cannot pin from the pre-state *)
   let nondet_at i =
@@ -151,7 +168,9 @@ let analyze_body trace =
               | `Non_clifford ->
                   incr non_clifford;
                   clifford := false));
-          nondet := !nondet + nondet_at i;
+          let d = nondet_at i in
+          nondet := !nondet + d;
+          forks.(i + 1) <- (forks.(i) + if i < trailing then d else 0);
           peak := max !peak (bound (i + 1))
         done;
         {
@@ -239,7 +258,9 @@ let analyze_body trace =
       List.fold_left
         (fun acc (s : segment) -> max acc s.log2_bound_peak)
         0 segments;
+    log2_bounds = Array.init (m + 1) bound;
     nondet_branches = sum (fun s -> s.nondet);
+    forks;
     dynamic_depth;
     feedforward_depth;
     usage_counts = usage;

@@ -51,7 +51,21 @@ type summary = {
   t_count : int;  (** sum over segments *)
   non_clifford : int;  (** sum over segments *)
   log2_bound_peak : int;  (** max over segments *)
+  log2_bounds : int array;
+      (** per instruction index [i], the sound log2 bound on nonzero
+          amplitudes before instruction [i]; index [instructions]
+          bounds the final state.  A collapse that the analysis cannot
+          pin halves the bound's support, so the entry after a measured
+          superposed qubit is one lower — the drop a segment's peak
+          hides. *)
   nondet_branches : int;  (** sum over segments *)
+  forks : int array;
+      (** per instruction index [i], the [nondet_branches] before [i]
+          that precede the circuit's trailing run of measurements
+          (barriers aside), which an exact enumeration reads in one
+          pass per branch instead of forking on it: the enumeration
+          reaches instruction [i] on at most [2^forks.(i)] branches,
+          and [forks.(instructions)] is its fork depth *)
   dynamic_depth : int;
       (** critical path counting quantum and classical dependencies *)
   feedforward_depth : int;

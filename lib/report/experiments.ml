@@ -793,7 +793,7 @@ let sparsity_entry ~name ~scheme c =
     sound = log2_measured <= log2_bound;
     engine = Sim.Backend.engine_name (Sim.Backend.select ~shots:1024 c);
     plan =
-      (let plan = Sim.Backend.segment_plan c in
+      (let plan = (Sim.Backend.predict ~shots:1024 c).plan in
        let total = List.length plan in
        let sparse =
          List.length

@@ -198,9 +198,9 @@ type sparsity_row = {
   sound : bool;  (** [log2_measured <= log2_bound] *)
   engine : string;  (** what [Sim.Backend.select Auto] picks *)
   plan : string;
-      (** per-segment engine plan ({!Sim.Backend.segment_plan}),
+      (** per-segment engine plan ({!Sim.Backend.prediction}'s [plan]),
           summarized as ["all dense"], ["all sparse"] or ["k/n sparse"];
-          ["-"] when Auto bypasses segment planning (stabilizer/exact) *)
+          ["-"] for a circuit without instructions *)
 }
 
 (** E13 (extension): the relational analyzer's static sparsity bounds

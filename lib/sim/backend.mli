@@ -16,18 +16,18 @@ open Circuit
       paper's dyn2 scheme) run past the dense 24-qubit cap;
     - {e stabilizer} — CHP tableau when the circuit is Clifford
       ({!Stabilizer.supports}); scales to hundreds of qubits;
-    - {e exact branch} — when the measurement/reset count is small the
-      exact branching distribution ({!Exact.program_distribution}) is
-      computed once and shots are drawn from it with the O(1) alias
-      sampler.  The branch states live on the sparse engine when every
-      {!segment_plan} entry is sparse and on the dense engine
-      otherwise, and measurements that end the circuit are read in one
+    - {e exact branch} — the exact branching distribution
+      ({!Exact.program_distribution}) is computed once and shots are
+      drawn from it with the O(1) alias sampler.  The branch states
+      live on the dense or the sparse engine, whichever is predicted
+      cheaper, and measurements that end the circuit are read in one
       pass per branch instead of forking.
 
-    [Auto] additionally plans {e per segment} (see {!segment_plan}):
-    when the analyzer proves only part of the circuit basis-sparse, a
-    hybrid run executes each segment on its best engine and converts
-    the state representation at the handoffs.
+    [Auto] runs a Clifford circuit on the tableau and otherwise the
+    engine with the least predicted CPU cost ({!predict}): exact,
+    sparse, dense, or a {e hybrid} run that executes each analyzer
+    segment on its cheaper engine and converts the state
+    representation at the handoffs.
 
     Determinism: for a fixed [seed] the histogram is byte-identical
     regardless of [domains] and of the prefix cache, because every
@@ -37,8 +37,8 @@ open Circuit
 
 type policy =
   | Auto
-      (** inspect the circuit: stabilizer > exact branch > per-segment
-          dense/sparse plan *)
+      (** the tableau for a Clifford circuit, otherwise the engine of
+          least predicted cost *)
   | Statevector_dense
   | Sparse_statevector
   | Stabilizer
@@ -65,15 +65,32 @@ val prefix_fraction : Circ.t -> float
     circuit they plan at most once per call. *)
 val resource_summary : Circ.t -> Lint.Resource.summary
 
-(** {1 Per-segment engine planning}
+(** {1 Engine selection}
 
     The analyzer's segments (see {!Lint.Resource}: a new segment
     starts at every measure/reset following a non-measure/reset, the
-    same boundary {!Program.split_prefix} cuts at) each carry a
-    certified [log2] bound on reachable nonzero amplitudes.  A segment
-    is planned sparse when that bound leaves a comfortable margin
-    under the dense dimension — or unconditionally past the dense
-    qubit cap, where sparse is the only statevector that fits. *)
+    same boundary {!Program.split_prefix} cuts at) and its
+    per-instruction [log2] bounds on reachable nonzero amplitudes are
+    what the cost model reads.  An op costs the amplitudes it touches
+    times a per-class constant of its engine ({!Calibration}, measured
+    by [bench calibrate]): [2^(n - controls)] on the dense engine, the
+    bound on its live entries on the sparse engine.  Per run:
+    - dense and sparse: the unitary prefix once, then per shot a copy
+      of the state it leaves and the rest of the ops;
+    - hybrid: each segment on its cheaper engine, plus a conversion
+      per shot at every engine change;
+    - exact: the enumeration tree on the cheaper of its two engines —
+      instruction [i] on [2^forks.(i)] branches
+      ({!Lint.Resource.summary}'s [forks]: the collapses it cannot pin
+      before [i], the trailing measurements excepted), a state copy
+      per branch at each fork and a fixed cost per leaf — then one
+      alias draw per shot.
+
+    Memory caps rule engines out before any cost is compared: dense
+    and hybrid need at most {!Statevector.max_qubits} qubits, sparse
+    at most {!Sparse.max_qubits}, and the dense enumerator, which
+    holds one 2^n state per open fork, at most 16 qubits or an
+    amplitude bound of at most 16. *)
 
 type segment_engine = {
   seg_start : int;  (** first instruction index of the segment *)
@@ -81,32 +98,51 @@ type segment_engine = {
   seg_engine : [ `Dense | `Sparse ];
 }
 
-(** The per-segment engine assignment [Auto] decides on: all sparse
-    selects [`Sparse], mixed selects [`Hybrid], whose run executes one
-    step per entry.  Reported by [dqc_cli analyze] and the sparsity
-    experiment. *)
-val segment_plan : Circ.t -> segment_engine list
-
 (** ["dense,sparse,..."] — the plan's engines, comma-joined. *)
 val segment_plan_string : segment_engine list -> string
 
-(** The backend [run] would dispatch to.  [Auto] consults the
-    per-segment resource summary: stabilizer when every segment is
-    Clifford — by the whole-circuit scan or by the analyzer's
-    observationally-equivalent witness circuit (so provably-dead
-    non-Clifford gates don't force the dense engine); exact branching
-    when the leaf bound [2^nondet_branches] is small relative to
-    [shots] and either the circuit is narrow or the static amplitude
-    bound is; otherwise the per-segment {!segment_plan} — all-dense
-    plans run dense, all-sparse plans run {!Sparse}, mixed plans run
-    hybrid, converting the state representation at segment handoffs.
-    Selection bumps the [backend.select.<engine>] counter (see
-    {!engine_name}).
+(** The cost model's view of a run of [shots] shots. *)
+type prediction = {
+  forks : int;  (** exact enumerates at most [2^forks] leaves *)
+  costs :
+    ([ `Dense | `Stabilizer | `Exact | `Sparse | `Hybrid ]
+    * (float, string) result)
+    list;
+      (** exact, sparse, dense and hybrid, in that (tie-break) order:
+          the predicted CPU milliseconds, or the memory cap that rules
+          the engine out (hybrid is also out when every segment is
+          cheaper on one engine) *)
+  exact_engine : [ `Dense | `Sparse ] option;
+      (** the engine exact would enumerate on *)
+  plan : segment_engine list;
+      (** each analyzer segment on the engine predicted to run it
+          cheaper over the run — the plan a hybrid run executes, one
+          step per entry; reported by [dqc_cli analyze] and the
+          sparsity experiment *)
+}
+
+(** The predicted cost of [shots] shots of [c] on every engine but the
+    tableau, which [Auto] takes for Clifford circuits whatever the
+    cost.  Runs nothing. *)
+val predict : shots:int -> Circ.t -> prediction
+
+(** The backend [run] would dispatch to.  [Auto] picks stabilizer when
+    every segment is Clifford — by the whole-circuit scan or by the
+    analyzer's observationally-equivalent witness circuit (so
+    provably-dead non-Clifford gates don't force another engine) —
+    and otherwise the cheapest feasible entry of {!predict}.  Selection
+    bumps the [backend.select.<engine>] counter (see {!engine_name});
+    with a flight recorder armed, an [Auto] selection records one
+    [backend.select] event: [qubits], [shots], the [rule] that decided
+    (["clifford"] or ["cost"]) and the [winner], plus for a cost
+    decision [forks], [predicted_ms] and [ruled_out] (engine name to
+    predicted ms or to the cap), [exact_engine] and [plan].
     @raise Stabilizer.Unsupported when the [Stabilizer] policy is
     forced on a non-Clifford circuit.
-    @raise Invalid_argument when [Statevector_dense]/[Exact_branch] is
-    forced beyond {!Statevector.max_qubits}, or [Sparse_statevector]
-    beyond {!Sparse.max_qubits}. *)
+    @raise Invalid_argument when [Statevector_dense] is forced beyond
+    {!Statevector.max_qubits}, [Sparse_statevector] beyond
+    {!Sparse.max_qubits}, [Exact_branch] where neither enumerator fits
+    (past {!Sparse.max_qubits}), or [Auto] where no engine does. *)
 val select :
   ?policy:policy ->
   shots:int ->
@@ -121,12 +157,13 @@ val engine_name :
 
 (** [run ?policy ?seed ?domains ?plan ?prefix_cache ~shots c] executes
     [shots] shots of [c] (instrumented with [plan]'s terminal
-    measurements when given) on the selected backend, sharded across
-    [domains] workers (default [Domain.recommended_domain_count ()]).
+    measurements when given; selection reads the instrumented circuit)
+    on the selected backend, sharded across [domains] workers (default
+    [Domain.recommended_domain_count ()]).
 
     Dense, sparse and hybrid runs share one plan executor: a list of
     (engine, compiled program) steps — one step over the whole circuit
-    for dense or sparse, one per {!segment_plan} entry for hybrid —
+    for dense or sparse, one per {!prediction} [plan] entry for hybrid —
     that every shot threads one {!Engine.packed} state through,
     converting it ({!Engine.convert}) where the engine changes.  With
     [prefix_cache] (default [true]) the first step's deterministic

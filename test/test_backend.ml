@@ -110,6 +110,51 @@ let test_select_auto () =
   check_bool "non-Clifford, few branch points -> exact" true
     (Sim.Backend.select ~shots:1024 (dj_and ()) = `Exact)
 
+(* Each Auto decision records one backend.select flight event whose
+   winner is what select returns and the least of its predicted costs. *)
+let test_select_event_argmin () =
+  List.iter
+    (fun (name, c, shots) ->
+      let recorder, selected =
+        Obs.Flight.with_recorder (fun () -> Sim.Backend.select ~shots c)
+      in
+      match
+        List.filter
+          (fun (e : Obs.Flight.event) -> e.kind = "backend.select")
+          (Obs.Flight.events recorder)
+      with
+      | [ e ] ->
+          let winner = List.assoc_opt "winner" e.data in
+          check_bool (name ^ ": winner = select") true
+            (winner = Some (Obs.Json.String (Sim.Backend.engine_name selected)));
+          let predicted =
+            match List.assoc_opt "predicted_ms" e.data with
+            | Some (Obs.Json.Obj costs) ->
+                List.map
+                  (fun (engine, ms) ->
+                    match ms with
+                    | Obs.Json.Float ms -> (engine, ms)
+                    | _ -> Alcotest.failf "%s: %s cost is not a float" name engine)
+                  costs
+            | _ -> Alcotest.failf "%s: no predicted_ms" name
+          in
+          let argmin =
+            List.fold_left
+              (fun (b, bms) (e, ms) -> if ms < bms then (e, ms) else (b, bms))
+              (List.hd predicted) predicted
+          in
+          check_bool (name ^ ": winner = argmin") true
+            (winner = Some (Obs.Json.String (fst argmin)))
+      | evs ->
+          Alcotest.failf "%s: expected one backend.select event, got %d" name
+            (List.length evs))
+    [
+      ("dyn2 DJ(AND), 1024 shots", dyn2_and (), 1024);
+      ("dyn2 DJ(AND), 1 shot", dyn2_and (), 1);
+      ("hybrid witness m = 8", Testkit.hybrid_witness ~m:8, 64);
+      ("hybrid win", Testkit.hybrid_win ~n:10 ~layers:8 ~tail:10, 16);
+    ]
+
 let test_select_forced_stabilizer_raises () =
   match Sim.Backend.select ~policy:Sim.Backend.Stabilizer ~shots:16 (dj_and ()) with
   | exception Sim.Stabilizer.Unsupported _ -> ()
@@ -253,6 +298,8 @@ let () =
         [
           Alcotest.test_case "strings" `Quick test_policy_strings;
           Alcotest.test_case "auto selection" `Quick test_select_auto;
+          Alcotest.test_case "select event is the argmin" `Quick
+            test_select_event_argmin;
           Alcotest.test_case "forced stabilizer raises" `Quick
             test_select_forced_stabilizer_raises;
         ] );

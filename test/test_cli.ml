@@ -134,7 +134,34 @@ let test_stats_exports () =
   let kinds = List.filter_map (str "kind") (list (get "events" f)) in
   List.iter
     (fun k -> check_bool (k ^ " event") true (List.mem k kinds))
-    [ "pass.begin"; "pass.end"; "backend.run" ]
+    [ "pass.begin"; "pass.end"; "backend.select"; "backend.run" ]
+
+(* `analyze` explains Auto's choice: the predicted ms of each engine
+   under "auto backend (1024 shots)" *)
+let test_analyze_predictions () =
+  let out = Filename.concat scratch "analyze.txt" in
+  check_int "analyze exit code" 0
+    (Sys.command
+       (Filename.quote_command cli ~stdout:out ~stderr:Filename.null
+          [ "analyze"; "AND_4"; "--scheme"; "dynamic-2" ]));
+  let lines = In_channel.with_open_text out In_channel.input_lines in
+  let rec after = function
+    | l :: rest when String.starts_with ~prefix:"auto backend (1024 shots)" l ->
+        rest
+    | _ :: rest -> after rest
+    | [] -> Alcotest.fail "no auto backend line"
+  in
+  let engines =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' (String.trim l) with
+        | engine :: _ when String.length l > 2 && l.[0] = ' ' -> Some engine
+        | _ -> None)
+      (after lines)
+  in
+  List.iter
+    (fun e -> check_bool (e ^ " priced or ruled out") true (List.mem e engines))
+    [ "exact"; "sparse"; "dense"; "hybrid" ]
 
 let () =
   Fun.protect
@@ -148,5 +175,9 @@ let () =
         [
           ("exit codes", List.map exit_code_case exit_code_rows);
           ( "telemetry",
-            [ Alcotest.test_case "stats exports" `Quick test_stats_exports ] );
+            [
+              Alcotest.test_case "stats exports" `Quick test_stats_exports;
+              Alcotest.test_case "analyze predictions" `Quick
+                test_analyze_predictions;
+            ] );
         ])

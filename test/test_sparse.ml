@@ -82,30 +82,29 @@ let test_differential_wide_circuits =
   differential ~stream:0x5FA25E ~draw:wide_random_circuit ~count:150
     ~seeds:(fun _ -> [ 17; 4242 ])
 
-(* The analyzer's per-segment bounds against dense replay: after every
-   instruction [i] the nonzero-amplitude count stays within 2^bound of
-   the segment holding instruction [i+1] (a segment's peak covers the
-   pre-states of its instructions), on every seed; and each Clifford
-   verdict comes with a witness the stabilizer engine accepts. *)
+(* The analyzer's bounds against dense replay: after every instruction
+   [i] the nonzero-amplitude count stays within 2^log2_bounds.(i+1), on
+   every seed, and a segment's peak is the largest bound it spans; and
+   each Clifford verdict comes with a witness the stabilizer engine
+   accepts. *)
 let test_analyzer_bounds_sound () =
   let rng = Random.State.make [| 0xA17A |] in
   for k = 1 to 200 do
     let c = wide_random_circuit rng in
     let summary = Lint.Resource.analyze c in
     let instrs = Array.of_list (Circ.instructions c) in
-    let m = Array.length instrs in
-    let segs = Array.of_list summary.Lint.Resource.segments in
-    let seg_of = Array.make m 0 in
-    Array.iteri
-      (fun s (g : Lint.Resource.segment) ->
-        for i = g.Lint.Resource.start to g.Lint.Resource.stop - 1 do
-          seg_of.(i) <- s
-        done)
-      segs;
-    let bound_after i =
-      let s = if i + 1 < m then seg_of.(i + 1) else Array.length segs - 1 in
-      segs.(s).Lint.Resource.log2_bound_peak
-    in
+    let bounds = summary.Lint.Resource.log2_bounds in
+    List.iter
+      (fun (g : Lint.Resource.segment) ->
+        let peak = ref 0 in
+        for i = g.Lint.Resource.start to g.Lint.Resource.stop do
+          peak := max !peak bounds.(i)
+        done;
+        check_int
+          (Printf.sprintf "circuit %d: segment peak = its bounds' max" k)
+          !peak g.Lint.Resource.log2_bound_peak)
+      summary.Lint.Resource.segments;
+    let bound_after i = bounds.(i + 1) in
     let nq = Circ.num_qubits c and nb = Circ.num_bits c in
     List.iter
       (fun seed ->
@@ -159,6 +158,20 @@ let test_shot_streams_deterministic_across_engines () =
 let dyn2_ladder ~inputs ~ones =
   Testkit.dyn2_ladder ~inputs ~superposed:0 ~ones
 
+let exact_on ?prune engine c =
+  Sim.Exact.program_distribution ?prune ~engine (Sim.Program.compile c)
+
+(* perfbench's histogram check: an n-shot histogram of a law with k
+   outcomes lies within sqrt((k ln 2 + ln 1e9) / 2n) of it in total
+   variation with probability at least 1 - 1e-9, and puts no shot on
+   an outcome the law rules out. *)
+let within_tv_bound law h =
+  let shots = float_of_int (Sim.Runner.shots h) in
+  let k = float_of_int (List.length (Sim.Dist.support law)) in
+  List.for_all (fun (o, _) -> Sim.Dist.prob law o > 1e-12) (Sim.Runner.to_list h)
+  && Sim.Dist.tv_distance (Sim.Runner.to_dist h) law
+     <= sqrt (((k *. log 2.) +. log 1e9) /. (2. *. shots))
+
 (* Ground truth at a dense-simulable width: the dyn2 ladder computes
    AND on every input combination, identically on both engines. *)
 let test_dyn2_ladder_small_width () =
@@ -207,22 +220,29 @@ let test_wide_basis_sparse_acceptance () =
   let st0 = run (List.filter (fun q -> q <> 7) all) in
   check_bool "AND with a zero input" false (Sim.Sparse.get_bit st0 0)
 
-(* Backend integration over the cap: Auto must plan the whole circuit
-   sparse (dense cannot even allocate), the run must be deterministic,
-   and the forced sparse policy must agree with it. *)
+(* Backend integration over the cap: dense cannot even allocate, so
+   Auto must stay on the sparse engine — it enumerates the one fork
+   there, which the cost model prefers to 64 sampled shots — the run
+   must be deterministic, and forced sparse must read the same
+   outcome. *)
 let test_wide_backend_auto () =
   let c = dyn2_ladder ~inputs:wide_inputs ~ones:(List.init wide_inputs Fun.id) in
   (match Sim.Backend.select ~shots:64 c with
-  | `Sparse -> ()
-  | `Dense | `Stabilizer | `Exact | `Hybrid ->
-      Alcotest.fail "expected the sparse plan over the dense cap");
+  | `Exact -> ()
+  | (`Dense | `Stabilizer | `Sparse | `Hybrid) as e ->
+      Alcotest.failf "expected exact over the dense cap, Auto selected %s"
+        (Sim.Backend.engine_name e));
   let auto = Sim.Backend.run ~seed:5 ~shots:64 c in
+  check_bool "auto within the TV bound of the exact law" true
+    (within_tv_bound (exact_on sparse_engine c) auto);
   let forced =
     Sim.Backend.run ~policy:Sim.Backend.Sparse_statevector ~seed:5 ~shots:64 c
   in
-  check_hist "auto = forced sparse" auto forced;
-  check_int "deterministic outcome" 64
-    (List.fold_left max 0 (List.map snd (Sim.Runner.to_list auto)))
+  List.iter
+    (fun (name, h) ->
+      Alcotest.check hist_pairs (name ^ ": deterministic outcome") [ (1, 64) ]
+        (Sim.Runner.to_list h))
+    [ ("auto", auto); ("forced sparse", forced) ]
 
 (* ------------------------------------------------------------------ *)
 (* Backend.run's plan executor: the forced dense and sparse one-step
@@ -258,43 +278,35 @@ let test_backend_plans_identical () =
   done
 
 (* The mixed-sparsity witness (Testkit.hybrid_witness, the circuit the
-   bench runs at m = 12): Auto runs it hybrid, handing the state from
-   dense to sparse once per shot after a shared dense prefix. *)
+   bench runs at m = 12), whichever engine Auto predicts cheapest: a
+   sampled run shares forced dense's shot stream, an exact one stays
+   within the TV bound of the exact law. *)
 let test_hybrid_witness () =
   let shots = 64 in
   List.iter
     (fun m ->
       let c = Testkit.hybrid_witness ~m in
-      (match Sim.Backend.select ~shots c with
-      | `Hybrid -> ()
-      | (`Dense | `Sparse | `Stabilizer | `Exact) as e ->
-          Alcotest.failf "m = %d: expected hybrid, Auto selected %s" m
-            (Sim.Backend.engine_name e));
-      let obs, auto =
-        Obs.with_collector (fun () -> Sim.Backend.run ~seed:3 ~shots c)
-      in
-      let dense =
-        Sim.Backend.run ~policy:Sim.Backend.Statevector_dense ~seed:3 ~shots c
-      in
-      let counter = Obs.Collector.counter obs in
-      check_hist (Printf.sprintf "m = %d: auto = forced dense" m) dense auto;
-      check_bool
-        (Printf.sprintf "m = %d: backend.select.hybrid >= 1" m)
-        true
-        (counter "backend.select.hybrid" >= 1);
-      check_int
-        (Printf.sprintf "m = %d: one dense->sparse handoff per shot" m)
-        shots
-        (counter "backend.handoff.dense_to_sparse");
-      check_int
-        (Printf.sprintf "m = %d: every shot starts from the shared prefix" m)
-        shots
-        (counter "backend.prefix.hit"))
+      let auto = Sim.Backend.run ~seed:3 ~shots c in
+      match Sim.Backend.select ~shots c with
+      | (`Dense | `Sparse | `Hybrid) as e ->
+          check_hist
+            (Printf.sprintf "m = %d: auto (%s) = forced dense" m
+               (Sim.Backend.engine_name e))
+            (Sim.Backend.run ~policy:Sim.Backend.Statevector_dense ~seed:3
+               ~shots c)
+            auto
+      | `Exact ->
+          check_bool
+            (Printf.sprintf "m = %d: auto (exact) within the TV bound" m)
+            true
+            (within_tv_bound (exact_on sparse_engine c) auto)
+      | `Stabilizer -> Alcotest.failf "m = %d: a non-Clifford circuit on the tableau" m)
     [ 4; 8; 12 ]
 
 (* Testkit.hybrid_win, the shape hybrid is kept for (bench gate's
    third row times it): Auto plans it hybrid, its shots equal forced
-   sparse's, and the state changes engine once each way per shot. *)
+   sparse's, the state changes engine once each way per shot, and
+   every shot starts from the shared prefix. *)
 let test_hybrid_win () =
   let shots = 16 in
   let c = Testkit.hybrid_win ~n:10 ~layers:8 ~tail:10 in
@@ -313,7 +325,9 @@ let test_hybrid_win () =
     (fun h ->
       check_int ("backend.handoff." ^ h) shots
         (Obs.Collector.counter obs ("backend.handoff." ^ h)))
-    [ "sparse_to_dense"; "dense_to_sparse" ]
+    [ "sparse_to_dense"; "dense_to_sparse" ];
+  check_int "every shot starts from the shared prefix" shots
+    (Obs.Collector.counter obs "backend.prefix.hit")
 
 (* The randomized AND-7 ladder (six superposed inputs, the seventh
    X-prepared): the analyzer bounds it far under the register width, so
@@ -387,9 +401,6 @@ let fork_law ?prune c =
        (fun (l : Sim.Exact.leaf) -> (l.register, l.probability))
        (Sim.Exact.leaves ?prune c))
 
-let exact_on ?prune engine c =
-  Sim.Exact.program_distribution ?prune ~engine (Sim.Program.compile c)
-
 let test_exact_engines_match_fork_law () =
   let rng = Random.State.make [| 0xE7AC7 |] in
   for k = 0 to 29 do
@@ -436,14 +447,13 @@ let test_exact_wide_sparse () =
         (List.length pairs)
 
 (* Auto sends a narrow deterministic dyn2 ladder to the exact engine,
-   and its all-sparse segment plan makes the enumeration sparse. *)
+   and its small amplitude bounds price the enumeration cheaper on the
+   sparse engine, though the dense one fits. *)
 let test_exact_auto_sparse () =
   let c = dyn2_ladder ~inputs:6 ~ones:(List.init 6 Fun.id) in
   check_bool "at most 16 qubits" true (Circ.num_qubits c <= 16);
-  check_bool "every segment planned sparse" true
-    (List.for_all
-       (fun (s : Sim.Backend.segment_engine) -> s.seg_engine = `Sparse)
-       (Sim.Backend.segment_plan c));
+  check_bool "enumeration priced cheaper on the sparse engine" true
+    ((Sim.Backend.predict ~shots:64 c).exact_engine = Some `Sparse);
   (match Sim.Backend.select ~shots:64 c with
   | `Exact -> ()
   | (`Dense | `Sparse | `Stabilizer | `Hybrid) as e ->
@@ -460,6 +470,90 @@ let test_exact_auto_sparse () =
        (Obs.Collector.spans obs));
   Alcotest.check hist_pairs "every shot reads the AND" [ (1, 64) ]
     (Sim.Runner.to_list h)
+
+(* Forced exact checks the cap of the engine that enumerates: past the
+   dense cap the sparse engine does, and the all-ones ladder reads 1. *)
+let test_forced_exact_wide () =
+  let c =
+    dyn2_ladder ~inputs:wide_inputs ~ones:(List.init wide_inputs Fun.id)
+  in
+  Alcotest.check hist_pairs "point mass on 1" [ (1, 32) ]
+    (Sim.Runner.to_list
+       (Sim.Backend.run ~policy:Sim.Backend.Exact_branch ~seed:2 ~shots:32 c))
+
+(* ------------------------------------------------------------------ *)
+(* Auto by predicted cost: the facts it reads and what it returns.     *)
+
+let dj8 () =
+  Algorithms.Dj.circuit (Algorithms.Mct_bench.and_n 8)
+
+(* A run of measurements that ends the circuit is one pass of the
+   enumeration, not a fork each — whether the circuit carries it or a
+   measurement plan appends it — so 1024 shots of DJ(AND_8) measured on
+   all 9 qubits go to the exact engine. *)
+let test_terminal_measurements_not_forks () =
+  let measured =
+    Sim.Measurement_plan.instrument Sim.Measurement_plan.measure_all (dj8 ())
+  in
+  let s = Lint.Resource.analyze measured in
+  check_int "9 nondeterministic collapses" 9 s.Lint.Resource.nondet_branches;
+  check_int "no fork" 0 s.Lint.Resource.forks.(s.Lint.Resource.instructions);
+  (match Sim.Backend.select ~shots:1024 measured with
+  | `Exact -> ()
+  | (`Dense | `Sparse | `Stabilizer | `Hybrid) as e ->
+      Alcotest.failf "expected exact, Auto selected %s"
+        (Sim.Backend.engine_name e));
+  let recorder, _ =
+    Obs.Flight.with_recorder (fun () ->
+        Sim.Backend.run ~plan:Sim.Measurement_plan.measure_all ~shots:1024
+          (dj8 ()))
+  in
+  match
+    List.filter
+      (fun (e : Obs.Flight.event) -> e.kind = "backend.select")
+      (Obs.Flight.events recorder)
+  with
+  | [ e ] ->
+      check_bool "plan-appended measurements are no fork" true
+        (List.assoc_opt "forks" e.data = Some (Obs.Json.Int 0));
+      check_bool "plan run selects exact" true
+        (List.assoc_opt "winner" e.data = Some (Obs.Json.String "exact"))
+  | evs -> Alcotest.failf "expected one backend.select event, got %d" (List.length evs)
+
+(* The per-instruction bounds keep the drop a segment's peak hides: on
+   the m = 8 witness the bound climbs to 8 over the H gates and each
+   measured superposed qubit lowers it by one. *)
+let test_bounds_drop_per_measurement () =
+  let s = Lint.Resource.analyze (Testkit.hybrid_witness ~m:8) in
+  Alcotest.(check (list int))
+    "bounds before instructions 8..16"
+    [ 8; 7; 6; 5; 4; 3; 2; 1; 0 ]
+    (Array.to_list (Array.sub s.Lint.Resource.log2_bounds 8 9));
+  check_int "the segment's peak" 8
+    (List.nth s.Lint.Resource.segments 1).Lint.Resource.log2_bound_peak
+
+(* The wide-sim shapes at its shot counts: whichever engine wins, Auto's
+   histogram is within the TV bound of the exact law. *)
+let test_wide_shapes_tv () =
+  List.iter
+    (fun (name, c, shots) ->
+      let h = Sim.Backend.run ~seed:9 ~shots c in
+      check_bool
+        (Printf.sprintf "%s (%s)" name
+           (Sim.Backend.engine_name (Sim.Backend.select ~shots c)))
+        true
+        (within_tv_bound (exact_on sparse_engine c) h))
+    [
+      ("AND-7 ladder h7", Testkit.dyn2_ladder ~inputs:7 ~superposed:7 ~ones:[], 384);
+      ("mixed-sparsity m8", Testkit.hybrid_witness ~m:8, 64);
+      ( "AND-15 ladder",
+        dyn2_ladder ~inputs:wide_inputs ~ones:(List.init wide_inputs Fun.id),
+        8192 );
+      ( "DJ(AND_8) measure-all",
+        Sim.Measurement_plan.instrument Sim.Measurement_plan.measure_all
+          (dj8 ()),
+        1024 );
+    ]
 
 let () =
   Alcotest.run "sparse"
@@ -506,5 +600,16 @@ let () =
             test_exact_wide_sparse;
           Alcotest.test_case "auto enumerates sparse" `Quick
             test_exact_auto_sparse;
+          Alcotest.test_case "forced exact past the dense cap" `Quick
+            test_forced_exact_wide;
+        ] );
+      ( "auto by cost",
+        [
+          Alcotest.test_case "terminal measurements are not forks" `Quick
+            test_terminal_measurements_not_forks;
+          Alcotest.test_case "bounds drop per measurement" `Quick
+            test_bounds_drop_per_measurement;
+          Alcotest.test_case "wide shapes within the TV bound" `Quick
+            test_wide_shapes_tv;
         ] );
     ]
