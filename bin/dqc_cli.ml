@@ -690,8 +690,12 @@ let analyze_cmd =
           print_endline (Dqc.Analysis.to_string (Dqc.Analysis.analyze ~mct c));
           print_newline ();
           print_endline (Lint.Resource.to_string summary);
+          let engine = Sim.Backend.select ~shots:1024 c in
           Printf.printf "auto backend (1024 shots): %s\n"
-            (Sim.Backend.engine_name (Sim.Backend.select ~shots:1024 c));
+            (Sim.Backend.engine_name engine);
+          if engine = `Stabilizer then
+            print_endline
+              "  Clifford: the tableau runs it whatever the costs below";
           let p = Sim.Backend.predict ~shots:1024 c in
           Printf.printf "  forks %d: exact enumerates at most 2^%d leaves\n"
             p.forks p.forks;
