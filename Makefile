@@ -57,14 +57,16 @@ perf-gate:
 perf-baseline:
 	OCAMLRUNPARAM=b dune exec bench/main.exe -- perf --out BENCH_baseline.json
 
-# One-command gate: full build + the tier-1 tests (every correctness
-# check, the CLI's exit codes and telemetry exports included) + the
+# One-command gate: full build of every target (examples/ and
+# perfbench/ included, so a public name they use cannot vanish
+# unnoticed) + the tier-1 tests (every correctness check, the CLI's
+# exit codes and telemetry exports included) + the
 # execution-backend study (non-zero exit when its dense configurations
 # disagree) + the timing gate + the perf regression gate + source
 # hygiene + the no-hidden-state check (OCAMLRUNPARAM=b: backtraces on
 # uncaught exceptions).
 ci:
-	OCAMLRUNPARAM=b dune build @runtest
+	OCAMLRUNPARAM=b dune build @all @runtest
 	OCAMLRUNPARAM=b dune exec bench/main.exe -- backend
 	$(MAKE) gate
 	$(MAKE) perf-gate

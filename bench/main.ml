@@ -1,5 +1,5 @@
 (* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation and times the implementation with Bechamel.
+   paper's evaluation and times the implementation.
 
    Usage: main.exe [TARGET] (default: all), with TARGET one of
    - table1, table2, fig7, equivalence, mct, routing, duration, scale,
@@ -13,12 +13,10 @@
      exiting non-zero and naming any row over its bound;
    - calibrate: the cost model's constants, printed as the source of
      lib/sim/calibration.ml;
-   - bechamel: OLS timings of the shared workloads, into
-     BENCH_backend.json;
-   - perf [--against base.json] [...]: the same workloads sampled into
-     percentile histograms; with --against it exits non-zero when
+   - perf [--against base.json] [...]: the shared workloads sampled
+     into percentile histograms; with --against it exits non-zero when
      p50/p99 regress beyond the gate thresholds;
-   - all: every study, backend and bechamel (not gate or perf). *)
+   - all: every study and backend (not gate, calibrate or perf). *)
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '#')
@@ -473,7 +471,7 @@ let circuit_of n instrs =
   Circuit.Circ.create ~roles:(Array.make n Circuit.Circ.Data) ~num_bits:1 instrs
 
 let cal_program n instrs =
-  Sim.Program.compile_instructions ~fuse:false ~num_qubits:n ~num_bits:1 instrs
+  Sim.Program.compile_instructions ~num_qubits:n ~num_bits:1 instrs
 
 let ns_best f = cpu_best ~runs:calibration_runs f
 
@@ -629,13 +627,12 @@ let run_calibrate () =
         (lit handoff) (lit alias))
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel timing                                                    *)
+(* Shared timing workloads                                            *)
 
 (* Lint-throughput workloads: the full pass catalogue over the
    10-qubit DJ(AND_9) family — the traditional circuit under the
-   general passes and its dynamic-1 compilation under the DQC gate.
-   Shared by the bechamel group (group "lint" in dqc.bench/1) and the
-   instructions/second summary printed after the timing table. *)
+   general passes and its dynamic-1 compilation under the DQC gate
+   (group "lint" in dqc.bench/2). *)
 let lint_workloads =
   lazy
     (let dj = Algorithms.Dj.circuit and_9 in
@@ -654,8 +651,7 @@ let lint_workloads =
      ])
 
 (* Static-analyzer throughput over the same family plus the
-   per-segment-selection workload; instructions/second is printed next
-   to the lint group's after the timing table. *)
+   per-segment-selection workload (group "analyze"). *)
 let analyze_workloads =
   lazy
     (List.map
@@ -666,9 +662,8 @@ let analyze_workloads =
     @ [ ("analyze XORA_15", Algorithms.Mct_bench.adaptive_parity 15) ])
 
 (* The shared workload registry: every entry is a named nullary
-   closure, consumed both by the bechamel group (OLS ns/op estimates
-   in `bechamel`) and by the percentile sampler behind the `perf`
-   regression gate — one definition, two measurement strategies. *)
+   closure, sampled by the percentile sampler behind the `perf`
+   regression gate. *)
 let workloads () : (string * (unit -> unit)) list =
   let bv_transform n =
     let s = String.make n '1' in
@@ -756,21 +751,20 @@ let workloads () : (string * (unit -> unit)) list =
       fun () -> ignore (Transpile.Basis.to_native r.Dqc.Transform.circuit) )
   in
   (* compiled-program kernel study: lowering cost in isolation, the
-     fused vs unfused op streams, and the generic full-scan interpreter
-     over the same SoA storage as the reference point *)
+     compiled op stream (one op per gate; the row keeps the name
+     "unfused" it has in BENCH_baseline.json, from when lowering could
+     merge gates) and the generic full-scan interpreter over the same
+     SoA storage as the reference point *)
   let kernels =
     let n = 12 in
     let c = ghz_like n true in
-    let fused = Sim.Program.compile c in
-    let unfused = Sim.Program.compile ~fuse:false c in
+    let program = Sim.Program.compile c in
     let rng () = Random.State.make [| 7 |] in
     [
       ( Printf.sprintf "kernels compile %d qubits" n,
         fun () -> ignore (Sim.Program.compile c) );
-      ( Printf.sprintf "kernels fused %d qubits" n,
-        fun () -> ignore (Sim.Program.run ~rng:(rng ()) fused) );
       ( Printf.sprintf "kernels unfused %d qubits" n,
-        fun () -> ignore (Sim.Program.run ~rng:(rng ()) unfused) );
+        fun () -> ignore (Sim.Program.run ~rng:(rng ()) program) );
       ( Printf.sprintf "kernels reference %d qubits" n,
         fun () -> ignore (Sim.Statevector.run_reference ~rng:(rng ()) c) );
     ]
@@ -913,15 +907,6 @@ let workloads () : (string * (unit -> unit)) list =
   @ kernels @ backend_engines @ sparse_tests @ lint_tests @ analyze_tests
   @ verify_tests @ reuse_tests @ optimize_tests
 
-let make_benchmarks () =
-  let open Bechamel in
-  Test.make_grouped ~name:"dqc"
-    (List.map
-       (fun (name, fn) -> Test.make ~name (Staged.stage fn))
-       (workloads ()))
-
-let bench_json_path = "BENCH_backend.json"
-
 (* "transform BV-4" -> "transform": the leading token names the group *)
 let group_of_name name =
   match String.index_opt name ' ' with
@@ -953,38 +938,11 @@ let dirty_json () =
   | Some status -> Obs.Json.Bool (status <> "")
   | None -> Obs.Json.Null
 
-let write_bechamel_json ?(extra = []) estimates =
-  let results =
-    List.map
-      (fun (name, est) ->
-        Obs.Json.Obj
-          [
-            ("name", Obs.Json.String name);
-            ("group", Obs.Json.String (group_of_name name));
-            ( "ns_per_op",
-              match est with
-              | Some ns -> Obs.Json.Float ns
-              | None -> Obs.Json.Null );
-          ])
-      (List.sort (fun (a, _) (b, _) -> compare a b) estimates)
-  in
-  Obs.Json.write ~path:bench_json_path
-    (Obs.Json.Obj
-       [
-         ("schema", Obs.Json.String bench_schema);
-         ("unit", Obs.Json.String "ns/op");
-         ("revision", revision_json ());
-         ("dirty", dirty_json ());
-         ("results", Obs.Json.List (results @ extra));
-       ]);
-  Printf.printf "\nmachine-readable results written to %s\n" bench_json_path
-
 (* ------------------------------------------------------------------ *)
 (* Percentile sampling and the perf regression gate.
 
-   Bechamel's OLS estimate answers "how fast is the typical op"; the
-   gate instead needs tail behaviour under a fixed time budget, so each
-   shared workload is re-timed call by call into an Obs.Histogram and
+   The gate needs tail behaviour under a fixed time budget, so each
+   shared workload is timed call by call into an Obs.Histogram and
    compared against a checked-in dqc.bench/2 baseline on p50 (median
    shift) and p99 (tail blowup). *)
 
@@ -1088,8 +1046,7 @@ let write_perf_json ~path series =
   Printf.printf "\npercentile results written to %s\n" path
 
 (* Baseline lookup: name -> (min_ns, p50_ns, p90_ns, p99_ns) from a
-   dqc.bench/2 document (series without percentiles — e.g.
-   bechamel-only rows — are skipped). *)
+   dqc.bench/2 document (series without percentiles are skipped). *)
 let load_baseline path =
   let doc = Obs.Json.read ~path in
   (match Obs.Json.member "schema" doc with
@@ -1261,103 +1218,6 @@ let run_perf ~against ~slowdown ~budget_ms ~noise_floor_ns ~out () =
         !compared !skipped !regressions;
       if !regressions > 0 then exit 1
 
-let run_bechamel () =
-  section "E5 / Bechamel timing";
-  let open Bechamel in
-  let open Toolkit in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  let raw = Benchmark.all cfg instances (make_benchmarks ()) in
-  let results =
-    List.map (fun instance -> Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]) instance raw) instances
-  in
-  let results = Analyze.merge (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]) instances results in
-  let estimates = ref [] in
-  let () =
-    Hashtbl.iter
-      (fun label tbl ->
-        ignore label;
-        Hashtbl.iter
-          (fun name result ->
-            match Bechamel.Analyze.OLS.estimates result with
-            | Some [ est ] ->
-                estimates := (name, Some est) :: !estimates;
-                Printf.printf "%-34s %12.1f ns/run\n" name est
-            | Some _ | None ->
-                estimates := (name, None) :: !estimates;
-                Printf.printf "%-34s (no estimate)\n" name)
-          tbl)
-      results
-  in
-  (* per-benchmark qubit savings and pass runtimes from the reuse flow:
-     value-typed rows (explicit per-row unit) alongside the ns/op ones *)
-  let reuse_extra =
-    List.concat_map
-      (fun (r : Report.Experiments.reuse_row) ->
-        let row suffix value unit =
-          Obs.Json.Obj
-            [
-              ( "name",
-                Obs.Json.String
-                  (Printf.sprintf "reuse %s %s" suffix
-                     r.Report.Experiments.name) );
-              ("group", Obs.Json.String "reuse");
-              ("value", Obs.Json.Float value);
-              ("unit", Obs.Json.String unit);
-            ]
-        in
-        [
-          row "qubits-saved" (float_of_int r.Report.Experiments.saved) "qubits";
-          row "pass-runtime" r.Report.Experiments.reuse_ms "ms";
-          row "certify-runtime" r.Report.Experiments.certify_ms "ms";
-        ])
-      (Report.Experiments.reuse_rows ())
-  in
-  (* engine-selection and handoff telemetry from one instrumented pass
-     over the sparse study workloads: which engine Auto picked and how
-     many per-shot representation conversions the hybrid plan paid *)
-  let sparse_extra =
-    let rl = Testkit.dyn2_ladder ~inputs:6 ~superposed:6 ~ones:[] in
-    let hw = Testkit.hybrid_witness ~m:12 in
-    let collector, () =
-      Obs.with_collector (fun () ->
-          ignore (Sim.Backend.run ~shots:64 rl);
-          ignore (Sim.Backend.run ~shots:64 hw))
-    in
-    let row name counter =
-      Obs.Json.Obj
-        [
-          ("name", Obs.Json.String name);
-          ("group", Obs.Json.String "sparse");
-          ( "value",
-            Obs.Json.Float
-              (float_of_int (Obs.Collector.counter collector counter)) );
-          ("unit", Obs.Json.String "count");
-        ]
-    in
-    [
-      row "sparse select sparse" "backend.select.sparse";
-      row "sparse select hybrid" "backend.select.hybrid";
-      row "sparse handoff dense-to-sparse" "backend.handoff.dense_to_sparse";
-      row "sparse handoff sparse-to-dense" "backend.handoff.sparse_to_dense";
-    ]
-  in
-  write_bechamel_json ~extra:(reuse_extra @ sparse_extra) !estimates;
-  (* lint throughput re-expressed as instructions/second: ns/op over a
-     known instruction count makes the rate explicit *)
-  List.iter
-    (fun (name, c) ->
-      (* bechamel prefixes the group: "lint ..." -> "dqc/lint ..." *)
-      match List.assoc_opt ("dqc/" ^ name) !estimates with
-      | Some (Some ns) when ns > 0. ->
-          let instrs = List.length (Circuit.Circ.instructions c) in
-          Printf.printf "%-34s %12.2f M instr/s (%d instructions)\n" name
-            (float_of_int instrs /. ns *. 1000.)
-            instrs
-      | Some (Some _) | Some None | None -> ())
-    (List.map (fun (n, c, _) -> (n, c)) (Lazy.force lint_workloads)
-    @ Lazy.force analyze_workloads)
-
 (* ------------------------------------------------------------------ *)
 
 (* `perf [--against base.json] [--inject-slowdown F] [--budget-ms N]
@@ -1399,7 +1259,7 @@ let parse_perf_args argv =
 
 let targets =
   "table1|table2|fig7|equivalence|mct|routing|duration|scale|slots|reuse|\
-   sparsity|ablation|backend|gate|calibrate|bechamel|perf|all"
+   sparsity|ablation|backend|gate|calibrate|perf|all"
 
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
@@ -1419,7 +1279,6 @@ let () =
   | "backend" -> run_backend ()
   | "gate" -> run_gate ()
   | "calibrate" -> run_calibrate ()
-  | "bechamel" -> run_bechamel ()
   | "perf" -> parse_perf_args Sys.argv
   | "all" ->
       run_table1 ();
@@ -1434,8 +1293,7 @@ let () =
       run_reuse ();
       run_sparsity ();
       run_ablation ();
-      run_backend ();
-      run_bechamel ()
+      run_backend ()
   | other ->
       Printf.eprintf "unknown target %S (expected %s)\n" other targets;
       exit 1

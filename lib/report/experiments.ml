@@ -763,8 +763,7 @@ let measured_log2_peak ?(seeds = 3) c =
     List.iter
       (fun i ->
         let p =
-          Sim.Program.compile_instructions ~fuse:false ~num_qubits:nq
-            ~num_bits:nb [ i ]
+          Sim.Program.compile_instructions ~num_qubits:nq ~num_bits:nb [ i ]
         in
         Sim.Program.exec ~random st p;
         let v = Sim.State.amplitudes st in

@@ -447,8 +447,8 @@ let select ?policy ~shots c =
    threads one state through: a dense or sparse run is one step over
    the whole-circuit program, a hybrid run one step per analyzer
    segment (the cost model's plan), each compiled from that segment's
-   instruction range.  Segments cut where [Program.split_prefix] cuts,
-   so a segment boundary never falls inside a fusion window. *)
+   instruction range.  Segments cut where [Program.split_prefix]
+   cuts. *)
 let engine_module = function
   | `Dense -> (module Statevector.Dense_engine : Engine.S)
   | `Sparse -> (module Sparse.Sparse_engine : Engine.S)

@@ -13,7 +13,7 @@ open Circuit
     conditional density matrices, so classically controlled gates and
     readout errors compose exactly.
 
-    Channel placement mirrors {!Noise.run_shot}: depolarizing after
+    Channel placement mirrors {!Noise.run_shots}: depolarizing after
     each unitary (per involved qubit), feed-forward dephasing per
     conditioned gate, readout bit-flip on measurement records, reset
     residual excitation. *)

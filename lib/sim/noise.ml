@@ -75,11 +75,10 @@ let touched ~num_qubits (bit, cmask) =
   !qs
 
 (* Noisy trajectories run on the dense statevector over a compiled
-   program ([Program]) lowered with [~fuse:false]: fusion would merge
-   the very gate boundaries the channels attach to, so the 1:1
-   gate-to-op lowering keeps noise injection points identical to the
-   source circuit.  Each op's [bit] and [cmask] give the qubits its
-   channels act on. *)
+   program ([Program]).  Its lowering is 1:1 — one op per source gate —
+   so every gate keeps its own noise injection point, exactly where the
+   source circuit has it.  Each op's [bit] and [cmask] give the qubits
+   its channels act on. *)
 let run_ops ~rng ~model ~num_qubits st program =
   let maybe_depolarize ~p q =
     if p > 0. && Random.State.float rng 1.0 < p then
@@ -150,14 +149,6 @@ let run_ops ~rng ~model ~num_qubits st program =
   done;
   State.register st
 
-let compile_noisy c = Program.compile ~fuse:false c
-
-let run_shot ~rng ~model c =
-  validate model;
-  let program = compile_noisy c in
-  let st = State.create (Circ.num_qubits c) ~num_bits:(Circ.num_bits c) in
-  run_ops ~rng ~model ~num_qubits:(Circ.num_qubits c) st program
-
 (* The shared-prefix cache is sound under noise only when the model
    injects nothing into the prefix: no per-unitary channels, and no
    feed-forward dephasing if the prefix holds a conditioned op. *)
@@ -181,7 +172,7 @@ let run_shots ?(seed = 0xD1CE) ?domains ?plan ~model ~shots c =
   in
   let width = Circ.num_bits c in
   let num_qubits = Circ.num_qubits c in
-  let program = compile_noisy c in
+  let program = Program.compile c in
   let prefix_program, suffix_program = Program.split_prefix program in
   if prefix_noise_free model prefix_program then begin
     let cached = State.create num_qubits ~num_bits:(Circ.num_bits c) in

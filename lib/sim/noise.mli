@@ -47,15 +47,11 @@ val default : model
 val validate : model -> unit
 (** @raise Invalid_argument when a probability is outside [0, 1]. *)
 
-(** [run_shot ~rng ~model c] executes one noisy trajectory on the
-    dense statevector and returns the final classical register. *)
-val run_shot : rng:Random.State.t -> model:model -> Circ.t -> int
-
 (** [run_shots ?seed ?domains ?plan ~model ~shots c] tallies noisy
     trajectories, sharded across domains by the parallel shot engine
     ({!Parallel}): deterministic for a fixed [seed] regardless of
     [domains].  Trajectories execute a compiled program
-    ({!Program.compile} with fusion disabled, so every gate keeps its
+    ({!Program.compile}, whose one op per gate gives every gate its
     own noise injection point).  When the model injects no noise into
     the deterministic prefix (before the first measurement/reset) the
     prefix segment is simulated once and shared across all

@@ -3,8 +3,9 @@ open Circuit
 (* Compiled execution plans.
 
    [compile] lowers a circuit's instruction list once into an array of
-   specialized ops ([kernel]s); [exec] then replays the array against
-   a [State.t] with float kernels that allocate nothing.  The wins over
+   specialized ops ([kernel]s), one per unitary, conditioned, measure
+   or reset instruction; [exec] then replays the array against a
+   [State.t] with float kernels that allocate nothing.  The wins over
    the generic interpreter ([Statevector.apply_app]):
 
    - {b no matrix load}: X / H / phase / diagonal gates dispatch to
@@ -12,14 +13,12 @@ open Circuit
    - {b no per-index control test}: a controlled op iterates only the
      control-satisfying subspace (2^(n-k-1) pairs for k controls) by
      expanding a compact counter through the fixed bit positions,
-     instead of scanning all 2^n indices and masking;
-   - {b fusion}: adjacent single-qubit gates on the same target (same
-     control mask) collapse into one 2x2 apply at compile time, and
-     products that reach the identity are dropped entirely.  Measure,
-     reset, conditioned gates and barriers are fusion barriers.
+     instead of scanning all 2^n indices and masking.
 
-   The generic interpreter stays as the differential-testing reference
-   (see test/test_program.ml). *)
+   Each kernel does the interpreter's float arithmetic on the gate's
+   exact matrix entries, so the compiled path reproduces the generic
+   interpreter bit for bit; the interpreter stays as the
+   differential-testing reference (see test/test_program.ml). *)
 
 (* One compiled op.  A unitary carries its target bit [bit], its
    control bits [cmask] (all required 1) and [pos], the positions of
@@ -51,30 +50,19 @@ type kernel =
   | Kreset of int
   | Kcond of { mask : int; value : int; body : kernel }
 
-type t = {
-  n : int;
-  num_bits : int;
-  ops : kernel array;
-  source_gates : int;
-  fused : int;
-  fallback : int;
-}
+type t = { n : int; num_bits : int; ops : kernel array }
 
 let num_qubits t = t.n
 let num_bits t = t.num_bits
 let length t = Array.length t.ops
 let get t k = t.ops.(k)
 let kernels t = t.ops
-let source_gates t = t.source_gates
-let fused_count t = t.fused
-let fallback_count t = t.fallback
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                        *)
 
-let eps = 1e-12
 let sq2 = 1. /. sqrt 2.
-let is0 x = abs_float x <= eps
+let is0 (x : float) = x = 0.
 
 let mask_of_controls controls =
   List.fold_left (fun acc c -> acc lor (1 lsl c)) 0 controls
@@ -94,35 +82,12 @@ let mat_of_gate g =
     m00.re; m00.im; m01.re; m01.im; m10.re; m10.im; m11.re; m11.im;
   |]
 
-(* [matmul a b] is the 2x2 complex product a.b — i.e. "apply b first,
-   then a" when both act on the same target. *)
-let matmul a b =
-  let e m r c = (m.(2 * ((2 * r) + c)), m.((2 * ((2 * r) + c)) + 1)) in
-  let out = Array.make 8 0. in
-  for r = 0 to 1 do
-    for c = 0 to 1 do
-      let acc_re = ref 0. and acc_im = ref 0. in
-      for k = 0 to 1 do
-        let are, aim = e a r k and bre, bim = e b k c in
-        acc_re := !acc_re +. ((are *. bre) -. (aim *. bim));
-        acc_im := !acc_im +. ((are *. bim) +. (aim *. bre))
-      done;
-      out.(2 * ((2 * r) + c)) <- !acc_re;
-      out.((2 * ((2 * r) + c)) + 1) <- !acc_im
-    done
-  done;
-  out
-
-let is_identity m =
-  is0 (m.(0) -. 1.) && is0 m.(1) && is0 m.(2) && is0 m.(3) && is0 m.(4)
-  && is0 m.(5)
-  && is0 (m.(6) -. 1.)
-  && is0 m.(7)
-
-(* Pick the cheapest kernel the matrix admits.  Single standard gates
-   hit the specialized cases with their exact float entries, so the
-   kernels reproduce the generic interpreter bit-for-bit; fused
-   products classify within [eps]. *)
+(* Pick the cheapest kernel the matrix admits, comparing entries
+   exactly.  A specialized kernel skips the terms its class fixes at 0
+   or 1, which is the generic interpreter's arithmetic only when those
+   entries are exactly 0 or 1: Rx(2pi), whose off-diagonal is 1e-16,
+   keeps the generic 2x2.  Standard gates' entries are exact, so they
+   hit the specialized cases. *)
 let specialize ~n ~target ~cmask m =
   let bit = 1 lsl target in
   let pos = fixed_positions ~n (cmask lor bit) in
@@ -150,99 +115,50 @@ let specialize ~n ~target ~cmask m =
   then Kh { bit; cmask; pos }
   else Ku2 { bit; cmask; pos; m }
 
-let compile_instructions ?(fuse = true) ~num_qubits:n ~num_bits instrs =
-  let ops = ref [] in
-  let count = ref 0 in
-  let gates = ref 0 and fused = ref 0 and fallback = ref 0 in
-  let emit op =
-    (match op with
-    | Ku2 _ | Kcond { body = Ku2 _; _ } -> incr fallback
-    | Kx _ | Kh _ | Kphase _ | Kdiag _ | Kmeasure _ | Kreset _
-    | Kcond
-        {
-          body =
-            Kx _ | Kh _ | Kphase _ | Kdiag _ | Kmeasure _ | Kreset _ | Kcond _;
-          _;
-        } ->
-        ());
-    ops := op :: !ops;
-    incr count
+let compile_instructions ~num_qubits:n ~num_bits instrs =
+  let lower (a : Instruction.app) =
+    specialize ~n ~target:a.target ~cmask:(mask_of_controls a.controls)
+      (mat_of_gate a.gate)
   in
-  (* pending fusion group: target, cmask, accumulated 2x2, gate count *)
-  let pending = ref None in
-  let flush () =
-    match !pending with
-    | None -> ()
-    | Some (target, cmask, m, absorbed) ->
-        if is_identity m then fused := !fused + absorbed
-        else begin
-          fused := !fused + (absorbed - 1);
-          emit (specialize ~n ~target ~cmask m)
-        end;
-        pending := None
-  in
-  let unitary_app (a : Instruction.app) =
-    let cmask = mask_of_controls a.controls in
-    let m = mat_of_gate a.gate in
-    incr gates;
-    if not fuse then emit (specialize ~n ~target:a.target ~cmask m)
-    else
-      match !pending with
-      | Some (t, cm, pm, absorbed) when t = a.target && cm = cmask ->
-          pending := Some (t, cm, matmul m pm, absorbed + 1)
-      | Some _ | None ->
-          flush ();
-          pending := Some (a.target, cmask, m, 1)
-  in
-  List.iter
-    (fun (i : Instruction.t) ->
-      match i with
-      | Unitary a -> unitary_app a
-      | Conditioned (cond, a) ->
-          flush ();
-          incr gates;
-          let mask = mask_of_controls (List.map fst cond.bits) in
-          let value =
-            List.fold_left
-              (fun acc (b, v) -> if v then acc lor (1 lsl b) else acc)
-              0 cond.bits
-          in
-          let cmask = mask_of_controls a.controls in
-          let body =
-            specialize ~n ~target:a.target ~cmask (mat_of_gate a.gate)
-          in
-          emit (Kcond { mask; value; body })
-      | Measure { qubit; bit } ->
-          flush ();
-          emit (Kmeasure { qubit; bit })
-      | Reset q ->
-          flush ();
-          emit (Kreset q)
-      | Barrier _ -> flush ())
-    instrs;
-  flush ();
-  let t =
-    {
-      n;
-      num_bits;
-      ops = Array.of_list (List.rev !ops);
-      source_gates = !gates;
-      fused = !fused;
-      fallback = !fallback;
-    }
+  let ops =
+    Array.of_list
+      (List.filter_map
+         (fun (i : Instruction.t) ->
+           match i with
+           | Unitary a -> Some (lower a)
+           | Conditioned (cond, a) ->
+               let mask = mask_of_controls (List.map fst cond.bits) in
+               let value =
+                 List.fold_left
+                   (fun acc (b, v) -> if v then acc lor (1 lsl b) else acc)
+                   0 cond.bits
+               in
+               Some (Kcond { mask; value; body = lower a })
+           | Measure { qubit; bit } -> Some (Kmeasure { qubit; bit })
+           | Reset q -> Some (Kreset q)
+           | Barrier _ -> None)
+         instrs)
   in
   if Obs.enabled () then begin
-    Obs.incr ~n:(Array.length t.ops) "sim.program.ops";
-    Obs.incr ~n:t.fused "sim.program.fused";
-    Obs.incr ~n:t.fallback "sim.program.fallback"
+    let fallback =
+      Array.fold_left
+        (fun acc -> function
+          | Ku2 _ | Kcond { body = Ku2 _; _ } -> acc + 1
+          | Kx _ | Kh _ | Kphase _ | Kdiag _ | Kmeasure _ | Kreset _ | Kcond _
+            ->
+              acc)
+        0 ops
+    in
+    Obs.incr ~n:(Array.length ops) "sim.program.ops";
+    Obs.incr ~n:fallback "sim.program.fallback"
   end;
-  t
+  { n; num_bits; ops }
 
-let compile ?fuse c =
+let compile c =
   Obs.with_span "program.compile"
     ~attrs:[ ("qubits", string_of_int (Circ.num_qubits c)) ]
     (fun () ->
-      compile_instructions ?fuse ~num_qubits:(Circ.num_qubits c)
+      compile_instructions ~num_qubits:(Circ.num_qubits c)
         ~num_bits:(Circ.num_bits c) (Circ.instructions c))
 
 exception Unexpected_random_draw
@@ -388,8 +304,8 @@ let kernel_diag re im bit cmask pos d0re d0im d1re d1im =
     done
 
 (* Generic 2x2, with the same product/sum association as the boxed
-   Complex arithmetic of the reference interpreter — unfused gates
-   reproduce it bit-for-bit. *)
+   Complex arithmetic of the reference interpreter, so it reproduces
+   the interpreter bit for bit. *)
 let[@inline] butterfly_u2 re im i0 i1 m =
   let m00re = Array.unsafe_get m 0
   and m00im = Array.unsafe_get m 1
@@ -468,10 +384,11 @@ let op_hist_name = function
 
 (* Per-op timing is sampled: one replay in [op_sample_every] runs the
    timed loop, the rest run the production loop even with a collector
-   installed.  A fused op is tens of ns and a mid-replay clock read is
-   several hundred (the replay just evicted the vDSO page), so timing
-   every op of every shot costs ~10% of the prefix-cached reference
-   run — far over the <2% telemetry budget in docs/OBSERVABILITY.md.
+   installed.  An op on a small state is tens of ns and a mid-replay
+   clock read is several hundred (the replay just evicted the vDSO
+   page), so timing every op of every shot costs ~10% of the
+   prefix-cached reference run — far over the <2% telemetry budget in
+   docs/OBSERVABILITY.md.
    Sampling keeps the per-class distributions (hundreds of
    observations on any real workload, the count says how many) at a
    small fraction of that cost.  The tick is per-domain, so parallel

@@ -8,22 +8,22 @@ open Circuit
     phase and conditioned X); measure and reset ops allocate a few
     words each.
 
-    Lowering specializes each gate to the cheapest kernel its matrix
-    admits — bit-trick X, Hadamard butterfly, diagonal/phase rotation,
-    generic fused 2x2 — and iterates only the control-satisfying
-    subspace for controlled ops (no per-index mask test).  Adjacent
-    single-qubit gates on the same target with the same control mask
-    fuse into one 2x2 apply; products that reach the identity are
-    dropped.  Measure, reset, conditioned gates and barriers are
-    fusion barriers, so the op stream's branching structure matches
-    the source instruction stream and both consume randomness in the
-    same order — the property the randomized differential tests
-    against the generic interpreter rely on.
+    Lowering is 1:1: one op per unitary, conditioned, measure or reset
+    instruction, none per barrier.  Each gate is specialized to the
+    cheapest kernel its matrix admits, entries compared exactly —
+    bit-trick X, Hadamard butterfly, diagonal/phase rotation, generic
+    2x2 — and controlled ops iterate only the control-satisfying
+    subspace (no per-index mask test).  Every kernel does the generic
+    interpreter's float arithmetic on the same matrix entries, and the
+    op stream consumes randomness in source order, so a compiled run
+    reproduces {!Statevector.run_reference} bit for bit — the property
+    the randomized differential tests rely on — and per-gate hooks
+    (the noise channels of {!Noise}, the cost model's per-op prices)
+    see one op per source gate.
 
     Telemetry: {!compile} runs under a [program.compile] span and
-    bumps the [sim.program.ops] / [sim.program.fused] /
-    [sim.program.fallback] counters (ops emitted, gate applications
-    eliminated by fusion, ops on the generic-2x2 fallback kernel).
+    bumps the [sim.program.ops] / [sim.program.fallback] counters (ops
+    emitted, ops on the generic-2x2 fallback kernel).
     With a collector installed, {!exec} times ops into the per-class
     [sim.program.op.<class>] latency histograms
     ([x]/[h]/[phase]/[diag]/[u2]/[cond]/[measure]/[reset]), sampling
@@ -72,14 +72,13 @@ type kernel =
   | Kcond of { mask : int; value : int; body : kernel }
       (** [body] runs when [register land mask = value] *)
 
-(** [compile ?fuse c] lowers the circuit ([fuse] defaults to [true];
-    [~fuse:false] keeps a 1:1 gate-to-op mapping — what the noisy
-    trajectory engine needs to preserve per-gate error injection). *)
-val compile : ?fuse:bool -> Circ.t -> t
+(** [compile c] lowers the circuit, one op per non-barrier
+    instruction in source order. *)
+val compile : Circ.t -> t
 
 (** {!compile} for a bare instruction list (e.g. a circuit suffix). *)
 val compile_instructions :
-  ?fuse:bool -> num_qubits:int -> num_bits:int -> Instruction.t list -> t
+  num_qubits:int -> num_bits:int -> Instruction.t list -> t
 
 val num_qubits : t -> int
 val num_bits : t -> int
@@ -92,15 +91,6 @@ val get : t -> int -> kernel
 (** [kernels t] is the program's op array itself, in execution order —
     not a copy, so treat it as read-only. *)
 val kernels : t -> kernel array
-
-(** Unitary (incl. conditioned) gate instructions compiled. *)
-val source_gates : t -> int
-
-(** Gate applications eliminated by fusion (merges + identity drops). *)
-val fused_count : t -> int
-
-(** Ops that fell back to the generic 2x2 kernel. *)
-val fallback_count : t -> int
 
 (** Split at the first measure/reset op: [(prefix, suffix)].  The
     prefix is deterministic (no randomness), which is what

@@ -82,7 +82,7 @@ val run : rng:Random.State.t -> Circ.t -> t
 (** [run] through the generic instruction-at-a-time interpreter — the
     reference the compiled path is differentially tested against.
     Consumes randomness in the same order as {!run}, and agrees with it
-    amplitude-for-amplitude up to kernel-fusion rounding (~1e-15). *)
+    amplitude for amplitude, bit for bit. *)
 val run_reference : rng:Random.State.t -> Circ.t -> t
 
 (** Probability of each computational basis state (for analyses). *)

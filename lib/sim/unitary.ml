@@ -12,8 +12,8 @@ let check_unitary_only c =
     (Circ.instructions c)
 
 (* Column k of the unitary is the circuit applied to basis state |k>.
-   The instruction list is compiled once ([Program]) and the fused op
-   array replayed per column, through the dense engine instance — the
+   The instruction list is compiled once ([Program]) and the op array
+   replayed per column, through the dense engine instance — the
    extractor needs all 2^n columns, so the dense representation is the
    right one regardless of what engine later executes the circuit. *)
 module E = Statevector.Dense_engine

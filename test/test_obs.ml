@@ -337,8 +337,6 @@ let test_simulator_counters () =
   let c, _h = Obs.with_collector (fun () -> run_dense (dyn2_and ())) in
   check_bool "compiled ops counted" true
     (Obs.Collector.counter c "sim.program.ops" > 0);
-  check_bool "fused gates counted" true
-    (Obs.Collector.counter c "sim.program.fused" > 0);
   check_bool "collapses counted" true
     (Obs.Collector.counter c "sim.statevector.measure" > 0)
 

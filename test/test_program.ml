@@ -1,9 +1,9 @@
 open Circuit
 
-(* Compiled execution plans ([Sim.Program]): differential tests
-   against the generic interpreter ([Statevector.run_reference]) on
-   random circuits and on the paper's DJ family, fusion unit tests, and
-   the default-seed contract. *)
+(* Compiled execution plans ([Sim.Program]): bit-for-bit differential
+   tests against the generic interpreter ([Statevector.run_reference])
+   on random circuits and on the paper's DJ family, the one-op-per-
+   instruction lowering table, and the default-seed contract. *)
 
 let check_int = Alcotest.(check int)
 
@@ -94,11 +94,12 @@ let random_circuit rng =
 
 (* ------------------------------------------------------------------ *)
 (* Differential: compiled ≡ generic interpreter, amplitude for
-   amplitude.  Both paths consume the RNG in source order, so for the
-   same seed the measurement record — and hence the full final state —
-   must agree, not merely the distribution. *)
+   amplitude and bit for bit.  Both paths consume the RNG in source
+   order and each kernel does the interpreter's float arithmetic, so
+   for the same seed the measurement record — and hence the full final
+   state — must agree exactly, not merely the distribution. *)
 
-let eps = 1e-9
+let eps = 0.
 
 let check_states ~msg a b =
   check_int (msg ^ ": register") (Sim.Statevector.register b)
@@ -116,33 +117,26 @@ let check_states ~msg a b =
         x.Complex.re x.Complex.im y.Complex.re y.Complex.im
   done
 
-let test_differential_random () =
-  let gen = Random.State.make [| 0x5EED; 42 |] in
-  for case = 0 to 219 do
-    let c = random_circuit gen in
-    let seed = Random.State.int gen 1_000_000 in
-    let run_with f = f ~rng:(Random.State.make [| seed |]) c in
-    let compiled = run_with Sim.Statevector.run in
-    let reference = run_with Sim.Statevector.run_reference in
-    check_states ~msg:(Printf.sprintf "case %d (seed %d)" case seed) compiled
-      reference
-  done
+(* 220 circuits from one generator plus 50 from a second: (generator
+   seed, circuits drawn from it, case label prefix) *)
+let random_suites =
+  [ ([| 0x5EED; 42 |], 220, ""); ([| 0xD1FF |], 50, "D1FF ") ]
 
-let test_differential_unfused () =
-  (* fusion off: the 1:1 lowering must match the interpreter too *)
-  let gen = Random.State.make [| 0xD1FF |] in
-  for case = 0 to 49 do
-    let c = random_circuit gen in
-    let seed = Random.State.int gen 1_000_000 in
-    let program = Sim.Program.compile ~fuse:false c in
-    let compiled =
-      Sim.Program.run ~rng:(Random.State.make [| seed |]) program
-    in
-    let reference =
-      Sim.Statevector.run_reference ~rng:(Random.State.make [| seed |]) c
-    in
-    check_states ~msg:(Printf.sprintf "unfused case %d" case) compiled reference
-  done
+let test_differential_random () =
+  List.iter
+    (fun (gen_seed, cases, label) ->
+      let gen = Random.State.make gen_seed in
+      for case = 0 to cases - 1 do
+        let c = random_circuit gen in
+        let seed = Random.State.int gen 1_000_000 in
+        let run_with f = f ~rng:(Random.State.make [| seed |]) c in
+        let compiled = run_with Sim.Statevector.run in
+        let reference = run_with Sim.Statevector.run_reference in
+        check_states
+          ~msg:(Printf.sprintf "%scase %d (seed %d)" label case seed)
+          compiled reference
+      done)
+    random_suites
 
 (* The paper's DJ family, traditional and under both dynamic schemes:
    the compiled run must match the interpreter on every seed. *)
@@ -170,74 +164,83 @@ let test_differential_dj_family () =
     [ "AND"; "OR"; "NAND"; "CARRY" ]
 
 (* ------------------------------------------------------------------ *)
-(* Fusion units                                                       *)
+(* Lowering: one op per instruction                                    *)
 
 let circuit_of instrs ~n ~num_bits =
   Circ.create ~roles:(Array.make n Circ.Data) ~num_bits instrs
 
 let u g = Instruction.Unitary (Instruction.app g 0)
 
-let test_fuse_hh_identity () =
-  let c = circuit_of ~n:1 ~num_bits:0 [ u Gate.H; u Gate.H ] in
-  let p = Sim.Program.compile c in
-  check_int "HH fuses to nothing" 0 (Sim.Program.length p);
-  check_int "both applications eliminated" 2 (Sim.Program.fused_count p);
-  let st = Sim.Program.run ~rng:(Random.State.make [| 1 |]) p in
-  Alcotest.(check (float 1e-12))
-    "state is |0>" 1.
-    (Sim.Statevector.probabilities st).(0)
+let rec kernel_class : Sim.Program.kernel -> string = function
+  | Kx _ -> "x"
+  | Kh _ -> "h"
+  | Kphase _ -> "phase"
+  | Kdiag _ -> "diag"
+  | Ku2 _ -> "u2"
+  | Kmeasure _ -> "measure"
+  | Kreset _ -> "reset"
+  | Kcond { body; _ } -> "cond " ^ kernel_class body
 
-let test_fuse_adjacent_phases () =
-  let c = circuit_of ~n:1 ~num_bits:0 [ u Gate.T; u Gate.S; u Gate.T ] in
-  let p = Sim.Program.compile c in
-  check_int "T;S;T merges into one op" 1 (Sim.Program.length p);
-  check_int "two applications eliminated" 2 (Sim.Program.fused_count p)
-
-let test_fuse_cx_pair () =
-  let cx = Instruction.Unitary (Instruction.app ~controls:[ 0 ] Gate.X 1) in
-  let c = circuit_of ~n:2 ~num_bits:0 [ cx; cx ] in
-  let p = Sim.Program.compile c in
-  check_int "CX;CX cancels" 0 (Sim.Program.length p)
-
-let test_no_fuse_across_targets () =
-  let c =
-    circuit_of ~n:2 ~num_bits:0
-      [
-        u Gate.T;
-        Instruction.Unitary (Instruction.app Gate.T 1);
-        u Gate.T;
-      ]
+(* Each row: instructions on up to 3 qubits and 1 bit, and the kernel
+   classes [compile] must emit for them, in order.  Every unitary,
+   conditioned, measure or reset instruction is one op, whatever its
+   neighbours (no merging across or along targets); a barrier is none.
+   A gate whose entries are only near 0 or 1 (Rx(2pi), Rz(1e-13)) keeps
+   a kernel that multiplies by them, and every row's compiled run
+   equals the interpreter's. *)
+let test_lowering_table () =
+  let app ?controls g q = Instruction.Unitary (Instruction.app ?controls g q) in
+  let measure = Instruction.Measure { qubit = 0; bit = 0 } in
+  let cond g =
+    Instruction.Conditioned (Instruction.cond_bit 0 true, Instruction.app g 0)
   in
-  let p = Sim.Program.compile c in
-  (* T(q0); T(q1); T(q0): the q1 gate interleaves, but fusion only
-     groups *adjacent* gates on one target, so nothing merges *)
-  check_int "different targets do not merge" 3 (Sim.Program.length p)
-
-let test_fusion_barriers () =
-  let barriers =
+  let tests =
     [
-      ("measure", Instruction.Measure { qubit = 0; bit = 0 });
-      ("reset", Instruction.Reset 0);
-      ( "conditioned",
-        Instruction.Conditioned
-          (Instruction.cond_bit 0 true, Instruction.app Gate.Z 0) );
+      ([ u Gate.X ], [ "x" ]);
+      ([ app ~controls:[ 1 ] Gate.X 0 ], [ "x" ]);
+      ([ app ~controls:[ 1; 2 ] Gate.X 0 ], [ "x" ]);
+      ([ u Gate.H ], [ "h" ]);
+      ([ u Gate.Z ], [ "phase" ]);
+      ([ u Gate.S ], [ "phase" ]);
+      ([ u Gate.T ], [ "phase" ]);
+      ([ u (Gate.Phase 0.3) ], [ "phase" ]);
+      ([ u (Gate.Rz 0.3) ], [ "diag" ]);
+      ([ u Gate.Y ], [ "u2" ]);
+      ([ u Gate.V ], [ "u2" ]);
+      ([ u (Gate.Rx 0.3) ], [ "u2" ]);
+      ([ u (Gate.Ry 0.3) ], [ "u2" ]);
+      ([ u (Gate.Rx (2. *. Float.pi)) ], [ "u2" ]);
+      ([ u (Gate.Rz 1e-13) ], [ "diag" ]);
+      ([ cond Gate.X ], [ "cond x" ]);
+      ([ measure ], [ "measure" ]);
+      ([ Instruction.Reset 0 ], [ "reset" ]);
+      ([ Instruction.Barrier [ 0 ] ], []);
+      ([ u Gate.H; u Gate.H ], [ "h"; "h" ]);
+      ([ u Gate.T; u Gate.S; u Gate.T ], [ "phase"; "phase"; "phase" ]);
+      ( [ app ~controls:[ 0 ] Gate.X 1; app ~controls:[ 0 ] Gate.X 1 ],
+        [ "x"; "x" ] );
+      ([ u Gate.T; app Gate.T 1; u Gate.T ], [ "phase"; "phase"; "phase" ]);
+      ([ u Gate.T; measure; u Gate.T ], [ "phase"; "measure"; "phase" ]);
+      ( [ u Gate.T; Instruction.Reset 0; u Gate.T ],
+        [ "phase"; "reset"; "phase" ] );
+      ( [ u Gate.T; cond Gate.Z; u Gate.T ],
+        [ "phase"; "cond phase"; "phase" ] );
+      ( [ u Gate.T; Instruction.Barrier [ 0 ]; u Gate.T ],
+        [ "phase"; "phase" ] );
     ]
   in
   List.iter
-    (fun (name, barrier_instr) ->
-      let c = circuit_of ~n:1 ~num_bits:1 [ u Gate.T; barrier_instr; u Gate.T ] in
-      let p = Sim.Program.compile c in
-      check_int (name ^ " is a fusion barrier") 3 (Sim.Program.length p);
-      check_int (name ^ ": nothing eliminated") 0 (Sim.Program.fused_count p))
-    barriers
-
-let test_plain_barrier_flushes_but_vanishes () =
-  let c =
-    circuit_of ~n:1 ~num_bits:0 [ u Gate.T; Instruction.Barrier [ 0 ]; u Gate.T ]
-  in
-  let p = Sim.Program.compile c in
-  (* the barrier itself emits no op but still cuts the fusion window *)
-  check_int "barrier cuts fusion, emits nothing" 2 (Sim.Program.length p)
+    (fun (instrs, expected) ->
+      let c = circuit_of ~n:3 ~num_bits:1 instrs in
+      let msg = String.concat "; " (List.map Instruction.to_string instrs) in
+      let ops = Sim.Program.kernels (Sim.Program.compile c) in
+      Alcotest.(check (list string))
+        msg expected
+        (Array.to_list (Array.map kernel_class ops));
+      let run_with f = f ~rng:(Random.State.make [| 1 |]) c in
+      check_states ~msg (run_with Sim.Statevector.run)
+        (run_with Sim.Statevector.run_reference))
+    tests
 
 let test_split_prefix () =
   let c =
@@ -327,23 +330,13 @@ let () =
         [
           Alcotest.test_case "220 random circuits" `Quick
             test_differential_random;
-          Alcotest.test_case "unfused lowering" `Quick
-            test_differential_unfused;
           Alcotest.test_case "DJ family x schemes" `Quick
             test_differential_dj_family;
         ] );
-      ( "fusion",
+      ( "lowering",
         [
-          Alcotest.test_case "HH = I dropped" `Quick test_fuse_hh_identity;
-          Alcotest.test_case "adjacent phases merge" `Quick
-            test_fuse_adjacent_phases;
-          Alcotest.test_case "CX pair cancels" `Quick test_fuse_cx_pair;
-          Alcotest.test_case "no merge across targets" `Quick
-            test_no_fuse_across_targets;
-          Alcotest.test_case "measure/reset/cond are barriers" `Quick
-            test_fusion_barriers;
-          Alcotest.test_case "plain barrier" `Quick
-            test_plain_barrier_flushes_but_vanishes;
+          Alcotest.test_case "one op per instruction" `Quick
+            test_lowering_table;
           Alcotest.test_case "split at first branch" `Quick test_split_prefix;
         ] );
       ( "seed",

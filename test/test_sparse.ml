@@ -114,8 +114,8 @@ let test_analyzer_bounds_sound () =
         Array.iteri
           (fun i instr ->
             Sim.Program.exec ~random st
-              (Sim.Program.compile_instructions ~fuse:false ~num_qubits:nq
-                 ~num_bits:nb [ instr ]);
+              (Sim.Program.compile_instructions ~num_qubits:nq ~num_bits:nb
+                 [ instr ]);
             let v = Sim.State.amplitudes st in
             let nz = ref 0 in
             for a = 0 to Linalg.Cvec.dim v - 1 do
