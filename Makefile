@@ -37,10 +37,11 @@ state-check:
 # on DJ(AND_9) (CPU time, best of 20), Auto (sparse) beats forced
 # dense on the 64-shot randomized AND-7 ladder, Auto (hybrid) beats
 # forced sparse by 1.2x on 16 shots of the hybrid-shaped circuit, and
-# Auto stays within 1.25x of the faster of forced sparse and forced
-# exact, summed over the Testkit mirrors of perfbench's wide-sim
-# shapes at its shot counts (CPU time, best of 3).  Non-zero exit
-# names the failing row.  Every other check runs in `dune runtest`.
+# Auto stays within 1.25x of the fastest of forced sparse, forced
+# exact and the forced tableau (where it runs), summed over the Testkit
+# mirrors of perfbench's wide-sim shapes and BV_1111's dyn2 paper job
+# at their shot counts (CPU time, best of 3).  Non-zero exit names the
+# failing row.  Every other check runs in `dune runtest`.
 gate:
 	OCAMLRUNPARAM=b dune exec bench/main.exe -- gate
 

@@ -9,7 +9,8 @@
      the dense configurations or the instrumented run disagree;
    - gate: the timing gate (analyzer overhead, Auto against forced
      dense on the AND-7 ladder, against forced sparse on the hybrid
-     shape and against the best forced engine on the wide-sim shapes),
+     shape and against the best forced engine on the wide-sim shapes
+     and a BV paper job),
      exiting non-zero and naming any row over its bound;
    - calibrate: the cost model's constants, printed as the source of
      lib/sim/calibration.ml;
@@ -362,25 +363,50 @@ let hybrid_over_sparse () =
     Printf.sprintf "auto %.1f ms, forced sparse %.1f ms" (t_auto /. 1e6)
       (t_sparse /. 1e6) )
 
-(* Auto against the faster of forced sparse and forced exact on the
-   Testkit mirrors of perfbench's wide-sim rows, at its shot counts, on
-   one domain, summed over the shapes: best of 3 in CPU time per run,
-   the three runs of a shape taken in turns so no engine always runs
-   on the heap another left. *)
+(* Auto against the fastest of forced sparse, forced exact and the
+   forced tableau on the Testkit mirrors of perfbench's wide-sim rows
+   and one paper job (BV_1111 under dyn2, its answer qubits measured
+   as [dqc_cli simulate] measures them), at their shot counts, on one
+   domain, summed over the shapes: best of 3 in CPU time per run, the
+   three runs of a shape taken in turns so no engine always runs on
+   the heap another left.  The tableau is skipped on a shape it cannot
+   run. *)
 let auto_over_best_forced () =
   let all_ones k = List.init k Fun.id in
+  let bv_1111_dyn2 =
+    let module O = Dqc.Pipeline.Options in
+    let o =
+      Dqc.Pipeline.compile
+        ~options:(O.default |> O.with_scheme Dqc.Toffoli_scheme.Dynamic_2)
+        (Algorithms.Bv.circuit "1111")
+    in
+    let nd = List.length o.Dqc.Pipeline.data_bit in
+    Sim.Measurement_plan.instrument
+      (Sim.Measurement_plan.of_pairs
+         (List.mapi
+            (fun k (_, phys) -> (phys, nd + k))
+            o.Dqc.Pipeline.answer_phys))
+      o.Dqc.Pipeline.circuit
+  in
   let shapes =
     [
       (Testkit.dyn2_ladder ~inputs:7 ~superposed:7 ~ones:[], 384);
       (Testkit.hybrid_witness ~m:8, 64);
+      (Algorithms.Mct_bench.adaptive_parity 15, 2048);
       (Testkit.dyn2_ladder ~inputs:15 ~superposed:0 ~ones:(all_ones 15), 8192);
       ( Sim.Measurement_plan.instrument Sim.Measurement_plan.measure_all
           (Algorithms.Dj.circuit (Algorithms.Mct_bench.and_n 8)),
         1024 );
+      (bv_1111_dyn2, 1024);
     ]
   in
   let policies =
-    [ None; Some Sim.Backend.Sparse_statevector; Some Sim.Backend.Exact_branch ]
+    [
+      None;
+      Some Sim.Backend.Sparse_statevector;
+      Some Sim.Backend.Exact_branch;
+      Some Sim.Backend.Stabilizer;
+    ]
   in
   let t_auto, t_best =
     List.fold_left
@@ -389,13 +415,16 @@ let auto_over_best_forced () =
         for _ = 1 to 3 do
           List.iteri
             (fun i policy ->
-              t.(i) <-
-                Float.min t.(i)
-                  (cpu_best ~runs:1 (fun () ->
-                       Sim.Backend.run ?policy ~seed:3 ~domains:1 ~shots c)))
+              match
+                cpu_best ~runs:1 (fun () ->
+                    Sim.Backend.run ?policy ~seed:3 ~domains:1 ~shots c)
+              with
+              | dt -> t.(i) <- Float.min t.(i) dt
+              | exception Sim.Stabilizer.Unsupported _ -> ())
             policies
         done;
-        (auto +. t.(0), best +. Float.min t.(1) t.(2)))
+        let forced = Array.fold_left Float.min infinity (Array.sub t 1 3) in
+        (auto +. t.(0), best +. forced))
       (0., 0.) shapes
   in
   ( t_auto /. t_best,
@@ -460,7 +489,9 @@ let run_gate () =
    - per leaf: an enumeration that forks on 10 H-measure pairs of one
      qubit, less the model's tree work;
    - per handoff: both conversions of a 14-qubit basis state;
-   - per alias draw: 20000 exact shots of a one-qubit circuit. *)
+   - per alias draw: 20000 exact shots of a one-qubit circuit;
+   - the tableau's constants in its own units (see
+     [calibrate_tableau]). *)
 
 let calibration_runs = 15
 
@@ -545,13 +576,86 @@ let calibrate_engine policy (module E : Sim.Engine.S) =
   in
   let tree =
     ns_best (fun () ->
-        Sim.Exact.program_distribution ~engine:(module E : Sim.Engine.S) forks)
+        Sim.Exact.program_distribution ~engine:(module E : Sim.Engine.Core)
+          forks)
   in
   let leaves = Float.ldexp 1. k in
   let w = if dense then 4. else 2. in
   let leaf =
     ((tree -. ((leaves -. 1.) *. (mix +. collapse +. copy) *. w)) /. leaves)
     -. (x *. if dense then w else 1.)
+  in
+  { Sim.Calibration.x; mix; diag; collapse; copy; shot; leaf }
+
+(* The tableau in its own work units: a gate passes over the 2n
+   generator rows, a collapse and a copy touch n^2 bits.  The op
+   classes run on a 64-qubit tableau whose first 8 qubits are in |+>
+   (S stands in for the diagonal class, T being outside the gate set);
+   a shot is fitted from forced runs of H-only circuits on 8 and 64
+   qubits; a leaf from the same fork tree as the statevector engines. *)
+let calibrate_tableau () =
+  let module E = Sim.Stabilizer.Tableau_engine in
+  let n = 64 and b = 8 and ops = 64 in
+  let rows w = float_of_int (2 * w) and bits w = float_of_int (w * w) in
+  let hs k = List.init k (unitary Circuit.Gate.H) in
+  let prep = E.create n ~num_bits:1 in
+  E.exec ~random:Sim.Program.no_random prep (cal_program n (hs b));
+  let rng = Random.State.make [| 7 |] in
+  let random () = Random.State.float rng 1.0 in
+  let copy_ns = ns_best (fun () -> E.copy prep) in
+  let per_op instrs =
+    let p = cal_program n instrs in
+    (ns_best (fun () -> E.exec ~random (E.copy prep) p) -. copy_ns)
+    /. float_of_int (List.length instrs)
+  in
+  let free i = b + (i mod (n - b)) in
+  let pairs f = List.concat (List.init (ops / 2) f) in
+  let x =
+    per_op (List.init ops (fun i -> unitary Circuit.Gate.X (free i))) /. rows n
+  in
+  let mix =
+    per_op
+      (pairs (fun i ->
+           let h = unitary Circuit.Gate.H (free i) in
+           [ h; h ]))
+    /. rows n
+  in
+  let diag =
+    per_op (List.init ops (fun i -> unitary Circuit.Gate.S (i mod b))) /. rows n
+  in
+  let collapse = per_op (List.init b measure) /. bits n in
+  let per_shot ~qubits ~shots =
+    let c = circuit_of qubits (hs 1) in
+    ns_best (fun () ->
+        Sim.Backend.run ~policy:Sim.Backend.Stabilizer ~seed:1 ~domains:1 ~shots
+          c)
+    /. float_of_int shots
+  in
+  let w0 = 8 and w1 = n in
+  let t0 = per_shot ~qubits:w0 ~shots:20000
+  and t1 = per_shot ~qubits:w1 ~shots:2000 in
+  let copy = (t1 -. t0) /. (bits w1 -. bits w0) in
+  let shot = t0 -. (copy *. bits w0) in
+  let k = 10 in
+  let forks =
+    cal_program 2
+      (List.concat
+         (List.init k (fun _ -> [ unitary Circuit.Gate.H 0; measure 0 ]))
+      @ [ unitary Circuit.Gate.X 1 ])
+  in
+  let tree =
+    ns_best (fun () ->
+        Sim.Exact.program_distribution
+          ~engine:(module E : Sim.Engine.Core)
+          forks)
+  in
+  let leaves = Float.ldexp 1. k in
+  let leaf =
+    ((tree
+     -. ((leaves -. 1.) *. ((mix *. rows 2) +. ((collapse +. copy) *. bits 2)))
+     )
+    /. leaves)
+    -. (x *. rows 2)
   in
   { Sim.Calibration.x; mix; diag; collapse; copy; shot; leaf }
 
@@ -562,7 +666,7 @@ let run_calibrate () =
   and sparse =
     calibrate_engine Sim.Backend.Sparse_statevector
       (module Sim.Sparse.Sparse_engine)
-  in
+  and tableau = calibrate_tableau () in
   (* a conversion each way of a 14-qubit basis state, per dense amplitude *)
   let handoff =
     let n = 14 in
@@ -618,6 +722,10 @@ let run_calibrate () =
      \  leaf : float;  (** per enumerated leaf, beside its fork copies *)\n\
      }\n\n"
     ^ engine "dense" dense ^ "\n" ^ engine "sparse" sparse
+    ^ "\n\
+       (* the tableau's units: 2n rows per gate, n^2 bits per collapse and\n\
+      \   per copy *)\n"
+    ^ engine "tableau" tableau
     ^ Printf.sprintf
         "\n\
          (* per dense amplitude of one handoff between engines *)\n\
@@ -720,10 +828,11 @@ let workloads () : (string * (unit -> unit)) list =
   let stabilizer n =
     let s = String.make n '1' in
     let r = Dqc.Transform.transform (Algorithms.Bv.circuit s) in
+    let program = Sim.Program.compile r.Dqc.Transform.circuit in
     ( Printf.sprintf "stabilizer BV-%d dyn shot" n,
       fun () ->
         let rng = Random.State.make [| 3 |] in
-        ignore (Sim.Stabilizer.run ~rng r.Dqc.Transform.circuit) )
+        ignore (Sim.Stabilizer.run ~rng program) )
   in
   let density =
     let o = Option.get (Algorithms.Dj_toffoli.oracle_by_name "AND") in

@@ -693,9 +693,6 @@ let analyze_cmd =
           let engine = Sim.Backend.select ~shots:1024 c in
           Printf.printf "auto backend (1024 shots): %s\n"
             (Sim.Backend.engine_name engine);
-          if engine = `Stabilizer then
-            print_endline
-              "  Clifford: the tableau runs it whatever the costs below";
           let p = Sim.Backend.predict ~shots:1024 c in
           Printf.printf "  forks %d: exact enumerates at most 2^%d leaves\n"
             p.forks p.forks;
@@ -704,14 +701,15 @@ let analyze_cmd =
               let name = Sim.Backend.engine_name e in
               match cost with
               | Ok ms ->
-                  Printf.printf "  %-7s predicted %.3f ms%s\n" name ms
+                  Printf.printf "  %-10s predicted %.3f ms%s\n" name ms
                     (match (e, p.exact_engine) with
                     | `Exact, Some `Dense -> " on the dense engine"
                     | `Exact, Some `Sparse -> " on the sparse engine"
+                    | `Exact, Some `Stabilizer -> " on the tableau"
                     | ( (`Exact | `Dense | `Sparse | `Hybrid | `Stabilizer),
                         (Some _ | None) ) ->
                         "")
-              | Error why -> Printf.printf "  %-7s ruled out: %s\n" name why)
+              | Error why -> Printf.printf "  %-10s ruled out: %s\n" name why)
             p.costs;
           Printf.printf "segment engine plan: %s\n"
             (Sim.Backend.segment_plan_string p.plan)

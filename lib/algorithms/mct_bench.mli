@@ -34,10 +34,10 @@ val xor_n : int -> Oracle.t
     answer qubit, then a syndrome-ancilla readout guarding a
     (statically dead) conditioned T/X correction before the parity
     measurement.  Its only non-Clifford gate provably never fires, so
-    the circuit is {e observationally} Clifford while failing the
-    whole-circuit {!Sim.Stabilizer.supports} scan — the witness
-    workload for per-segment backend selection.  [n + 2] qubits, 2
-    classical bits (bit 0: syndrome, bit 1: parity).
+    the circuit is {e observationally} Clifford while its own compiled
+    program fails {!Sim.Stabilizer.supports} — the witness workload for
+    the tableau engines, which run the analyzer's witness.  [n + 2]
+    qubits, 2 classical bits (bit 0: syndrome, bit 1: parity).
     @raise Invalid_argument unless 1 <= n <= 20. *)
 val adaptive_parity : int -> Circuit.Circ.t
 

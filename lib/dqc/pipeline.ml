@@ -67,9 +67,9 @@ let equivalence_body (ctx : Pass.ctx) =
           }
         else if
           (* the exact evaluator is out of reach: fall back to a shot
-             estimate when both sides run on a scalable backend *)
-          Sim.Stabilizer.supports reference
-          && Sim.Stabilizer.supports r.Transform.circuit
+             estimate when both sides run on the tableau *)
+          Sim.Stabilizer.supports (Sim.Program.compile reference)
+          && Sim.Stabilizer.supports (Sim.Program.compile r.Transform.circuit)
         then
           {
             ctx with

@@ -39,9 +39,10 @@ type summary = {
 let qubit_value = Deadness.qubit_value
 let witness_instr = Deadness.witness_instr
 
-(* Mirrors the CHP gate set ({!Sim.Stabilizer.supports}); the backend
-   re-checks the witness against the engine itself, so a drift here can
-   cost precision but never soundness. *)
+(* Mirrors the tableau's gate set (the kernels {!Sim.Stabilizer.supports}
+   maps); the backend re-checks the witness's compiled program against
+   the engine itself, so a drift here can cost precision but never
+   soundness. *)
 let classify_witness (i : Instruction.t) =
   match i with
   | Instruction.Unitary a | Instruction.Conditioned (_, a) -> (

@@ -461,10 +461,11 @@ let scale_entry n =
   let expected = Algorithms.Bv.expected_outcome s in
   let rng = Random.State.make [| 0x5CA1E |] in
   let shots = 20 in
+  let program = Sim.Program.compile r.circuit in
   let t0 = Sys.time () in
   let recovered = ref true in
   for _ = 1 to shots do
-    let st = Sim.Stabilizer.run ~rng r.circuit in
+    let st = Sim.Stabilizer.run ~rng program in
     if Sim.Stabilizer.register st <> expected then recovered := false
   done;
   let t1 = Sys.time () in

@@ -14,31 +14,30 @@ open Circuit
       ({!Sparse}): memory and per-op work scale with the nonzero
       count, which is what lets basis-sparse dynamic circuits (the
       paper's dyn2 scheme) run past the dense 24-qubit cap;
-    - {e stabilizer} — CHP tableau when the circuit is Clifford
-      ({!Stabilizer.supports}); scales to hundreds of qubits;
+    - {e stabilizer} — the CHP tableau ({!Stabilizer}) when the
+      analyzer proves the circuit Clifford; it runs the analyzer's
+      witness, holds no 2^n state and scales to thousands of qubits;
     - {e exact branch} — the exact branching distribution
       ({!Exact.program_distribution}) is computed once and shots are
       drawn from it with the O(1) alias sampler.  The branch states
-      live on the dense or the sparse engine, whichever is predicted
-      cheaper, and measurements that end the circuit are read in one
-      pass per branch instead of forking.
+      live on the dense engine, the sparse one or the tableau,
+      whichever is predicted cheapest, and measurements that end the
+      circuit are read in one pass per branch instead of forking.
 
-    [Auto] runs a Clifford circuit on the tableau and otherwise the
-    engine with the least predicted CPU cost ({!predict}): exact,
-    sparse, dense, or a {e hybrid} run that executes each analyzer
-    segment on its cheaper engine and converts the state
-    representation at the handoffs.
+    [Auto] runs the engine with the least predicted CPU cost
+    ({!predict}): exact, sparse, dense, the tableau, or a {e hybrid}
+    run that executes each analyzer segment on its cheaper
+    statevector engine and converts the state representation at the
+    handoffs.
 
     Determinism: for a fixed [seed] the histogram is byte-identical
     regardless of [domains] and of the prefix cache, because every
-    shot owns a split RNG state (see {!Parallel}); and dense and
-    sparse replays consume randomness identically, so engine choice
-    does not perturb the shot stream. *)
+    shot owns a split RNG state (see {!Parallel}); and the dense,
+    sparse and tableau replays consume randomness identically, so
+    engine choice does not perturb the shot stream. *)
 
 type policy =
-  | Auto
-      (** the tableau for a Clifford circuit, otherwise the engine of
-          least predicted cost *)
+  | Auto  (** the engine of least predicted cost *)
   | Statevector_dense
   | Sparse_statevector
   | Stabilizer
@@ -71,26 +70,36 @@ val resource_summary : Circ.t -> Lint.Resource.summary
     starts at every measure/reset following a non-measure/reset, the
     same boundary {!Program.split_prefix} cuts at) and its
     per-instruction [log2] bounds on reachable nonzero amplitudes are
-    what the cost model reads.  An op costs the amplitudes it touches
+    what the cost model reads.  An op costs the work units it touches
     times a per-class constant of its engine ({!Calibration}, measured
-    by [bench calibrate]): [2^(n - controls)] on the dense engine, the
-    bound on its live entries on the sparse engine.  Per run:
-    - dense and sparse: the unitary prefix once, then per shot a copy
-      of the state it leaves and the rest of the ops;
-    - hybrid: each segment on its cheaper engine, plus a conversion
-      per shot at every engine change;
-    - exact: the enumeration tree on the cheaper of its two engines —
-      instruction [i] on [2^forks.(i)] branches
+    by [bench calibrate]): [2^(n - controls)] amplitudes on the dense
+    engine, the bound on its live entries on the sparse engine, and on
+    the tableau its [2n] generator rows per gate and [n^2] bits per
+    collapse (a tableau copy also counts [n^2]).  Per run:
+    - dense, sparse and the tableau: the unitary prefix once, then per
+      shot a copy of the state it leaves and the rest of the ops;
+    - hybrid: each segment on its cheaper statevector engine, plus a
+      conversion per shot at every engine change;
+    - exact: the enumeration tree on the cheapest of its three engines
+      — instruction [i] on [2^forks.(i)] branches
       ({!Lint.Resource.summary}'s [forks]: the collapses it cannot pin
       before [i], the trailing measurements excepted), a state copy
       per branch at each fork and a fixed cost per leaf — then one
-      alias draw per shot.
+      alias draw per shot.  The tableau reads a leaf's trailing
+      measurements by forking a copy per outcome, so it also pays,
+      per leaf, a copy, two collapses and a leaf cost for each of at
+      most [2^min(u, b)] outcomes ([u] the run's unpinned collapses,
+      [b] the bound where the run starts).
 
-    Memory caps rule engines out before any cost is compared: dense
-    and hybrid need at most {!Statevector.max_qubits} qubits, sparse
-    at most {!Sparse.max_qubits}, and the dense enumerator, which
-    holds one 2^n state per open fork, at most 16 qubits or an
-    amplitude bound of at most 16. *)
+    Memory caps and the tableau's gate set rule engines out before any
+    cost is compared: dense and hybrid need at most
+    {!Statevector.max_qubits} qubits, sparse at most
+    {!Sparse.max_qubits}, the dense enumerator, which holds one 2^n
+    state per open fork, at most 16 qubits or an amplitude bound of at
+    most 16, and the tableau, sampled or enumerated, at most
+    {!Stabilizer.max_qubits} qubits, a Clifford verdict from the
+    analyzer and a witness whose every kernel it maps
+    ({!Stabilizer.supports}). *)
 
 type segment_engine = {
   seg_start : int;  (** first instruction index of the segment *)
@@ -108,11 +117,11 @@ type prediction = {
     ([ `Dense | `Stabilizer | `Exact | `Sparse | `Hybrid ]
     * (float, string) result)
     list;
-      (** exact, sparse, dense and hybrid, in that (tie-break) order:
-          the predicted CPU milliseconds, or the memory cap that rules
-          the engine out (hybrid is also out when every segment is
-          cheaper on one engine) *)
-  exact_engine : [ `Dense | `Sparse ] option;
+      (** exact, sparse, dense, hybrid and stabilizer, in that
+          (tie-break) order: the predicted CPU milliseconds, or the
+          cap or gate set that rules the engine out (hybrid is also
+          out when every segment is cheaper on one engine) *)
+  exact_engine : [ `Dense | `Sparse | `Stabilizer ] option;
       (** the engine exact would enumerate on *)
   plan : segment_engine list;
       (** each analyzer segment on the engine predicted to run it
@@ -121,28 +130,28 @@ type prediction = {
           sparsity experiment *)
 }
 
-(** The predicted cost of [shots] shots of [c] on every engine but the
-    tableau, which [Auto] takes for Clifford circuits whatever the
-    cost.  Runs nothing. *)
+(** The predicted cost of [shots] shots of [c] on every engine.  Runs
+    nothing but the analyzer and, for a Clifford verdict, the
+    witness's compilation. *)
 val predict : shots:int -> Circ.t -> prediction
 
-(** The backend [run] would dispatch to.  [Auto] picks stabilizer when
-    every segment is Clifford — by the whole-circuit scan or by the
-    analyzer's observationally-equivalent witness circuit (so
-    provably-dead non-Clifford gates don't force another engine) —
-    and otherwise the cheapest feasible entry of {!predict}.  Selection
-    bumps the [backend.select.<engine>] counter (see {!engine_name});
-    with a flight recorder armed, an [Auto] selection records one
-    [backend.select] event: [qubits], [shots], the [rule] that decided
-    (["clifford"] or ["cost"]) and the [winner], plus for a cost
-    decision [forks], [predicted_ms] and [ruled_out] (engine name to
-    predicted ms or to the cap), [exact_engine] and [plan].
+(** The backend [run] would dispatch to.  [Auto] picks the cheapest
+    feasible entry of {!predict}; [Exact_branch] exact on its cheapest
+    enumerator.  Selection bumps the [backend.select.<engine>] counter
+    (see {!engine_name}); with a flight recorder armed, an [Auto]
+    selection records one [backend.select] event: [qubits], [shots],
+    [rule] (always ["cost"]), [forks], [predicted_ms] and [ruled_out]
+    (engine name to predicted ms or to the cap or gate set),
+    [exact_engine], [plan] and the [winner].
     @raise Stabilizer.Unsupported when the [Stabilizer] policy is
-    forced on a non-Clifford circuit.
+    forced on a circuit the sampled tableau cannot run: no Clifford
+    verdict, or a witness kernel outside its gate set.
     @raise Invalid_argument when [Statevector_dense] is forced beyond
     {!Statevector.max_qubits}, [Sparse_statevector] beyond
-    {!Sparse.max_qubits}, [Exact_branch] where neither enumerator fits
-    (past {!Sparse.max_qubits}), or [Auto] where no engine does. *)
+    {!Sparse.max_qubits}, [Stabilizer] beyond
+    {!Stabilizer.max_qubits}, [Exact_branch] where no enumerator fits
+    (past {!Sparse.max_qubits} on a non-Clifford circuit), or [Auto]
+    where no engine does. *)
 val select :
   ?policy:policy ->
   shots:int ->
@@ -161,11 +170,12 @@ val engine_name :
     on the selected backend, sharded across [domains] workers (default
     [Domain.recommended_domain_count ()]).
 
-    Dense, sparse and hybrid runs share one plan executor: a list of
-    (engine, compiled program) steps — one step over the whole circuit
-    for dense or sparse, one per {!prediction} [plan] entry for hybrid —
-    that every shot threads one {!Engine.packed} state through,
-    converting it ({!Engine.convert}) where the engine changes.  With
+    Dense, sparse, tableau and hybrid runs share one plan executor: a
+    list of (engine, compiled program) steps — one step over the whole
+    program for a single engine (the tableau's is the analyzer's
+    witness), one per {!prediction} [plan] entry for hybrid — that
+    every shot threads one state through, converting it
+    ({!Engine.convert}) where a hybrid plan changes engine.  With
     [prefix_cache] (default [true]) the first step's deterministic
     prefix ({!Program.split_prefix}) is simulated once and each shot
     starts from a copy of it; disabling it replays every step from

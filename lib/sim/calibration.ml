@@ -36,6 +36,19 @@ let sparse =
     leaf = 883.8;
   }
 
+(* the tableau's units: 2n rows per gate, n^2 bits per collapse and
+   per copy *)
+let tableau =
+  {
+    x = 1.918;
+    mix = 4.548;
+    diag = 4.369;
+    collapse = 0.1313;
+    copy = 4.456;
+    shot = 829.;
+    leaf = 718.4;
+  }
+
 (* per dense amplitude of one handoff between engines *)
 let handoff = 2.76
 

@@ -1,21 +1,23 @@
-(* The engine abstraction: one signature every statevector-like
-   execution engine implements, so Backend's plan executor and the
-   exact-branch enumerator (Exact) can be written once against [S]
-   instead of hard-coding the dense SoA storage.
+(* The engine abstraction: the signatures every execution engine
+   implements, so Backend's plan executor and the exact-branch
+   enumerator (Exact) can be written once instead of hard-coding one
+   storage.
 
    Instances:
    - [Statevector.Dense_engine] — the dense SoA amplitudes ([State]),
      executing through the compiled kernels ([Program]);
-   - [Sparse.Engine] — the hash-map basis-amplitude statevector, for
+   - [Sparse.Sparse_engine] — the hash-map basis-amplitude statevector, for
      workloads whose reachable state stays near the computational
-     basis (the dyn2 dynamic circuits of the paper).
+     basis (the dyn2 dynamic circuits of the paper);
+   - [Stabilizer.Tableau_engine] — the CHP tableau, for Clifford programs; it
+     implements [Core] only, having no amplitudes to hand over.
 
-   The signature lives in its own module (no implementation here) so
+   The signatures live in their own module (no implementation here) so
    the instances can be defined next to their state types without a
-   dependency cycle: Engine depends only on Program/State, while
-   Statevector and Sparse depend on Engine. *)
+   dependency cycle: Engine depends only on Program/State, while the
+   instances depend on Engine. *)
 
-module type S = sig
+module type Core = sig
   type state
 
   val name : string
@@ -28,9 +30,6 @@ module type S = sig
   val set_register : state -> int -> unit
   val set_bit : state -> int -> bool -> unit
   val get_bit : state -> int -> bool
-  val nonzero : state -> int
-  val norm2 : state -> float
-  val amplitude : state -> int -> Complex.t
   val prob_one : state -> int -> float
   val apply : state -> Program.kernel -> unit
   val project : state -> int -> bool -> float
@@ -39,8 +38,16 @@ module type S = sig
   val reset : random:float -> state -> int -> unit
   val exec : random:(unit -> float) -> state -> Program.t -> unit
   val run : rng:Random.State.t -> Program.t -> state
-  val probabilities : state -> float array
   val outcome_probabilities : state -> int array -> (int * float) list
+end
+
+module type S = sig
+  include Core
+
+  val nonzero : state -> int
+  val norm2 : state -> float
+  val amplitude : state -> int -> Complex.t
+  val probabilities : state -> float array
   val of_state : State.t -> state
   val to_state : state -> State.t
 end
@@ -51,7 +58,6 @@ let pack (type s) (module E : S with type state = s) (st : s) =
   Packed ((module E), st)
 
 let register (Packed ((module E), st)) = E.register st
-let copy (Packed ((module E), st)) = Packed ((module E), E.copy st)
 
 let exec ~random (Packed ((module E), st)) program =
   E.exec ~random st program

@@ -11,7 +11,7 @@ let default_prune = 1e-12
    fork into the outcomes with Born probability above [prune].  Ops
    from [stop] on are left to [at_stop], which receives each branch's
    state and probability in DFS order (outcome 0 before 1). *)
-let enumerate (type s) (module E : Engine.S with type state = s) ~prune ~stop
+let enumerate (type s) (module E : Engine.Core with type state = s) ~prune ~stop
     program (at_stop : s -> float -> unit) =
   if not (prune >= 0.) then invalid_arg "Exact: negative prune threshold";
   let ops = Program.kernels program in
@@ -88,7 +88,7 @@ let trailing_measurements program =
    would have visited, and each outcome is pruned as its fork leaf
    would have been. *)
 let program_distribution ?(prune = default_prune) ~engine program =
-  let (module E : Engine.S) = engine in
+  let (module E : Engine.Core) = engine in
   let stop, run = trailing_measurements program in
   let pairs = ref [] in
   let emit register p = pairs := (register, p) :: !pairs in
@@ -125,7 +125,7 @@ let program_distribution ?(prune = default_prune) ~engine program =
 
 let register_distribution ?prune c =
   program_distribution ?prune
-    ~engine:(module Statevector.Dense_engine : Engine.S)
+    ~engine:(module Statevector.Dense_engine : Engine.Core)
     (Program.compile c)
 
 let plan_distribution ?prune ~plan c =

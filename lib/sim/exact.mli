@@ -6,7 +6,7 @@ open Circuit
     (the paper uses AER with 1024 shots) converges to, computed without
     sampling noise — the basis of the functional-equivalence checks.
 
-    One depth-first enumerator, written against {!Engine.S}, serves
+    One depth-first enumerator, written against {!Engine.Core}, serves
     every entry point: it replays the compiled program ({!Program}) on
     one branch state, copying it only where a measure or reset forks
     with both outcomes above the prune threshold.  Only {!leaves}
@@ -14,7 +14,7 @@ open Circuit
     [(register, probability)] pairs in DFS order and hold one state per
     open fork.  When the program ends in a run of measurements, the
     distributions read those outcomes in one pass over each branch's
-    probabilities ({!Engine.S.outcome_probabilities}) instead of
+    probabilities ({!Engine.Core.outcome_probabilities}) instead of
     forking [2^k] times.
 
     Telemetry: an [exact.enumerate] span (attrs [qubits], [engine])
@@ -36,13 +36,17 @@ val leaves : ?prune:float -> Circ.t -> leaf list
 
 (** [program_distribution ~engine p] is the exact register
     distribution of the compiled program [p], enumerated on [engine]
-    (the dense {!Statevector.Dense_engine} or the sparse
-    {!Sparse.Sparse_engine}; {!Backend.run} picks by its segment plan).
-    Both engines give the same law within rounding.  Outcomes at or
-    below [prune] (default 1e-12) are dropped, as in {!leaves}.
-    @raise Invalid_argument when [prune] is negative or NaN. *)
+    (the dense {!Statevector.Dense_engine}, the sparse
+    {!Sparse.Sparse_engine} or, on a Clifford program, the tableau
+    {!Stabilizer.Tableau_engine}; {!Backend.run} picks the one its
+    cost model prices cheapest).  Every engine gives the same law
+    within rounding.  Outcomes at or below [prune] (default 1e-12) are
+    dropped, as in {!leaves}.
+    @raise Invalid_argument when [prune] is negative or NaN.
+    @raise Stabilizer.Unsupported on the tableau, for a kernel it does
+    not map. *)
 val program_distribution :
-  ?prune:float -> engine:(module Engine.S) -> Program.t -> Dist.t
+  ?prune:float -> engine:(module Engine.Core) -> Program.t -> Dist.t
 
 (** Exact distribution over the classical register: {!program_distribution}
     of the compiled circuit on the dense engine. *)

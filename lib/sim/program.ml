@@ -20,14 +20,17 @@ open Circuit
    interpreter bit for bit; the interpreter stays as the
    differential-testing reference (see test/test_program.ml). *)
 
-(* One compiled op.  A unitary carries its target bit [bit], its
-   control bits [cmask] (all required 1) and [pos], the positions of
-   every fixed bit (controls + target), ascending — the data the
-   subspace enumeration below expands a counter through. *)
+(* One compiled op.  A unitary carries its target qubit [target], its
+   target bit [bit], its control bits [cmask] (all required 1) and
+   [pos], the positions of every fixed bit (controls + target),
+   ascending — the data the subspace enumeration below expands a
+   counter through.  [bit] and [cmask] overflow past 63 qubits, where
+   only the tableau runs, and it reads [target] and [pos]. *)
 type kernel =
-  | Kx of { bit : int; cmask : int; pos : int array }
-  | Kh of { bit : int; cmask : int; pos : int array }
+  | Kx of { target : int; bit : int; cmask : int; pos : int array }
+  | Kh of { target : int; bit : int; cmask : int; pos : int array }
   | Kphase of {
+      target : int;
       bit : int;
       cmask : int;
       pos : int array;
@@ -36,6 +39,7 @@ type kernel =
     }
       (* diag(1, re1 + i.im1): touches only the |1> half of each pair *)
   | Kdiag of {
+      target : int;
       bit : int;
       cmask : int;
       pos : int array;
@@ -44,7 +48,13 @@ type kernel =
       re1 : float;
       im1 : float;
     }
-  | Ku2 of { bit : int; cmask : int; pos : int array; m : float array }
+  | Ku2 of {
+      target : int;
+      bit : int;
+      cmask : int;
+      pos : int array;
+      m : float array;
+    }
       (* generic 2x2: [| m00re; m00im; m01re; m01im; m10re; ... |] *)
   | Kmeasure of { qubit : int; bit : int }
   | Kreset of int
@@ -67,12 +77,9 @@ let is0 (x : float) = x = 0.
 let mask_of_controls controls =
   List.fold_left (fun acc c -> acc lor (1 lsl c)) 0 controls
 
-let fixed_positions ~n fixed =
-  let pos = ref [] in
-  for q = n - 1 downto 0 do
-    if fixed land (1 lsl q) <> 0 then pos := q :: !pos
-  done;
-  Array.of_list !pos
+(* from the qubit indices, not the masks: exact at any width *)
+let fixed_positions ~target ~controls =
+  Array.of_list (List.sort_uniq Int.compare (target :: controls))
 
 let mat_of_gate g =
   let m = Gate.matrix g in
@@ -88,37 +95,45 @@ let mat_of_gate g =
    entries are exactly 0 or 1: Rx(2pi), whose off-diagonal is 1e-16,
    keeps the generic 2x2.  Standard gates' entries are exact, so they
    hit the specialized cases. *)
-let specialize ~n ~target ~cmask m =
-  let bit = 1 lsl target in
-  let pos = fixed_positions ~n (cmask lor bit) in
+let specialize ~target ~controls m =
+  let bit = 1 lsl target and cmask = mask_of_controls controls in
+  let pos = fixed_positions ~target ~controls in
   let offdiag0 = is0 m.(2) && is0 m.(3) && is0 m.(4) && is0 m.(5) in
   let diag0 = is0 m.(0) && is0 m.(1) && is0 m.(6) && is0 m.(7) in
   if offdiag0 then
     if is0 (m.(0) -. 1.) && is0 m.(1) then
-      Kphase { bit; cmask; pos; re1 = m.(6); im1 = m.(7) }
+      Kphase { target; bit; cmask; pos; re1 = m.(6); im1 = m.(7) }
     else
       Kdiag
-        { bit; cmask; pos; re0 = m.(0); im0 = m.(1); re1 = m.(6); im1 = m.(7) }
+        {
+          target;
+          bit;
+          cmask;
+          pos;
+          re0 = m.(0);
+          im0 = m.(1);
+          re1 = m.(6);
+          im1 = m.(7);
+        }
   else if
     diag0
     && is0 (m.(2) -. 1.)
     && is0 m.(3)
     && is0 (m.(4) -. 1.)
     && is0 m.(5)
-  then Kx { bit; cmask; pos }
+  then Kx { target; bit; cmask; pos }
   else if
     is0 m.(1) && is0 m.(3) && is0 m.(5) && is0 m.(7)
     && is0 (m.(0) -. sq2)
     && is0 (m.(2) -. sq2)
     && is0 (m.(4) -. sq2)
     && is0 (m.(6) +. sq2)
-  then Kh { bit; cmask; pos }
-  else Ku2 { bit; cmask; pos; m }
+  then Kh { target; bit; cmask; pos }
+  else Ku2 { target; bit; cmask; pos; m }
 
 let compile_instructions ~num_qubits:n ~num_bits instrs =
   let lower (a : Instruction.app) =
-    specialize ~n ~target:a.target ~cmask:(mask_of_controls a.controls)
-      (mat_of_gate a.gate)
+    specialize ~target:a.target ~controls:a.controls (mat_of_gate a.gate)
   in
   let ops =
     Array.of_list
@@ -352,13 +367,13 @@ let rec apply st op =
   let v = State.raw st in
   let re = Linalg.Cvec.re v and im = Linalg.Cvec.im v in
   match op with
-  | Kx { bit; cmask; pos } -> kernel_x re im bit cmask pos
-  | Kh { bit; cmask; pos } -> kernel_h re im bit cmask pos
-  | Kphase { bit; cmask; pos; re1; im1 } ->
+  | Kx { bit; cmask; pos; _ } -> kernel_x re im bit cmask pos
+  | Kh { bit; cmask; pos; _ } -> kernel_h re im bit cmask pos
+  | Kphase { bit; cmask; pos; re1; im1; _ } ->
       kernel_phase re im bit cmask pos re1 im1
-  | Kdiag { bit; cmask; pos; re0; im0; re1; im1 } ->
+  | Kdiag { bit; cmask; pos; re0; im0; re1; im1; _ } ->
       kernel_diag re im bit cmask pos re0 im0 re1 im1
-  | Ku2 { bit; cmask; pos; m } -> kernel_u2 re im bit cmask pos m
+  | Ku2 { bit; cmask; pos; m; _ } -> kernel_u2 re im bit cmask pos m
   | Kcond { mask; value; body } ->
       if State.register st land mask = value then apply st body
   | Kmeasure _ | Kreset _ -> invalid_arg "Program.apply: branching op"

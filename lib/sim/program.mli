@@ -36,19 +36,24 @@ open Circuit
 
 type t
 
-(** One compiled op: kernel class, fixed-bit layout ([bit] is the
-    target bit, [cmask] the required-1 control bits, [pos] the
-    positions of every fixed bit — controls and target — ascending)
-    and the exact matrix floats the kernels use.  The dense kernels
-    run it directly; {!Sparse} replays it with kernels that mirror the
-    dense ones expression-for-expression (the property the
-    differential suite in test/test_sparse.ml leans on), and {!Exact}
-    and {!Noise} dispatch on it.  The [pos] and [m] arrays are shared
-    with the program — treat them as read-only. *)
+(** One compiled op: kernel class, fixed-bit layout ([target] is the
+    target qubit, [bit] the target bit, [cmask] the required-1 control
+    bits, [pos] the positions of every fixed bit — controls and target
+    — ascending) and the exact matrix floats the kernels use.  [target]
+    and [pos] are exact at any width; [bit] and [cmask] are the
+    statevector kernels' masks, meaningful below {!Sys.int_size}
+    qubits (past both statevector caps).  The dense kernels run it
+    directly; {!Sparse} replays it with kernels that mirror the dense
+    ones expression-for-expression (the property the differential
+    suite in test/test_sparse.ml leans on), {!Stabilizer} maps the
+    Clifford ones onto its tableau, and {!Exact} and {!Noise} dispatch
+    on it.  The [pos] and [m] arrays are shared with the program —
+    treat them as read-only. *)
 type kernel =
-  | Kx of { bit : int; cmask : int; pos : int array }
-  | Kh of { bit : int; cmask : int; pos : int array }
+  | Kx of { target : int; bit : int; cmask : int; pos : int array }
+  | Kh of { target : int; bit : int; cmask : int; pos : int array }
   | Kphase of {
+      target : int;
       bit : int;
       cmask : int;
       pos : int array;
@@ -57,6 +62,7 @@ type kernel =
     }
       (** diag(1, re1 + i.im1) *)
   | Kdiag of {
+      target : int;
       bit : int;
       cmask : int;
       pos : int array;
@@ -65,7 +71,13 @@ type kernel =
       re1 : float;
       im1 : float;
     }
-  | Ku2 of { bit : int; cmask : int; pos : int array; m : float array }
+  | Ku2 of {
+      target : int;
+      bit : int;
+      cmask : int;
+      pos : int array;
+      m : float array;
+    }
       (** generic 2x2, [[| m00re; m00im; m01re; m01im; m10re; ... |]] *)
   | Kmeasure of { qubit : int; bit : int }
   | Kreset of int

@@ -105,8 +105,17 @@ let test_policy_strings () =
 
 let test_select_auto () =
   let bv = Algorithms.Bv.circuit "1011" in
-  check_bool "Clifford -> stabilizer" true
-    (Sim.Backend.select ~shots:1024 bv = `Stabilizer);
+  let cheapest =
+    List.fold_left
+      (fun best (e, cost) ->
+        match (best, cost) with
+        | None, Ok ms -> Some (e, ms)
+        | Some (_, b), Ok ms when ms < b -> Some (e, ms)
+        | (Some _ | None), (Ok _ | Error _) -> best)
+      None (Sim.Backend.predict ~shots:1024 bv).costs
+  in
+  check_bool "Clifford -> the cheapest predicted engine" true
+    (Option.map fst cheapest = Some (Sim.Backend.select ~shots:1024 bv));
   check_bool "non-Clifford, few branch points -> exact" true
     (Sim.Backend.select ~shots:1024 (dj_and ()) = `Exact)
 
@@ -153,12 +162,44 @@ let test_select_event_argmin () =
       ("dyn2 DJ(AND), 1 shot", dyn2_and (), 1);
       ("hybrid witness m = 8", Testkit.hybrid_witness ~m:8, 64);
       ("hybrid win", Testkit.hybrid_win ~n:10 ~layers:8 ~tail:10, 16);
+      ("Clifford BV_1011", Algorithms.Bv.circuit "1011", 1024);
+      ( "Clifford witness XORA_15",
+        Algorithms.Mct_bench.adaptive_parity 15,
+        2048 );
     ]
 
 let test_select_forced_stabilizer_raises () =
   match Sim.Backend.select ~policy:Sim.Backend.Stabilizer ~shots:16 (dj_and ()) with
   | exception Sim.Stabilizer.Unsupported _ -> ()
   | _ -> Alcotest.fail "expected Stabilizer.Unsupported"
+
+(* H on every qubit, then every qubit measured: 2^n equally likely
+   outcomes.  Enumerating them on the tableau copies and collapses it
+   once per outcome, so Auto samples instead, and a 20-qubit run of
+   1024 shots returns at once. *)
+let test_select_many_terminal_outcomes () =
+  let uniform n =
+    Circuit.Circ.create
+      ~roles:(Array.make n Circuit.Circ.Data)
+      ~num_bits:n
+      (List.init n (fun q ->
+           Circuit.Instruction.Unitary (Circuit.Instruction.app Circuit.Gate.H q))
+      @ List.init n (fun q -> Circuit.Instruction.Measure { qubit = q; bit = q }))
+  in
+  List.iter
+    (fun n ->
+      let c = uniform n in
+      let enumerated_on_tableau =
+        Sim.Backend.select ~shots:1024 c = `Exact
+        && (Sim.Backend.predict ~shots:1024 c).exact_engine = Some `Stabilizer
+      in
+      check_bool
+        (Printf.sprintf "%d qubits: not enumerated on the tableau" n)
+        false enumerated_on_tableau)
+    [ 16; 20; 30 ];
+  let h = Sim.Backend.run ~domains:1 ~shots:1024 (uniform 20) in
+  check_int "20 qubits: 1024 shots" 1024
+    (List.fold_left (fun acc (_, k) -> acc + k) 0 (Sim.Runner.to_list h))
 
 (* ------------------------------------------------------------------ *)
 (* Determinism of Backend.run                                         *)
@@ -302,6 +343,8 @@ let () =
             test_select_event_argmin;
           Alcotest.test_case "forced stabilizer raises" `Quick
             test_select_forced_stabilizer_raises;
+          Alcotest.test_case "many terminal outcomes" `Quick
+            test_select_many_terminal_outcomes;
         ] );
       ( "determinism",
         [

@@ -137,13 +137,14 @@ let test_stats_exports () =
     [ "pass.begin"; "pass.end"; "backend.select"; "backend.run" ]
 
 (* `analyze` explains Auto's choice: the predicted ms of each engine
-   under "auto backend (1024 shots)" *)
-let test_analyze_predictions () =
+   under "auto backend (1024 shots)", and the engine exact enumerates
+   on — the tableau for XORA_15, whose witness is Clifford *)
+let analyze_lines args =
   let out = Filename.concat scratch "analyze.txt" in
   check_int "analyze exit code" 0
     (Sys.command
        (Filename.quote_command cli ~stdout:out ~stderr:Filename.null
-          [ "analyze"; "AND_4"; "--scheme"; "dynamic-2" ]));
+          ("analyze" :: args)));
   let lines = In_channel.with_open_text out In_channel.input_lines in
   let rec after = function
     | l :: rest when String.starts_with ~prefix:"auto backend (1024 shots)" l ->
@@ -151,17 +152,26 @@ let test_analyze_predictions () =
     | _ :: rest -> after rest
     | [] -> Alcotest.fail "no auto backend line"
   in
+  after lines
+
+let test_analyze_predictions () =
   let engines =
     List.filter_map
       (fun l ->
         match String.split_on_char ' ' (String.trim l) with
         | engine :: _ when String.length l > 2 && l.[0] = ' ' -> Some engine
         | _ -> None)
-      (after lines)
+      (analyze_lines [ "AND_4"; "--scheme"; "dynamic-2" ])
   in
   List.iter
     (fun e -> check_bool (e ^ " priced or ruled out") true (List.mem e engines))
-    [ "exact"; "sparse"; "dense"; "hybrid" ]
+    [ "exact"; "sparse"; "dense"; "hybrid"; "stabilizer" ];
+  check_bool "XORA_15: exact on the tableau" true
+    (List.exists
+       (fun l ->
+         String.starts_with ~prefix:"  exact " l
+         && String.ends_with ~suffix:" on the tableau" l)
+       (analyze_lines [ "XORA_15" ]))
 
 let () =
   Fun.protect

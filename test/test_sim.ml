@@ -493,9 +493,10 @@ let test_stab_bv_at_scale () =
   let s = String.init n (fun k -> if k mod 3 = 0 then '1' else '0') in
   let c = Algorithms.Bv.circuit s in
   let r = Dqc.Transform.transform c in
-  check_bool "dynamic is clifford" true (Sim.Stabilizer.supports r.circuit);
+  let program = Sim.Program.compile r.circuit in
+  check_bool "dynamic is clifford" true (Sim.Stabilizer.supports program);
   let rng = Random.State.make [| 1 |] in
-  let st = Sim.Stabilizer.run ~rng r.circuit in
+  let st = Sim.Stabilizer.run ~rng program in
   check_int "hidden string recovered" (Algorithms.Bv.expected_outcome s)
     (Sim.Stabilizer.register st)
 
@@ -504,13 +505,16 @@ let test_stab_unsupported () =
     Circ.create ~roles:(roles 1) ~num_bits:0
       [ Instruction.Unitary (Instruction.app Gate.T 0) ]
   in
-  check_bool "supports is false" false (Sim.Stabilizer.supports c);
+  let program = Sim.Program.compile c in
+  check_bool "supports is false" false (Sim.Stabilizer.supports program);
   check_bool "run raises" true
     (try
-       ignore (Sim.Stabilizer.run ~rng:(Random.State.make [| 0 |]) c);
+       ignore (Sim.Stabilizer.run ~rng:(Random.State.make [| 0 |]) program);
        false
      with Sim.Stabilizer.Unsupported _ -> true)
 
+(* Random 3-qubit Clifford circuits over every kernel the tableau
+   maps, with mid-circuit measurement, reset and feed-forward. *)
 let clifford_gen =
   QCheck2.Gen.(
     list_size (int_range 1 15)
@@ -520,32 +524,127 @@ let clifford_gen =
              (fun g q -> Instruction.Unitary (Instruction.app g q))
              (oneofl Gate.[ H; X; Y; Z; S; Sdg ])
              (int_range 0 2);
-           map2
-             (fun a d ->
+           map3
+             (fun g a d ->
                let b = (a + 1 + d) mod 3 in
-               Instruction.Unitary (Instruction.app ~controls:[ a ] Gate.X b))
+               Instruction.Unitary (Instruction.app ~controls:[ a ] g b))
+             (oneofl Gate.[ X; Z ])
              (int_range 0 2) (int_range 0 1);
            map2
              (fun q b -> Instruction.Measure { qubit = q; bit = b })
              (int_range 0 2) (int_range 0 2);
+           map (fun q -> Instruction.Reset q) (int_range 0 2);
+           map3
+             (fun g (b, v) q ->
+               Instruction.Conditioned
+                 ({ Instruction.bits = [ (b, v) ] }, Instruction.app g q))
+             (oneofl Gate.[ X; Z ])
+             (pair (int_range 0 2) bool)
+             (int_range 0 2);
          ]))
+
+let clifford_circuit instrs =
+  Circ.create ~roles:(roles 3) ~num_bits:3
+    (instrs @ List.init 3 (fun q -> Instruction.Measure { qubit = q; bit = q }))
 
 let prop_stabilizer_matches_exact =
   QCheck2.Test.make
     ~name:"stabilizer shots match the exact distribution" ~count:20
     clifford_gen
     (fun instrs ->
-      let c =
-        Circ.create ~roles:(roles 3) ~num_bits:3
-          (instrs
-          @ List.init 3 (fun q -> Instruction.Measure { qubit = q; bit = q }))
-      in
+      let c = clifford_circuit instrs in
       let d_exact = Sim.Exact.register_distribution c in
       let d_stab =
         Sim.Runner.to_dist
           (Sim.Backend.run ~policy:Sim.Backend.Stabilizer ~shots:3000 c)
       in
       Sim.Dist.tv_distance d_exact d_stab < 0.08)
+
+(* The tableau keeps the engines' randomness contract, so on a
+   Clifford circuit it replays the dense shot stream draw for draw. *)
+let prop_stabilizer_is_dense =
+  QCheck2.Test.make ~name:"tableau shots = dense shots, same seed"
+    ~count:100 clifford_gen (fun instrs ->
+      let c = clifford_circuit instrs in
+      let run policy = Sim.Backend.run ~policy ~seed:17 ~shots:200 c in
+      Sim.Runner.to_list (run Sim.Backend.Stabilizer)
+      = Sim.Runner.to_list (run Sim.Backend.Statevector_dense))
+
+let prop_stabilizer_exact_law =
+  QCheck2.Test.make ~name:"tableau exact law = dense exact law" ~count:100
+    clifford_gen (fun instrs ->
+      let p = Sim.Program.compile (clifford_circuit instrs) in
+      let law engine = Sim.Exact.program_distribution ~engine p in
+      Sim.Dist.approx_equal ~eps:1e-12
+        (law (module Sim.Stabilizer.Tableau_engine : Sim.Engine.Core))
+        (law (module Sim.Statevector.Dense_engine : Sim.Engine.Core)))
+
+module Tableau = Sim.Stabilizer.Tableau_engine
+
+let test_stab_zero_probability () =
+  let st = Tableau.create 2 ~num_bits:0 in
+  Alcotest.check_raises "|0> onto 1"
+    (Sim.State.Zero_probability_branch { qubit = 1; outcome = true })
+    (fun () -> ignore (Tableau.project st 1 true));
+  check_float "|0> onto 0" 1. (Tableau.project st 1 false);
+  Tableau.apply st
+    (Sim.Program.get
+       (Sim.Program.compile
+          (Circ.create ~roles:(roles 2) ~num_bits:0
+             [ Instruction.Unitary (Instruction.app Gate.H 0) ]))
+       0);
+  check_float "|+> onto 1" 0.5 (Tableau.project st 0 true);
+  Alcotest.check_raises "then onto 0"
+    (Sim.State.Zero_probability_branch { qubit = 0; outcome = false })
+    (fun () -> ignore (Tableau.project st 0 false))
+
+(* One row per single-instruction program: whether the tableau maps
+   its kernel, checked by [supports] and by [apply] on a fresh
+   tableau; a conditioned op is checked whether or not it fires. *)
+let test_stab_kernel_table () =
+  let app ?(controls = []) g q = Instruction.app ~controls g q in
+  let cond a =
+    Instruction.Conditioned ({ Instruction.bits = [ (0, true) ] }, a)
+  in
+  let u a = Instruction.Unitary a in
+  let rows =
+    [
+      ("X", u (app Gate.X 2), true);
+      ("CX", u (app ~controls:[ 0 ] Gate.X 2), true);
+      ("Z", u (app Gate.Z 2), true);
+      ("CZ", u (app ~controls:[ 2 ] Gate.Z 0), true);
+      ("S", u (app Gate.S 1), true);
+      ("Sdg", u (app Gate.Sdg 1), true);
+      ("H", u (app Gate.H 0), true);
+      ("Y", u (app Gate.Y 0), true);
+      ("conditioned X", cond (app Gate.X 1), true);
+      ("conditioned CZ", cond (app ~controls:[ 0 ] Gate.Z 1), true);
+      ("T", u (app Gate.T 0), false);
+      ("Tdg", u (app Gate.Tdg 0), false);
+      ("CH", u (app ~controls:[ 0 ] Gate.H 1), false);
+      ("CCX", u (app ~controls:[ 0; 1 ] Gate.X 2), false);
+      ("CS", u (app ~controls:[ 0 ] Gate.S 1), false);
+      ("CY", u (app ~controls:[ 0 ] Gate.Y 1), false);
+      ("V", u (app Gate.V 0), false);
+      ("Rz", u (app (Gate.Rz 0.3) 0), false);
+      ("Phase pi", u (app (Gate.Phase Float.pi) 0), false);
+      ("conditioned T", cond (app Gate.T 1), false);
+    ]
+  in
+  List.iter
+    (fun (name, instr, maps) ->
+      let p =
+        Sim.Program.compile (Circ.create ~roles:(roles 3) ~num_bits:1 [ instr ])
+      in
+      check_bool (name ^ ": supports") maps (Sim.Stabilizer.supports p);
+      let raises =
+        let st = Tableau.create 3 ~num_bits:1 in
+        match Tableau.apply st (Sim.Program.get p 0) with
+        | () -> false
+        | exception Sim.Stabilizer.Unsupported _ -> true
+      in
+      check_bool (name ^ ": apply raises Unsupported") (not maps) raises)
+    rows
 
 (* The exact-branch backend's shot loop: alias draws from [d] on the
    parallel shot engine. *)
@@ -611,7 +710,7 @@ let test_stabilizer_cz_and_s () =
   Circ.Builder.measure b ~qubit:0 ~bit:0;
   Circ.Builder.measure b ~qubit:1 ~bit:1;
   let c = Circ.Builder.build b in
-  check_bool "supported" true (Sim.Stabilizer.supports c);
+  check_bool "supported" true (Sim.Stabilizer.supports (Sim.Program.compile c));
   let h = Sim.Backend.run ~policy:Sim.Backend.Stabilizer ~shots:500 c in
   (* H CZ H = CX: bell-type correlations *)
   check_int "no mixed" 0 (Sim.Runner.count h 0b01 + Sim.Runner.count h 0b10)
@@ -773,6 +872,11 @@ let () =
           Alcotest.test_case "unsupported" `Quick test_stab_unsupported;
           Alcotest.test_case "cz and s" `Quick test_stabilizer_cz_and_s;
           QCheck_alcotest.to_alcotest prop_stabilizer_matches_exact;
+          QCheck_alcotest.to_alcotest prop_stabilizer_is_dense;
+          QCheck_alcotest.to_alcotest prop_stabilizer_exact_law;
+          Alcotest.test_case "zero-probability project" `Quick
+            test_stab_zero_probability;
+          Alcotest.test_case "kernel table" `Quick test_stab_kernel_table;
         ] );
       ( "noise",
         [

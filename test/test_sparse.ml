@@ -22,8 +22,8 @@ let hist_pairs = Alcotest.(list (pair int int))
 let check_hist msg a b =
   Alcotest.check hist_pairs msg (Sim.Runner.to_list a) (Sim.Runner.to_list b)
 
-let dense_engine = (module Sim.Statevector.Dense_engine : Sim.Engine.S)
-let sparse_engine = (module Sim.Sparse.Sparse_engine : Sim.Engine.S)
+let dense_engine = (module Sim.Statevector.Dense_engine : Sim.Engine.Core)
+let sparse_engine = (module Sim.Sparse.Sparse_engine : Sim.Engine.Core)
 
 (* The random dynamic circuits (Clifford+T 1-qubit gates, CX/CZ,
    Toffolis, mid-circuit measures, resets, conditioned gates) of
@@ -132,8 +132,89 @@ let test_analyzer_bounds_sound () =
       check_bool
         (Printf.sprintf "circuit %d: stabilizer accepts the witness" k)
         true
-        (Sim.Stabilizer.supports summary.Lint.Resource.witness)
+        (Sim.Stabilizer.supports
+           (Sim.Program.compile summary.Lint.Resource.witness))
   done
+
+(* Fork soundness: [forks.(i)] bounds the branches the dense
+   enumerator holds before instruction [i].  [held.(i)] counts them —
+   the leaves of the length-[i] prefix, forking as Exact does on every
+   measure and reset outcome above the 1e-12 prune. *)
+let branches_held c =
+  let module E = Sim.Statevector.Dense_engine in
+  let nq = Circ.num_qubits c and nb = Circ.num_bits c in
+  let instrs = Array.of_list (Circ.instructions c) in
+  let m = Array.length instrs in
+  let held = Array.make (m + 1) 0 in
+  let rec go st prob i =
+    held.(i) <- held.(i) + 1;
+    if i < m then
+      let fork q ~on_branch =
+        let p1 = E.prob_one st q in
+        List.iter
+          (fun (outcome, p) ->
+            if p *. prob > 1e-12 then begin
+              let st = E.copy st in
+              ignore (E.project st q outcome);
+              on_branch st outcome;
+              go st (prob *. p) (i + 1)
+            end)
+          [ (false, 1. -. p1); (true, p1) ]
+      in
+      match instrs.(i) with
+      | Instruction.Measure { qubit; bit } ->
+          fork qubit ~on_branch:(fun st outcome -> E.set_bit st bit outcome)
+      | Instruction.Reset q ->
+          fork q ~on_branch:(fun st outcome -> if outcome then E.flip st q)
+      | Instruction.Unitary _ | Instruction.Conditioned _
+      | Instruction.Barrier _ ->
+          E.exec ~random:Sim.Program.no_random st
+            (Sim.Program.compile_instructions ~num_qubits:nq ~num_bits:nb
+               [ instrs.(i) ]);
+          go st prob (i + 1)
+  in
+  go (E.create nq ~num_bits:nb) 1.0 0;
+  held
+
+(* The first instruction index up to the trailing measurement run whose
+   held branches exceed [2^forks.(i)], if any. *)
+let fork_undercount forks c =
+  let instrs = Array.of_list (Circ.instructions c) in
+  let rec trailing i =
+    match[@warning "-4"] if i = 0 then None else Some instrs.(i - 1) with
+    | Some (Instruction.Measure _ | Instruction.Barrier _) -> trailing (i - 1)
+    | _ -> i
+  in
+  let stop = trailing (Array.length instrs) and held = branches_held c in
+  let rec check i =
+    if i > stop then None
+    else if held.(i) > 1 lsl forks.(i) then Some (i, held.(i))
+    else check (i + 1)
+  in
+  check 0
+
+(* On the "differential" stream: the analyzer's forks never under-count,
+   and the check is not vacuous — fed forks with the first nonzero
+   entry decremented, it fails on some circuit. *)
+let test_forks_sound () =
+  let rng = Random.State.make [| 0x5AB5E |] in
+  let mutant_caught = ref false in
+  for k = 0 to 219 do
+    let c = random_dynamic_circuit rng in
+    let forks = (Lint.Resource.analyze c).Lint.Resource.forks in
+    (match fork_undercount forks c with
+    | Some (i, held) ->
+        Alcotest.failf "circuit %d: %d branches before instruction %d, forks %d"
+          k held i forks.(i)
+    | None -> ());
+    match Array.find_index (fun f -> f > 0) forks with
+    | Some j ->
+        let mutant = Array.copy forks in
+        mutant.(j) <- mutant.(j) - 1;
+        if fork_undercount mutant c <> None then mutant_caught := true
+    | None -> ()
+  done;
+  check_bool "a decremented fork count is caught" true !mutant_caught
 
 (* Backend.run forced dense and forced sparse must produce
    byte-identical histograms for a fixed seed: shot i's register
@@ -350,24 +431,32 @@ let test_randomized_ladder () =
     auto
 
 (* Per-segment Clifford selection: the 17-qubit adaptive-parity circuit
-   fails the whole-circuit stabilizer scan and is wider than a 16-qubit
-   exact cut, so a whole-circuit rule runs it dense; its analyzer
-   witness is Clifford, so Auto picks the tableau engine. *)
+   carries a conditioned T, so its own program is outside the tableau's
+   gate set, and it is wider than a 16-qubit dense enumeration; its
+   analyzer witness is Clifford, so the tableau prices it, and one
+   enumeration on the tableau (no fork, one trailing measurement) beats
+   2^17-amplitude states and 1024 sampled shots. *)
 let test_adaptive_parity_stabilizer () =
   let c = Algorithms.Mct_bench.adaptive_parity 15 in
-  check_bool "whole-circuit scan rejects it" false (Sim.Stabilizer.supports c);
-  check_bool "wider than the exact engine's 16 qubits" true
+  check_bool "its own program is outside the gate set" false
+    (Sim.Stabilizer.supports (Sim.Program.compile c));
+  check_bool "wider than the dense enumerator's 16 qubits" true
     (Circ.num_qubits c > 16);
   let obs, selected =
     Obs.with_collector (fun () -> Sim.Backend.select ~shots:1024 c)
   in
   (match selected with
-  | `Stabilizer -> ()
-  | (`Dense | `Sparse | `Hybrid | `Exact) as e ->
-      Alcotest.failf "expected stabilizer, Auto selected %s"
+  | `Exact -> ()
+  | (`Dense | `Sparse | `Hybrid | `Stabilizer) as e ->
+      Alcotest.failf "expected exact, Auto selected %s"
         (Sim.Backend.engine_name e));
-  check_bool "backend.select.stabilizer >= 1" true
-    (Obs.Collector.counter obs "backend.select.stabilizer" >= 1)
+  check_bool "backend.select.exact >= 1" true
+    (Obs.Collector.counter obs "backend.select.exact" >= 1);
+  check_bool "exact enumerates on the tableau" true
+    ((Sim.Backend.predict ~shots:1024 c).exact_engine = Some `Stabilizer);
+  check_bool "auto within the TV bound of the exact law" true
+    (within_tv_bound (exact_on dense_engine c)
+       (Sim.Backend.run ~seed:3 ~shots:1024 c))
 
 (* Conversions: densify/sparsify roundtrips preserve amplitudes and
    the classical register. *)
@@ -570,6 +659,8 @@ let () =
             test_differential_wide_circuits;
           Alcotest.test_case "analyzer bounds and witnesses" `Slow
             test_analyzer_bounds_sound;
+          Alcotest.test_case "forks bound the held branches" `Slow
+            test_forks_sound;
         ] );
       ( "dyn2 ladder",
         [
