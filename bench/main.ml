@@ -374,19 +374,11 @@ let hybrid_over_sparse () =
 let auto_over_best_forced () =
   let all_ones k = List.init k Fun.id in
   let bv_1111_dyn2 =
-    let module O = Dqc.Pipeline.Options in
-    let o =
-      Dqc.Pipeline.compile
-        ~options:(O.default |> O.with_scheme Dqc.Toffoli_scheme.Dynamic_2)
+    let c, measures =
+      Testkit.paper_job Dqc.Toffoli_scheme.Dynamic_2
         (Algorithms.Bv.circuit "1111")
     in
-    let nd = List.length o.Dqc.Pipeline.data_bit in
-    Sim.Measurement_plan.instrument
-      (Sim.Measurement_plan.of_pairs
-         (List.mapi
-            (fun k (_, phys) -> (phys, nd + k))
-            o.Dqc.Pipeline.answer_phys))
-      o.Dqc.Pipeline.circuit
+    Sim.Measurement_plan.instrument (Sim.Measurement_plan.of_pairs measures) c
   in
   let shapes =
     [

@@ -257,7 +257,7 @@ let backend_conv =
   Arg.conv (parse, Sim.Backend.pp_policy)
 
 (* Reject bad worker counts at parse time — a raw Invalid_argument from
-   Sim.Parallel.run is not an acceptable CLI experience. *)
+   Sim.Backend.run is not an acceptable CLI experience. *)
 let domains_conv =
   let parse s =
     match int_of_string_opt s with
@@ -279,9 +279,9 @@ let domains_arg =
     & opt (some domains_conv) None
     & info [ "domains" ]
         ~doc:
-          "Worker domains for the parallel shot engine (default: all \
-           recommended cores; the histogram is seed-deterministic either \
-           way)")
+          "Worker domains for a sampled run's shots (default: all \
+           recommended cores; an exact run draws its shots on one stream; \
+           the histogram is seed-deterministic either way)")
 
 (* Output paths are validated at parse time: a typo'd directory should
    be one clean line before any work starts, not an uncaught Sys_error

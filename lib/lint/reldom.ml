@@ -109,6 +109,17 @@ let implied_mask t mask =
 let implied_qubit t q = implied_mask t (qbit q)
 let implied_bit t b = implied_mask t (cbit t b)
 
+(* Some combination of the rows has qubit part exactly {q}: then x_q is
+   an affine function of the classical bits alone. *)
+let branch_constant t q =
+  t.tracked
+  &&
+  let qubits = (1 lsl t.num_qubits) - 1 in
+  Gf2.in_span ~width:t.num_qubits
+    (Gf2.independent ~width:t.num_qubits
+       (List.map (fun r -> r land qubits) t.rows))
+    (qbit q)
+
 (* Substitution [x_t <- x_t (+) x] on every row mentioning [tmask].
    When no row mentions the target this is the identity and allocates
    nothing — the common case on fresh or already-eliminated wires.

@@ -68,6 +68,14 @@ val implied_qubit : t -> int -> bool option
 (** [implied_bit t b] likewise for classical bit [b]. *)
 val implied_bit : t -> int -> bool option
 
+(** [branch_constant t q] holds when the rows tie qubit [q]'s basis
+    value to the classical bits alone: [q] lies in the span of the
+    rows' qubit parts.  [q] then reads the same value on every
+    reachable pair with one register — within one branch of an exact
+    enumeration, whose register is fixed — so collapsing it never
+    forks there.  Implied by [implied_qubit t q <> None]. *)
+val branch_constant : t -> int -> bool
+
 (** Sound upper bound on [log2] of the number of nonzero amplitudes of
     any reachable branch state: per entangled block, the minimum of the
     capped superposition rank, the block size, and the block's free

@@ -130,11 +130,17 @@ let analyze_body trace =
   in
   let forks = Array.make (m + 1) 0 in
   (* nondeterministic branch points: measure/reset whose outcome the
-     analysis cannot pin from the pre-state *)
+     analysis cannot pin from the pre-state, nor tie to the register
+     that a branch of the enumeration fixes *)
   let nondet_at i =
     match Trace.instr trace i with
     | Instruction.Measure { qubit; _ } | Instruction.Reset qubit ->
-        if qubit_value (Trace.pre trace i) qubit = None then 1 else 0
+        let pre = Trace.pre trace i in
+        if
+          qubit_value pre qubit = None
+          && not (Reldom.branch_constant (State.rel pre) qubit)
+        then 1
+        else 0
     | Instruction.Unitary _ | Instruction.Conditioned _
     | Instruction.Barrier _ ->
         0

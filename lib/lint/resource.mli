@@ -14,7 +14,8 @@ open Circuit
     observationally equivalent to the original circuit (statically-dead
     conditioned gates and phase gates on provably-|0> qubits are
     dropped, provably-decided controls are resolved), and the
-    nondeterministic branch count under-counts nothing. *)
+    nondeterministic branch count under-counts no branch of an exact
+    enumeration. *)
 
 type segment = {
   start : int;  (** first instruction index of the segment *)
@@ -31,8 +32,11 @@ type segment = {
           segment's last instruction *)
   log2_bound_peak : int;  (** the same bound, maximized over the segment *)
   nondet : int;
-      (** measure/reset instructions whose outcome the analysis cannot
-          pin — the segment's true branch points *)
+      (** measure/reset instructions that can branch within one branch
+          of an exact enumeration: the analysis cannot pin their
+          outcome, and the affine rows do not tie the qubit to the
+          classical bits alone ({!Reldom.branch_constant}) — the
+          segment's true branch points *)
 }
 
 type live_range = { first : int; last : int }
@@ -63,9 +67,12 @@ type summary = {
       (** per instruction index [i], the [nondet_branches] before [i]
           that precede the circuit's trailing run of measurements
           (barriers aside), which an exact enumeration reads in one
-          pass per branch instead of forking on it: the enumeration
-          reaches instruction [i] on at most [2^forks.(i)] branches,
-          and [forks.(instructions)] is its fork depth *)
+          pass per branch instead of forking on it.  A collapse of a
+          qubit tied to the register forks no branch, each of which
+          fixes its register: a measure followed by a reset of the
+          same qubit counts once.  The enumeration reaches instruction
+          [i] on at most [2^forks.(i)] branches, and
+          [forks.(instructions)] is its fork depth *)
   dynamic_depth : int;
       (** critical path counting quantum and classical dependencies *)
   feedforward_depth : int;

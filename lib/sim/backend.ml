@@ -106,17 +106,22 @@ let check cap = Option.iter (fun why -> invalid_arg ("Backend.run: " ^ why)) cap
 (* The tableau runs the analyzer's witness — the circuit with the
    gates the analyzer proves dead dropped, observationally the same —
    when the analyzer's verdict is Clifford and every kernel of the
-   witness's program maps onto the tableau. *)
-let tableau_program (s : Lint.Resource.summary) =
+   witness's program maps onto the tableau.  [tableau_verdict] is why
+   it cannot, from the cap and the verdict alone, before any compile. *)
+let tableau_verdict (s : Lint.Resource.summary) =
   match tableau_cap s.num_qubits with
+  | Some _ as cap -> cap
+  | None ->
+      if s.clifford then None
+      else Some "a non-Clifford gate the analyzer cannot drop"
+
+let tableau_program (s : Lint.Resource.summary) =
+  match tableau_verdict s with
   | Some why -> Error why
   | None ->
-      if not s.clifford then
-        Error "a non-Clifford gate the analyzer cannot drop"
-      else
-        let p = Program.compile s.witness in
-        if Stabilizer.supports p then Ok p
-        else Error "a witness kernel outside the tableau's gate set"
+      let p = Program.compile s.witness in
+      if Stabilizer.supports p then Ok p
+      else Error "a witness kernel outside the tableau's gate set"
 
 (* ------------------------------------------------------------------ *)
 (* The cost model                                                     *)
@@ -140,6 +145,9 @@ type model = {
   tableau_ops : float array;  (** the same on the tableau *)
   tableau : (Program.t, string) result Lazy.t;
       (** the witness's program, or why the tableau cannot run it *)
+  tableau_out : string option;
+      (** why the tableau is ruled out so far: its verdict, or once its
+          witness is compiled, its gate set *)
 }
 
 let constants = function
@@ -219,6 +227,7 @@ let model ~shots (s : Lint.Resource.summary) tableau c =
     sparse_ops;
     tableau_ops;
     tableau;
+    tableau_out = tableau_verdict s;
   }
 
 let ops_of e m =
@@ -315,9 +324,6 @@ let exact_ns e m =
   +. trailing_ns e m
   +. (m.shots *. Calibration.alias)
 
-let tableau_error m =
-  match Lazy.force m.tableau with Ok _ -> None | Error why -> Some why
-
 (* The cheapest [Ok] of [cands], the first on a tie *)
 let cheapest cands =
   List.fold_left
@@ -341,7 +347,7 @@ let exact_candidate m =
     [
       on `Sparse (sparse_cap m.n);
       on `Dense (dense_fork_cap m.summary m.n);
-      on `Stabilizer (tableau_error m);
+      on `Stabilizer m.tableau_out;
     ]
   in
   match cheapest enumerators with
@@ -373,7 +379,7 @@ let candidates m =
     single `Sparse (sparse_cap m.n);
     single `Dense (dense_cap m.n);
     hybrid;
-    single `Stabilizer (tableau_error m);
+    single `Stabilizer m.tableau_out;
   ]
 
 (* The cheapest feasible candidate; the first on a tie. *)
@@ -388,6 +394,20 @@ let pick cands =
                (List.filter_map
                   (function Error (_, why) -> Some why | Ok _ -> None)
                   cands)))
+
+(* The tableau is priced on the analyzer's verdict.  Its witness is
+   compiled, and checked against the tableau's gate set, only when it
+   wins, so a run compiles one program: the witness's or the
+   circuit's.  A failed check rules the tableau out and picks again. *)
+let rec decide cands_of m =
+  let cands = cands_of m in
+  match pick cands with
+  | (`Stabilizer | `Exact `Stabilizer) as choice -> (
+      match Lazy.force m.tableau with
+      | Ok _ -> (m, cands, choice)
+      | Error why -> decide cands_of { m with tableau_out = Some why })
+  | (`Exact (`Dense | `Sparse) | `Dense | `Sparse | `Hybrid _) as choice ->
+      (m, cands, choice)
 
 let engine_of = function
   | `Exact _ -> `Exact
@@ -422,8 +442,10 @@ let prediction_of m cands =
 
 let predict ~shots c =
   let s = resource_summary c in
-  let m = model ~shots s (lazy (tableau_program s)) c in
-  prediction_of m (candidates m)
+  let m, cands, _ =
+    decide candidates (model ~shots s (lazy (tableau_program s)) c)
+  in
+  prediction_of m cands
 
 (* One [backend.select] flight event per Auto decision: the facts, each
    feasible engine's predicted ms, the cap or gate set ruling out each
@@ -481,11 +503,11 @@ let select_gen ?(policy = Auto) ~shots summary tableau c =
             raise
               (Stabilizer.Unsupported
                  ("Backend.run: stabilizer policy: " ^ why)))
-    | Exact_branch -> pick [ exact_candidate (model ()) ]
+    | Exact_branch ->
+        let _, _, choice = decide (fun m -> [ exact_candidate m ]) (model ()) in
+        choice
     | Auto ->
-        let m = model () in
-        let cands = candidates m in
-        let choice = pick cands in
+        let m, cands, choice = decide candidates (model ()) in
         if Obs.Flight.enabled () then
           record_decision ~shots c choice (prediction_of m cands);
         choice
@@ -607,6 +629,10 @@ let execute_hybrid ?domains ~seed ~shots ~prefix_cache base plan =
 
 let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
     ?(prefix_cache = true) ~shots c =
+  if shots < 0 then invalid_arg "Backend.run: negative shots";
+  (match domains with
+  | Some d when d < 1 -> invalid_arg "Backend.run: domains < 1"
+  | Some _ | None -> ());
   (* selection reads the instrumented circuit: the plan's terminal
      measurements are per-shot work for a sampled run and one pass for
      an exact one *)
@@ -641,12 +667,14 @@ let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
   let dispatch () =
     match choice with
     | `Exact e ->
+        (* every shot from one stream: the histogram is a function of
+           (seed, shots, law) alone, and no domain is spawned *)
         let sampler =
           Dist.sampler
             (Exact.program_distribution ~engine:(engine_module e) (program e))
         in
-        Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
-            Dist.sample sampler rng)
+        Runner.of_counts ~width
+          (Dist.draw sampler (Random.State.make [| seed |]) ~shots)
     | (`Dense | `Sparse | `Stabilizer) as e ->
         let (module E : Engine.Core) = engine_module e in
         execute ?domains ~seed ~shots ~prefix_cache base

@@ -4,8 +4,8 @@ open Circuit
 
     [Backend.run] replaces ad-hoc calls to the individual engines: it
     picks an execution strategy for the circuit (or honours an explicit
-    [policy]), shards the shots across domains through {!Parallel} and
-    returns an ordinary {!Runner.histogram}.
+    [policy]), shards a sampled run's shots across domains through
+    {!Parallel} and returns an ordinary {!Runner.histogram}.
 
     Backends:
     - {e dense statevector} — the general engine, one replay per shot,
@@ -18,8 +18,9 @@ open Circuit
       analyzer proves the circuit Clifford; it runs the analyzer's
       witness, holds no 2^n state and scales to thousands of qubits;
     - {e exact branch} — the exact branching distribution
-      ({!Exact.program_distribution}) is computed once and shots are
-      drawn from it with the O(1) alias sampler.  The branch states
+      ({!Exact.program_distribution}) is computed once and every shot
+      is drawn from it with the O(1) alias sampler on one RNG stream
+      ({!Dist.draw}).  The branch states
       live on the dense engine, the sparse one or the tableau,
       whichever is predicted cheapest, and measurements that end the
       circuit are read in one pass per branch instead of forking.
@@ -31,10 +32,13 @@ open Circuit
     handoffs.
 
     Determinism: for a fixed [seed] the histogram is byte-identical
-    regardless of [domains] and of the prefix cache, because every
-    shot owns a split RNG state (see {!Parallel}); and the dense,
+    regardless of [domains] and of the prefix cache.  Every sampled
+    shot owns a split RNG state (see {!Parallel}), and the dense,
     sparse and tableau replays consume randomness identically, so
-    engine choice does not perturb the shot stream. *)
+    the choice among them does not perturb the shot stream.  An exact
+    run draws every shot from [Random.State.make [| seed |]], so its
+    histogram is a function of the seed, the shot count and the law,
+    and spawns no domain. *)
 
 type policy =
   | Auto  (** the engine of least predicted cost *)
@@ -131,8 +135,11 @@ type prediction = {
 }
 
 (** The predicted cost of [shots] shots of [c] on every engine.  Runs
-    nothing but the analyzer and, for a Clifford verdict, the
-    witness's compilation. *)
+    nothing but the analyzer and, when a tableau candidate is the
+    cheapest, the witness's compilation: the tableau is priced on the
+    analyzer's Clifford verdict, and its gate set is checked on the
+    compiled witness only then (a failed check rules it out, and the
+    costs report why). *)
 val predict : shots:int -> Circ.t -> prediction
 
 (** The backend [run] would dispatch to.  [Auto] picks the cheapest
@@ -167,8 +174,11 @@ val engine_name :
 (** [run ?policy ?seed ?domains ?plan ?prefix_cache ~shots c] executes
     [shots] shots of [c] (instrumented with [plan]'s terminal
     measurements when given; selection reads the instrumented circuit)
-    on the selected backend, sharded across [domains] workers (default
-    [Domain.recommended_domain_count ()]).
+    on the selected backend.  A sampled run is sharded across
+    [domains] workers (default [Domain.recommended_domain_count ()]);
+    an exact run draws its shots on one stream and [domains] does not
+    apply to it.  The run compiles one program: the circuit's, or the
+    witness's when the tableau runs.
 
     Dense, sparse, tableau and hybrid runs share one plan executor: a
     list of (engine, compiled program) steps — one step over the whole
@@ -186,8 +196,10 @@ val engine_name :
 
     Telemetry (when an [Obs] collector is installed): a [backend.run]
     span (attrs: engine, shots, qubits) around the dispatch, counters
-    [backend.run.<engine>] and [backend.shots].  Plan-executor runs
-    also bump [backend.run.program], count their shots into
+    [backend.run.<engine>] and [backend.shots], on every engine.
+    Only sampled runs go through {!Parallel}, so only they record its
+    [parallel.*] spans, counters and shot histogram.  Plan-executor
+    runs also bump [backend.run.program], count their shots into
     [backend.prefix.hit] / [backend.prefix.miss], publish the
     [backend.prefix.fraction] gauge ({!prefix_fraction}), and count
     per-shot representation conversions into
@@ -195,7 +207,9 @@ val engine_name :
     [backend.handoff.sparse_to_dense]; a multi-step (hybrid) plan
     records a [backend.hybrid.plan] flight event with the
     segment-engine string.  The histogram itself is byte-identical
-    whether or not telemetry is on. *)
+    whether or not telemetry is on.
+    @raise Invalid_argument when [domains < 1] or [shots < 0], whichever
+    engine would run, and as {!select} does. *)
 val run :
   ?policy:policy ->
   ?seed:int ->

@@ -53,4 +53,4 @@ let tableau =
 let handoff = 2.76
 
 (* per shot drawn from an exact distribution *)
-let alias = 287.6
+let alias = 21.69

@@ -82,12 +82,24 @@ type sampler = {
   alias : int array;
 }
 
+(* One sorted pass over the table.  Each entry is scaled by the total
+   [normalize] divides by, in its fold order, so the table is the one
+   [to_list (normalize d)] would give, bit for bit. *)
 let sampler d =
-  if to_list d = [] then invalid_arg "Dist.sampler: empty distribution";
-  let entries = to_list (normalize d) in
+  let t = total d in
+  let entries =
+    List.filter_map
+      (fun (o, p) ->
+        let p = p /. t in
+        if p > 0. then Some (o, p) else None)
+      (to_list d)
+  in
+  if entries = [] then invalid_arg "Dist.sampler: empty distribution";
   let n = List.length entries in
   let outcomes = Array.of_list (List.map fst entries) in
-  let scaled = Array.of_list (List.map (fun (_, p) -> p *. float_of_int n) entries) in
+  let scaled =
+    Array.of_list (List.map (fun (_, p) -> p *. float_of_int n) entries)
+  in
   let cut = Array.make n 1. in
   let alias = Array.init n (fun k -> k) in
   let small = Queue.create () and large = Queue.create () in
@@ -106,8 +118,20 @@ let sampler d =
   Queue.iter (fun k -> cut.(k) <- 1.) large;
   { outcomes; cut; alias }
 
-let sample sm rng =
+(* Each draw picks a slot (two RNG reads) and counts it; the outcomes
+   are read off the nonzero slots once, after the loop. *)
+let draw sm rng ~shots =
   let n = Array.length sm.outcomes in
-  let k = Random.State.int rng n in
-  if Random.State.float rng 1.0 < sm.cut.(k) then sm.outcomes.(k)
-  else sm.outcomes.(sm.alias.(k))
+  let counts = Array.make n 0 in
+  for _ = 1 to shots do
+    let k = Random.State.int rng n in
+    let slot =
+      if Random.State.float rng 1.0 < sm.cut.(k) then k else sm.alias.(k)
+    in
+    counts.(slot) <- counts.(slot) + 1
+  done;
+  let acc = ref [] in
+  for k = n - 1 downto 0 do
+    if counts.(k) > 0 then acc := (sm.outcomes.(k), counts.(k)) :: !acc
+  done;
+  !acc

@@ -49,10 +49,15 @@ val mode : t -> int * float
 
 type sampler
 
-(** @raise Invalid_argument on zero total mass (normalizes internally). *)
+(** The alias table of [d], built from one sorted pass over it
+    (normalizes internally).
+    @raise Invalid_argument on an empty distribution. *)
 val sampler : t -> sampler
 
-(** Draw one outcome. *)
-val sample : sampler -> Random.State.t -> int
+(** [draw sm rng ~shots] draws [shots] outcomes from [rng], two reads
+    of it per draw, and returns the (outcome, count) pairs of the
+    outcomes drawn at least once, ascending by outcome.  The counts
+    depend only on the sampler and [rng]'s state. *)
+val draw : sampler -> Random.State.t -> shots:int -> (int * int) list
 
 val pp : Format.formatter -> t -> unit

@@ -9,8 +9,11 @@
     [domains:1] and [domains:N] produce byte-identical histograms.
 
     The paper's evaluation replays every configuration at 1024 shots;
-    this engine is the scaling seam — {!Backend.run} dispatches every
-    simulation backend through it.
+    this engine is the scaling seam of the sampled runs — {!Backend.run}
+    dispatches the dense, sparse, tableau and hybrid engines through
+    it.  An exact run does not come here: it draws every shot from
+    one RNG stream ({!Dist.draw}), so it neither splits a state per
+    shot nor spawns a domain.
 
     Telemetry (when an [Obs] collector is installed): a [parallel.run]
     span wrapping the whole dispatch, one [parallel.block] span per

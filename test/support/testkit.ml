@@ -1,7 +1,8 @@
 (* Circuits shared by the tests and the benchmark harness: the random
    dynamic-circuit generator, the oracle corpus of the benchmark-wide
    lint and certification tests, the dyn2 Toffoli ladder, the
-   mixed-sparsity hybrid witness and the teleportation circuit.  Each
+   mixed-sparsity hybrid witness, the teleportation circuit and the
+   paper jobs' compile.  Each
    exists once, so a test and a bench row that name the same workload
    run the same circuit. *)
 
@@ -172,3 +173,13 @@ let teleport prep =
   Circ.Builder.conditioned b ~bit:1 Gate.X 2;
   Circ.Builder.conditioned b ~bit:0 Gate.Z 2;
   Circ.Builder.build b
+
+(* A paper job as perfbench's paper-jobs and [dqc_cli simulate] run
+   it: [c] compiled by the default pipeline under [scheme], and the
+   measurements its run appends — one bit per answer qubit, after the
+   data bits the DQC records. *)
+let paper_job scheme c =
+  let module O = Dqc.Pipeline.Options in
+  let o = Dqc.Pipeline.compile ~options:(O.with_scheme scheme O.default) c in
+  let nd = List.length o.data_bit in
+  (o.circuit, List.mapi (fun k (_, phys) -> (phys, nd + k)) o.answer_phys)

@@ -68,7 +68,24 @@ let test_parallel_validation () =
     (Invalid_argument "Parallel.run: domains < 1") (fun () ->
       ignore
         (Sim.Parallel.run ~domains:0 ~seed:1 ~width:1 ~shots:4
-           (fun ~rng:_ ~index -> index)))
+           (fun ~rng:_ ~index -> index)));
+  (* Backend.run checks both itself, whichever engine runs: an exact
+     run never reaches Parallel.run *)
+  let bv = Algorithms.Bv.circuit "1011" in
+  let plan = Sim.Measurement_plan.measure_all in
+  List.iter
+    (fun policy ->
+      let name = Sim.Backend.policy_to_string policy in
+      Alcotest.check_raises ("Backend.run zero domains, " ^ name)
+        (Invalid_argument "Backend.run: domains < 1") (fun () ->
+          ignore (Sim.Backend.run ~policy ~domains:0 ~plan ~shots:4 bv));
+      Alcotest.check_raises ("Backend.run negative shots, " ^ name)
+        (Invalid_argument "Backend.run: negative shots") (fun () ->
+          ignore (Sim.Backend.run ~policy ~plan ~shots:(-1) bv)))
+    Sim.Backend.
+      [
+        Auto; Statevector_dense; Sparse_statevector; Stabilizer; Exact_branch;
+      ]
 
 let test_parallel_deterministic_sharding () =
   (* outcome of shot i depends only on (seed, i): any domain count

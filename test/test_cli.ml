@@ -122,11 +122,22 @@ let test_stats_exports () =
   check_bool "backend.shots = 256" true (num "backend.shots" counters = 256.);
   check_bool "sim.program.ops > 0" true (num "sim.program.ops" counters > 0.);
   let h = get "histograms" m in
-  check_bool "parallel.shot count = 8" true
-    (num "count" (get "parallel.shot" h) = 8.);
   List.iter
     (fun p -> ignore (num p (get "backend.run" h)))
     [ "p50_ns"; "p90_ns"; "p99_ns"; "p999_ns" ];
+  (* Auto enumerates AND exactly and draws its shots on one stream;
+     sampled shots go through the parallel shot engine, which times
+     one shot in 32 *)
+  let dense_metrics = path "metrics-dense.json" in
+  check_int "stats --backend dense exit code" 0
+    (run
+       [
+         "stats"; "AND"; "--shots"; "256"; "--backend"; "dense"; "--metrics";
+         dense_metrics;
+       ]);
+  let dense_h = get "histograms" (Obs.Json.read ~path:dense_metrics) in
+  check_bool "parallel.shot count = 8" true
+    (num "count" (get "parallel.shot" dense_h) = 8.);
   (* flight record: pass boundaries and the backend run *)
   let f = Obs.Json.read ~path:flight in
   check_string "flight schema" "dqc.flight/1"

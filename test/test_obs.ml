@@ -366,6 +366,26 @@ let test_exact_counters () =
   check_int "one pass over the trailing measurements" 1
     (leaves_counted (fun () -> Sim.Exact.register_distribution c))
 
+(* An Auto run compiles one program.  The tableau is priced on the
+   analyzer's Clifford verdict, and its witness compiled only when it
+   wins: BV_1011's dyn2 output, which Auto enumerates on the dense
+   engine, compiles only itself. *)
+let test_one_compile_per_run () =
+  let c, measures =
+    Testkit.paper_job Dqc.Toffoli_scheme.Dynamic_2
+      (Algorithms.Bv.circuit "1011")
+  in
+  let obs, _ =
+    Obs.with_collector (fun () ->
+        Sim.Backend.run_measured ~shots:1024 ~measures c)
+  in
+  check_int "exact run" 1 (Obs.Collector.counter obs "backend.run.exact");
+  check_int "program.compile spans" 1
+    (List.length
+       (List.filter
+          (fun (s : Obs.Collector.span) -> s.name = "program.compile")
+          (Obs.Collector.spans obs)))
+
 (* ------------------------------------------------------------------ *)
 (* Pipeline spans                                                     *)
 
@@ -757,6 +777,8 @@ let () =
         [
           Alcotest.test_case "simulator counters" `Quick test_simulator_counters;
           Alcotest.test_case "exact counters" `Quick test_exact_counters;
+          Alcotest.test_case "one compile per run" `Quick
+            test_one_compile_per_run;
         ] );
       ( "pipeline",
         [ Alcotest.test_case "stage spans" `Quick test_pipeline_spans ] );

@@ -646,12 +646,11 @@ let test_stab_kernel_table () =
       check_bool (name ^ ": apply raises Unsupported") (not maps) raises)
     rows
 
-(* The exact-branch backend's shot loop: alias draws from [d] on the
-   parallel shot engine. *)
-let alias_shots ?seed ~shots d =
-  let sm = Sim.Dist.sampler d in
-  Sim.Parallel.run ?seed ~width:(Sim.Dist.width d) ~shots (fun ~rng ~index:_ ->
-      Sim.Dist.sample sm rng)
+(* The exact-branch backend's shot loop: alias draws from [d] on one
+   stream seeded as Backend.run seeds it. *)
+let alias_shots ?(seed = Sim.Runner.default_seed) ~shots d =
+  Sim.Runner.of_counts ~width:(Sim.Dist.width d)
+    (Sim.Dist.draw (Sim.Dist.sampler d) (Random.State.make [| seed |]) ~shots)
 
 let test_sampler_frequencies () =
   let d = Sim.Dist.create ~width:2 [ (0, 0.7); (3, 0.2); (1, 0.1) ] in

@@ -216,6 +216,70 @@ let test_forks_sound () =
   done;
   check_bool "a decremented fork count is caught" true !mutant_caught
 
+(* A paper job's circuit with its appended measurements *)
+let paper_job scheme c =
+  let c, measures = Testkit.paper_job scheme c in
+  Sim.Measurement_plan.instrument (Sim.Measurement_plan.of_pairs measures) c
+
+let dj_and_n n = Algorithms.Dj.circuit (Algorithms.Mct_bench.and_n n)
+let dj_maj_5 () = Algorithms.Dj.circuit (Algorithms.Mct_bench.majority_n 5)
+
+(* Forks per branch: a collapse of a qubit the analyzer ties to the
+   register forks no branch of the enumeration, each of which fixes
+   its register.  Hand-built rows give [forks] before every
+   instruction; paper jobs and the m8 witness their fork depth. *)
+let test_forks_per_branch () =
+  let hand instrs =
+    Circ.create ~roles:(Array.make 3 Circ.Data) ~num_bits:2 instrs
+  in
+  let u g q = Instruction.Unitary (Instruction.app g q) in
+  let cx c t =
+    Instruction.Unitary (Instruction.app ~controls:[ c ] Gate.X t)
+  in
+  let m q b = Instruction.Measure { qubit = q; bit = b } in
+  let if_b0 g q =
+    Instruction.Conditioned
+      ({ Instruction.bits = [ (0, true) ] }, Instruction.app g q)
+  in
+  let forks c = (Lint.Resource.analyze c).Lint.Resource.forks in
+  List.iter
+    (fun (name, c, expected) ->
+      Alcotest.(check (list int)) name expected (Array.to_list (forks c)))
+    [
+      ( "second measured qubit copies the measured bit",
+        hand [ u Gate.H 0; m 0 0; if_b0 Gate.X 1; m 1 1; u Gate.H 2 ],
+        [ 0; 0; 1; 1; 1; 1 ] );
+      ( "second measured qubit copies the measured qubit",
+        hand [ u Gate.H 0; m 0 0; cx 0 1; m 1 1; u Gate.H 2 ],
+        [ 0; 0; 1; 1; 1; 1 ] );
+      ( "a measured qubit reset",
+        hand [ u Gate.H 0; m 0 0; Instruction.Reset 0; u Gate.H 1 ],
+        [ 0; 0; 1; 1; 1 ] );
+      ( "a measured qubit superposed again",
+        hand [ u Gate.H 0; m 0 0; u Gate.H 0; m 0 1; u Gate.H 1 ],
+        [ 0; 0; 1; 1; 2; 2 ] );
+    ];
+  let dyn1 = Dqc.Toffoli_scheme.Dynamic_1
+  and dyn2 = Dqc.Toffoli_scheme.Dynamic_2 in
+  List.iter
+    (fun (name, c, expected) ->
+      let f = forks c in
+      check_int name expected f.(Array.length f - 1))
+    [
+      ("BV_1011 dyn2", paper_job dyn2 (Algorithms.Bv.circuit "1011"), 2);
+      ( "DJ(AND) dyn2",
+        paper_job dyn2
+          (Algorithms.Dj.circuit
+             (Option.get (Algorithms.Dj_toffoli.oracle_by_name "AND"))),
+        2 );
+      ("DJ(AND_4) dyn2", paper_job dyn2 (dj_and_n 4), 6);
+      ("DJ(AND_5) dyn1", paper_job dyn1 (dj_and_n 5), 7);
+      ("DJ(AND_5) dyn2", paper_job dyn2 (dj_and_n 5), 8);
+      ("DJ(MAJ_5) dyn1", paper_job dyn1 (dj_maj_5 ()), 24);
+      ("DJ(MAJ_5) dyn2", paper_job dyn2 (dj_maj_5 ()), 90);
+      ("mixed-sparsity m8", Testkit.hybrid_witness ~m:8, 9);
+    ]
+
 (* Backend.run forced dense and forced sparse must produce
    byte-identical histograms for a fixed seed: shot i's register
    depends only on (seed, i), never on the state representation. *)
@@ -570,6 +634,36 @@ let test_forced_exact_wide () =
     (Sim.Runner.to_list
        (Sim.Backend.run ~policy:Sim.Backend.Exact_branch ~seed:2 ~shots:32 c))
 
+(* Forced exact draws every shot from one stream: the histogram is a
+   function of the seed, the shot count and the law, so any domain
+   count gives the same one, and it lies within the TV bound of the
+   law. *)
+let test_exact_one_stream () =
+  List.iter
+    (fun (name, c, shots) ->
+      let run domains =
+        Sim.Backend.run ~policy:Sim.Backend.Exact_branch ~seed:11 ~domains
+          ~shots c
+      in
+      let h = run 1 in
+      List.iter
+        (fun domains ->
+          check_hist (Printf.sprintf "%s: %d domains" name domains) h
+            (run domains))
+        [ 2; 4 ];
+      check_bool (name ^ ": within the TV bound") true
+        (within_tv_bound (Sim.Exact.register_distribution c) h))
+    [
+      ("mixed-sparsity m8", Testkit.hybrid_witness ~m:8, 64);
+      ( "DJ(AND_4) dyn2",
+        paper_job Dqc.Toffoli_scheme.Dynamic_2 (dj_and_n 4),
+        1024 );
+      ( "DJ(AND_8) measure-all",
+        Sim.Measurement_plan.instrument Sim.Measurement_plan.measure_all
+          (dj_and_n 8),
+        4096 );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Auto by predicted cost: the facts it reads and what it returns.     *)
 
@@ -661,6 +755,7 @@ let () =
             test_analyzer_bounds_sound;
           Alcotest.test_case "forks bound the held branches" `Slow
             test_forks_sound;
+          Alcotest.test_case "forks per branch" `Quick test_forks_per_branch;
         ] );
       ( "dyn2 ladder",
         [
@@ -693,6 +788,8 @@ let () =
             test_exact_auto_sparse;
           Alcotest.test_case "forced exact past the dense cap" `Quick
             test_forced_exact_wide;
+          Alcotest.test_case "one stream for any domain count" `Quick
+            test_exact_one_stream;
         ] );
       ( "auto by cost",
         [
