@@ -62,10 +62,10 @@ perf-baseline:
 # perfbench/ included, so a public name they use cannot vanish
 # unnoticed) + the tier-1 tests (every correctness check, the CLI's
 # exit codes and telemetry exports included) + the
-# execution-backend study (non-zero exit when its dense configurations
-# disagree) + the timing gate + the perf regression gate + source
-# hygiene + the no-hidden-state check (OCAMLRUNPARAM=b: backtraces on
-# uncaught exceptions).
+# execution-backend study (non-zero exit when the walk and the
+# per-shot replay disagree) + the timing gate + the perf regression
+# gate + source hygiene + the no-hidden-state check (OCAMLRUNPARAM=b:
+# backtraces on uncaught exceptions).
 ci:
 	OCAMLRUNPARAM=b dune build @all @runtest
 	OCAMLRUNPARAM=b dune exec bench/main.exe -- backend

@@ -105,13 +105,13 @@ let run_ablation () =
        ~rows ())
 
 (* ------------------------------------------------------------------ *)
-(* Execution-backend study: the tentpole acceptance run.  Times
-   Backend.run in its dense configurations (prefix cache on/off, 1 vs
-   all domains) and the auto-selected backend against the uncached
-   one-domain dense replay, on 4096 shots of the 10-qubit Table II DJ
-   family head, and exits non-zero unless every dense configuration
-   (and the one run under the telemetry collector) samples the same
-   histogram. *)
+(* Execution-backend study: times Backend.run's walk of the outcome tree
+   (forced dense on one and on all domains) and the auto-selected
+   backend against the per-shot replay the walk replaced
+   (Testkit.replay_histogram, dense, one domain), on 4096 shots of the
+   10-qubit Table II DJ family head, and exits non-zero unless every
+   dense configuration (and the one run under the telemetry collector)
+   samples the replay's histogram. *)
 
 let obs_json_path = "BENCH_obs.json"
 
@@ -130,8 +130,10 @@ let and_9 =
            Circuit.Gate.X 9);
     ]
 
+let dense_engine = (module Sim.Statevector.Dense_engine : Sim.Engine.Core)
+
 let run_backend () =
-  section "E12 / Execution backends: uncached vs prefix-cached vs parallel";
+  section "E12 / Execution backends: per-shot replay vs outcome-tree walk";
   let dj = Algorithms.Dj.circuit and_9 in
   let plan = Sim.Measurement_plan.measure_all in
   let shots = 4096 in
@@ -150,12 +152,13 @@ let run_backend () =
     (h, Unix.gettimeofday () -. t0)
   in
   let dense = Sim.Backend.Statevector_dense in
-  let h_nocache, t_nocache =
-    time (fun () ->
-        Sim.Backend.run ~policy:dense ~seed ~domains:1 ~plan
-          ~prefix_cache:false ~shots dj)
+  let program =
+    Sim.Program.compile (Sim.Measurement_plan.instrument plan dj)
   in
-  let h_prefix, t_prefix =
+  let h_replay, t_replay =
+    time (fun () -> Testkit.replay_histogram dense_engine ~seed ~shots program)
+  in
+  let h_walk, t_walk =
     time (fun () ->
         Sim.Backend.run ~policy:dense ~seed ~domains:1 ~plan ~shots dj)
   in
@@ -164,34 +167,32 @@ let run_backend () =
   in
   let h_auto, t_auto = time (fun () -> Sim.Backend.run ~seed ~plan ~shots dj) in
   let line label t =
-    Printf.printf "  %-46s %9.1f ms   %5.2fx vs no cache\n" label
-      (t *. 1000.) (t_nocache /. t)
+    Printf.printf "  %-46s %9.1f ms   %5.2fx vs replay\n" label (t *. 1000.)
+      (t_replay /. t)
   in
-  line "Backend.run dense, 1 domain, no prefix cache" t_nocache;
-  line "Backend.run dense, 1 domain, prefix cache" t_prefix;
-  line
-    (Printf.sprintf "Backend.run dense, %d domain(s), prefix cache" domains)
-    t_par;
+  line "per-shot replay, dense, 1 domain" t_replay;
+  line "Backend.run dense walk, 1 domain" t_walk;
+  line (Printf.sprintf "Backend.run dense walk, %d domain(s)" domains) t_par;
   line "Backend.run auto (exact-branch alias sampler)" t_auto;
   let same a b = Sim.Runner.to_list a = Sim.Runner.to_list b in
   let deterministic =
-    List.for_all (same h_prefix)
+    List.for_all (same h_replay)
       [
-        h_nocache;
+        h_walk;
         h_par;
         Sim.Backend.run ~policy:dense ~seed ~domains:4 ~plan ~shots dj;
       ]
   in
   Printf.printf
-    "\ndeterminism: dense histograms identical across 1/%d/4 domains and \
-     prefix-cache on/off: %b\n"
+    "\ndeterminism: dense walk histograms on 1/%d/4 domains identical to the \
+     per-shot replay: %b\n"
     domains deterministic;
-  Printf.printf "no-cache total %d shots, parallel total %d, auto total %d\n"
-    (Sim.Runner.shots h_nocache) (Sim.Runner.shots h_par)
+  Printf.printf "replay total %d shots, parallel total %d, auto total %d\n"
+    (Sim.Runner.shots h_replay) (Sim.Runner.shots h_par)
     (Sim.Runner.shots h_auto);
-  (* One full-size instrumented replay of the prefix-cached
-     configuration: checks the collector does not perturb the sampled
-     histogram and writes its metrics to BENCH_obs.json. *)
+  (* One full-size instrumented run of the one-domain walk: checks the
+     collector does not perturb the sampled histogram and writes its
+     metrics to BENCH_obs.json. *)
   let collector, (h_obs, _) =
     Obs.with_collector (fun () ->
         time (fun () ->
@@ -203,7 +204,7 @@ let run_backend () =
      far more than the instrumentation costs.  So measure *process CPU
      time* (Obs.Clock.now_cpu_ns — steal never inflates it), run
      interleaved pairs with the order alternating round to round, with
-     a full major GC before every sample (a run allocates megabytes of
+     a full major GC before every sample (a run allocates the walk's
      statevector copies, so inherited heap state otherwise dominates
      the per-sample CPU), and sample in plain/instrumented/plain
      *triples*: each instrumented run is compared to the mean of the
@@ -217,7 +218,7 @@ let run_backend () =
      makes the min itself high-variance.)  The measurement runs the
      reference workload itself: telemetry cost is a fixed per-run
      component (buffer allocation, the end-of-run flush and its GC
-     debt) plus a small sampled per-shot component, so a scaled-down
+     debt) plus a small sampled per-run component, so a scaled-down
      shot count would overweigh the fixed part and measure a workload
      the budget is not stated against. *)
   let overhead_shots = shots in
@@ -267,9 +268,9 @@ let run_backend () =
   in
   let n_clean = List.length !ratios in
   let r_med = median !ratios in
-  let unperturbed = same h_obs h_prefix in
+  let unperturbed = same h_obs h_replay in
   Printf.printf
-    "\ntelemetry overhead (prefix-cached run, collector installed): \
+    "\ntelemetry overhead (one-domain walk, collector installed): \
      %+.2f%% (median of %d regime-stable plain/instrumented/plain \
      CPU-time triples of %d sampled, at %d shots, ~%.1f ms per run); \
      histograms identical: %b\n"
@@ -281,7 +282,7 @@ let run_backend () =
   Printf.printf "engine metrics written to %s\n" obs_json_path;
   if not (deterministic && unperturbed) then begin
     Printf.printf "backend: FAILED%s%s\n"
-      (if deterministic then "" else " (dense configurations disagree)")
+      (if deterministic then "" else " (the walk and the replay disagree)")
       (if unperturbed then "" else " (collector changed the histogram)");
     exit 1
   end
@@ -474,14 +475,18 @@ let run_gate () =
    - per op class: a 64-op stream on a 14-qubit state whose first 8
      qubits are in |+> (2^14 amplitudes on the dense engine, 2^8 live
      entries on the sparse one), the state's copy taken off;
-   - per shot and per amplitude copied: forced runs of circuits of H
-     gates only, whose shots copy the cached prefix state, on 9 and 14
-     qubits (dense) or with 1 and 8 H gates (sparse), solved for the
-     two;
+   - per amplitude copied: 64 copies of states of 9 and 14 qubits
+     (dense) or of 2 and 2^8 live entries (sparse), solved for the
+     slope;
+   - per shot: forced runs of one H gate, whose walk never splits, at
+     20000 and 2000 shots, the difference over the 18000 shots;
    - per leaf: an enumeration that forks on 10 H-measure pairs of one
      qubit, less the model's tree work;
    - per handoff: both conversions of a 14-qubit basis state;
    - per alias draw: 20000 exact shots of a one-qubit circuit;
+   - per draw: forced dense runs of 32 measurements of a |0> qubit,
+     which every shot draws at and no walk splits on, less the same
+     shots of the bare qubit, per shot and measurement;
    - the tableau's constants in its own units (see
      [calibrate_tableau]). *)
 
@@ -497,6 +502,24 @@ let cal_program n instrs =
   Sim.Program.compile_instructions ~num_qubits:n ~num_bits:1 instrs
 
 let ns_best f = cpu_best ~runs:calibration_runs f
+
+(* ns per call of [f], [reps] calls per timed sample *)
+let ns_per ~reps f =
+  ns_best (fun () ->
+      for _ = 1 to reps do
+        ignore (Sys.opaque_identity (f ()))
+      done)
+  /. float_of_int reps
+
+(* The walk's cost per shot beside its draws: forced runs of a
+   one-H-gate circuit of [qubits] qubits, which no shot splits, at two
+   shot counts *)
+let walk_shot_ns policy ~qubits =
+  let c = circuit_of qubits [ unitary Circuit.Gate.H 0 ] in
+  let run shots =
+    ns_best (fun () -> Sim.Backend.run ~policy ~seed:1 ~domains:1 ~shots c)
+  in
+  (run 20000 -. run 2000) /. 18000.
 
 let calibrate_engine policy (module E : Sim.Engine.S) =
   let n = 14 and b = 8 and ops = 64 in
@@ -536,24 +559,22 @@ let calibrate_engine policy (module E : Sim.Engine.S) =
     *. float_of_int b
     /. List.fold_left ( +. ) 0. (List.init b (fun j -> width (-j)))
   in
-  (* per shot: a circuit of H gates only is all prefix, so each shot
-     copies the prefix state (2^w amplitudes) and reads its register *)
-  let per_shot ~qubits ~prefix ~shots =
-    let c = circuit_of qubits (hs (max 1 prefix)) in
-    ns_best (fun () -> Sim.Backend.run ~policy ~seed:1 ~domains:1 ~shots c)
-    /. float_of_int shots
+  (* per amplitude copied: a copy of a state of 2^w units at two w *)
+  let copy_of ~qubits ~prefix =
+    let st = E.create qubits ~num_bits:1 in
+    E.exec ~random:Sim.Program.no_random st (cal_program qubits (hs prefix));
+    ns_per ~reps:64 (fun () -> E.copy st)
   in
   let (w0, t0), (w1, t1) =
     if dense then
-      ( (9, per_shot ~qubits:9 ~prefix:1 ~shots:20000),
-        (14, per_shot ~qubits:14 ~prefix:1 ~shots:2000) )
-    else
-      ( (1, per_shot ~qubits:n ~prefix:1 ~shots:20000),
-        (b, per_shot ~qubits:n ~prefix:b ~shots:2000) )
+      ( (9, copy_of ~qubits:9 ~prefix:0),
+        (14, copy_of ~qubits:14 ~prefix:0) )
+    else ((1, copy_of ~qubits:n ~prefix:1), (b, copy_of ~qubits:n ~prefix:b))
   in
-  let w0 = Float.ldexp 1. w0 and w1 = Float.ldexp 1. w1 in
-  let copy = (t1 -. t0) /. (w1 -. w0) in
-  let shot = t0 -. (copy *. w0) in
+  let copy =
+    (t1 -. t0) /. (Float.ldexp 1. w1 -. Float.ldexp 1. w0)
+  in
+  let shot = walk_shot_ns policy ~qubits:(if dense then 9 else n) in
   (* a leaf: k forks, each H then measure of one qubit, then an X on a
      second so the measurements do not end the circuit.  Fork j runs
      its H and measure and copies its state on 2^j branches, the X
@@ -583,8 +604,9 @@ let calibrate_engine policy (module E : Sim.Engine.S) =
    generator rows, a collapse and a copy touch n^2 bits.  The op
    classes run on a 64-qubit tableau whose first 8 qubits are in |+>
    (S stands in for the diagonal class, T being outside the gate set);
-   a shot is fitted from forced runs of H-only circuits on 8 and 64
-   qubits; a leaf from the same fork tree as the statevector engines. *)
+   a copy is the slope between copies of 8- and 64-qubit tableaus, a
+   shot the walk's as on the statevector engines, and a leaf comes from
+   the same fork tree as theirs. *)
 let calibrate_tableau () =
   let module E = Sim.Stabilizer.Tableau_engine in
   let n = 64 and b = 8 and ops = 64 in
@@ -616,18 +638,13 @@ let calibrate_tableau () =
     per_op (List.init ops (fun i -> unitary Circuit.Gate.S (i mod b))) /. rows n
   in
   let collapse = per_op (List.init b measure) /. bits n in
-  let per_shot ~qubits ~shots =
-    let c = circuit_of qubits (hs 1) in
-    ns_best (fun () ->
-        Sim.Backend.run ~policy:Sim.Backend.Stabilizer ~seed:1 ~domains:1 ~shots
-          c)
-    /. float_of_int shots
+  let copy_of w =
+    let st = E.create w ~num_bits:1 in
+    ns_per ~reps:64 (fun () -> E.copy st)
   in
   let w0 = 8 and w1 = n in
-  let t0 = per_shot ~qubits:w0 ~shots:20000
-  and t1 = per_shot ~qubits:w1 ~shots:2000 in
-  let copy = (t1 -. t0) /. (bits w1 -. bits w0) in
-  let shot = t0 -. (copy *. bits w0) in
+  let copy = (copy_of w1 -. copy_of w0) /. (bits w1 -. bits w0) in
+  let shot = walk_shot_ns Sim.Backend.Stabilizer ~qubits:w0 in
   let k = 10 in
   let forks =
     cal_program 2
@@ -667,6 +684,19 @@ let run_calibrate () =
     (ns_best (fun () -> Sim.Sparse.of_state d)
     +. ns_best (fun () -> Sim.Sparse.to_state sp))
     /. 2. /. Float.ldexp 1. n
+  in
+  (* a draw: 32 measurements of a |0> qubit, which every shot draws at
+     and no walk splits on, against the bare qubit, per shot and
+     measurement *)
+  let draw =
+    let k = 32 and shots = 20000 in
+    let run instrs =
+      ns_best (fun () ->
+          Sim.Backend.run ~policy:Sim.Backend.Statevector_dense ~seed:1
+            ~domains:1 ~shots (circuit_of 1 instrs))
+    in
+    (run (List.init k (fun _ -> measure 0)) -. run [])
+    /. float_of_int (shots * k)
   in
   (* an exact shot: a one-qubit enumeration is negligible next to 20000
      alias draws *)
@@ -710,7 +740,7 @@ let run_calibrate () =
      \  diag : float;  (** per amplitude a phase or diagonal op touches *)\n\
      \  collapse : float;  (** per amplitude a measure or reset touches *)\n\
      \  copy : float;  (** per amplitude of a state copy *)\n\
-     \  shot : float;  (** per sampled shot, beside its state copy *)\n\
+     \  shot : float;  (** per sampled shot, beside its draws and copies *)\n\
      \  leaf : float;  (** per enumerated leaf, beside its fork copies *)\n\
      }\n\n"
     ^ engine "dense" dense ^ "\n" ^ engine "sparse" sparse
@@ -723,8 +753,11 @@ let run_calibrate () =
          (* per dense amplitude of one handoff between engines *)\n\
          let handoff = %s\n\n\
          (* per shot drawn from an exact distribution *)\n\
-         let alias = %s\n"
-        (lit handoff) (lit alias))
+         let alias = %s\n\n\
+         (* per sampled shot and measure or reset: its draw and its place in\n\
+        \   the walk's partition *)\n\
+         let draw = %s\n"
+        (lit handoff) (lit alias) (lit draw))
 
 (* ------------------------------------------------------------------ *)
 (* Shared timing workloads                                            *)
@@ -870,26 +903,46 @@ let workloads () : (string * (unit -> unit)) list =
         fun () -> ignore (Sim.Statevector.run_reference ~rng:(rng ()) c) );
     ]
   in
-  (* uncached vs prefix-cached vs parallel shot execution on the Table
-     II DJ family (dense backend throughout, so only the executor's
-     configuration varies) *)
+  (* the walk of the outcome tree against the per-shot replay it
+     replaced (the Testkit oracle), one domain, and the walk on the
+     default domain count, on the Table II DJ family (dense throughout,
+     so only the executor varies); and the on/off pair on the paper job
+     the walk exists for, DJ(MAJ_5) under dyn1, whose 1024 shots land
+     on a handful of branches.  "backend prefix" keeps the name it has
+     in BENCH_baseline.json, from the prefix-cached replay it timed. *)
   let backend_engines =
     let o = Option.get (Algorithms.Dj_toffoli.oracle_by_name "CARRY") in
     let dj = Algorithms.Dj.circuit o in
     let plan = Sim.Measurement_plan.measure_all in
     let dense = Sim.Backend.Statevector_dense in
+    let dj_program =
+      Sim.Program.compile (Sim.Measurement_plan.instrument plan dj)
+    in
+    let maj5 =
+      let c, measures =
+        Testkit.paper_job Dqc.Toffoli_scheme.Dynamic_1
+          (Algorithms.Dj.circuit (Algorithms.Mct_bench.majority_n 5))
+      in
+      Sim.Measurement_plan.instrument (Sim.Measurement_plan.of_pairs measures) c
+    in
+    let maj5_program = Sim.Program.compile maj5 in
+    let replay program shots () =
+      ignore
+        (Testkit.replay_histogram dense_engine ~seed:Sim.Runner.default_seed
+           ~shots program)
+    in
     [
-      ( "backend dense-nocache 256 DJ(CARRY)",
-        fun () ->
-          ignore
-            (Sim.Backend.run ~policy:dense ~domains:1 ~prefix_cache:false ~plan
-               ~shots:256 dj) );
+      ("backend replay 256 DJ(CARRY)", replay dj_program 256);
       ( "backend prefix 256 DJ(CARRY)",
         fun () ->
           ignore
             (Sim.Backend.run ~policy:dense ~domains:1 ~plan ~shots:256 dj) );
       ( "backend parallel 256 DJ(CARRY)",
         fun () -> ignore (Sim.Backend.run ~policy:dense ~plan ~shots:256 dj) );
+      ( "backend walk 1024 DJ(MAJ_5) dyn1",
+        fun () ->
+          ignore (Sim.Backend.run ~policy:dense ~domains:1 ~shots:1024 maj5) );
+      ("backend replay 1024 DJ(MAJ_5) dyn1", replay maj5_program 1024);
     ]
   in
   let lint_tests =

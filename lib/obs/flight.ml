@@ -8,8 +8,8 @@
    [capacity] events survive, which is the point — when the pipeline
    raises ([Lint.Rejected], [Reuse_refuted], [Zero_probability_branch])
    the dump shows exactly what led up to the failure (pass snapshots,
-   lint diagnostics, certifier verdicts, RNG seeds, prefix-cache
-   traffic), context the Chrome trace cannot carry.
+   lint diagnostics, certifier verdicts, RNG seeds, backend
+   decisions), context the Chrome trace cannot carry.
 
    Like the metrics runtime, the recorder is armed explicitly
    ([install]); when it is not, [record] is one Atomic load and a

@@ -2,7 +2,7 @@
 
     Complements the metrics collector with {e forensics}: pass
     begin/end snapshots, lint diagnostics, certifier verdicts, RNG
-    seeds and prefix-cache traffic are recorded as typed events in a
+    seeds and backend decisions are recorded as typed events in a
     wrapping ring, and dumped as JSON (schema [dqc.flight/1]) either on
     demand ([--flight-record out.json]) or automatically when the
     pipeline raises.  Writers claim slots with one atomic

@@ -90,18 +90,24 @@ let record t v =
 
 (* Reset to empty without dropping the bucket array — the per-domain
    telemetry buffers clear-in-place at flush so a long-lived process
-   does not reallocate (and GC) ~12 KB per histogram per run. *)
+   does not reallocate (and GC) ~12 KB per histogram per run.  Only the
+   buckets between the extremes can hold counts, and an empty
+   histogram holds none. *)
 let clear t =
-  Array.fill t.counts 0 num_buckets 0;
+  if t.total > 0 then begin
+    let lo = bucket_of t.vmin in
+    Array.fill t.counts lo (bucket_of t.vmax - lo + 1) 0
+  end;
   t.total <- 0;
   t.vmin <- max_int;
   t.vmax <- 0;
   t.sum <- 0.
 
 let merge_into ~into src =
-  for b = 0 to num_buckets - 1 do
-    into.counts.(b) <- into.counts.(b) + src.counts.(b)
-  done;
+  if src.total > 0 then
+    for b = bucket_of src.vmin to bucket_of src.vmax do
+      into.counts.(b) <- into.counts.(b) + src.counts.(b)
+    done;
   into.total <- into.total + src.total;
   if src.total > 0 then begin
     if src.vmin < into.vmin then into.vmin <- src.vmin;

@@ -22,24 +22,6 @@ let pp_policy fmt p = Format.pp_print_string fmt (policy_to_string p)
 
 let resource_summary c = Lint.Resource.analyze c
 
-(* Share of the circuit's non-branching instructions that precede the
-   first measure/reset — what the plan executor simulates once: 1.0 on
-   terminal-measurement workloads (the whole unitary part is prefix),
-   lower when mid-circuit measure/reset cuts it off.  An all-branching
-   circuit caches everything cacheable, hence 1.0. *)
-let prefix_fraction c =
-  let prefix = ref 0 and unitary = ref 0 and cut = ref false in
-  List.iter
-    (function
-      | Instruction.Measure _ | Instruction.Reset _ -> cut := true
-      | Instruction.Unitary _ | Instruction.Conditioned _
-      | Instruction.Barrier _ ->
-          incr unitary;
-          if not !cut then incr prefix)
-    (Circ.instructions c);
-  if !unitary = 0 then 1.0
-  else float_of_int !prefix /. float_of_int !unitary
-
 let engine_name = function
   | `Stabilizer -> "stabilizer"
   | `Exact -> "exact"
@@ -101,6 +83,19 @@ let dense_fork_cap (s : Lint.Resource.summary) n =
              "dense enumerator capped at %d qubits or an amplitude bound of 2^%d"
              dense_fork_max_qubits dense_fork_max_qubits)
 
+(* The walk (below) keeps a state for each pending sibling only when
+   states are narrow on their engine: at most 2^16 of the cost model's
+   work units — amplitudes, live sparse entries, tableau bits — the
+   dense enumerator's width.  Past it, every shot walks alone from a
+   copy of the state where the shots first part, so at most two states
+   are live per domain. *)
+let holds e n (s : Lint.Resource.summary Lazy.t) =
+  let narrow log2_units = log2_units <= dense_fork_max_qubits in
+  match e with
+  | `Dense | `Hybrid -> narrow n
+  | `Sparse -> narrow n || narrow (Lazy.force s).log2_bound_peak
+  | `Stabilizer -> n * n <= 1 lsl dense_fork_max_qubits
+
 let check cap = Option.iter (fun why -> invalid_arg ("Backend.run: " ^ why)) cap
 
 (* The tableau runs the analyzer's witness — the circuit with the
@@ -133,16 +128,32 @@ let tableau_program (s : Lint.Resource.summary) =
    controls) amplitudes on the dense engine; on the sparse engine the
    analyzer's bound on the live entries around it, which drops at every
    collapse it cannot pin; on the tableau its 2n generator rows per
-   gate and n^2 bits per collapse. *)
+   gate and n^2 bits per collapse.  Every price is a sum over
+   instructions, so [model] folds each engine's sums once, and a range
+   of instructions costs two lookups. *)
+type sums = {
+  once : float array;
+      (** [once.(i)]: ns of instructions [0, i), each run once; kept
+          only past the walk's width, where every shot walks alone *)
+  walked : float array;
+      (** the same, each instruction on the walk's branches, plus the
+          state copy of every split; kept only where the walk holds *)
+  tree : float;
+      (** the exact enumeration tree, leaves and trailing pass aside *)
+}
+
 type model = {
   n : int;
   shots : float;
   summary : Lint.Resource.summary;
   prefix : int;  (** instructions before the first measure/reset *)
   trailing : int;  (** first instruction of the trailing measurement run *)
-  dense_ops : float array;  (** ns of each instruction, dense engine *)
-  sparse_ops : float array;  (** the same on the sparse engine *)
-  tableau_ops : float array;  (** the same on the tableau *)
+  collapses : int;  (** measure and reset instructions *)
+  branches : float array;
+      (** per instruction, the walk branches it runs on *)
+  dense_ns : sums;
+  sparse_ns : sums;
+  tableau_ns : sums;
   tableau : (Program.t, string) result Lazy.t;
       (** the witness's program, or why the tableau cannot run it *)
   tableau_out : string option;
@@ -158,102 +169,171 @@ let constants = function
 (* work units a copy of the state before instruction [i] holds: 2^n
    amplitudes, the bound on the live sparse entries, or the tableau's
    n^2 bits *)
-let width e m i =
+let width e (s : Lint.Resource.summary) n i =
   match e with
-  | `Dense -> Float.ldexp 1. m.n
-  | `Sparse -> Float.ldexp 1. m.summary.log2_bounds.(i)
-  | `Stabilizer -> float_of_int (m.n * m.n)
+  | `Dense -> Float.ldexp 1. n
+  | `Sparse -> Float.ldexp 1. s.log2_bounds.(i)
+  | `Stabilizer -> float_of_int (n * n)
 
+(* The class constant of an instruction on one engine *)
+let class_cost (k : Calibration.engine) (instr : Instruction.t) =
+  match instr with
+  | Unitary a | Conditioned (_, a) -> (
+      match a.gate with
+      | Gate.X -> k.x
+      | Gate.H | Gate.Y | Gate.V | Gate.Vdg | Gate.Rx _ | Gate.Ry _ -> k.mix
+      | Gate.Z | Gate.S | Gate.Sdg | Gate.T | Gate.Tdg | Gate.Rz _
+      | Gate.Phase _ ->
+          k.diag)
+  | Measure _ | Reset _ -> k.collapse
+  | Barrier _ -> 0.
+
+let new_sums m ~once ~walked =
+  let prices keep = if keep then Array.make (m + 1) 0. else [||] in
+  { once = prices once; walked = prices walked; tree = 0. }
+
+(* Instruction [i] into one engine's sums: [op] ns once; on the [b]
+   branches of the walk that reach it, [split] of which part in two
+   there; and on [tb] branches of the exact tree, each forking there
+   when [fork].  A copy costs [k_copy] per unit of a state [units]
+   wide.  Returns the tree's new total. *)
+let[@inline] add_instr sums i ~b ~split ~tb ~fork ~op ~k_copy ~units tree =
+  if Array.length sums.once > 0 then
+    sums.once.(i + 1) <- sums.once.(i) +. op;
+  if Array.length sums.walked > 0 then
+    sums.walked.(i + 1) <-
+      sums.walked.(i) +. (b *. op) +. (split *. (k_copy *. units));
+  let tree = tree +. (tb *. op) in
+  if fork then tree +. (tb *. k_copy *. units) else tree
+
+(* One pass over the instructions folds every engine's sums.  The
+   walk's branches before instruction [i] are the shots' histories of
+   outcomes so far: at most [shots], and at most 2^forks.(i).  The
+   trailing measurements are no forks (an exact run reads them in one
+   pass), but the walk splits on them too: the run's unpinned
+   collapses, one per trailing measurement at most, bound how far. *)
 let model ~shots (s : Lint.Resource.summary) tableau c =
   let n = Circ.num_qubits c in
   let m = s.instructions in
-  let dense_ops = Array.make m 0.
-  and sparse_ops = Array.make m 0.
-  and tableau_ops = Array.make m 0. in
-  List.iteri
-    (fun i instr ->
-      let cost (k : Calibration.engine) =
-        match (instr : Instruction.t) with
-        | Unitary a | Conditioned (_, a) -> (
-            match a.gate with
-            | Gate.X -> k.x
-            | Gate.H | Gate.Y | Gate.V | Gate.Vdg | Gate.Rx _ | Gate.Ry _ ->
-                k.mix
-            | Gate.Z | Gate.S | Gate.Sdg | Gate.T | Gate.Tdg | Gate.Rz _
-            | Gate.Phase _ ->
-                k.diag)
-        | Measure _ | Reset _ -> k.collapse
-        | Barrier _ -> 0.
-      in
-      let controls, rows =
-        match (instr : Instruction.t) with
-        | Unitary a | Conditioned (_, a) ->
-            (List.length a.controls, float_of_int (2 * n))
-        | Measure _ | Reset _ | Barrier _ -> (0, float_of_int (n * n))
-      in
-      dense_ops.(i) <- cost Calibration.dense *. Float.ldexp 1. (n - controls);
-      sparse_ops.(i) <-
-        cost Calibration.sparse
-        *. Float.ldexp 1. (max s.log2_bounds.(i) s.log2_bounds.(i + 1));
-      tableau_ops.(i) <- cost Calibration.tableau *. rows)
-    (Circ.instructions c);
-  let prefix =
-    List.find_index
-      (function
-        | Instruction.Measure _ | Instruction.Reset _ -> true
-        | Instruction.Unitary _ | Instruction.Conditioned _
-        | Instruction.Barrier _ ->
-            false)
-      (Circ.instructions c)
+  let instrs = Array.of_list (Circ.instructions c) in
+  let shots = float_of_int shots in
+  let is_collapse : Instruction.t -> bool = function
+    | Measure _ | Reset _ -> true
+    | Unitary _ | Conditioned _ | Barrier _ -> false
   in
-  (* one past the last instruction that is not a measurement or a
-     barrier, as the analyzer's [forks] draws the line *)
-  let trailing =
-    List.fold_left
-      (fun (i, t) instr ->
-        match (instr : Instruction.t) with
-        | Measure _ | Barrier _ -> (i + 1, t)
-        | Unitary _ | Conditioned _ | Reset _ -> (i + 1, i + 1))
-      (0, 0) (Circ.instructions c)
-    |> snd
+  let prefix = ref m and trailing = ref 0 and collapses = ref 0 in
+  Array.iteri
+    (fun i (instr : Instruction.t) ->
+      if is_collapse instr then begin
+        incr collapses;
+        if !prefix = m then prefix := i
+      end;
+      (* one past the last instruction that is not a measurement or a
+         barrier, as the analyzer's [forks] draws the line *)
+      match instr with
+      | Measure _ | Barrier _ -> ()
+      | Unitary _ | Conditioned _ | Reset _ -> trailing := i + 1)
+    instrs;
+  let trailing = !trailing and forks = s.forks in
+  let unpinned = s.nondet_branches - forks.(m) in
+  let branches = Array.make (m + 1) 0. in
+  let walk_branches i read =
+    Float.min shots (Float.ldexp 1. (forks.(i) + min unpinned read))
   in
+  branches.(0) <- walk_branches 0 0;
+  (* past the walk's width, hybrid runs walk shots alone on either
+     statevector engine; the tableau's prices matter only when the
+     analyzer's verdict admits it *)
+  let wide = not (holds `Hybrid n (Lazy.from_val s)) in
+  let tableau_out = tableau_verdict s in
+  let walks e = holds e n (Lazy.from_val s) in
+  let dense = new_sums m ~once:wide ~walked:(walks `Dense)
+  and sparse = new_sums m ~once:wide ~walked:(walks `Sparse)
+  and tab =
+    let admitted = Option.is_none tableau_out in
+    new_sums m
+      ~once:(admitted && not (walks `Stabilizer))
+      ~walked:(admitted && walks `Stabilizer)
+  in
+  let dense_tree = ref 0. and sparse_tree = ref 0. and tab_tree = ref 0. in
+  let read = ref 0 in
+  for i = 0 to m - 1 do
+    let instr = instrs.(i) in
+    (match instr with
+    | Measure _ when i >= trailing -> incr read
+    | Measure _ | Unitary _ | Conditioned _ | Reset _ | Barrier _ -> ());
+    branches.(i + 1) <- walk_branches (i + 1) !read;
+    let b = branches.(i) and split = branches.(i + 1) -. branches.(i) in
+    let tb = Float.ldexp 1. forks.(i) and fork = forks.(i + 1) > forks.(i) in
+    let controls =
+      match instr with
+      | Unitary a | Conditioned (_, a) -> List.length a.controls
+      | Measure _ | Reset _ | Barrier _ -> 0
+    in
+    let rows = if is_collapse instr then n * n else 2 * n in
+    dense_tree :=
+      add_instr dense i ~b ~split ~tb ~fork
+        ~op:
+          (class_cost Calibration.dense instr *. Float.ldexp 1. (n - controls))
+        ~k_copy:Calibration.dense.copy ~units:(width `Dense s n i) !dense_tree;
+    sparse_tree :=
+      add_instr sparse i ~b ~split ~tb ~fork
+        ~op:
+          (class_cost Calibration.sparse instr
+          *. Float.ldexp 1. (max s.log2_bounds.(i) s.log2_bounds.(i + 1)))
+        ~k_copy:Calibration.sparse.copy ~units:(width `Sparse s n i)
+        !sparse_tree;
+    tab_tree :=
+      add_instr tab i ~b ~split ~tb ~fork
+        ~op:(class_cost Calibration.tableau instr *. float_of_int rows)
+        ~k_copy:Calibration.tableau.copy ~units:(width `Stabilizer s n i)
+        !tab_tree
+  done;
   {
     n;
-    shots = float_of_int shots;
+    shots;
     summary = s;
-    prefix = Option.value ~default:m prefix;
+    prefix = !prefix;
     trailing;
-    dense_ops;
-    sparse_ops;
-    tableau_ops;
+    collapses = !collapses;
+    branches;
+    dense_ns = { dense with tree = !dense_tree };
+    sparse_ns = { sparse with tree = !sparse_tree };
+    tableau_ns = { tab with tree = !tab_tree };
     tableau;
-    tableau_out = tableau_verdict s;
+    tableau_out;
   }
 
-let ops_of e m =
+let sums_of e m =
   match e with
-  | `Dense -> m.dense_ops
-  | `Sparse -> m.sparse_ops
-  | `Stabilizer -> m.tableau_ops
+  | `Dense -> m.dense_ns
+  | `Sparse -> m.sparse_ns
+  | `Stabilizer -> m.tableau_ns
 
-(* ns of instructions [lo, hi) on one engine *)
+(* ns of instructions [lo, hi) on one engine, once, or on the walk's
+   branches *)
 let ops_ns e m lo hi =
-  let ops = ops_of e m in
-  let acc = ref 0. in
-  for i = lo to hi - 1 do
-    acc := !acc +. ops.(i)
-  done;
-  !acc
+  let s = sums_of e m in
+  s.once.(hi) -. s.once.(lo)
 
-(* The plan executor runs the first step's unitary prefix once; each
-   shot copies the state it leaves, replays the rest of the step, then
-   each later segment of a hybrid plan, converting the state at every
-   engine change. *)
-let sampled_ns m e0 stop0 rest =
-  let handoff i =
-    (Calibration.handoff *. Float.ldexp 1. m.n)
-    +. (Calibration.sparse.copy *. width `Sparse m i)
-  in
+let walked_ns e m lo hi =
+  let s = sums_of e m in
+  s.walked.(hi) -. s.walked.(lo)
+
+(* What every sampled shot pays whatever its branch: its share of the
+   tally, and one draw at each measure and reset *)
+let per_shot e m =
+  (constants e).shot +. (float_of_int m.collapses *. Calibration.draw)
+
+let handoff_ns m i =
+  (Calibration.handoff *. Float.ldexp 1. m.n)
+  +. (Calibration.sparse.copy *. width `Sparse m.summary m.n i)
+
+(* Past the walk's width every shot walks alone: the first step's
+   unitary prefix runs once; each shot copies the state it leaves,
+   replays the rest of the step, then each later segment of a hybrid
+   plan, converting the state at every engine change. *)
+let replay_ns m e0 stop0 rest =
   let cut = min m.prefix stop0 in
   let k = constants e0 in
   let per_shot, _ =
@@ -261,26 +341,52 @@ let sampled_ns m e0 stop0 rest =
       (fun (acc, prev) p ->
         let e = (p.seg_engine :> [ `Dense | `Sparse | `Stabilizer ]) in
         let acc = acc +. ops_ns e m p.seg_start p.seg_stop in
-        ((if e = prev then acc else acc +. handoff p.seg_start), e))
-      (k.shot +. (k.copy *. width e0 m cut) +. ops_ns e0 m cut stop0, e0)
+        ((if e = prev then acc else acc +. handoff_ns m p.seg_start), e))
+      ( per_shot e0 m
+        +. (k.copy *. width e0 m.summary m.n cut)
+        +. ops_ns e0 m cut stop0,
+        e0 )
       rest
   in
   ops_ns e0 m 0 cut +. (m.shots *. per_shot)
 
+(* A single engine's sampled run: the walk, each instruction once per
+   branch and a copy per split, or past its width the per-shot walk *)
+let sampled_ns m e =
+  if holds e m.n (Lazy.from_val m.summary) then
+    walked_ns e m 0 m.summary.instructions +. (m.shots *. per_shot e m)
+  else replay_ns m e m.summary.instructions []
+
 let plan_ns m = function
   | [] -> 0.
   | first :: rest ->
-      sampled_ns m (first.seg_engine :> [ `Dense | `Sparse | `Stabilizer ])
-        first.seg_stop rest
+      let e0 = (first.seg_engine :> [ `Dense | `Sparse | `Stabilizer ]) in
+      if holds `Hybrid m.n (Lazy.from_val m.summary) then
+        fst
+          (List.fold_left
+             (fun (acc, prev) p ->
+               let e = (p.seg_engine :> [ `Dense | `Sparse | `Stabilizer ]) in
+               let handoffs =
+                 if e = prev then 0.
+                 else m.branches.(p.seg_start) *. handoff_ns m p.seg_start
+               in
+               (acc +. walked_ns e m p.seg_start p.seg_stop +. handoffs, e))
+             (m.shots *. per_shot e0 m, e0)
+             (first :: rest))
+      else replay_ns m e0 first.seg_stop rest
 
-(* Each analyzer segment on the engine that runs it cheaper, the first
-   segment's once-per-run prefix and per-shot copy included. *)
+(* Each analyzer segment on the engine that runs it cheaper.  A walked
+   shot pays the same whichever engine holds its branch, so only the
+   per-shot walk charges the first segment its per-shot costs. *)
 let greedy_plan m =
+  let walks = holds `Hybrid m.n (Lazy.from_val m.summary) in
   List.mapi
     (fun j (g : Lint.Resource.segment) ->
       let cost e =
-        if j = 0 then sampled_ns m e g.stop []
-        else m.shots *. ops_ns e m g.start g.stop
+        match (walks, j) with
+        | true, _ -> walked_ns e m g.start g.stop
+        | false, 0 -> replay_ns m e g.stop []
+        | false, _ -> m.shots *. ops_ns e m g.start g.stop
       in
       {
         seg_start = g.start;
@@ -303,24 +409,16 @@ let trailing_ns e m =
       let leaves = s.forks.(s.instructions) in
       let unpinned = s.nondet_branches - leaves in
       Float.ldexp 1. (leaves + min unpinned s.log2_bounds.(m.trailing))
-      *. (((k.copy +. (2. *. k.collapse)) *. width e m 0) +. k.leaf)
+      *. (((k.copy +. (2. *. k.collapse)) *. width e s m.n 0) +. k.leaf)
 
 (* The enumeration tree: instruction [i] runs on up to 2^forks.(i)
    branches, each fork copies its state once per branch, and every
    leaf pays its emission and its trailing pass; then an alias draw
    per shot. *)
 let exact_ns e m =
-  let k = constants e and forks = m.summary.forks in
-  let acc = ref 0. in
-  Array.iteri
-    (fun i op ->
-      let branches = Float.ldexp 1. forks.(i) in
-      acc := !acc +. (branches *. op);
-      if forks.(i + 1) > forks.(i) then
-        acc := !acc +. (branches *. k.copy *. width e m i))
-    (ops_of e m);
-  !acc
-  +. (Float.ldexp 1. forks.(m.summary.instructions) *. k.leaf)
+  (sums_of e m).tree
+  +. (Float.ldexp 1. m.summary.forks.(m.summary.instructions)
+     *. (constants e).leaf)
   +. trailing_ns e m
   +. (m.shots *. Calibration.alias)
 
@@ -360,8 +458,7 @@ let candidates m =
   let single e cap =
     match cap with
     | Some why -> Error ((e :> choice), why)
-    | None ->
-        Ok ((e :> choice), sampled_ns m e m.summary.instructions [])
+    | None -> Ok ((e :> choice), sampled_ns m e)
   in
   let hybrid =
     match dense_cap m.n with
@@ -524,7 +621,7 @@ let select ?policy ~shots c =
        c)
 
 (* ------------------------------------------------------------------ *)
-(* The plan executor                                                  *)
+(* The outcome-tree walk                                              *)
 
 let statevector = function
   | `Dense -> (module Statevector.Dense_engine : Engine.S)
@@ -536,69 +633,182 @@ let engine_module = function
       (module E : Engine.Core)
   | `Stabilizer -> (module Stabilizer.Tableau_engine : Engine.Core)
 
-(* One hybrid shot's pass over the steps after the first: hand the
-   state to each step's engine and replay the step. *)
-let rec replay ~random st = function
-  | [] -> Engine.register st
-  | (e, program) :: rest ->
-      let st = Engine.convert e st in
-      Engine.exec ~random st program;
-      replay ~random st rest
+type cut = Measure of { qubit : int; bit : int } | Reset of int
 
-(* A shot replays [first] on engine [E], then [finish] reads the
-   register: at once for a single-engine run, after the later steps for
-   a hybrid one.  The prefix of [first] (everything before its first
-   measure/reset) draws no randomness: with [prefix_cache] it runs
-   once, and every shot copies the result and replays the rest. *)
-let execute (type s) ?domains ~seed ~shots ~prefix_cache base
-    (module E : Engine.Core with type state = s) first
-    (finish : random:(unit -> float) -> s -> int) =
-  let start = E.create (Circ.num_qubits base) ~num_bits:(Circ.num_bits base) in
-  let first =
-    if prefix_cache then
-      Obs.with_span "backend.prefix.prepare" (fun () ->
-          let prefix, suffix = Program.split_prefix first in
-          E.exec ~random:Program.no_random start prefix;
-          let fraction = prefix_fraction base in
-          Obs.set_gauge "backend.prefix.fraction" fraction;
-          if Obs.Flight.enabled () then
-            Obs.Flight.record ~kind:"backend.prefix.prepared"
-              [ ("fraction", Obs.Json.Float fraction) ];
-          (* counted once per run, not per shot: a counter bump is a
-             name lookup in the domain buffer, too expensive for the
-             per-shot path under the <2% telemetry budget *)
-          Obs.incr ~n:shots "backend.prefix.hit";
-          suffix)
-    else begin
-      if Obs.Flight.enabled () then
-        Obs.Flight.record ~kind:"backend.prefix.bypassed" [];
-      Obs.incr ~n:shots "backend.prefix.miss";
-      first
-    end
+(* A program as the walk runs it: [runs.(j)], the unitary and
+   conditioned ops before collapse [cuts.(j)], and a last run after
+   every collapse. *)
+type walk_program = { runs : Program.t array; cuts : cut array }
+
+let walk_program program =
+  let ops = Program.kernels program in
+  let runs = ref [] and cuts = ref [] and start = ref 0 in
+  let close k =
+    runs := Program.sub program ~pos:!start ~len:(k - !start) :: !runs;
+    start := k + 1
   in
-  Parallel.run ?domains ~seed ~width:(Circ.num_bits base) ~shots
-    (fun ~rng ~index:_ ->
-      let random () = Random.State.float rng 1.0 in
-      let st = E.copy start in
-      E.exec ~random st first;
-      finish ~random st)
+  Array.iteri
+    (fun k -> function
+      | Program.Kmeasure { qubit; bit } ->
+          close k;
+          cuts := Measure { qubit; bit } :: !cuts
+      | Program.Kreset q ->
+          close k;
+          cuts := Reset q :: !cuts
+      | Program.Kx _ | Program.Kh _ | Program.Kphase _ | Program.Kdiag _
+      | Program.Ku2 _ | Program.Kcond _ ->
+          ())
+    ops;
+  close (Array.length ops);
+  {
+    runs = Array.of_list (List.rev !runs);
+    cuts = Array.of_list (List.rev !cuts);
+  }
+
+(* One domain's walk over its block of shot streams, which it reorders
+   as the shots part ways: the (register, shots) pair of each leaf, and
+   what telemetry reads of it. *)
+type block = {
+  rngs : Random.State.t array;
+  hold : bool;  (** may a sibling wait while the other side walks *)
+  mutable tally : (int * int) list;
+  mutable live : int;  (** states held *)
+  mutable peak : int;
+  mutable leaves : int;
+  mutable copies : int;
+}
+
+(* Each shot of [lo, hi) draws once from its own stream and takes
+   outcome 1 when the draw is below [p1] — the engines' contract.  The
+   range is reordered in place, one swap per outcome 1, so [lo, mid)
+   took 0 and [mid, hi) took 1; [mid] is returned. *)
+let partition rngs p1 lo hi =
+  let i = ref lo and j = ref hi in
+  while !i < !j do
+    let r = rngs.(!i) in
+    if Random.State.float r 1.0 < p1 then begin
+      decr j;
+      rngs.(!i) <- rngs.(!j);
+      rngs.(!j) <- r
+    end
+    else incr i
+  done;
+  !j
+
+let leaf b register lo hi =
+  b.tally <- (register, hi - lo) :: b.tally;
+  b.leaves <- b.leaves + 1
+
+(* Walk [wp] on engine [E] from [st], shared by the shots [lo, hi):
+   each run of unitary and conditioned ops executes once per branch,
+   and at a collapse the shots draw and part ways.  With [b.hold] the
+   smaller side walks a copy first while the larger waits, so a branch
+   holds at most log2 of its shots; without, each shot walks alone
+   from a copy, and a one-shot range never splits.  [finish] receives
+   every branch's state at the end of [wp]. *)
+let walk (type s) (module E : Engine.Core with type state = s) b wp (st : s) lo
+    hi (finish : s -> int -> int -> unit) =
+  let last = Array.length wp.cuts in
+  let copy st =
+    b.copies <- b.copies + 1;
+    b.live <- b.live + 1;
+    b.peak <- max b.peak b.live;
+    E.copy st
+  in
+  let rec go st j lo hi =
+    let run = wp.runs.(j) in
+    if Program.length run > 0 then E.exec ~random:Program.no_random st run;
+    if j = last then finish st lo hi
+    else
+      let q =
+        match wp.cuts.(j) with Measure { qubit; _ } -> qubit | Reset q -> q
+      in
+      let mid = partition b.rngs (E.prob_one st q) lo hi in
+      if mid = hi then branch st j false lo hi
+      else if mid = lo then branch st j true lo hi
+      else if b.hold then begin
+        let c = copy st in
+        if mid - lo <= hi - mid then begin
+          branch c j false lo mid;
+          b.live <- b.live - 1;
+          branch st j true mid hi
+        end
+        else begin
+          branch c j true mid hi;
+          b.live <- b.live - 1;
+          branch st j false lo mid
+        end
+      end
+      else begin
+        for i = lo to hi - 2 do
+          branch (copy st) j (i >= mid) i (i + 1);
+          b.live <- b.live - 1
+        done;
+        branch st j true (hi - 1) hi
+      end
+  and branch st j outcome lo hi =
+    (match wp.cuts.(j) with
+    | Measure { qubit; bit } ->
+        ignore (E.project st qubit outcome);
+        E.set_bit st bit outcome
+    | Reset q ->
+        ignore (E.project st q outcome);
+        if outcome then E.flip st q);
+    go st (j + 1) lo hi
+  in
+  go st 0 lo hi
+
+(* A hybrid branch's steps after the current one: hand its state to
+   each step's engine, once per branch, and walk the step. *)
+let rec walk_steps b st steps lo hi =
+  match steps with
+  | [] -> leaf b (Engine.register st) lo hi
+  | ((module F : Engine.S), wp) :: rest -> (
+      match Engine.convert (module F) st with
+      | Engine.Packed ((module G), st) ->
+          walk
+            (module G : Engine.Core with type state = G.state)
+            b wp st lo hi
+            (fun st lo hi ->
+              walk_steps b (Engine.pack (module G) st) rest lo hi))
+
+(* Every domain walks its own block from a fresh state ([start]
+   creates it and walks); the walk's counts reach telemetry once per
+   block. *)
+let execute ?domains ~seed ~shots ~hold ~width start =
+  Parallel.run ?domains ~seed ~width ~shots (fun rngs ~lo ~hi ->
+      let b =
+        { rngs; hold; tally = []; live = 0; peak = 0; leaves = 0; copies = 0 }
+      in
+      if lo < hi then begin
+        b.live <- 1;
+        b.peak <- 1;
+        start b lo hi
+      end;
+      if Obs.enabled () then begin
+        Obs.incr ~n:b.leaves "backend.walk.branches";
+        Obs.incr ~n:b.copies "backend.walk.copies";
+        Obs.set_gauge "backend.walk.peak_states" (float_of_int b.peak)
+      end;
+      b.tally)
 
 (* A hybrid run is one step per plan entry, each compiled from that
    segment's instruction range (segments cut where
-   [Program.split_prefix] cuts).  Handoffs happen at the same step
-   boundaries every shot, so they are counted once per run, as
-   [backend.handoff.dense_to_sparse] / [.sparse_to_dense] (the
-   per-shot path stays counter-free). *)
-let execute_hybrid ?domains ~seed ~shots ~prefix_cache base plan =
+   [Program.split_prefix] cuts).  Every shot crosses the same step
+   boundaries, so handoffs are counted once per run, per shot, as
+   [backend.handoff.dense_to_sparse] / [.sparse_to_dense]; the walk
+   converts once per branch. *)
+let execute_hybrid ?domains ~seed ~shots ~hold base plan =
   let num_qubits = Circ.num_qubits base and num_bits = Circ.num_bits base in
   let instrs = Array.of_list (Circ.instructions base) in
   let steps =
     List.map
       (fun s ->
         ( statevector s.seg_engine,
-          Program.compile_instructions ~num_qubits ~num_bits
-            (Array.to_list
-               (Array.sub instrs s.seg_start (s.seg_stop - s.seg_start))) ))
+          walk_program
+            (Program.compile_instructions ~num_qubits ~num_bits
+               (Array.to_list
+                  (Array.sub instrs s.seg_start (s.seg_stop - s.seg_start)))) ))
       plan
   in
   let names = List.map (fun ((module E : Engine.S), _) -> E.name) steps in
@@ -621,14 +831,13 @@ let execute_hybrid ?domains ~seed ~shots ~prefix_cache base plan =
       (* only an instruction-free circuit has no segments, and Auto
          never runs one hybrid *)
       invalid_arg "Backend.run: empty plan"
-  | ((module E : Engine.S), first) :: rest ->
-      execute ?domains ~seed ~shots ~prefix_cache base
-        (module E : Engine.Core with type state = E.state)
-        first
-        (fun ~random st -> replay ~random (Engine.pack (module E) st) rest)
+  | ((module E : Engine.S), _) :: _ ->
+      execute ?domains ~seed ~shots ~hold ~width:num_bits (fun b lo hi ->
+          walk_steps b
+            (Engine.pack (module E) (E.create num_qubits ~num_bits))
+            steps lo hi)
 
-let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
-    ?(prefix_cache = true) ~shots c =
+let run ?policy ?(seed = Runner.default_seed) ?domains ?plan ~shots c =
   if shots < 0 then invalid_arg "Backend.run: negative shots";
   (match domains with
   | Some d when d < 1 -> invalid_arg "Backend.run: domains < 1"
@@ -645,15 +854,14 @@ let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
   let tableau = lazy (tableau_program (Lazy.force summary)) in
   let choice = select_gen ?policy ~shots summary tableau base in
   let engine = engine_of choice in
-  let width = Circ.num_bits base in
+  let num_qubits = Circ.num_qubits base and width = Circ.num_bits base in
   if Obs.Flight.enabled () then
     Obs.Flight.record ~kind:"backend.run"
       [
         ("engine", Obs.Json.String (engine_name engine));
         ("seed", Obs.Json.Int seed);
         ("shots", Obs.Json.Int shots);
-        ("qubits", Obs.Json.Int (Circ.num_qubits base));
-        ("prefix_cache", Obs.Json.Bool prefix_cache);
+        ("qubits", Obs.Json.Int num_qubits);
       ];
   (* the tableau runs the witness's program, every other engine the
      circuit's own *)
@@ -677,21 +885,31 @@ let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
           (Dist.draw sampler (Random.State.make [| seed |]) ~shots)
     | (`Dense | `Sparse | `Stabilizer) as e ->
         let (module E : Engine.Core) = engine_module e in
-        execute ?domains ~seed ~shots ~prefix_cache base
-          (module E)
-          (program e)
-          (fun ~random:_ st -> E.register st)
+        let wp = walk_program (program e) in
+        (* only a sparse run past 16 qubits reads the summary here *)
+        execute ?domains ~seed ~shots ~hold:(holds e num_qubits summary)
+          ~width (fun b lo hi ->
+            walk
+              (module E)
+              b wp
+              (E.create num_qubits ~num_bits:width)
+              lo hi
+              (fun st lo hi -> leaf b (E.register st) lo hi))
     | `Hybrid plan ->
-        execute_hybrid ?domains ~seed ~shots ~prefix_cache base plan
+        execute_hybrid ?domains ~seed ~shots
+          ~hold:(holds `Hybrid num_qubits summary)
+          base plan
   in
   if not (Obs.enabled ()) then dispatch ()
   else begin
     let name = engine_name engine in
     Obs.incr ("backend.run." ^ name);
-    (* plan-executor runs replay compiled programs step by step: count
-       them apart from the exact enumerations *)
+    (* walked runs share every shot's unitary prefix: count them apart
+       from the exact enumerations *)
     (match engine with
-    | `Dense | `Sparse | `Hybrid | `Stabilizer -> Obs.incr "backend.run.program"
+    | `Dense | `Sparse | `Hybrid | `Stabilizer ->
+        Obs.incr "backend.run.program";
+        Obs.incr ~n:shots "backend.prefix.hit"
     | `Exact -> ());
     Obs.incr ~n:shots "backend.shots";
     let r =
@@ -700,7 +918,7 @@ let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
           [
             ("engine", name);
             ("shots", string_of_int shots);
-            ("qubits", string_of_int (Circ.num_qubits base));
+            ("qubits", string_of_int num_qubits);
           ]
         dispatch
     in
@@ -709,6 +927,6 @@ let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
     r
   end
 
-let run_measured ?policy ?seed ?domains ?prefix_cache ~shots ~measures c =
-  run ?policy ?seed ?domains ~plan:(Measurement_plan.of_pairs measures)
-    ?prefix_cache ~shots c
+let run_measured ?policy ?seed ?domains ~shots ~measures c =
+  run ?policy ?seed ?domains ~plan:(Measurement_plan.of_pairs measures) ~shots
+    c

@@ -8,8 +8,9 @@ open Circuit
     {!Parallel} and returns an ordinary {!Runner.histogram}.
 
     Backends:
-    - {e dense statevector} — the general engine, one replay per shot,
-      accelerated by the shared-prefix cache (see {!run});
+    - {e dense statevector} — the general engine; a sampled run walks
+      the tree of its shots' outcomes, so each distinct branch runs
+      once (see {!run});
     - {e sparse statevector} — hash-map basis-amplitude storage
       ({!Sparse}): memory and per-op work scale with the nonzero
       count, which is what lets basis-sparse dynamic circuits (the
@@ -32,10 +33,12 @@ open Circuit
     handoffs.
 
     Determinism: for a fixed [seed] the histogram is byte-identical
-    regardless of [domains] and of the prefix cache.  Every sampled
-    shot owns a split RNG state (see {!Parallel}), and the dense,
-    sparse and tableau replays consume randomness identically, so
-    the choice among them does not perturb the shot stream.  An exact
+    regardless of [domains].  Every sampled shot owns a split RNG
+    state (see {!Parallel}) and draws once from it at every measure
+    and reset, and the dense, sparse and tableau engines decide an
+    outcome alike, so the choice among them does not perturb the shot
+    stream, and a shot's outcomes are those a replay of it alone would
+    draw.  An exact
     run draws every shot from [Random.State.make [| seed |]], so its
     histogram is a function of the seed, the shot count and the law,
     and spawns no domain. *)
@@ -56,13 +59,6 @@ val policy_of_string : string -> policy option
 
 val pp_policy : Format.formatter -> policy -> unit
 
-(** Share of the circuit's non-branching (unitary/barrier/conditioned)
-    instructions that precede the first measurement/reset — the
-    deterministic prefix {!run} simulates once and shares across
-    shots; [1.0] exactly when every measurement is terminal.  Also
-    published as the [backend.prefix.fraction] telemetry gauge. *)
-val prefix_fraction : Circ.t -> float
-
 (** The circuit's static resource summary ({!Lint.Resource.analyze}),
     computed afresh on every call.  {!select} and {!run} analyze each
     circuit they plan at most once per call. *)
@@ -80,10 +76,18 @@ val resource_summary : Circ.t -> Lint.Resource.summary
     engine, the bound on its live entries on the sparse engine, and on
     the tableau its [2n] generator rows per gate and [n^2] bits per
     collapse (a tableau copy also counts [n^2]).  Per run:
-    - dense, sparse and the tableau: the unitary prefix once, then per
-      shot a copy of the state it leaves and the rest of the ops;
-    - hybrid: each segment on its cheaper statevector engine, plus a
-      conversion per shot at every engine change;
+    - dense, sparse and the tableau: the walk of {!run} — instruction
+      [i] on [min(shots, 2^forks.(i))] branches, a state copy per
+      split, and per shot a fixed cost and one draw per measure and
+      reset.  The trailing measurements are no forks, but they split
+      the walk's branches: at most one each, and at most the run's
+      unpinned collapses.  Past the walk's width (below) each shot
+      walks alone from the first split: the unitary prefix once, then
+      per shot a copy of the state it leaves and the rest of the ops;
+    - hybrid: each segment on its cheaper statevector engine, priced
+      as the walk (or the per-shot walk) prices its instructions,
+      plus a conversion per branch (per shot past the width) at every
+      engine change;
     - exact: the enumeration tree on the cheapest of its three engines
       — instruction [i] on [2^forks.(i)] branches
       ({!Lint.Resource.summary}'s [forks]: the collapses it cannot pin
@@ -94,6 +98,11 @@ val resource_summary : Circ.t -> Lint.Resource.summary
       per leaf, a copy, two collapses and a leaf cost for each of at
       most [2^min(u, b)] outcomes ([u] the run's unpinned collapses,
       [b] the bound where the run starts).
+
+    The walk holds a state per pending sibling only on narrow states:
+    at most 2^16 work units, so on the dense engine (and a hybrid run)
+    at most 16 qubits, on the sparse one at most 16 qubits or an
+    amplitude bound of at most 16, on the tableau at most 256 qubits.
 
     Memory caps and the tableau's gate set rule engines out before any
     cost is compared: dense and hybrid need at most
@@ -171,25 +180,34 @@ val select :
 val engine_name :
   [ `Dense | `Stabilizer | `Exact | `Sparse | `Hybrid ] -> string
 
-(** [run ?policy ?seed ?domains ?plan ?prefix_cache ~shots c] executes
-    [shots] shots of [c] (instrumented with [plan]'s terminal
-    measurements when given; selection reads the instrumented circuit)
-    on the selected backend.  A sampled run is sharded across
-    [domains] workers (default [Domain.recommended_domain_count ()]);
-    an exact run draws its shots on one stream and [domains] does not
-    apply to it.  The run compiles one program: the circuit's, or the
-    witness's when the tableau runs.
+(** [run ?policy ?seed ?domains ?plan ~shots c] executes [shots] shots
+    of [c] (instrumented with [plan]'s terminal measurements when
+    given; selection reads the instrumented circuit) on the selected
+    backend.  A sampled run is sharded across [domains] workers
+    (default [Domain.recommended_domain_count ()]), each taking a
+    contiguous block of the shots; an exact run draws its shots on
+    one stream and [domains] does not apply to it.  The run compiles
+    one program: the circuit's, or the witness's when the tableau
+    runs.
 
-    Dense, sparse, tableau and hybrid runs share one plan executor: a
-    list of (engine, compiled program) steps — one step over the whole
-    program for a single engine (the tableau's is the analyzer's
-    witness), one per {!prediction} [plan] entry for hybrid — that
-    every shot threads one state through, converting it
-    ({!Engine.convert}) where a hybrid plan changes engine.  With
-    [prefix_cache] (default [true]) the first step's deterministic
-    prefix ({!Program.split_prefix}) is simulated once and each shot
-    starts from a copy of it; disabling it replays every step from
-    |0...0> per shot and yields the same histogram bit-for-bit.
+    Dense, sparse, tableau and hybrid runs are one depth-first walk of
+    the compiled program per block, over a list of (engine, program)
+    steps — one step for a single engine (the tableau's is the
+    analyzer's witness), one per {!prediction} [plan] entry for
+    hybrid.  A branch of the walk carries a range of shots.  Unitary
+    and conditioned ops run once per branch.  At a measure or reset
+    every shot of the range draws once from its own stream and takes
+    outcome 1 when the draw is below the outcome's probability; the
+    range is reordered in place, and where both outcomes were drawn
+    the smaller side walks a copy of the state first while the larger
+    continues in place, so at most [log2 shots + 2] states are live
+    per domain.  A hybrid branch converts its state
+    ({!Engine.convert}) once at each engine change.  Each shot sees the
+    states and draws the numbers a replay of it alone would, and the
+    work is paid once per distinct branch — at most [min(shots,
+    2^forks)] — not once per shot.  Past the walk's width (see the
+    cost model) no sibling waits: from the first split on, each shot
+    walks alone from a copy of the state there.
 
     [seed] defaults to {!Runner.default_seed}, the constant shared
     with {!Parallel.run}.
@@ -198,16 +216,20 @@ val engine_name :
     span (attrs: engine, shots, qubits) around the dispatch, counters
     [backend.run.<engine>] and [backend.shots], on every engine.
     Only sampled runs go through {!Parallel}, so only they record its
-    [parallel.*] spans, counters and shot histogram.  Plan-executor
-    runs also bump [backend.run.program], count their shots into
-    [backend.prefix.hit] / [backend.prefix.miss], publish the
-    [backend.prefix.fraction] gauge ({!prefix_fraction}), and count
-    per-shot representation conversions into
+    [parallel.*] spans and counters.  Walked runs also bump
+    [backend.run.program], count every shot into [backend.prefix.hit]
+    (each shares the unitary prefix), count the shots crossing each
+    engine change of a hybrid plan into
     [backend.handoff.dense_to_sparse] /
-    [backend.handoff.sparse_to_dense]; a multi-step (hybrid) plan
-    records a [backend.hybrid.plan] flight event with the
-    segment-engine string.  The histogram itself is byte-identical
-    whether or not telemetry is on.
+    [backend.handoff.sparse_to_dense], and once per block add the
+    walk's leaves to [backend.walk.branches], its state copies to
+    [backend.walk.copies], and set the [backend.walk.peak_states]
+    gauge to the most states it held at once (the maximum over the
+    domains); the last three depend on the domain count, since each
+    domain walks its own block.  A multi-step (hybrid) plan records a
+    [backend.hybrid.plan] flight event with the segment-engine string.
+    The histogram itself is byte-identical whether or not telemetry is
+    on.
     @raise Invalid_argument when [domains < 1] or [shots < 0], whichever
     engine would run, and as {!select} does. *)
 val run :
@@ -215,7 +237,6 @@ val run :
   ?seed:int ->
   ?domains:int ->
   ?plan:Measurement_plan.t ->
-  ?prefix_cache:bool ->
   shots:int ->
   Circ.t ->
   Runner.histogram
@@ -226,7 +247,6 @@ val run_measured :
   ?policy:policy ->
   ?seed:int ->
   ?domains:int ->
-  ?prefix_cache:bool ->
   shots:int ->
   measures:(int * int) list ->
   Circ.t ->

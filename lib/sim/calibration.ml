@@ -10,7 +10,7 @@ type engine = {
   diag : float;  (** per amplitude a phase or diagonal op touches *)
   collapse : float;  (** per amplitude a measure or reset touches *)
   copy : float;  (** per amplitude of a state copy *)
-  shot : float;  (** per sampled shot, beside its state copy *)
+  shot : float;  (** per sampled shot, beside its draws and copies *)
   leaf : float;  (** per enumerated leaf, beside its fork copies *)
 }
 
@@ -21,7 +21,7 @@ let dense =
     diag = 1.122;
     collapse = 4.54;
     copy = 2.862;
-    shot = 353.7;
+    shot = 189.;
     leaf = 259.2;
   }
 
@@ -32,7 +32,7 @@ let sparse =
     diag = 2.536;
     collapse = 54.56;
     copy = 8.407;
-    shot = 862.5;
+    shot = 176.3;
     leaf = 883.8;
   }
 
@@ -45,7 +45,7 @@ let tableau =
     diag = 4.369;
     collapse = 0.1313;
     copy = 4.456;
-    shot = 829.;
+    shot = 189.5;
     leaf = 718.4;
   }
 
@@ -54,3 +54,7 @@ let handoff = 2.76
 
 (* per shot drawn from an exact distribution *)
 let alias = 21.69
+
+(* per sampled shot and measure or reset: its draw and its place in
+   the walk's partition *)
+let draw = 9.221

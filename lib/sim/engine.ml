@@ -1,7 +1,6 @@
 (* The engine abstraction: the signatures every execution engine
-   implements, so Backend's plan executor and the exact-branch
-   enumerator (Exact) can be written once instead of hard-coding one
-   storage.
+   implements, so Backend's walk and the exact-branch enumerator
+   (Exact) can be written once instead of hard-coding one storage.
 
    Instances:
    - [Statevector.Dense_engine] — the dense SoA amplitudes ([State]),
@@ -58,9 +57,6 @@ let pack (type s) (module E : S with type state = s) (st : s) =
   Packed ((module E), st)
 
 let register (Packed ((module E), st)) = E.register st
-
-let exec ~random (Packed ((module E), st)) program =
-  E.exec ~random st program
 
 (* every handoff goes through the dense representation: identity on
    the dense side, a scan or a table walk on the other *)

@@ -1,8 +1,8 @@
 (** The pluggable execution-engine abstraction.
 
     [Core] is what every engine implements and all that {!Exact}'s
-    enumerator and a single-engine run of {!Backend}'s plan executor
-    use: state lifecycle (create/copy), the compiled-op replay
+    enumerator and a single-engine walk of {!Backend.run} use: state
+    lifecycle (create/copy), the compiled-op replay
     ({!Core.apply}/{!Core.exec} over {!Program.kernel} ops), the
     collapse primitives ({!Core.measure}/{!Core.reset}/{!Core.project})
     and the probability observers.  [S] adds the statevector extras —
@@ -23,7 +23,13 @@
     only by [measure]/[reset], in source order, one draw each; and
     [measure] decides the outcome as [random < prob_one], so two
     engines that agree on probabilities (within pruning tolerance)
-    replay identical shot streams from the same split-RNG stream. *)
+    replay identical shot streams from the same split-RNG stream.
+    [measure] is [prob_one], then [project] onto the outcome and
+    [set_bit]; [reset] is [prob_one], then [project] and, on outcome 1,
+    [flip].  {!Backend.run}'s walk of the outcome tree relies on it:
+    it reads [prob_one] once per branch, draws once per shot, and
+    collapses each side with [project], so a walked shot sees the
+    states and draws a replay of it alone ([exec], [run]) would. *)
 
 module type Core = sig
   type state
@@ -109,13 +115,12 @@ module type S = sig
   val to_state : state -> State.t
 end
 
-(** A statevector packed with its engine — what {!Backend}'s plan
-    executor threads through the steps of a hybrid shot. *)
+(** A statevector packed with its engine — what {!Backend.run}'s walk
+    hands from step to step of a hybrid branch. *)
 type packed = Packed : (module S with type state = 's) * 's -> packed
 
 val pack : (module S with type state = 's) -> 's -> packed
 val register : packed -> int
-val exec : random:(unit -> float) -> packed -> Program.t -> unit
 
 (** [convert e p] hands [p] over to engine [e]: [p] itself when it
     already lives there (same {!S.name}), otherwise [e]'s [of_state]

@@ -174,16 +174,20 @@ let run_shots ?(seed = 0xD1CE) ?domains ?plan ~model ~shots c =
   let num_qubits = Circ.num_qubits c in
   let program = Program.compile c in
   let prefix_program, suffix_program = Program.split_prefix program in
-  if prefix_noise_free model prefix_program then begin
-    let cached = State.create num_qubits ~num_bits:(Circ.num_bits c) in
-    Program.exec ~random:Program.no_random cached prefix_program;
-    Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
-        run_ops ~rng ~model ~num_qubits (State.copy cached) suffix_program)
-  end
-  else
-    Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
-        let st = State.create num_qubits ~num_bits:(Circ.num_bits c) in
-        run_ops ~rng ~model ~num_qubits st program)
+  let trajectory =
+    if prefix_noise_free model prefix_program then begin
+      let cached = State.create num_qubits ~num_bits:(Circ.num_bits c) in
+      Program.exec ~random:Program.no_random cached prefix_program;
+      fun rng ->
+        run_ops ~rng ~model ~num_qubits (State.copy cached) suffix_program
+    end
+    else fun rng ->
+      let st = State.create num_qubits ~num_bits:(Circ.num_bits c) in
+      run_ops ~rng ~model ~num_qubits st program
+  in
+  (* every trajectory draws its own noise: one shot at a time *)
+  Parallel.run ?domains ~seed ~width ~shots (fun rngs ~lo ~hi ->
+      List.init (hi - lo) (fun i -> (trajectory rngs.(lo + i), 1)))
 
 let expected_outcome_probability ?seed ?domains ~model ~shots ~expected c =
   let h = run_shots ?seed ?domains ~model ~shots c in

@@ -11,65 +11,19 @@ let shot_rngs ~seed shots =
   done;
   states
 
-let tally_block rngs f lo hi =
-  let counts = Hashtbl.create 16 in
-  for i = lo to hi - 1 do
-    let outcome = f ~rng:rngs.(i) ~index:i in
-    let prev = Option.value ~default:0 (Hashtbl.find_opt counts outcome) in
-    Hashtbl.replace counts outcome (prev + 1)
-  done;
-  Hashtbl.fold (fun outcome n acc -> (outcome, n) :: acc) counts []
-
-(* One shot in [shot_sample_every] is timed into the [parallel.shot]
-   histogram.  A clock read costs ~30ns in a hot microbenchmark but
-   several hundred ns mid-replay, where every shot has just evicted
-   the vDSO data page with a statevector copy + scan — bracketing all
-   shots costs ~2-3% of the prefix-cached reference run, over the <2%
-   telemetry budget (docs/OBSERVABILITY.md).  Sampling keys on the
-   *global* shot index, not a per-domain tick, so which shots are
-   observed — and the histogram count — is independent of how shots
-   are sharded across domains, same as every other telemetry total. *)
-let shot_sample_every = 32
-
-(* [tally_block] with sampled per-shot timing — the telemetry-path
-   twin, kept separate so the production loop stays branch-free per
-   shot.  The histogram handle is hoisted out of the loop (this block
-   runs on one domain and nothing flushes mid-block), so a sampled
-   shot pays two clock reads and a bucket increment, not a name
-   lookup. *)
-let tally_block_timed rngs f lo hi =
-  let shot_hist = Obs.local_histogram "parallel.shot" in
-  let counts = Hashtbl.create 16 in
-  for i = lo to hi - 1 do
-    let outcome =
-      if i land (shot_sample_every - 1) = 0 then begin
-        let t0 = Int64.to_int (Obs.Clock.now_ns ()) in
-        let outcome = f ~rng:rngs.(i) ~index:i in
-        Obs.Histogram.record shot_hist
-          (Int64.to_int (Obs.Clock.now_ns ()) - t0);
-        outcome
-      end
-      else f ~rng:rngs.(i) ~index:i
-    in
-    let prev = Option.value ~default:0 (Hashtbl.find_opt counts outcome) in
-    Hashtbl.replace counts outcome (prev + 1)
-  done;
-  Hashtbl.fold (fun outcome n acc -> (outcome, n) :: acc) counts []
-
 (* Telemetry around one contiguous shot block: a span on the worker's
-   own timeline plus per-domain shot/wall-time tallies and the
-   per-shot latency distribution.  The block index [k] (not the OS
-   domain id) keys the counters so [domains:1] and [domains:N] runs
-   stay comparable. *)
-let observed_block ~k rngs f lo hi =
-  if not (Obs.enabled ()) then tally_block rngs f lo hi
+   own timeline plus per-block shot/wall-time tallies.  The block index
+   [k] (not the OS domain id) keys the counters so [domains:1] and
+   [domains:N] runs stay comparable. *)
+let observed_block ~k f rngs lo hi =
+  if not (Obs.enabled ()) then f rngs ~lo ~hi
   else begin
     let t0 = Obs.Clock.now_ns () in
     let r =
       Obs.with_span "parallel.block"
         ~attrs:
           [ ("block", string_of_int k); ("shots", string_of_int (hi - lo)) ]
-        (fun () -> tally_block_timed rngs f lo hi)
+        (fun () -> f rngs ~lo ~hi)
     in
     Obs.incr ~n:(hi - lo) (Printf.sprintf "parallel.block.%d.shots" k);
     Obs.set_gauge
@@ -94,30 +48,23 @@ let run ?domains ?(seed = Runner.default_seed) ~width ~shots f =
       Obs.incr ~n:shots "parallel.shots";
       let rngs = shot_rngs ~seed shots in
       let bounds d = (d * shots / domains, (d + 1) * shots / domains) in
-      let result =
-        if domains = 1 then
-          Runner.of_counts ~width (observed_block ~k:0 rngs f 0 shots)
-        else begin
-          (* workers take blocks 1..domains-1; block 0 runs here.  Each
-             worker flushes its telemetry buffer before finishing, so
-             per-domain records merge into the collector at join. *)
-          let workers =
-            Array.init (domains - 1) (fun k ->
-                let lo, hi = bounds (k + 1) in
-                Domain.spawn (fun () ->
-                    let r = observed_block ~k:(k + 1) rngs f lo hi in
-                    Obs.flush ();
-                    r))
-          in
-          let own =
-            let lo, hi = bounds 0 in
-            observed_block ~k:0 rngs f lo hi
-          in
-          Array.fold_left
-            (fun acc worker ->
-              Runner.merge acc (Runner.of_counts ~width (Domain.join worker)))
-            (Runner.of_counts ~width own)
-            workers
-        end
+      (* workers take blocks 1..domains-1; block 0 runs here.  Each
+         worker flushes its telemetry buffer before finishing, so
+         per-domain records merge into the collector at join. *)
+      let workers =
+        Array.init (domains - 1) (fun k ->
+            let lo, hi = bounds (k + 1) in
+            Domain.spawn (fun () ->
+                let r = observed_block ~k:(k + 1) f rngs lo hi in
+                Obs.flush ();
+                r))
       in
-      result)
+      let own =
+        let lo, hi = bounds 0 in
+        observed_block ~k:0 f rngs lo hi
+      in
+      Array.fold_left
+        (fun acc worker ->
+          Runner.merge acc (Runner.of_counts ~width (Domain.join worker)))
+        (Runner.of_counts ~width own)
+        workers)

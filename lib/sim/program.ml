@@ -188,6 +188,8 @@ let () =
 
 let no_random () = raise Unexpected_random_draw
 
+let sub t ~pos ~len = { t with ops = Array.sub t.ops pos len }
+
 let split_prefix t =
   let is_branch = function
     | Kmeasure _ | Kreset _ -> true
@@ -198,8 +200,7 @@ let split_prefix t =
   while !k < len && not (is_branch t.ops.(!k)) do
     incr k
   done;
-  ( { t with ops = Array.sub t.ops 0 !k },
-    { t with ops = Array.sub t.ops !k (len - !k) } )
+  (sub t ~pos:0 ~len:!k, sub t ~pos:!k ~len:(len - !k))
 
 (* ------------------------------------------------------------------ *)
 (* Kernels                                                            *)
@@ -401,8 +402,8 @@ let op_hist_name = function
    timed loop, the rest run the production loop even with a collector
    installed.  An op on a small state is tens of ns and a mid-replay
    clock read is several hundred (the replay just evicted the vDSO
-   page), so timing every op of every shot costs ~10% of the
-   prefix-cached reference run — far over the <2% telemetry budget in
+   page), so timing every op cost ~10% of the per-shot reference run
+   (4096 shots of DJ(AND_9)) — far over the <2% telemetry budget in
    docs/OBSERVABILITY.md.
    Sampling keeps the per-class distributions (hundreds of
    observations on any real workload, the count says how many) at a

@@ -104,10 +104,14 @@ val get : t -> int -> kernel
     not a copy, so treat it as read-only. *)
 val kernels : t -> kernel array
 
+(** [sub t ~pos ~len] is the program of ops [pos .. pos + len - 1] of
+    [t], on [t]'s qubits and bits.
+    @raise Invalid_argument when the range is outside [t]. *)
+val sub : t -> pos:int -> len:int -> t
+
 (** Split at the first measure/reset op: [(prefix, suffix)].  The
     prefix is deterministic (no randomness), which is what
-    {!Backend.run}'s plan executor and {!Noise.run_shots} execute once
-    and share across shots. *)
+    {!Noise.run_shots} executes once and shares across trajectories. *)
 val split_prefix : t -> t * t
 
 (** Raised by {!no_random}. *)

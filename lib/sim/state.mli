@@ -14,8 +14,8 @@ type t
     The cap is a memory budget, not an algorithmic limit.  The dense
     representation materializes all [2^n] amplitudes as two unboxed
     float arrays, so [n] qubits cost [2^n * 16] bytes per state — 256
-    MiB at 24 qubits — and the shot engine copies one state per shot
-    (prefix cache) or holds one per domain.  One step further (25
+    MiB at 24 qubits — and a sampled run past 16 qubits copies one
+    state per shot and holds two per domain.  One step further (25
     qubits, 512 MiB per copy) makes multi-domain shot execution and
     the exact-branch enumerator's forked states exceed typical host
     memory, so the cap stays at 24 until the big-memory kernels of

@@ -98,7 +98,7 @@ let probabilities = State.probabilities
 
 (* The dense SoA storage as an [Engine.S] instance: every primitive
    delegates to [State] / [Program], so engine-polymorphic callers
-   (Backend's plan executor, Exact's enumerator) behave bit-for-bit
+   (Backend's walk, Exact's enumerator) behave bit-for-bit
    like the direct calls. *)
 module Dense_engine : Engine.S with type state = State.t = struct
   type state = State.t

@@ -2,9 +2,9 @@
    dynamic-circuit generator, the oracle corpus of the benchmark-wide
    lint and certification tests, the dyn2 Toffoli ladder, the
    mixed-sparsity hybrid witness, the teleportation circuit and the
-   paper jobs' compile.  Each
-   exists once, so a test and a bench row that name the same workload
-   run the same circuit. *)
+   paper jobs' compile; and the per-shot replay oracle of sampled runs.
+   Each exists once, so a test and a bench row that name the same
+   workload run the same circuit. *)
 
 open Circuit
 
@@ -183,3 +183,19 @@ let paper_job scheme c =
   let o = Dqc.Pipeline.compile ~options:(O.with_scheme scheme O.default) c in
   let nd = List.length o.data_bit in
   (o.circuit, List.mapi (fun k (_, phys) -> (phys, nd + k)) o.answer_phys)
+
+(* The per-shot replay that sampled runs used before the outcome-tree
+   walk, kept as the walk's oracle: shot [i] runs [program] alone from
+   |0...0> on engine [E] ([Engine.Core.run]) over the [i]-th split of
+   [Random.State.make [| seed |]], one split per shot in index order as
+   [Sim.Parallel] splits them, and its register is tallied.  For a
+   fixed seed [Sim.Backend.run] must return this histogram byte for
+   byte, on any domain count. *)
+let replay_histogram (module E : Sim.Engine.Core) ~seed ~shots program =
+  let root = Random.State.make [| seed |] in
+  let counts = ref [] in
+  for _ = 1 to shots do
+    let rng = Random.State.split root in
+    counts := (E.register (E.run ~rng program), 1) :: !counts
+  done;
+  Sim.Runner.of_counts ~width:(Sim.Program.num_bits program) !counts

@@ -126,8 +126,8 @@ let test_stats_exports () =
     (fun p -> ignore (num p (get "backend.run" h)))
     [ "p50_ns"; "p90_ns"; "p99_ns"; "p999_ns" ];
   (* Auto enumerates AND exactly and draws its shots on one stream;
-     sampled shots go through the parallel shot engine, which times
-     one shot in 32 *)
+     sampled shots go through the parallel shot engine, whose blocks
+     walk the outcome tree *)
   let dense_metrics = path "metrics-dense.json" in
   check_int "stats --backend dense exit code" 0
     (run
@@ -135,9 +135,10 @@ let test_stats_exports () =
          "stats"; "AND"; "--shots"; "256"; "--backend"; "dense"; "--metrics";
          dense_metrics;
        ]);
-  let dense_h = get "histograms" (Obs.Json.read ~path:dense_metrics) in
-  check_bool "parallel.shot count = 8" true
-    (num "count" (get "parallel.shot" dense_h) = 8.);
+  let dense_c = get "counters" (Obs.Json.read ~path:dense_metrics) in
+  check_bool "parallel.shots = 256" true (num "parallel.shots" dense_c = 256.);
+  check_bool "backend.walk.branches >= 1" true
+    (num "backend.walk.branches" dense_c >= 1.);
   (* flight record: pass boundaries and the backend run *)
   let f = Obs.Json.read ~path:flight in
   check_string "flight schema" "dqc.flight/1"

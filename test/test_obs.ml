@@ -1,5 +1,5 @@
 (* Telemetry layer: runtime switch semantics, span nesting, the
-   prefix-cache observability invariants, determinism of counter
+   outcome-tree walk's observability invariants, determinism of counter
    totals across domain counts, and well-formedness of the Chrome-trace
    and metrics-JSON exports (checked with a small JSON parser below). *)
 
@@ -251,53 +251,92 @@ let test_policy_case_insensitive () =
     (Sim.Backend.policy_of_string "QPU" = None)
 
 (* ------------------------------------------------------------------ *)
-(* Prefix-cache observability invariants                              *)
+(* The outcome-tree walk's observability invariants                   *)
 
 let shots = 256
 
-let run_dense ?prefix_cache ?(domains = 1) c =
+let run_dense ?(domains = 1) c =
   Sim.Backend.run ~policy:Sim.Backend.Statevector_dense ~seed:13 ~domains
-    ?prefix_cache ~shots c
+    ~shots c
 
-let test_prefix_fraction () =
-  check_bool "terminal-only measures -> 1.0" true
-    (Sim.Backend.prefix_fraction (terminal_only ()) = 1.0);
-  let f = Sim.Backend.prefix_fraction (dyn2_and ()) in
-  check_bool "mid-circuit measures -> inside (0,1)" true (f > 0.0 && f < 1.0)
+let gauge_int c name =
+  Option.map int_of_float (Obs.Collector.gauge c name)
 
+(* every shot shares the unitary prefix the walk runs once *)
 let test_prefix_hits_equal_shots () =
   let c, _h = Obs.with_collector (fun () -> run_dense (dyn2_and ())) in
   check_int "hit per shot" shots (Obs.Collector.counter c "backend.prefix.hit");
-  check_int "no misses with cache on" 0
-    (Obs.Collector.counter c "backend.prefix.miss");
   check_int "backend.shots" shots (Obs.Collector.counter c "backend.shots");
   check_int "engine tagged" 1 (Obs.Collector.counter c "backend.run.dense");
-  check_bool "fraction gauge matches prefix_fraction" true
-    (Obs.Collector.gauge c "backend.prefix.fraction"
-    = Some (Sim.Backend.prefix_fraction (dyn2_and ())))
+  check_bool "peak states gauge set" true
+    (gauge_int c "backend.walk.peak_states" <> None)
 
-let test_prefix_misses_with_cache_off () =
-  let c, _h =
-    Obs.with_collector (fun () -> run_dense ~prefix_cache:false (dyn2_and ()))
+(* On one domain every split of the walk copies the state once and
+   adds one branch, so the leaves are one more than the copies; the
+   dyn2 run's collapses part its shots, on fewer branches than shots. *)
+let test_walk_counters () =
+  let c, _h = Obs.with_collector (fun () -> run_dense (dyn2_and ())) in
+  let branches = Obs.Collector.counter c "backend.walk.branches"
+  and copies = Obs.Collector.counter c "backend.walk.copies" in
+  check_bool "the shots part ways" true (branches > 1);
+  check_bool "fewer branches than shots" true (branches < shots);
+  check_int "one copy per split" (branches - 1) copies
+
+(* H on [n] qubits, then each measured; with [mid], an X after the
+   measurements, so they are no longer the trailing run *)
+let uniform n ~mid =
+  let module B = Circuit.Circ.Builder in
+  let b = B.make ~roles:(Array.make n Circuit.Circ.Data) ~num_bits:n () in
+  for q = 0 to n - 1 do
+    B.h b q
+  done;
+  for q = 0 to n - 1 do
+    B.measure b ~qubit:q ~bit:q
+  done;
+  if mid then B.x b 0;
+  B.build b
+
+let dense_walk c ~shots =
+  let obs, _ =
+    Obs.with_collector (fun () ->
+        Sim.Backend.run ~policy:Sim.Backend.Statevector_dense ~seed:7
+          ~domains:1 ~shots c)
   in
-  check_int "miss per shot" shots (Obs.Collector.counter c "backend.prefix.miss");
-  check_int "no hits with cache off" 0
-    (Obs.Collector.counter c "backend.prefix.hit")
+  (gauge_int obs "backend.walk.peak_states", obs)
 
-let test_prefix_fraction_gauge_terminal () =
-  let c, _h = Obs.with_collector (fun () -> run_dense (terminal_only ())) in
-  check_bool "fraction gauge is 1.0" true
-    (Obs.Collector.gauge c "backend.prefix.fraction" = Some 1.0)
+(* Walking the smaller side first bounds the states held at once: at
+   most floor(log2 shots) + 2 on H^10 then measure-all at 1024 shots,
+   whose shots part at every measurement. *)
+let test_walk_peak_states () =
+  let p, obs = dense_walk (uniform 10 ~mid:false) ~shots:1024 in
+  check_bool "H^10 + measure-all: at most log2 1024 + 2 states" true
+    (match p with Some p -> p >= 2 && p <= 12 | None -> false);
+  check_bool "H^10 + measure-all: at most one leaf per shot" true
+    (Obs.Collector.counter obs "backend.walk.branches" <= 1024)
+
+(* Past the walk's width (forced dense on 17 qubits in uniform
+   superposition, measured mid-circuit) no sibling waits: two states,
+   the one the shots part from and the copy a shot walks alone; the
+   last shot walks on the first. *)
+let test_walk_past_the_width () =
+  let p, obs = dense_walk (uniform 17 ~mid:true) ~shots:6 in
+  check_bool "two states" true (p = Some 2);
+  check_int "a copy per shot but the last" 5
+    (Obs.Collector.counter obs "backend.walk.copies")
 
 (* ------------------------------------------------------------------ *)
 (* Determinism across domain counts                                   *)
 
 let engine_counters c =
   (* per-block shot/wall entries depend on how the shot range was
-     sharded; everything else must be independent of the domain count *)
+     sharded, and so do the walk's branches and copies (each domain
+     walks its own block); everything else must be independent of the
+     domain count *)
   List.filter
     (fun (name, _) ->
-      not (String.starts_with ~prefix:"parallel.block." name))
+      not
+        (String.starts_with ~prefix:"parallel.block." name
+        || String.starts_with ~prefix:"backend.walk." name))
     (Obs.Collector.counters c)
   |> List.sort compare
 
@@ -311,19 +350,17 @@ let test_counters_domain_independent () =
     (engine_counters c4);
   check_int "every shot tallied once" shots
     (Obs.Collector.counter c1 "parallel.shots");
-  (* per-domain histograms merge bucket-wise, and shot timing samples
-     on the global shot index, so totals are domain-count-independent
-     too *)
-  let sampled = shots / Sim.Parallel.shot_sample_every in
+  (* per-domain histograms merge bucket-wise: the block spans' histogram
+     holds one record per block, whichever domain ran it *)
   let hist_count c name =
     match Obs.Collector.histogram c name with
     | Some h -> Obs.Histogram.count h
     | None -> 0
   in
-  check_int "shot histogram count 1 domain" sampled
-    (hist_count c1 "parallel.shot");
-  check_int "shot histogram count 4 domains" sampled
-    (hist_count c4 "parallel.shot")
+  check_int "block histogram count 1 domain" 1
+    (hist_count c1 "parallel.block");
+  check_int "block histogram count 4 domains" 4
+    (hist_count c4 "parallel.block")
 
 let test_histogram_unchanged_by_telemetry () =
   let bare = run_dense (dyn2_and ()) in
@@ -338,7 +375,7 @@ let test_simulator_counters () =
   check_bool "compiled ops counted" true
     (Obs.Collector.counter c "sim.program.ops" > 0);
   check_bool "collapses counted" true
-    (Obs.Collector.counter c "sim.statevector.measure" > 0)
+    (Obs.Collector.counter c "backend.walk.branches" > 1)
 
 let test_exact_counters () =
   let c, _d =
@@ -578,12 +615,12 @@ let test_histogram_basics () =
 
 let test_runtime_histograms () =
   let c, () = collect_workload () in
-  (match Obs.Collector.histogram c "parallel.shot" with
+  (match Obs.Collector.histogram c "parallel.block" with
   | Some h ->
-      check_int "one record per sampled shot"
-        (64 / Sim.Parallel.shot_sample_every)
+      check_int "one record per shot block"
+        (min 64 (Sim.Parallel.recommended_domains ()))
         (Obs.Histogram.count h)
-  | None -> Alcotest.fail "parallel.shot histogram missing");
+  | None -> Alcotest.fail "parallel.block histogram missing");
   check_bool "per-op-class histograms recorded" true
     (List.exists
        (fun (name, h) ->
@@ -723,11 +760,12 @@ let test_metrics_json_v2 () =
     (Option.bind (member "quantile_error_bound" json) get_num
     = Some Obs.Histogram.error_bound);
   let hists = Option.get (member "histograms" json) in
-  let shot = Option.get (member "parallel.shot" hists) in
-  check_bool "per-shot count" true
-    (member "count" shot |> Option.map get_num
-    = Some (Some (float_of_int (64 / Sim.Parallel.shot_sample_every))));
-  let n k = Option.get (Option.bind (member k shot) get_num) in
+  let block = Option.get (member "parallel.block" hists) in
+  check_bool "per-block count" true
+    (member "count" block |> Option.map get_num
+    = Some
+        (Some (float_of_int (min 64 (Sim.Parallel.recommended_domains ())))));
+  let n k = Option.get (Option.bind (member k block) get_num) in
   check_bool "percentile ladder is monotone" true
     (n "min_ns" <= n "p50_ns"
     && n "p50_ns" <= n "p90_ns"
@@ -758,13 +796,14 @@ let () =
         ] );
       ( "prefix",
         [
-          Alcotest.test_case "fraction" `Quick test_prefix_fraction;
           Alcotest.test_case "hits equal shots" `Quick
             test_prefix_hits_equal_shots;
-          Alcotest.test_case "misses with cache off" `Quick
-            test_prefix_misses_with_cache_off;
-          Alcotest.test_case "fraction gauge terminal" `Quick
-            test_prefix_fraction_gauge_terminal;
+        ] );
+      ( "walk",
+        [
+          Alcotest.test_case "counters" `Quick test_walk_counters;
+          Alcotest.test_case "peak states" `Quick test_walk_peak_states;
+          Alcotest.test_case "past the width" `Quick test_walk_past_the_width;
         ] );
       ( "determinism",
         [

@@ -256,6 +256,26 @@ let test_split_prefix () =
   Alcotest.check_raises "suffix draws" Sim.Program.Unexpected_random_draw
     (fun () -> Sim.Program.exec ~random:Sim.Program.no_random st suffix)
 
+(* [sub] takes a range of ops on the program's own qubits and bits,
+   the ops themselves, and rejects a range outside the program. *)
+let test_sub () =
+  let c =
+    circuit_of ~n:2 ~num_bits:1
+      [ u Gate.H; Instruction.Measure { qubit = 0; bit = 0 }; u Gate.X ]
+  in
+  let p = Sim.Program.compile c in
+  let mid = Sim.Program.sub p ~pos:1 ~len:2 in
+  check_int "two ops" 2 (Sim.Program.length mid);
+  check_int "same qubits" 2 (Sim.Program.num_qubits mid);
+  check_int "same bits" 1 (Sim.Program.num_bits mid);
+  Alcotest.(check bool) "the program's own ops" true
+    (Sim.Program.get mid 0 == Sim.Program.get p 1
+    && Sim.Program.get mid 1 == Sim.Program.get p 2);
+  check_int "an empty range" 0
+    (Sim.Program.length (Sim.Program.sub p ~pos:3 ~len:0));
+  Alcotest.check_raises "past the end" (Invalid_argument "Array.sub")
+    (fun () -> ignore (Sim.Program.sub p ~pos:2 ~len:2))
+
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                         *)
 
@@ -315,11 +335,12 @@ let test_default_seed () =
   check_hist "Backend default = explicit default_seed"
     (Sim.Backend.run ~shots c)
     (Sim.Backend.run ~seed:Sim.Runner.default_seed ~shots c);
+  let draw rngs ~lo ~hi =
+    List.init (hi - lo) (fun i -> (Random.State.int rngs.(lo + i) 4, 1))
+  in
   check_hist "Parallel default = explicit default_seed"
-    (Sim.Parallel.run ~width:2 ~shots (fun ~rng ~index:_ ->
-         Random.State.int rng 4))
-    (Sim.Parallel.run ~seed:Sim.Runner.default_seed ~width:2 ~shots
-       (fun ~rng ~index:_ -> Random.State.int rng 4))
+    (Sim.Parallel.run ~width:2 ~shots draw)
+    (Sim.Parallel.run ~seed:Sim.Runner.default_seed ~width:2 ~shots draw)
 
 (* ------------------------------------------------------------------ *)
 
@@ -338,6 +359,7 @@ let () =
           Alcotest.test_case "one op per instruction" `Quick
             test_lowering_table;
           Alcotest.test_case "split at first branch" `Quick test_split_prefix;
+          Alcotest.test_case "sub keeps the shape" `Quick test_sub;
         ] );
       ( "seed",
         [ Alcotest.test_case "default-seed contract" `Quick test_default_seed ] );
