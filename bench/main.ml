@@ -945,6 +945,28 @@ let workloads () : (string * (unit -> unit)) list =
       ("backend replay 1024 DJ(MAJ_5) dyn1", replay maj5_program 1024);
     ]
   in
+  (* the noisy walk against the per-shot trajectories it replaced (the
+     Testkit oracle), one domain each, under the default device model on
+     DJ(AND)'s dyn1 paper job *)
+  let noise_tests =
+    let c, measures =
+      Testkit.paper_job Dqc.Toffoli_scheme.Dynamic_1
+        (Algorithms.Dj.circuit
+           (Option.get (Algorithms.Dj_toffoli.oracle_by_name "AND")))
+    in
+    let c =
+      Sim.Measurement_plan.instrument (Sim.Measurement_plan.of_pairs measures) c
+    in
+    let model = Sim.Noise.default and seed = 0xD1CE and shots = 1024 in
+    [
+      ( "noise walk 1024 DJ(AND) dyn1",
+        fun () ->
+          ignore (Sim.Noise.run_shots ~seed ~domains:1 ~model ~shots c) );
+      ( "noise replay 1024 DJ(AND) dyn1",
+        fun () -> ignore (Testkit.trajectory_histogram ~seed ~model ~shots c)
+      );
+    ]
+  in
   let lint_tests =
     List.map
       (fun (name, c, passes) -> (name, fun () -> ignore (Lint.run ~passes c)))
@@ -1058,8 +1080,8 @@ let workloads () : (string * (unit -> unit)) list =
     routing;
     native;
   ]
-  @ kernels @ backend_engines @ sparse_tests @ lint_tests @ analyze_tests
-  @ verify_tests @ reuse_tests @ optimize_tests
+  @ kernels @ backend_engines @ noise_tests @ sparse_tests @ lint_tests
+  @ analyze_tests @ verify_tests @ reuse_tests @ optimize_tests
 
 (* "transform BV-4" -> "transform": the leading token names the group *)
 let group_of_name name =

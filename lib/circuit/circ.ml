@@ -59,8 +59,6 @@ let role_to_string = function
   | Ancilla -> "ancilla"
   | Answer -> "answer"
 
-let pp_role fmt r = Format.pp_print_string fmt (role_to_string r)
-
 let pp fmt c =
   Format.fprintf fmt "@[<v>circuit: %d qubits, %d bits@," (num_qubits c)
     c.num_bits;

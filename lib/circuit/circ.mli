@@ -41,7 +41,6 @@ val map_instructions : (Instruction.t -> Instruction.t list) -> t -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
-val pp_role : Format.formatter -> role -> unit
 val role_to_string : role -> string
 
 (** {1 Builder}

@@ -85,11 +85,3 @@ let run passes ctx =
       ctx passes
   in
   { ctx = final; events = List.rev !events }
-
-let pp_event fmt e =
-  Format.fprintf fmt "%-14s %-9s %8.0f ns  qubits %d -> %d, gates %d -> %d, \
-                      depth %d -> %d"
-    e.pass
-    (Pass.kind_to_string e.kind)
-    e.elapsed_ns e.qubits_before e.qubits_after e.gates_before e.gates_after
-    e.depth_before e.depth_after

@@ -33,4 +33,3 @@ type outcome = {
     failure after recording it. *)
 val run : Pass.t list -> Pass.ctx -> outcome
 
-val pp_event : Format.formatter -> event -> unit

@@ -96,7 +96,6 @@ let of_trace trace =
 
 let trace t = t.trace
 let last_reference t = Array.copy t.last
-let first_measure t = Array.copy t.first_m
 
 let dead_unitary t i =
   match Trace.instr t.trace i with

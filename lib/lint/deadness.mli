@@ -60,10 +60,6 @@ val witness_instr : State.t -> Instruction.t -> Instruction.t option
     [-1] when never referenced. *)
 val last_reference : t -> int array
 
-(** First index at which each qubit is measured; [max_int] when
-    never. *)
-val first_measure : t -> int array
-
 (** [dead_unitary t i]: instruction [i] is an (unconditioned) unitary
     acting after the final measurement of every operand, with no later
     reference to any of them — it cannot affect any outcome.  This is

@@ -83,18 +83,17 @@ let dense_fork_cap (s : Lint.Resource.summary) n =
              "dense enumerator capped at %d qubits or an amplitude bound of 2^%d"
              dense_fork_max_qubits dense_fork_max_qubits)
 
-(* The walk (below) keeps a state for each pending sibling only when
-   states are narrow on their engine: at most 2^16 of the cost model's
-   work units — amplitudes, live sparse entries, tableau bits — the
-   dense enumerator's width.  Past it, every shot walks alone from a
-   copy of the state where the shots first part, so at most two states
-   are live per domain. *)
+(* The walk keeps a state for each pending sibling only when states
+   are narrow on their engine ({!Walk.holds}), in the cost model's work
+   units: amplitudes, live sparse entries, tableau bits.  Past it,
+   every shot walks alone from a copy of the state where the shots
+   first part, so at most two states are live per domain. *)
 let holds e n (s : Lint.Resource.summary Lazy.t) =
-  let narrow log2_units = log2_units <= dense_fork_max_qubits in
+  let narrow log2_units = Walk.holds (Float.ldexp 1. log2_units) in
   match e with
   | `Dense | `Hybrid -> narrow n
   | `Sparse -> narrow n || narrow (Lazy.force s).log2_bound_peak
-  | `Stabilizer -> n * n <= 1 lsl dense_fork_max_qubits
+  | `Stabilizer -> Walk.holds (float_of_int (n * n))
 
 let check cap = Option.iter (fun why -> invalid_arg ("Backend.run: " ^ why)) cap
 
@@ -621,221 +620,80 @@ let select ?policy ~shots c =
        c)
 
 (* ------------------------------------------------------------------ *)
-(* The outcome-tree walk                                              *)
-
-let statevector = function
-  | `Dense -> (module Statevector.Dense_engine : Engine.S)
-  | `Sparse -> (module Sparse.Sparse_engine : Engine.S)
+(* Walked runs                                                        *)
 
 let engine_module = function
-  | (`Dense | `Sparse) as e ->
-      let (module E) = statevector e in
-      (module E : Engine.Core)
+  | `Dense -> (module Statevector.Dense_engine : Engine.Core)
+  | `Sparse -> (module Sparse.Sparse_engine : Engine.Core)
   | `Stabilizer -> (module Stabilizer.Tableau_engine : Engine.Core)
 
-type cut = Measure of { qubit : int; bit : int } | Reset of int
+(* One step of a hybrid plan: a statevector engine and its walk. *)
+type step =
+  | Step : (module Engine.S with type state = 's) * 's Walk.program -> step
 
-(* A program as the walk runs it: [runs.(j)], the unitary and
-   conditioned ops before collapse [cuts.(j)], and a last run after
-   every collapse. *)
-type walk_program = { runs : Program.t array; cuts : cut array }
+(* Walk a hybrid branch's step from [st], then hand each of its
+   branches to the next step's engine, once per branch. *)
+let rec walk_steps : type s.
+    Walk.block -> (module Engine.S with type state = s) -> s Walk.program ->
+    s -> step list -> int -> int -> unit =
+ fun b (module E) wp st rest lo hi ->
+  Walk.shots
+    (module E : Engine.Core with type state = s)
+    b wp st lo hi
+    (fun st lo hi ->
+      match rest with
+      | [] -> Walk.tally b (E.register st) lo hi
+      | Step ((module F), wp) :: rest ->
+          walk_steps b (module F) wp (F.of_state (E.to_state st)) rest lo hi)
 
-let walk_program program =
-  let ops = Program.kernels program in
-  let runs = ref [] and cuts = ref [] and start = ref 0 in
-  let close k =
-    runs := Program.sub program ~pos:!start ~len:(k - !start) :: !runs;
-    start := k + 1
-  in
-  Array.iteri
-    (fun k -> function
-      | Program.Kmeasure { qubit; bit } ->
-          close k;
-          cuts := Measure { qubit; bit } :: !cuts
-      | Program.Kreset q ->
-          close k;
-          cuts := Reset q :: !cuts
-      | Program.Kx _ | Program.Kh _ | Program.Kphase _ | Program.Kdiag _
-      | Program.Ku2 _ | Program.Kcond _ ->
-          ())
-    ops;
-  close (Array.length ops);
-  {
-    runs = Array.of_list (List.rev !runs);
-    cuts = Array.of_list (List.rev !cuts);
-  }
-
-(* One domain's walk over its block of shot streams, which it reorders
-   as the shots part ways: the (register, shots) pair of each leaf, and
-   what telemetry reads of it. *)
-type block = {
-  rngs : Random.State.t array;
-  hold : bool;  (** may a sibling wait while the other side walks *)
-  mutable tally : (int * int) list;
-  mutable live : int;  (** states held *)
-  mutable peak : int;
-  mutable leaves : int;
-  mutable copies : int;
-}
-
-(* Each shot of [lo, hi) draws once from its own stream and takes
-   outcome 1 when the draw is below [p1] — the engines' contract.  The
-   range is reordered in place, one swap per outcome 1, so [lo, mid)
-   took 0 and [mid, hi) took 1; [mid] is returned. *)
-let partition rngs p1 lo hi =
-  let i = ref lo and j = ref hi in
-  while !i < !j do
-    let r = rngs.(!i) in
-    if Random.State.float r 1.0 < p1 then begin
-      decr j;
-      rngs.(!i) <- rngs.(!j);
-      rngs.(!j) <- r
-    end
-    else incr i
-  done;
-  !j
-
-let leaf b register lo hi =
-  b.tally <- (register, hi - lo) :: b.tally;
-  b.leaves <- b.leaves + 1
-
-(* Walk [wp] on engine [E] from [st], shared by the shots [lo, hi):
-   each run of unitary and conditioned ops executes once per branch,
-   and at a collapse the shots draw and part ways.  With [b.hold] the
-   smaller side walks a copy first while the larger waits, so a branch
-   holds at most log2 of its shots; without, each shot walks alone
-   from a copy, and a one-shot range never splits.  [finish] receives
-   every branch's state at the end of [wp]. *)
-let walk (type s) (module E : Engine.Core with type state = s) b wp (st : s) lo
-    hi (finish : s -> int -> int -> unit) =
-  let last = Array.length wp.cuts in
-  let copy st =
-    b.copies <- b.copies + 1;
-    b.live <- b.live + 1;
-    b.peak <- max b.peak b.live;
-    E.copy st
-  in
-  let rec go st j lo hi =
-    let run = wp.runs.(j) in
-    if Program.length run > 0 then E.exec ~random:Program.no_random st run;
-    if j = last then finish st lo hi
-    else
-      let q =
-        match wp.cuts.(j) with Measure { qubit; _ } -> qubit | Reset q -> q
-      in
-      let mid = partition b.rngs (E.prob_one st q) lo hi in
-      if mid = hi then branch st j false lo hi
-      else if mid = lo then branch st j true lo hi
-      else if b.hold then begin
-        let c = copy st in
-        if mid - lo <= hi - mid then begin
-          branch c j false lo mid;
-          b.live <- b.live - 1;
-          branch st j true mid hi
-        end
-        else begin
-          branch c j true mid hi;
-          b.live <- b.live - 1;
-          branch st j false lo mid
-        end
-      end
-      else begin
-        for i = lo to hi - 2 do
-          branch (copy st) j (i >= mid) i (i + 1);
-          b.live <- b.live - 1
-        done;
-        branch st j true (hi - 1) hi
-      end
-  and branch st j outcome lo hi =
-    (match wp.cuts.(j) with
-    | Measure { qubit; bit } ->
-        ignore (E.project st qubit outcome);
-        E.set_bit st bit outcome
-    | Reset q ->
-        ignore (E.project st q outcome);
-        if outcome then E.flip st q);
-    go st (j + 1) lo hi
-  in
-  go st 0 lo hi
-
-(* A hybrid branch's steps after the current one: hand its state to
-   each step's engine, once per branch, and walk the step. *)
-let rec walk_steps b st steps lo hi =
-  match steps with
-  | [] -> leaf b (Engine.register st) lo hi
-  | ((module F : Engine.S), wp) :: rest -> (
-      match Engine.convert (module F) st with
-      | Engine.Packed ((module G), st) ->
-          walk
-            (module G : Engine.Core with type state = G.state)
-            b wp st lo hi
-            (fun st lo hi ->
-              walk_steps b (Engine.pack (module G) st) rest lo hi))
-
-(* Every domain walks its own block from a fresh state ([start]
-   creates it and walks); the walk's counts reach telemetry once per
-   block. *)
-let execute ?domains ~seed ~shots ~hold ~width start =
-  Parallel.run ?domains ~seed ~width ~shots (fun rngs ~lo ~hi ->
-      let b =
-        { rngs; hold; tally = []; live = 0; peak = 0; leaves = 0; copies = 0 }
-      in
-      if lo < hi then begin
-        b.live <- 1;
-        b.peak <- 1;
-        start b lo hi
-      end;
-      if Obs.enabled () then begin
-        Obs.incr ~n:b.leaves "backend.walk.branches";
-        Obs.incr ~n:b.copies "backend.walk.copies";
-        Obs.set_gauge "backend.walk.peak_states" (float_of_int b.peak)
-      end;
-      b.tally)
-
-(* A hybrid run is one step per plan entry, each compiled from that
-   segment's instruction range (segments cut where
-   [Program.split_prefix] cuts).  Every shot crosses the same step
-   boundaries, so handoffs are counted once per run, per shot, as
-   [backend.handoff.dense_to_sparse] / [.sparse_to_dense]; the walk
-   converts once per branch. *)
+(* A hybrid run walks one step per run of plan entries on one engine,
+   compiled from that range of instructions (segments cut where
+   [Program.split_prefix] cuts), so every step boundary is a handoff.
+   Every shot crosses every boundary, so handoffs are counted once per
+   run, per shot, as [backend.handoff.dense_to_sparse] /
+   [.sparse_to_dense]. *)
 let execute_hybrid ?domains ~seed ~shots ~hold base plan =
   let num_qubits = Circ.num_qubits base and num_bits = Circ.num_bits base in
   let instrs = Array.of_list (Circ.instructions base) in
-  let steps =
-    List.map
-      (fun s ->
-        ( statevector s.seg_engine,
-          walk_program
-            (Program.compile_instructions ~num_qubits ~num_bits
-               (Array.to_list
-                  (Array.sub instrs s.seg_start (s.seg_stop - s.seg_start)))) ))
-      plan
+  let rec merge = function
+    | a :: b :: rest when a.seg_engine = b.seg_engine ->
+        merge ({ a with seg_stop = b.seg_stop } :: rest)
+    | a :: rest -> a :: merge rest
+    | [] -> []
   in
-  let names = List.map (fun ((module E : Engine.S), _) -> E.name) steps in
+  let steps = merge plan in
   let rec handoffs = function
     | a :: (b :: _ as rest) ->
-        if String.equal a b then handoffs rest
-        else (a ^ "_to_" ^ b) :: handoffs rest
+        (engine_name a.seg_engine ^ "_to_" ^ engine_name b.seg_engine)
+        :: handoffs rest
     | [ _ ] | [] -> []
   in
-  let handoffs = handoffs names in
+  let handoffs = handoffs steps in
   List.iter (fun h -> Obs.incr ~n:shots ("backend.handoff." ^ h)) handoffs;
   if Obs.Flight.enabled () then
     Obs.Flight.record ~kind:"backend.hybrid.plan"
       [
-        ("segments", Obs.Json.String (String.concat "," names));
+        ("segments", Obs.Json.String (segment_plan_string plan));
         ("handoffs_per_shot", Obs.Json.Int (List.length handoffs));
       ];
-  match steps with
+  let step s =
+    let p =
+      Program.compile_instructions ~num_qubits ~num_bits
+        (Array.to_list
+           (Array.sub instrs s.seg_start (s.seg_stop - s.seg_start)))
+    in
+    match s.seg_engine with
+    | `Dense -> Step ((module Statevector.Dense_engine), Walk.program p)
+    | `Sparse -> Step ((module Sparse.Sparse_engine), Walk.program p)
+  in
+  match List.map step steps with
   | [] ->
       (* only an instruction-free circuit has no segments, and Auto
          never runs one hybrid *)
       invalid_arg "Backend.run: empty plan"
-  | ((module E : Engine.S), _) :: _ ->
-      execute ?domains ~seed ~shots ~hold ~width:num_bits (fun b lo hi ->
-          walk_steps b
-            (Engine.pack (module E) (E.create num_qubits ~num_bits))
-            steps lo hi)
+  | Step ((module E), wp) :: rest ->
+      Walk.execute ?domains ~seed ~shots ~hold ~width:num_bits (fun b lo hi ->
+          walk_steps b (module E) wp (E.create num_qubits ~num_bits) rest lo hi)
 
 let run ?policy ?(seed = Runner.default_seed) ?domains ?plan ~shots c =
   if shots < 0 then invalid_arg "Backend.run: negative shots";
@@ -885,16 +743,16 @@ let run ?policy ?(seed = Runner.default_seed) ?domains ?plan ~shots c =
           (Dist.draw sampler (Random.State.make [| seed |]) ~shots)
     | (`Dense | `Sparse | `Stabilizer) as e ->
         let (module E : Engine.Core) = engine_module e in
-        let wp = walk_program (program e) in
+        let wp = Walk.program (program e) in
         (* only a sparse run past 16 qubits reads the summary here *)
-        execute ?domains ~seed ~shots ~hold:(holds e num_qubits summary)
+        Walk.execute ?domains ~seed ~shots ~hold:(holds e num_qubits summary)
           ~width (fun b lo hi ->
-            walk
+            Walk.shots
               (module E)
               b wp
               (E.create num_qubits ~num_bits:width)
               lo hi
-              (fun st lo hi -> leaf b (E.register st) lo hi))
+              (fun st lo hi -> Walk.tally b (E.register st) lo hi))
     | `Hybrid plan ->
         execute_hybrid ?domains ~seed ~shots
           ~hold:(holds `Hybrid num_qubits summary)

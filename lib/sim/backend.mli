@@ -99,9 +99,9 @@ val resource_summary : Circ.t -> Lint.Resource.summary
       most [2^min(u, b)] outcomes ([u] the run's unpinned collapses,
       [b] the bound where the run starts).
 
-    The walk holds a state per pending sibling only on narrow states:
-    at most 2^16 work units, so on the dense engine (and a hybrid run)
-    at most 16 qubits, on the sparse one at most 16 qubits or an
+    The walk holds a state per pending sibling only on narrow states
+    ({!Walk.holds}): on the dense engine (and a hybrid run) at most 16
+    qubits, on the sparse one at most 16 qubits or an
     amplitude bound of at most 16, on the tableau at most 256 qubits.
 
     Memory caps and the tableau's gate set rule engines out before any
@@ -190,24 +190,14 @@ val engine_name :
     one program: the circuit's, or the witness's when the tableau
     runs.
 
-    Dense, sparse, tableau and hybrid runs are one depth-first walk of
-    the compiled program per block, over a list of (engine, program)
-    steps — one step for a single engine (the tableau's is the
-    analyzer's witness), one per {!prediction} [plan] entry for
-    hybrid.  A branch of the walk carries a range of shots.  Unitary
-    and conditioned ops run once per branch.  At a measure or reset
-    every shot of the range draws once from its own stream and takes
-    outcome 1 when the draw is below the outcome's probability; the
-    range is reordered in place, and where both outcomes were drawn
-    the smaller side walks a copy of the state first while the larger
-    continues in place, so at most [log2 shots + 2] states are live
-    per domain.  A hybrid branch converts its state
-    ({!Engine.convert}) once at each engine change.  Each shot sees the
-    states and draws the numbers a replay of it alone would, and the
-    work is paid once per distinct branch — at most [min(shots,
-    2^forks)] — not once per shot.  Past the walk's width (see the
-    cost model) no sibling waits: from the first split on, each shot
-    walks alone from a copy of the state there.
+    Dense, sparse, tableau and hybrid runs walk the tree of the
+    shots' outcomes ({!Walk.shots}) once per block, so the work is paid
+    once per distinct branch — at most [min(shots, 2^forks)] — not once
+    per shot.  A single engine walks the compiled program (the
+    tableau's is the analyzer's witness); a hybrid run walks one step
+    per run of {!prediction} [plan] entries on one engine, and each
+    branch hands its state to the next step's engine
+    ([of_state (to_state st)]) once.
 
     [seed] defaults to {!Runner.default_seed}, the constant shared
     with {!Parallel.run}.
@@ -221,13 +211,11 @@ val engine_name :
     (each shares the unitary prefix), count the shots crossing each
     engine change of a hybrid plan into
     [backend.handoff.dense_to_sparse] /
-    [backend.handoff.sparse_to_dense], and once per block add the
-    walk's leaves to [backend.walk.branches], its state copies to
-    [backend.walk.copies], and set the [backend.walk.peak_states]
-    gauge to the most states it held at once (the maximum over the
-    domains); the last three depend on the domain count, since each
-    domain walks its own block.  A multi-step (hybrid) plan records a
-    [backend.hybrid.plan] flight event with the segment-engine string.
+    [backend.handoff.sparse_to_dense], and record the walk's
+    [backend.walk.*] counts ({!Walk.execute}), which depend on the
+    domain count, since each domain walks its own block.  A hybrid plan
+    records a [backend.hybrid.plan] flight event with the
+    segment-engine string.
     The histogram itself is byte-identical whether or not telemetry is
     on.
     @raise Invalid_argument when [domains < 1] or [shots < 0], whichever

@@ -1,38 +1,20 @@
 open Circuit
 
 (** Exact evaluation of circuits with mid-circuit measurement and
-    active reset, by enumerating measurement branches with their Born
-    probabilities.  This is the distribution a shot-based simulator
+    active reset: the register distribution a shot-based simulator
     (the paper uses AER with 1024 shots) converges to, computed without
     sampling noise — the basis of the functional-equivalence checks.
 
-    One depth-first enumerator, written against {!Engine.Core}, serves
-    every entry point: it replays the compiled program ({!Program}) on
-    one branch state, copying it only where a measure or reset forks
-    with both outcomes above the prune threshold.  Only {!leaves}
-    keeps the states it reaches; the distributions fold
-    [(register, probability)] pairs in DFS order and hold one state per
-    open fork.  When the program ends in a run of measurements, the
-    distributions read those outcomes in one pass over each branch's
-    probabilities ({!Engine.Core.outcome_probabilities}) instead of
-    forking [2^k] times.
+    Every entry point is {!program_distribution}: the outcome-tree walk
+    ({!Walk.probabilities}), each branch carrying its Born probability,
+    up to the run of measurements that ends the program, which each
+    leaf reads in one pass over its probabilities
+    ({!Engine.Core.outcome_probabilities}) instead of forking [2^k]
+    times.
 
     Telemetry: an [exact.enumerate] span (attrs [qubits], [engine])
-    around each enumeration, and a [sim.exact.leaves] count of the
-    fork-tree leaves reached — a trailing-measurement pass counts
-    once. *)
-
-(** A leaf of the branching execution. *)
-type leaf = {
-  probability : float;
-  register : int;  (** classical register at the end *)
-  state : Statevector.t;  (** final (normalized) quantum state *)
-}
-
-(** All leaves with probability above [prune] (default 1e-12), forking
-    on every measurement, trailing ones included, on the dense engine.
-    @raise Invalid_argument when [prune] is negative or NaN. *)
-val leaves : ?prune:float -> Circ.t -> leaf list
+    around each walk, and a [sim.exact.leaves] count of the leaves it
+    reached — a trailing-measurement pass counts once. *)
 
 (** [program_distribution ~engine p] is the exact register
     distribution of the compiled program [p], enumerated on [engine]
@@ -41,7 +23,7 @@ val leaves : ?prune:float -> Circ.t -> leaf list
     {!Stabilizer.Tableau_engine}; {!Backend.run} picks the one its
     cost model prices cheapest).  Every engine gives the same law
     within rounding.  Outcomes at or below [prune] (default 1e-12) are
-    dropped, as in {!leaves}.
+    dropped.
     @raise Invalid_argument when [prune] is negative or NaN.
     @raise Stabilizer.Unsupported on the tableau, for a kernel it does
     not map. *)

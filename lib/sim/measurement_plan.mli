@@ -3,11 +3,11 @@ open Circuit
 (** One shared description of terminal measurements.
 
     The [(qubit, bit)] association list convention used to be
-    duplicated across {!Exact.measured_distribution}, the shot
-    samplers and the noise executor; a plan is the single type all
-    executors ({!Backend.run}, {!Noise.run_shots}, {!Exact}) accept.  A plan is
-    resolved against a concrete circuit: [measure_all] expands to one
-    terminal measurement per qubit (qubit [q] into bit [q]). *)
+    duplicated across {!Exact.measured_distribution} and the shot
+    samplers; a plan is the single type {!Backend.run} and {!Exact}
+    accept.  A plan is resolved against a concrete circuit:
+    [measure_all] expands to one terminal measurement per qubit (qubit
+    [q] into bit [q]). *)
 
 type t
 

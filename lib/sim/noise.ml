@@ -46,12 +46,6 @@ let validate m =
   check "p_feedforward_z" m.p_feedforward_z;
   check "p_amp_damp" m.p_amp_damp
 
-let random_pauli rng =
-  match Random.State.int rng 3 with
-  | 0 -> Gate.X
-  | 1 -> Gate.Y
-  | _ -> Gate.Z
-
 (* Target bit and control mask of a unitary op. *)
 let layout = function
   | Program.Kx { bit; cmask; _ }
@@ -74,121 +68,88 @@ let touched ~num_qubits (bit, cmask) =
   done;
   !qs
 
-(* Noisy trajectories run on the dense statevector over a compiled
-   program ([Program]).  Its lowering is 1:1 — one op per source gate —
-   so every gate keeps its own noise injection point, exactly where the
-   source circuit has it.  Each op's [bit] and [cmask] give the qubits
-   its channels act on. *)
-let run_ops ~rng ~model ~num_qubits st program =
-  let maybe_depolarize ~p q =
-    if p > 0. && Random.State.float rng 1.0 < p then
-      Statevector.apply_gate st (random_pauli rng) q
+(* The model's channels around each compiled op, as the walk's cuts,
+   in the order a shot draws them.  The lowering is 1:1, so every gate
+   keeps its own injection point.  A channel of rate 0 is no cut. *)
+let channels model ~num_qubits =
+  let channel ?(fires = fun _ -> true) p hit =
+    let p' st = if fires st then p else 0. in
+    if p > 0. then [ { Walk.p = p'; hit; miss = ignore } ] else []
   in
-  (* quantum-trajectory unraveling of amplitude damping: jump with
-     probability gamma.P(1) (relax to |0>), otherwise apply the no-jump
-     operator diag(1, sqrt(1-gamma)) and renormalize *)
-  let maybe_amp_damp ~gamma q =
-    if gamma > 0. then begin
-      let p_jump = gamma *. State.prob_one st q in
-      if p_jump > 0. && Random.State.float rng 1.0 < p_jump then begin
-        ignore (State.project st q true);
-        Statevector.apply_gate st Gate.X q
-      end
-      else
-        Statevector.apply_kraus1 st
-          (Linalg.Cmat.of_reim_lists
-             [ [ (1., 0.); (0., 0.) ]; [ (0., 0.); (sqrt (1. -. gamma), 0.) ] ])
-          q
-    end
+  let pauli q rng st =
+    let g =
+      match Random.State.int rng 3 with 0 -> Gate.X | 1 -> Gate.Y | _ -> Gate.Z
+    in
+    Statevector.apply_gate st g q
   in
-  let maybe_dephase ~p q =
-    if p > 0. && Random.State.float rng 1.0 < p then
-      Statevector.apply_gate st Gate.Z q
+  (* amplitude damping, unraveled: a jump with probability gamma.P(1)
+     relaxes to |0>, otherwise the no-jump operator diag(1, sqrt(1 -
+     gamma)) applies and renormalizes *)
+  let gamma = model.p_amp_damp in
+  let no_jump =
+    Linalg.Cmat.of_reim_lists
+      [ [ (1., 0.); (0., 0.) ]; [ (0., 0.); (sqrt (1. -. gamma), 0.) ] ]
   in
-  for k = 0 to Program.length program - 1 do
-    match Program.get program k with
-    | ( Program.Kx _ | Program.Kh _ | Program.Kphase _ | Program.Kdiag _
-      | Program.Ku2 _ ) as op ->
-        Program.apply st op;
-        let ((_, cmask) as l) = layout op in
-        let p = if cmask = 0 then model.p_depol1 else model.p_depol2 in
-        List.iter
-          (fun q ->
-            maybe_depolarize ~p q;
-            maybe_amp_damp ~gamma:model.p_amp_damp q)
-          (touched ~num_qubits l)
-    | Program.Kcond { mask; value; body } ->
-        let ((bit, cmask) as l) = layout body in
-        (* the feed-forward latency penalty applies whether or not the
-           gate fires: the controller must wait for the classical value *)
-        (match model.feedforward_scope with
-        | `Target -> maybe_dephase ~p:model.p_feedforward_z (qubit_of_bit bit)
-        | `All_qubits ->
-            for q = 0 to num_qubits - 1 do
-              maybe_dephase ~p:model.p_feedforward_z q
-            done);
-        if State.register st land mask = value then begin
-          Program.apply st body;
-          let p = if cmask = 0 then model.p_depol1 else model.p_depol2 in
-          List.iter (fun q -> maybe_depolarize ~p q) (touched ~num_qubits l)
-        end
-    | Program.Kmeasure { qubit; bit } ->
-        let outcome =
-          State.measure ~random:(Random.State.float rng 1.0) st ~qubit ~bit
-        in
-        if
-          model.p_meas_flip > 0.
-          && Random.State.float rng 1.0 < model.p_meas_flip
-        then State.set_bit st bit (not outcome)
-    | Program.Kreset q ->
-        State.reset ~random:(Random.State.float rng 1.0) st q;
-        if
-          model.p_reset_flip > 0.
-          && Random.State.float rng 1.0 < model.p_reset_flip
-        then State.flip st q
-  done;
-  State.register st
+  let damp q =
+    if gamma > 0. then
+      [
+        {
+          Walk.p = (fun st -> gamma *. State.prob_one st q);
+          hit =
+            (fun _ st ->
+              ignore (State.project st q true);
+              Statevector.apply_gate st Gate.X q);
+          miss = (fun st -> Statevector.apply_kraus1 st no_jump q);
+        };
+      ]
+    else []
+  in
+  let dephase q =
+    channel model.p_feedforward_z (fun _ st ->
+        Statevector.apply_gate st Gate.Z q)
+  in
+  let depol (_, cmask) = if cmask = 0 then model.p_depol1 else model.p_depol2 in
+  function
+  | ( Program.Kx _ | Program.Kh _ | Program.Kphase _ | Program.Kdiag _
+    | Program.Ku2 _ ) as op ->
+      let l = layout op in
+      ( [],
+        List.concat_map
+          (fun q -> channel (depol l) (pauli q) @ damp q)
+          (touched ~num_qubits l) )
+  | Program.Kcond { mask; value; body } ->
+      let ((bit, _) as l) = layout body in
+      (* the feed-forward latency penalty applies whether or not the
+         gate fires: the controller must wait for the classical value;
+         the gate's depolarizing only when it fires *)
+      let fires st = State.register st land mask = value in
+      ( (match model.feedforward_scope with
+        | `Target -> dephase (qubit_of_bit bit)
+        | `All_qubits -> List.concat (List.init num_qubits dephase)),
+        List.concat_map
+          (fun q -> channel ~fires (depol l) (pauli q))
+          (touched ~num_qubits l) )
+  | Program.Kmeasure { bit; _ } ->
+      ( [],
+        channel model.p_meas_flip (fun _ st ->
+            State.set_bit st bit (not (State.get_bit st bit))) )
+  | Program.Kreset q ->
+      ([], channel model.p_reset_flip (fun _ st -> State.flip st q))
 
-(* The shared-prefix cache is sound under noise only when the model
-   injects nothing into the prefix: no per-unitary channels, and no
-   feed-forward dephasing if the prefix holds a conditioned op. *)
-let prefix_noise_free model prefix_program =
-  model.p_depol1 = 0. && model.p_depol2 = 0. && model.p_amp_damp = 0.
-  && (model.p_feedforward_z = 0.
-     || Array.for_all
-          (function
-            | Program.Kcond _ -> false
-            | Program.Kx _ | Program.Kh _ | Program.Kphase _ | Program.Kdiag _
-            | Program.Ku2 _ | Program.Kmeasure _ | Program.Kreset _ ->
-                true)
-          (Program.kernels prefix_program))
-
-let run_shots ?(seed = 0xD1CE) ?domains ?plan ~model ~shots c =
+let run_shots ?(seed = 0xD1CE) ?domains ~model ~shots c =
   validate model;
-  let c =
-    match plan with
-    | None -> c
-    | Some plan -> Measurement_plan.instrument plan c
+  let module E = Statevector.Dense_engine in
+  let num_qubits = Circ.num_qubits c and width = Circ.num_bits c in
+  let wp =
+    Walk.program ~channels:(channels model ~num_qubits) (Program.compile c)
   in
-  let width = Circ.num_bits c in
-  let num_qubits = Circ.num_qubits c in
-  let program = Program.compile c in
-  let prefix_program, suffix_program = Program.split_prefix program in
-  let trajectory =
-    if prefix_noise_free model prefix_program then begin
-      let cached = State.create num_qubits ~num_bits:(Circ.num_bits c) in
-      Program.exec ~random:Program.no_random cached prefix_program;
-      fun rng ->
-        run_ops ~rng ~model ~num_qubits (State.copy cached) suffix_program
-    end
-    else fun rng ->
-      let st = State.create num_qubits ~num_bits:(Circ.num_bits c) in
-      run_ops ~rng ~model ~num_qubits st program
-  in
-  (* every trajectory draws its own noise: one shot at a time *)
-  Parallel.run ?domains ~seed ~width ~shots (fun rngs ~lo ~hi ->
-      List.init (hi - lo) (fun i -> (trajectory rngs.(lo + i), 1)))
-
-let expected_outcome_probability ?seed ?domains ~model ~shots ~expected c =
-  let h = run_shots ?seed ?domains ~model ~shots c in
-  Runner.frequency h expected
+  Walk.execute ?domains ~seed ~shots
+    ~hold:(Walk.holds (Float.ldexp 1. num_qubits))
+    ~width
+    (fun b lo hi ->
+      Walk.shots
+        (module E)
+        b wp
+        (E.create num_qubits ~num_bits:width)
+        lo hi
+        (fun st lo hi -> Walk.tally b (E.register st) lo hi))

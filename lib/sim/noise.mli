@@ -47,33 +47,24 @@ val default : model
 val validate : model -> unit
 (** @raise Invalid_argument when a probability is outside [0, 1]. *)
 
-(** [run_shots ?seed ?domains ?plan ~model ~shots c] tallies noisy
-    trajectories, sharded across domains by the parallel shot engine
-    ({!Parallel}): deterministic for a fixed [seed] regardless of
-    [domains].  Trajectories execute a compiled program
-    ({!Program.compile}, whose one op per gate gives every gate its
-    own noise injection point).  When the model injects no noise into
-    the deterministic prefix (before the first measurement/reset) the
-    prefix segment is simulated once and shared across all
-    trajectories.  [plan] appends terminal measurements.
-    Trajectories run on the dense statevector. *)
+(** [run_shots ?seed ?domains ~model ~shots c] tallies [shots] noisy
+    shots of [c] on the dense statevector: the outcome-tree walk
+    ({!Walk.shots}) of the compiled program ({!Program.compile}, whose
+    one op per gate gives every gate its own injection point), with
+    each channel of [model] a cut at which every shot of a branch
+    draws from its own stream.  A shot draws as it would running alone:
+    after each unitary, for each qubit it touches (the controls
+    ascending, then the target), depolarizing (a float, then on a hit
+    the Pauli) and then damping; before a conditioned gate, the
+    feed-forward dephasing, whether or not it fires; after one that
+    fires, depolarizing; after a measure or reset, its outcome and then
+    its flip.  Deterministic for a fixed [seed] (default [0xD1CE])
+    whatever [domains].
+    @raise Invalid_argument as {!validate}. *)
 val run_shots :
   ?seed:int ->
   ?domains:int ->
-  ?plan:Measurement_plan.t ->
   model:model ->
   shots:int ->
   Circ.t ->
   Runner.histogram
-
-(** [expected_outcome_probability ?seed ~model ~shots ~expected c]
-    is the fraction of noisy shots whose register equals [expected] —
-    the quantity plotted in Fig 7. *)
-val expected_outcome_probability :
-  ?seed:int ->
-  ?domains:int ->
-  model:model ->
-  shots:int ->
-  expected:int ->
-  Circ.t ->
-  float

@@ -12,8 +12,8 @@
 
     The paper's evaluation replays every configuration at 1024 shots;
     this engine is the scaling seam of the sampled runs — {!Backend.run}
-    walks each block's outcome tree on it, and {!Noise.run_shots} runs
-    each block's trajectories.  An exact run does not come here: it
+    and {!Noise.run_shots} walk each block's outcome tree on it
+    ({!Walk.execute}).  An exact run does not come here: it
     draws every shot from one RNG stream ({!Dist.draw}), so it neither
     splits a state per shot nor spawns a domain.
 

@@ -18,8 +18,8 @@ open Circuit
     op stream consumes randomness in source order, so a compiled run
     reproduces {!Statevector.run_reference} bit for bit — the property
     the randomized differential tests rely on — and per-gate hooks
-    (the noise channels of {!Noise}, the cost model's per-op prices)
-    see one op per source gate.
+    (the noise channels {!Noise} cuts the walk at, the cost model's
+    per-op prices) see one op per source gate.
 
     Telemetry: {!compile} runs under a [program.compile] span and
     bumps the [sim.program.ops] / [sim.program.fallback] counters (ops
@@ -46,8 +46,9 @@ type t
     directly; {!Sparse} replays it with kernels that mirror the dense
     ones expression-for-expression (the property the differential
     suite in test/test_sparse.ml leans on), {!Stabilizer} maps the
-    Clifford ones onto its tableau, and {!Exact} and {!Noise} dispatch
-    on it.  The [pos] and [m] arrays are shared with the program —
+    Clifford ones onto its tableau, {!Walk} cuts a program at its
+    measure and reset ops, and {!Noise} places its channels by it.  The
+    [pos] and [m] arrays are shared with the program —
     treat them as read-only. *)
 type kernel =
   | Kx of { target : int; bit : int; cmask : int; pos : int array }
@@ -110,8 +111,7 @@ val kernels : t -> kernel array
 val sub : t -> pos:int -> len:int -> t
 
 (** Split at the first measure/reset op: [(prefix, suffix)].  The
-    prefix is deterministic (no randomness), which is what
-    {!Noise.run_shots} executes once and shares across trajectories. *)
+    prefix is deterministic (no randomness). *)
 val split_prefix : t -> t * t
 
 (** Raised by {!no_random}. *)

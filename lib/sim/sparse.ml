@@ -366,27 +366,16 @@ module Sparse_engine : Engine.S with type state = t = struct
   type state = t
 
   let name = "sparse"
-  let max_qubits = max_qubits
   let create = create
   let copy = copy
-  let num_qubits = num_qubits
-  let num_bits = num_bits
   let register = register
-  let set_register = set_register
   let set_bit = set_bit
-  let get_bit = get_bit
-  let nonzero = nnz
-  let norm2 = norm2
-  let amplitude = amplitude
   let prob_one = prob_one
   let apply = apply
   let project = project
   let flip = flip
-  let measure = measure
-  let reset = reset
   let exec = exec
   let run = run
-  let probabilities = probabilities
   let outcome_probabilities = outcome_probabilities
   let of_state = of_state
   let to_state = to_state

@@ -5,7 +5,6 @@ exception Unsupported of string
    X/Z components of generator i on qubit q; r.(i) the sign bit. *)
 type t = {
   n : int;
-  num_bits : int;
   x : bool array array;
   z : bool array array;
   r : bool array;
@@ -14,7 +13,7 @@ type t = {
 
 let max_qubits = 4096
 
-let create n ~num_bits =
+let create n ~num_bits:_ =
   if n < 0 || n > max_qubits then
     invalid_arg
       (Printf.sprintf "Stabilizer.create: %d qubits (max %d)" n max_qubits);
@@ -28,7 +27,7 @@ let create n ~num_bits =
     z.(n + q).(q) <- true
     (* stabilizer Z_q *)
   done;
-  { n; num_bits; x; z; r; reg = 0 }
+  { n; x; z; r; reg = 0 }
 
 let copy st =
   {
@@ -38,12 +37,8 @@ let copy st =
     r = Array.copy st.r;
   }
 
-let num_qubits st = st.n
-let num_bits st = st.num_bits
 let register st = st.reg
-let set_register st reg = st.reg <- reg
 let set_bit st k b = st.reg <- Bits.set st.reg k b
-let get_bit st k = Bits.get st.reg k
 
 (* phase exponent contribution of multiplying Pauli (x1,z1) by (x2,z2) *)
 let g x1 z1 x2 z2 =
@@ -321,21 +316,14 @@ module Tableau_engine : Engine.Core with type state = t = struct
   type state = t
 
   let name = "stabilizer"
-  let max_qubits = max_qubits
   let create = create
   let copy = copy
-  let num_qubits = num_qubits
-  let num_bits = num_bits
   let register = register
-  let set_register = set_register
   let set_bit = set_bit
-  let get_bit = get_bit
   let prob_one = prob_one
   let apply = apply
   let project = project
   let flip = flip
-  let measure = measure
-  let reset = reset
   let exec = exec
   let run = run
   let outcome_probabilities = outcome_probabilities

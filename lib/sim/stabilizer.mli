@@ -8,9 +8,9 @@
     instead of O(2^n): this engine carries the paper's scalability
     story to hundreds of qubits, far beyond the statevector limit.
 
-    The tableau implements {!Engine.Core}, so {!Backend.run}'s walk of
-    the outcome tree and {!Exact}'s enumerator run on it unchanged,
-    and {!Backend} prices it beside the other engines.
+    The tableau implements {!Engine.Core}, so the outcome-tree walk
+    ({!Walk}) runs on it unchanged, sampled or exact, and {!Backend}
+    prices it beside the other engines.
     It keeps the engines' randomness contract: one draw per collapse,
     the outcome [random < prob_one] with [prob_one] in {0, 1/2, 1}, so
     a Clifford program replays the dense engine's shot stream for the

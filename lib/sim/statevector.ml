@@ -97,48 +97,22 @@ let run ~rng c = Program.run_circuit ~rng c
 let probabilities = State.probabilities
 
 (* The dense SoA storage as an [Engine.S] instance: every primitive
-   delegates to [State] / [Program], so engine-polymorphic callers
-   (Backend's walk, Exact's enumerator) behave bit-for-bit
-   like the direct calls. *)
+   delegates to [State] / [Program], so the engine-polymorphic walk
+   behaves bit-for-bit like the direct calls. *)
 module Dense_engine : Engine.S with type state = State.t = struct
   type state = State.t
 
   let name = "dense"
-  let max_qubits = State.max_qubits
   let create = State.create
   let copy = State.copy
-  let num_qubits = State.num_qubits
-  let num_bits = State.num_bits
   let register = State.register
-  let set_register = State.set_register
   let set_bit = State.set_bit
-  let get_bit = State.get_bit
-
-  let nonzero st =
-    let v = State.raw st in
-    let re = Linalg.Cvec.re v and im = Linalg.Cvec.im v in
-    let n = ref 0 in
-    for k = 0 to Array.length re - 1 do
-      if re.(k) <> 0. || im.(k) <> 0. then incr n
-    done;
-    !n
-
-  let norm2 = State.norm2
-
-  let amplitude st k =
-    let v = State.raw st in
-    { Complex.re = (Linalg.Cvec.re v).(k); im = (Linalg.Cvec.im v).(k) }
-
   let prob_one = State.prob_one
   let apply = Program.apply
   let project = State.project
   let flip = State.flip
-  let measure = State.measure
-  let reset = State.reset
   let exec = Program.exec
-
   let run ~rng program = Program.run ~rng program
-  let probabilities = State.probabilities
 
   (* one accumulator slot per outcome: 2^k floats for k <= n qubits,
      at most half the size of the state itself *)

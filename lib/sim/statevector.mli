@@ -89,8 +89,8 @@ val run_reference : rng:Random.State.t -> Circ.t -> t
 val probabilities : t -> float array
 
 (** The dense SoA storage as a pluggable execution engine — the
-    {!Engine.S} instance behind {!Backend}'s dense dispatch and
-    {!Exact}'s dense enumerator.  [apply]/[exec] replay compiled
+    {!Engine.S} instance behind the dense walks of {!Backend},
+    {!Exact} and {!Noise}.  [apply]/[exec] replay compiled
     {!Program} kernels; everything else delegates to {!State}, so
     running through the instance is bit-identical to the direct
     calls. *)

@@ -245,8 +245,6 @@ let init ?(symbolic_inputs = false) ~num_qubits ~num_bits () =
       zero_amplitude = false;
     }
 
-let num_vars t = t.next_var
-
 let all_vars t =
   let acc = ref [] in
   Array.iter (fun e -> acc := Bexpr.union_vars !acc (Bexpr.vars e)) t.outputs;

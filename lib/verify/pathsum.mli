@@ -115,8 +115,6 @@ type t = {
     pinned variable per qubit) when [symbolic_inputs] is set. *)
 val init : ?symbolic_inputs:bool -> num_qubits:int -> num_bits:int -> unit -> t
 
-val num_vars : t -> int
-
 (** Every variable occurring anywhere, ascending. *)
 val all_vars : t -> int list
 

@@ -2,9 +2,10 @@
    dynamic-circuit generator, the oracle corpus of the benchmark-wide
    lint and certification tests, the dyn2 Toffoli ladder, the
    mixed-sparsity hybrid witness, the teleportation circuit and the
-   paper jobs' compile; and the per-shot replay oracle of sampled runs.
-   Each exists once, so a test and a bench row that name the same
-   workload run the same circuit. *)
+   paper jobs' compile and corpus; the exact walk's fork-everything
+   leaves; and the per-shot oracles of sampled and noisy runs.  Each
+   exists once, so a test and a bench row that name the same workload
+   run the same circuit. *)
 
 open Circuit
 
@@ -184,6 +185,46 @@ let paper_job scheme c =
   let nd = List.length o.data_bit in
   (o.circuit, List.mapi (fun k (_, phys) -> (phys, nd + k)) o.answer_phys)
 
+(* perfbench's paper-jobs corpus, 70 jobs: the Table I BV strings and
+   the DJ circuits of the Table II oracles and the MCT suite, each
+   under dyn1 and dyn2 as [paper_job] compiles it, its measurements
+   appended, named like "DJ(AND) dyn1". *)
+let paper_jobs () =
+  let benchmarks =
+    List.map
+      (fun s -> ("BV_" ^ s, Algorithms.Bv.circuit s))
+      Algorithms.Bv.paper_benchmarks
+    @ List.map
+        (fun (o : Algorithms.Oracle.t) ->
+          ("DJ(" ^ o.name ^ ")", Algorithms.Dj.circuit o))
+        (Algorithms.Dj_toffoli.oracles @ Algorithms.Mct_bench.suite)
+  in
+  List.concat_map
+    (fun (name, c) ->
+      List.map
+        (fun (tag, scheme) ->
+          let c, measures = paper_job scheme c in
+          ( name ^ " " ^ tag,
+            Sim.Measurement_plan.instrument
+              (Sim.Measurement_plan.of_pairs measures)
+              c ))
+        Dqc.Toffoli_scheme.[ ("dyn1", Dynamic_1); ("dyn2", Dynamic_2) ])
+    benchmarks
+
+(* The leaves of the exact walk forking at every measurement, trailing
+   ones included, on the dense engine: the (register, probability) of
+   each branch above [prune] (default 1e-12), in depth-first order. *)
+let leaves ?(prune = 1e-12) c =
+  let module E = Sim.Statevector.Dense_engine in
+  let program = Sim.Program.compile c in
+  let acc = ref [] in
+  Sim.Walk.probabilities
+    (module E)
+    ~prune (Sim.Walk.program program)
+    (E.create (Circ.num_qubits c) ~num_bits:(Circ.num_bits c))
+    (fun st p -> acc := (E.register st, p) :: !acc);
+  List.rev !acc
+
 (* The per-shot replay that sampled runs used before the outcome-tree
    walk, kept as the walk's oracle: shot [i] runs [program] alone from
    |0...0> on engine [E] ([Engine.Core.run]) over the [i]-th split of
@@ -199,3 +240,157 @@ let replay_histogram (module E : Sim.Engine.Core) ~seed ~shots program =
     counts := (E.register (E.run ~rng program), 1) :: !counts
   done;
   Sim.Runner.of_counts ~width:(Sim.Program.num_bits program) !counts
+
+(* The per-shot noisy trajectories that [Sim.Noise.run_shots] ran
+   before it walked the outcome tree, kept as the noisy walk's oracle:
+   every shot runs the whole compiled program alone on the dense
+   statevector, drawing each channel from its own stream, and a
+   deterministic prefix the model injects nothing into runs once.  For
+   a fixed seed [Sim.Noise.run_shots] must return this histogram byte
+   for byte, on any domain count. *)
+module Trajectory = struct
+  module Noise = Sim.Noise
+  module Program = Sim.Program
+  module State = Sim.State
+  module Statevector = Sim.Statevector
+
+  let random_pauli rng =
+    match Random.State.int rng 3 with
+    | 0 -> Gate.X
+    | 1 -> Gate.Y
+    | _ -> Gate.Z
+
+  (* Target bit and control mask of a unitary op. *)
+  let layout = function
+    | Program.Kx { bit; cmask; _ }
+    | Program.Kh { bit; cmask; _ }
+    | Program.Kphase { bit; cmask; _ }
+    | Program.Kdiag { bit; cmask; _ }
+    | Program.Ku2 { bit; cmask; _ } ->
+        (bit, cmask)
+    | Program.Kmeasure _ | Program.Kreset _ | Program.Kcond _ ->
+        invalid_arg "Noise: not a unitary op"
+
+  let rec qubit_of_bit bit =
+    if bit <= 1 then 0 else 1 + qubit_of_bit (bit lsr 1)
+
+  (* The qubits a unitary op touches, in the order its channels draw
+     randomness: the controls ascending, then the target. *)
+  let touched ~num_qubits (bit, cmask) =
+    let qs = ref [ qubit_of_bit bit ] in
+    for q = num_qubits - 1 downto 0 do
+      if cmask land (1 lsl q) <> 0 then qs := q :: !qs
+    done;
+    !qs
+
+  let run_ops ~rng ~(model : Noise.model) ~num_qubits st program =
+    let maybe_depolarize ~p q =
+      if p > 0. && Random.State.float rng 1.0 < p then
+        Statevector.apply_gate st (random_pauli rng) q
+    in
+    (* quantum-trajectory unraveling of amplitude damping: jump with
+       probability gamma.P(1) (relax to |0>), otherwise apply the
+       no-jump operator diag(1, sqrt(1-gamma)) and renormalize *)
+    let maybe_amp_damp ~gamma q =
+      if gamma > 0. then begin
+        let p_jump = gamma *. State.prob_one st q in
+        if p_jump > 0. && Random.State.float rng 1.0 < p_jump then begin
+          ignore (State.project st q true);
+          Statevector.apply_gate st Gate.X q
+        end
+        else
+          Statevector.apply_kraus1 st
+            (Linalg.Cmat.of_reim_lists
+               [
+                 [ (1., 0.); (0., 0.) ]; [ (0., 0.); (sqrt (1. -. gamma), 0.) ];
+               ])
+            q
+      end
+    in
+    let maybe_dephase ~p q =
+      if p > 0. && Random.State.float rng 1.0 < p then
+        Statevector.apply_gate st Gate.Z q
+    in
+    for k = 0 to Program.length program - 1 do
+      match Program.get program k with
+      | ( Program.Kx _ | Program.Kh _ | Program.Kphase _ | Program.Kdiag _
+        | Program.Ku2 _ ) as op ->
+          Program.apply st op;
+          let ((_, cmask) as l) = layout op in
+          let p = if cmask = 0 then model.p_depol1 else model.p_depol2 in
+          List.iter
+            (fun q ->
+              maybe_depolarize ~p q;
+              maybe_amp_damp ~gamma:model.p_amp_damp q)
+            (touched ~num_qubits l)
+      | Program.Kcond { mask; value; body } ->
+          let ((bit, cmask) as l) = layout body in
+          (* the feed-forward latency penalty applies whether or not
+             the gate fires: the controller must wait for the
+             classical value *)
+          (match model.feedforward_scope with
+          | `Target -> maybe_dephase ~p:model.p_feedforward_z (qubit_of_bit bit)
+          | `All_qubits ->
+              for q = 0 to num_qubits - 1 do
+                maybe_dephase ~p:model.p_feedforward_z q
+              done);
+          if State.register st land mask = value then begin
+            Program.apply st body;
+            let p = if cmask = 0 then model.p_depol1 else model.p_depol2 in
+            List.iter (fun q -> maybe_depolarize ~p q) (touched ~num_qubits l)
+          end
+      | Program.Kmeasure { qubit; bit } ->
+          let outcome =
+            State.measure ~random:(Random.State.float rng 1.0) st ~qubit ~bit
+          in
+          if
+            model.p_meas_flip > 0.
+            && Random.State.float rng 1.0 < model.p_meas_flip
+          then State.set_bit st bit (not outcome)
+      | Program.Kreset q ->
+          State.reset ~random:(Random.State.float rng 1.0) st q;
+          if
+            model.p_reset_flip > 0.
+            && Random.State.float rng 1.0 < model.p_reset_flip
+          then State.flip st q
+    done;
+    State.register st
+
+  (* The shared prefix is sound under noise only when the model
+     injects nothing into it: no per-unitary channels, and no
+     feed-forward dephasing if the prefix holds a conditioned op. *)
+  let prefix_noise_free (model : Noise.model) prefix_program =
+    model.p_depol1 = 0. && model.p_depol2 = 0. && model.p_amp_damp = 0.
+    && (model.p_feedforward_z = 0.
+       || Array.for_all
+            (function
+              | Program.Kcond _ -> false
+              | Program.Kx _ | Program.Kh _ | Program.Kphase _
+              | Program.Kdiag _ | Program.Ku2 _ | Program.Kmeasure _
+              | Program.Kreset _ ->
+                  true)
+            (Program.kernels prefix_program))
+
+  let histogram ~seed ~model ~shots c =
+    Noise.validate model;
+    let width = Circ.num_bits c in
+    let num_qubits = Circ.num_qubits c in
+    let program = Program.compile c in
+    let prefix_program, suffix_program = Program.split_prefix program in
+    let trajectory =
+      if prefix_noise_free model prefix_program then begin
+        let cached = State.create num_qubits ~num_bits:(Circ.num_bits c) in
+        Program.exec ~random:Program.no_random cached prefix_program;
+        fun rng ->
+          run_ops ~rng ~model ~num_qubits (State.copy cached) suffix_program
+      end
+      else fun rng ->
+        let st = State.create num_qubits ~num_bits:(Circ.num_bits c) in
+        run_ops ~rng ~model ~num_qubits st program
+    in
+    (* every trajectory draws its own noise: one shot at a time *)
+    Sim.Parallel.run ~domains:1 ~seed ~width ~shots (fun rngs ~lo ~hi ->
+        List.init (hi - lo) (fun i -> (trajectory rngs.(lo + i), 1)))
+end
+
+let trajectory_histogram = Trajectory.histogram

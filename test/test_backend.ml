@@ -340,6 +340,88 @@ let test_noise_ideal_matches_exact () =
        (Sim.Exact.register_distribution c)
     <= tv_budget)
 
+(* The noisy walk against the per-shot trajectories: one row per
+   (circuit, model), and one function checks them all.  On every seed
+   and on one to three domains, [Sim.Noise.run_shots] must return the
+   histogram of [Testkit.trajectory_histogram], which runs every shot
+   alone, byte for byte.  The circuits are a dozen paper jobs and 40
+   random dynamic circuits; the models switch each channel on alone,
+   then all of them together. *)
+type noise_row = {
+  label : string;
+  circuit : Circuit.Circ.t;
+  model : Sim.Noise.model;
+}
+
+let check_noisy_walk row =
+  let shots = 96 in
+  List.iter
+    (fun seed ->
+      let reference =
+        Testkit.trajectory_histogram ~seed ~model:row.model ~shots row.circuit
+      in
+      List.iter
+        (fun domains ->
+          check_hist
+            (Printf.sprintf "%s, seed %d, %d domain(s)" row.label seed domains)
+            reference
+            (Sim.Noise.run_shots ~seed ~domains ~model:row.model ~shots
+               row.circuit))
+        [ 1; 2; 3 ])
+    [ 0xD1CE; 23 ]
+
+let noise_models =
+  let i = Sim.Noise.ideal in
+  [
+    ("ideal", i);
+    ("default", Sim.Noise.default);
+    ("depolarizing", { i with p_depol1 = 0.02; p_depol2 = 0.05 });
+    ("measurement flip", { i with p_meas_flip = 0.1 });
+    ("reset flip", { i with p_reset_flip = 0.1 });
+    ("feed-forward on the target", { i with p_feedforward_z = 0.2 });
+    ( "feed-forward on every qubit",
+      { i with p_feedforward_z = 0.1; feedforward_scope = `All_qubits } );
+    ("amplitude damping", { i with p_amp_damp = 0.05 });
+    ( "all channels",
+      {
+        p_depol1 = 0.01;
+        p_depol2 = 0.03;
+        p_meas_flip = 0.05;
+        p_reset_flip = 0.05;
+        p_feedforward_z = 0.1;
+        p_amp_damp = 0.03;
+        feedforward_scope = `All_qubits;
+      } );
+  ]
+
+let noise_rows () =
+  let jobs = Testkit.paper_jobs () in
+  let paper =
+    List.map
+      (fun name -> (name, List.assoc name jobs))
+      [
+        "BV_111 dyn1"; "BV_1011 dyn1"; "BV_1011 dyn2"; "BV_0001 dyn2";
+        "DJ(AND) dyn1"; "DJ(AND) dyn2"; "DJ(OR) dyn1"; "DJ(NOR) dyn2";
+        "DJ(CARRY) dyn1"; "DJ(AND_5) dyn2"; "DJ(MAJ_3) dyn2"; "DJ(MAJ_5) dyn1";
+      ]
+  in
+  let rng = Random.State.make [| 0x7A1E |] in
+  let random =
+    List.init 40 (fun k ->
+        ( Printf.sprintf "random circuit %d" k,
+          Testkit.random_dynamic_circuit ~max_qubits:8 ~max_instrs:32 rng ))
+  in
+  List.concat_map
+    (fun (name, circuit) ->
+      List.map
+        (fun (model_name, model) ->
+          { label = name ^ ", " ^ model_name; circuit; model })
+        noise_models)
+    (paper @ random)
+
+let test_noisy_walk_equals_trajectories () =
+  List.iter check_noisy_walk (noise_rows ())
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -398,5 +480,7 @@ let () =
             test_noise_deterministic_across_domains;
           Alcotest.test_case "ideal matches exact" `Slow
             test_noise_ideal_matches_exact;
+          Alcotest.test_case "walk = per-shot trajectories" `Slow
+            test_noisy_walk_equals_trajectories;
         ] );
     ]

@@ -399,7 +399,7 @@ let test_exact_counters () =
   in
   let c = terminal_only () in
   check_bool "forking reaches several leaves" true
-    (leaves_counted (fun () -> Sim.Exact.leaves c) > 1);
+    (leaves_counted (fun () -> Testkit.leaves c) > 1);
   check_int "one pass over the trailing measurements" 1
     (leaves_counted (fun () -> Sim.Exact.register_distribution c))
 

@@ -198,10 +198,9 @@ let test_exact_bell () =
   check_float "P(01)" 0. (Sim.Dist.prob d 0b01)
 
 let test_exact_leaves () =
-  let leaves = Sim.Exact.leaves (bell_circuit ()) in
+  let leaves = Testkit.leaves (bell_circuit ()) in
   check_int "two branches" 2 (List.length leaves);
-  check_float "mass" 1.
-    (List.fold_left (fun acc l -> acc +. l.Sim.Exact.probability) 0. leaves)
+  check_float "mass" 1. (List.fold_left (fun acc (_, p) -> acc +. p) 0. leaves)
 
 let test_exact_reset_branches () =
   (* H then reset: both branches end in |0>, register untouched *)
@@ -366,8 +365,10 @@ let test_noise_expected_outcome_probability () =
   Circ.Builder.x b 0;
   Circ.Builder.measure b ~qubit:0 ~bit:0;
   let p =
-    Sim.Noise.expected_outcome_probability ~model:Sim.Noise.ideal ~shots:50
-      ~expected:1 (Circ.Builder.build b)
+    Sim.Runner.frequency
+      (Sim.Noise.run_shots ~model:Sim.Noise.ideal ~shots:50
+         (Circ.Builder.build b))
+      1
   in
   check_float "ideal deterministic" 1. p
 

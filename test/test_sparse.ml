@@ -672,13 +672,10 @@ let test_conversions_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Exact-branch evaluation: one enumerator on either engine, with the
    measurements that end a circuit read in one pass, must give the law
-   folded from Exact.leaves, which forks on every measurement.        *)
+   folded from Testkit.leaves, which forks on every measurement.      *)
 
 let fork_law ?prune c =
-  Sim.Dist.create ~width:(Circ.num_bits c)
-    (List.map
-       (fun (l : Sim.Exact.leaf) -> (l.register, l.probability))
-       (Sim.Exact.leaves ?prune c))
+  Sim.Dist.create ~width:(Circ.num_bits c) (Testkit.leaves ?prune c)
 
 let test_exact_engines_match_fork_law () =
   let rng = Random.State.make [| 0xE7AC7 |] in
@@ -710,6 +707,66 @@ let test_exact_engines_match_fork_law () =
          (fun case -> [ (case, None); (case, Some 0.1) ])
          [ ("", c); (" + measure-all", measured) ])
   done
+
+(* Every exact law pinned to the last bit.  exact_golden.txt holds one
+   line per case and engine: the case name, then the MD5 of the law's
+   (outcome, bits of the probability) pairs.  The cases are the 70
+   paper jobs and the 220 differential circuits of stream 0x5AB5E, as
+   drawn and with every qubit measured at the end, each on the dense
+   and the sparse engine and, where its kernels map, the tableau. *)
+let law_digest d =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun (o, p) -> Printf.bprintf b "%d %Ld\n" o (Int64.bits_of_float p))
+    (Sim.Dist.to_list d);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let exact_golden_lines () =
+  let rng = Random.State.make [| 0x5AB5E |] in
+  let differential =
+    List.concat
+      (List.init 220 (fun k ->
+           let c = random_dynamic_circuit rng in
+           [
+             (Printf.sprintf "circuit %d" k, c);
+             ( Printf.sprintf "circuit %d + measure-all" k,
+               Sim.Measurement_plan.instrument Sim.Measurement_plan.measure_all
+                 c );
+           ]))
+  in
+  List.concat_map
+    (fun (name, c) ->
+      let p = Sim.Program.compile c in
+      List.filter_map
+        (fun (tag, engine, runs) ->
+          if runs then
+            Some
+              (Printf.sprintf "%s/%s %s" name tag
+                 (law_digest (Sim.Exact.program_distribution ~engine p)))
+          else None)
+        [
+          ("dense", dense_engine, true);
+          ("sparse", sparse_engine, true);
+          ("stabilizer", tableau_engine, Sim.Stabilizer.supports p);
+        ])
+    (Testkit.paper_jobs () @ differential)
+
+let test_exact_golden () =
+  let golden =
+    In_channel.with_open_text "exact_golden.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let rec compare = function
+    | [], [] -> ()
+    | e :: es, a :: rest ->
+        if e = a then compare (es, rest)
+        else
+          Alcotest.failf "first differing case:\n  golden %s\n  now    %s" e a
+    | e :: _, [] -> Alcotest.failf "case no longer produced: %s" e
+    | [], a :: _ -> Alcotest.failf "case not in the golden file: %s" a
+  in
+  compare (golden, exact_golden_lines ())
 
 (* Past the dense cap only the sparse engine can enumerate; the
    all-ones ladder is deterministic, so its law is a point mass. *)
@@ -920,6 +977,7 @@ let () =
             test_forced_exact_wide;
           Alcotest.test_case "one stream for any domain count" `Quick
             test_exact_one_stream;
+          Alcotest.test_case "laws = golden file" `Quick test_exact_golden;
         ] );
       ( "auto by cost",
         [
