@@ -979,22 +979,30 @@ let workloads () : (string * (unit -> unit)) list =
   in
   (* the symbolic certifier: no simulation, so the wide instances
      (AND_12 is 13 qubits, XOR_16 is 17) cost about the same as the
-     small one — the point of the group *)
+     small one — the point of the group.  DJ(MAJ_5) dyn2 is the
+     heaviest certification of the compile corpus, and BV_1111 the one
+     whose time goes most to matching variables *)
   let verify_tests =
-    let certify (oracle : Algorithms.Oracle.t) scheme label =
-      let dj = Algorithms.Dj.circuit oracle in
-      let r = Dqc.Toffoli_scheme.transform scheme dj in
-      ( Printf.sprintf "verify DJ(%s) %s" oracle.name label,
-        fun () -> ignore (Dqc.Certifier.certify dj r) )
+    let certify name c scheme label =
+      let r = Dqc.Toffoli_scheme.transform scheme c in
+      ( Printf.sprintf "verify %s %s" name label,
+        fun () -> ignore (Dqc.Certifier.certify c r) )
+    in
+    let dj (oracle : Algorithms.Oracle.t) =
+      certify
+        (Printf.sprintf "DJ(%s)" oracle.name)
+        (Algorithms.Dj.circuit oracle)
     in
     [
-      certify
+      dj
         (Option.get (Algorithms.Dj_toffoli.oracle_by_name "AND"))
         Dqc.Toffoli_scheme.Dynamic_2 "dyn2";
-      certify (Algorithms.Mct_bench.and_n 12) Dqc.Toffoli_scheme.Dynamic_1
-        "dyn1";
-      certify (Algorithms.Mct_bench.xor_n 16) Dqc.Toffoli_scheme.Dynamic_1
-        "dyn1";
+      dj (Algorithms.Mct_bench.and_n 12) Dqc.Toffoli_scheme.Dynamic_1 "dyn1";
+      dj (Algorithms.Mct_bench.xor_n 16) Dqc.Toffoli_scheme.Dynamic_1 "dyn1";
+      dj (Algorithms.Mct_bench.majority_n 5) Dqc.Toffoli_scheme.Dynamic_2
+        "dyn2";
+      certify "BV_1111" (Algorithms.Bv.circuit "1111")
+        Dqc.Toffoli_scheme.Dynamic_2 "dyn2";
     ]
   in
   (* the reuse pass in isolation: scheduling + rewiring cost, no

@@ -131,49 +131,100 @@ let view_static (ps : Pathsum.t) =
   }
 
 let view_vars v =
-  let acc = ref (P.vars v.v_phase) in
-  List.iter (fun e -> acc := B.union_vars !acc (B.vars e)) v.v_anchors;
-  List.iter (fun e -> acc := B.union_vars !acc (B.vars e)) v.v_ghosts;
-  !acc
+  List.sort_uniq Int.compare
+    (List.concat_map fst (P.terms v.v_phase)
+    @ List.concat_map
+        (fun e -> List.concat (B.monomials e))
+        (v.v_anchors @ v.v_ghosts))
 
 (* ------------------------------------------------------------------ *)
 (* Variable matching by color refinement                               *)
 
-let ints l = String.concat "." (List.map string_of_int l)
-let strs l = String.concat ";" l
+(* A view's variables, ascending, and where each occurs: per anchor
+   that holds it (with the anchor's index), per ghost, and per phase
+   term (with its coefficient), each monomial without the variable
+   itself.  A variable is named by its place in [vars], so the tables
+   are as long as the view has variables.  Computed once per view;
+   every refinement round reads it. *)
+type occurrences = {
+  vars : int array;
+  in_anchors : (int * int list list) list array;
+  in_ghosts : int list list list array;
+  in_phase : (int * int list) list array;
+}
 
-(* structural signature of variable [x] inside view [v] under the
-   current coloring *)
-let signature v col x =
-  let co m =
-    List.sort compare
-      (List.filter_map (fun y -> if y = x then None else Some (col y)) m)
+(* the place of [x] in the ascending array [a], or -1 *)
+let place a x =
+  let rec search lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      if a.(mid) = x then mid
+      else if a.(mid) < x then search (mid + 1) hi
+      else search lo mid
   in
-  let in_poly monos =
-    match List.filter (fun m -> List.mem x m) monos with
-    | [] -> None
-    | ms -> Some (strs (List.sort compare (List.map (fun m -> ints (co m)) ms)))
+  search 0 (Array.length a)
+
+let occurrences v =
+  let vars = Array.of_list (view_vars v) in
+  let n = Array.length vars in
+  let in_anchors = Array.make n []
+  and in_ghosts = Array.make n []
+  and in_phase = Array.make n [] in
+  let places m = List.map (place vars) m in
+  let without x m = List.filter (fun y -> y <> x) m in
+  (* per variable of [e], the monomials that hold it *)
+  let holding e =
+    let ms = List.map places (B.monomials e) in
+    List.map
+      (fun x ->
+        ( x,
+          List.filter_map
+            (fun m -> if List.mem x m then Some (without x m) else None)
+            ms ))
+      (places (B.vars e))
   in
-  let anchor_part =
-    List.mapi
-      (fun i a ->
-        match in_poly (B.monomials a) with
-        | Some s -> Printf.sprintf "a%d(%s)" i s
-        | None -> "")
-      v.v_anchors
-  in
-  (* the ghost pool is unordered: aggregate per-ghost signatures as a
-     sorted multiset *)
-  let ghost_part =
-    List.filter_map (fun e -> in_poly (B.monomials e)) v.v_ghosts
-    |> List.sort compare
-  in
-  let phase_part =
-    List.filter (fun (m, _) -> List.mem x m) (P.terms v.v_phase)
-    |> List.map (fun (m, c) -> Printf.sprintf "p%d(%s)" c (ints (co m)))
-    |> List.sort compare
-  in
-  strs anchor_part ^ "|" ^ strs ghost_part ^ "|" ^ strs phase_part
+  List.iteri
+    (fun i a ->
+      List.iter
+        (fun (x, ms) -> in_anchors.(x) <- (i, ms) :: in_anchors.(x))
+        (holding a))
+    v.v_anchors;
+  List.iter
+    (fun g ->
+      List.iter
+        (fun (x, ms) -> in_ghosts.(x) <- ms :: in_ghosts.(x))
+        (holding g))
+    v.v_ghosts;
+  List.iter
+    (fun (m, c) ->
+      let m = places m in
+      List.iter (fun x -> in_phase.(x) <- (c, without x m) :: in_phase.(x)) m)
+    (P.terms v.v_phase);
+  { vars; in_anchors; in_ghosts; in_phase }
+
+(* A color is interned from a key.  A refined key is the variable's
+   color with its occurrences under the current coloring: each
+   monomial becomes the sorted colors of its other variables, the
+   ghosts (an unordered pool) and the phase terms a sorted multiset. *)
+type color_key =
+  | Free
+  | Input of int  (* pinned input variable of this qubit *)
+  | Refined of
+      int
+      * (int * int list list) list
+      * int list list list
+      * (int * int list) list
+
+let signature occ col x =
+  let co m = List.sort Int.compare (List.map (fun y -> col.(y)) m) in
+  let monos ms = List.sort compare (List.map co ms) in
+  Refined
+    ( col.(x),
+      List.map (fun (i, ms) -> (i, monos ms)) occ.in_anchors.(x),
+      List.sort compare (List.map monos occ.in_ghosts.(x)),
+      List.sort compare (List.map (fun (c, m) -> (c, co m)) occ.in_phase.(x))
+    )
 
 (* match the free variables of [vb] to those of [va]; pinned input
    variables map positionally by qubit.  Returns a total renaming for
@@ -193,91 +244,76 @@ let build_rename va vb =
       match pinned_pairs with
       | None -> None
       | Some pinned_pairs ->
-          let pinned_b = List.map fst pinned_pairs in
-          let free side_pinned v =
-            List.filter (fun x -> not (List.mem x side_pinned)) (view_vars v)
+          let occ_a = occurrences va and occ_b = occurrences vb in
+          let pinned_a = List.map snd pinned_pairs
+          and pinned_b = List.map fst pinned_pairs in
+          let free occ pinned =
+            List.filter
+              (fun i -> not (List.mem occ.vars.(i) pinned))
+              (List.init (Array.length occ.vars) Fun.id)
           in
-          let free_a = free (List.map snd pinned_pairs) va in
-          let free_b = free pinned_b vb in
+          let free_a = free occ_a pinned_a and free_b = free occ_b pinned_b in
           if List.length free_a <> List.length free_b then None
           else begin
-            (* shared string -> color table so colors are comparable
-               across the two sides *)
-            let table : (string, int) Hashtbl.t = Hashtbl.create 97 in
-            let color_of s =
-              match Hashtbl.find_opt table s with
+            (* one table for both sides, so that colors compare across
+               them *)
+            let table : (color_key, int) Hashtbl.t = Hashtbl.create 97 in
+            let color_of k =
+              match Hashtbl.find_opt table k with
               | Some c -> c
               | None ->
                   let c = Hashtbl.length table in
-                  Hashtbl.add table s c;
+                  Hashtbl.add table k c;
                   c
             in
-            let init v side_pinned qubit_of =
-              let cols : (int, int) Hashtbl.t = Hashtbl.create 31 in
-              List.iter
-                (fun x -> Hashtbl.replace cols x (color_of ("f")))
-                (free side_pinned v);
-              List.iter
-                (fun x ->
-                  Hashtbl.replace cols x
-                    (color_of (Printf.sprintf "in%d" (qubit_of x))))
-                side_pinned;
-              cols
+            (* a side's colors by place *)
+            let init occ free pinned =
+              let col = Array.make (Array.length occ.vars) (-1) in
+              List.iter (fun i -> col.(i) <- color_of Free) free;
+              List.iteri
+                (fun q x ->
+                  let c = color_of (Input q) and i = place occ.vars x in
+                  if i >= 0 then col.(i) <- c)
+                pinned;
+              col
             in
-            let qubit_of inputs x =
-              match inputs with
-              | Some a ->
-                  let q = ref (-1) in
-                  Array.iteri (fun i v -> if v = x then q := i) a;
-                  !q
-              | None -> -1
-            in
-            let cols_a =
-              init va (List.map snd pinned_pairs) (qubit_of va.v_inputs)
-            in
-            let cols_b = init vb pinned_b (qubit_of vb.v_inputs) in
-            let refine v cols =
-              let lookup x =
-                match Hashtbl.find_opt cols x with Some c -> c | None -> -1
-              in
+            let col_a = init occ_a free_a pinned_a in
+            let col_b = init occ_b free_b pinned_b in
+            let refine occ col =
               let next =
-                List.map
-                  (fun x ->
-                    ( x,
-                      color_of
-                        (Printf.sprintf "%d#%s" (lookup x) (signature v lookup x))
-                    ))
-                  (view_vars v)
+                Array.init (Array.length col) (fun i ->
+                    color_of (signature occ col i))
               in
-              List.iter (fun (x, c) -> Hashtbl.replace cols x c) next
+              Array.blit next 0 col 0 (Array.length col)
             in
             for _round = 1 to 3 do
               (* both sides in the same round so the shared table stays
                  aligned *)
-              refine va cols_a;
-              refine vb cols_b
+              refine occ_a col_a;
+              refine occ_b col_b
             done;
-            let col cols x =
-              match Hashtbl.find_opt cols x with Some c -> c | None -> -1
-            in
-            let sorted cols l =
+            let sorted col l =
               List.sort
-                (fun x y -> compare (col cols x, x) (col cols y, y))
+                (fun i j ->
+                  if col.(i) <> col.(j) then Int.compare col.(i) col.(j)
+                  else Int.compare i j)
                 l
             in
-            let sa = sorted cols_a free_a and sb = sorted cols_b free_b in
-            if
-              List.map (col cols_a) sa <> List.map (col cols_b) sb
-            then None
+            let sa = sorted col_a free_a and sb = sorted col_b free_b in
+            if not (List.equal (fun i j -> col_a.(i) = col_b.(j)) sa sb) then
+              None
             else begin
-              let map : (int, int) Hashtbl.t = Hashtbl.create 31 in
-              List.iter2 (fun b a -> Hashtbl.replace map b a) sb sa;
+              let target = Array.copy occ_b.vars in
+              List.iter2 (fun j i -> target.(j) <- occ_a.vars.(i)) sb sa;
               List.iter
-                (fun (b, a) -> Hashtbl.replace map b a)
+                (fun (b, a) ->
+                  let j = place occ_b.vars b in
+                  if j >= 0 then target.(j) <- a)
                 pinned_pairs;
               Some
                 (fun x ->
-                  match Hashtbl.find_opt map x with Some y -> y | None -> x)
+                  let j = place occ_b.vars x in
+                  if j < 0 then x else target.(j))
             end
           end)
 

@@ -20,7 +20,14 @@ module Bexpr = struct
      monomial is the constant 1 *)
   type t = int list list
 
-  let compare_mono (x : int list) (y : int list) = compare x y
+  (* lexicographic, a proper prefix first: the order of polymorphic
+     compare on int lists, without its generic dispatch *)
+  let rec compare_mono (x : int list) (y : int list) =
+    match (x, y) with
+    | [], [] -> 0
+    | [], _ :: _ -> -1
+    | _ :: _, [] -> 1
+    | a :: x', b :: y' -> if a <> b then Int.compare a b else compare_mono x' y'
 
   let rec merge_xor a b =
     match (a, b) with
@@ -34,10 +41,9 @@ module Bexpr = struct
   let zero : t = []
   let one : t = [ [] ]
   let var v : t = [ [ v ] ]
-  let of_bool b = if b then one else zero
   let xor = merge_xor
 
-  let rec union_vars a b =
+  let rec union_vars (a : int list) (b : int list) =
     match (a, b) with
     | [], r | r, [] -> r
     | x :: a', y :: b' ->
@@ -55,8 +61,8 @@ module Bexpr = struct
 
   let not_ a = xor one a
   let monomials (t : t) = t
-  let equal (a : t) (b : t) = a = b
-  let compare (a : t) (b : t) = compare a b
+  let equal (a : t) (b : t) = List.equal (List.equal Int.equal) a b
+  let compare : t -> t -> int = List.compare compare_mono
   let is_zero (t : t) = t = []
 
   let is_const = function
@@ -64,18 +70,20 @@ module Bexpr = struct
     | [ [] ] -> Some true
     | _ :: _ -> None
 
-  let vars (t : t) = List.fold_left (fun acc m -> union_vars acc m) [] t
-  let mem_var v (t : t) = List.exists (fun m -> List.mem v m) t
+  let vars (t : t) = List.sort_uniq Int.compare (List.concat t)
 
-  (* t = v.A xor C; subst gives e.A xor C *)
+  (* t = v.A xor C; subst gives e.A xor C, and t itself when v does not
+     occur *)
   let subst v e (t : t) =
-    let with_v, without = List.partition (fun m -> List.mem v m) t in
-    let a = List.map (fun m -> List.filter (fun x -> x <> v) m) with_v in
-    xor without (conj e (List.sort_uniq compare_mono a))
+    if not (List.exists (List.mem v) t) then t
+    else
+      let with_v, without = List.partition (List.mem v) t in
+      let a = List.map (List.filter (fun x -> x <> v)) with_v in
+      xor without (conj e (List.sort_uniq compare_mono a))
 
   let rename f (t : t) =
     List.sort_uniq compare_mono
-      (List.map (fun m -> List.sort_uniq Stdlib.compare (List.map f m)) t)
+      (List.map (fun m -> List.sort_uniq Int.compare (List.map f m)) t)
 
   let eval assign (t : t) =
     List.fold_left
@@ -110,7 +118,7 @@ module Phase = struct
     match (a, b) with
     | [], r | r, [] -> r
     | ((m, cm) as x) :: a', ((n, cn) as y) :: b' ->
-        let c = compare m n in
+        let c = Bexpr.compare_mono m n in
         if c = 0 then
           let s = norm_coeff (cm + cn) in
           if s = 0 then add a' b' else (m, s) :: add a' b'
@@ -119,9 +127,19 @@ module Phase = struct
 
   let of_term c m : t =
     let c = norm_coeff c in
-    if c = 0 then [] else [ (List.sort_uniq compare m, c) ]
+    if c = 0 then [] else [ (List.sort_uniq Int.compare m, c) ]
 
-  let const c = of_term c []
+  (* terms in any order, repeats summed *)
+  let of_terms terms : t =
+    let rec merge = function
+      | (m, c) :: (n, d) :: rest when Bexpr.compare_mono m n = 0 ->
+          merge ((m, c + d) :: rest)
+      | (m, c) :: rest ->
+          let c = norm_coeff c in
+          if c = 0 then merge rest else (m, c) :: merge rest
+      | [] -> []
+    in
+    merge (List.stable_sort (fun (m, _) (n, _) -> Bexpr.compare_mono m n) terms)
 
   let scale k (t : t) : t =
     let k = norm_coeff k in
@@ -167,26 +185,13 @@ module Phase = struct
     | [ ([], c) ] -> Some c
     | _ :: _ -> None
 
-  let vars (t : t) =
-    List.fold_left (fun acc (m, _) -> Bexpr.union_vars acc m) [] t
-
-  let mem_var v (t : t) = List.exists (fun (m, _) -> List.mem v m) t
-
-  (* t = v.Q + S (multilinear, so exact); returns (Q, S) *)
-  let factor v (t : t) =
-    let with_v, without = List.partition (fun (m, _) -> List.mem v m) t in
-    ( List.map (fun (m, c) -> (List.filter (fun x -> x <> v) m, c)) with_v
-      |> List.fold_left (fun acc (m, c) -> add acc (of_term c m)) zero,
-      without )
-
-  let subst v e (t : t) =
-    let q, s = factor v t in
-    add s (mul (lift e) q)
+  let vars (t : t) = List.sort_uniq Int.compare (List.concat_map fst t)
 
   let rename f (t : t) =
-    List.fold_left
-      (fun acc (m, c) -> add acc (of_term c (List.map f m)))
-      zero t
+    of_terms
+      (List.map
+         (fun (m, c) -> (List.sort_uniq Int.compare (List.map f m), c))
+         t)
 
   let terms (t : t) = t
 
@@ -221,62 +226,28 @@ type t = {
   zero_amplitude : bool;
 }
 
-let init ?(symbolic_inputs = false) ~num_qubits ~num_bits () =
-  if symbolic_inputs then
-    {
-      scale = 0;
-      phase = Phase.zero;
-      outputs = Array.init num_qubits Bexpr.var;
-      bits = Array.make num_bits None;
-      ghosts = [];
-      inputs = Some (Array.init num_qubits (fun q -> q));
-      next_var = num_qubits;
-      zero_amplitude = false;
-    }
-  else
-    {
-      scale = 0;
-      phase = Phase.zero;
-      outputs = Array.make num_qubits Bexpr.zero;
-      bits = Array.make num_bits None;
-      ghosts = [];
-      inputs = None;
-      next_var = 0;
-      zero_amplitude = false;
-    }
+(* the variables of the recorded and discarded observations and of
+   the inputs, unsorted and repeated *)
+let observed t =
+  let exprs =
+    Array.fold_left
+      (fun acc -> function Some e -> e :: acc | None -> acc)
+      t.ghosts t.bits
+  in
+  (match t.inputs with Some a -> Array.to_list a | None -> [])
+  @ List.concat_map (fun e -> List.concat (Bexpr.monomials e)) exprs
 
 let all_vars t =
-  let acc = ref [] in
-  Array.iter (fun e -> acc := Bexpr.union_vars !acc (Bexpr.vars e)) t.outputs;
-  Array.iter
-    (function
-      | Some e -> acc := Bexpr.union_vars !acc (Bexpr.vars e)
-      | None -> ())
-    t.bits;
-  List.iter
-    (fun e -> acc := Bexpr.union_vars !acc (Bexpr.vars e))
-    t.ghosts;
-  acc := Bexpr.union_vars !acc (Phase.vars t.phase);
-  (match t.inputs with
-  | Some a -> acc := Bexpr.union_vars !acc (List.sort compare (Array.to_list a))
-  | None -> ());
-  !acc
+  List.sort_uniq Int.compare
+    (observed t
+    @ List.concat_map fst (Phase.terms t.phase)
+    @ List.concat_map (fun e -> List.concat (Bexpr.monomials e))
+        (Array.to_list t.outputs))
 
 (* variables that may never be eliminated: they parametrize an
    observation (a recorded bit, a discarded measurement) or a symbolic
    circuit input *)
-let protected_vars t =
-  let acc = ref [] in
-  Array.iter
-    (function
-      | Some e -> acc := Bexpr.union_vars !acc (Bexpr.vars e)
-      | None -> ())
-    t.bits;
-  List.iter (fun e -> acc := Bexpr.union_vars !acc (Bexpr.vars e)) t.ghosts;
-  (match t.inputs with
-  | Some a -> acc := Bexpr.union_vars !acc (List.sort compare (Array.to_list a))
-  | None -> ());
-  !acc
+let protected_vars t = List.sort_uniq Int.compare (observed t)
 
 let pp fmt t =
   if t.zero_amplitude then Format.fprintf fmt "@[<v>zero amplitude@]"

@@ -22,7 +22,6 @@ module Bexpr : sig
   val zero : t
   val one : t
   val var : int -> t
-  val of_bool : bool -> t
   val xor : t -> t -> t
 
   (** Logical AND — the multilinear product. *)
@@ -40,9 +39,9 @@ module Bexpr : sig
   val is_const : t -> bool option
 
   val vars : t -> int list
-  val mem_var : int -> t -> bool
 
-  (** [subst v e t] replaces variable [v] by the polynomial [e]. *)
+  (** [subst v e t] replaces variable [v] by the polynomial [e]; it is
+      [t] itself when [v] does not occur in [t]. *)
   val subst : int -> t -> t -> t
 
   (** Rename variables through an {e injective} map. *)
@@ -61,16 +60,13 @@ end
 module Phase : sig
   type t
 
-  val zero : t
+  (** [of_terms l] sums the terms of [l], given in any order, each a
+      coefficient on a monomial (a sorted list of variable ids). *)
+  val of_terms : (int list * int) list -> t
 
-  (** [of_term c m] is c·(product of the variables in [m]). *)
-  val of_term : int -> int list -> t
-
-  val const : int -> t
   val add : t -> t -> t
   val scale : int -> t -> t
   val neg : t -> t
-  val mul : t -> t -> t
 
   (** Arithmetic lift: L(e) ∈ {0,1} agrees pointwise with [e].
       Coefficients die at 8, so only subset-products of size ≤ 3
@@ -85,12 +81,6 @@ module Phase : sig
   val is_const : t -> int option
 
   val vars : t -> int list
-  val mem_var : int -> t -> bool
-
-  (** [factor v t] = (Q, S) with t = v·Q + S (exact: multilinear). *)
-  val factor : int -> t -> t * t
-
-  val subst : int -> Bexpr.t -> t -> t
   val rename : (int -> int) -> t -> t
 
   (** The terms: (monomial, coefficient in 1..7) pairs. *)
@@ -110,10 +100,6 @@ type t = {
   next_var : int;
   zero_amplitude : bool;  (** the whole sum reduced to 0 *)
 }
-
-(** Fresh path sum over |0…0⟩, or over symbolic basis inputs (one
-    pinned variable per qubit) when [symbolic_inputs] is set. *)
-val init : ?symbolic_inputs:bool -> num_qubits:int -> num_bits:int -> unit -> t
 
 (** Every variable occurring anywhere, ascending. *)
 val all_vars : t -> int list

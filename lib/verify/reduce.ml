@@ -28,9 +28,20 @@ let total s = s.elim + s.hh + s.omega + s.subst
 module B = Pathsum.Bexpr
 module P = Pathsum.Phase
 
+(* The phase is kept as its terms indexed by variable, so that a
+   rewrite touches only the terms holding its variables.  A term whose
+   coefficient reaches 0 is dead and never revived.  [occ.(x)] lists
+   the terms whose monomial holds [x]; [holding] drops the dead ones
+   when it walks the list.  The constant term holds no variable and is
+   kept apart. *)
+type term = { mono : int list; mutable coef : int }
+
 type work = {
   mutable scale : int;
-  mutable phase : P.t;
+  mutable terms : term list;  (* every term made, dead ones included *)
+  mutable const : int;
+  occ : term list array;
+  in_outputs : int array;  (* per variable, how many outputs hold it *)
   outputs : B.t array;
   bits : B.t option array;
   mutable ghosts : B.t list;
@@ -40,12 +51,65 @@ type work = {
   mutable st : stats;
 }
 
-let mem_sorted v l = List.mem v l
+(* the live terms whose monomial holds [x] *)
+let holding w x =
+  let l = w.occ.(x) in
+  if List.for_all (fun t -> t.coef <> 0) l then l
+  else begin
+    let l = List.filter (fun t -> t.coef <> 0) l in
+    w.occ.(x) <- l;
+    l
+  end
 
-(* substitute z := e everywhere (phase, outputs, observations) *)
+let new_term w mono coef =
+  let t = { mono; coef } in
+  w.terms <- t :: w.terms;
+  List.iter (fun x -> w.occ.(x) <- t :: w.occ.(x)) mono
+
+(* phase += c.m, for a sorted monomial [m] and c in 0..7 *)
+let add_term w m c =
+  if c <> 0 then
+    match m with
+    | [] -> w.const <- (w.const + c) land 7
+    | x :: _ -> (
+        match
+          List.find_opt
+            (fun t -> t.coef <> 0 && List.equal Int.equal t.mono m)
+            w.occ.(x)
+        with
+        | Some t -> t.coef <- (t.coef + c) land 7
+        | None -> new_term w m c)
+
+let add_phase w p = List.iter (fun (m, c) -> add_term w m c) (P.terms p)
+
+(* substitute z := e everywhere (phase, outputs, observations): each
+   phase term c.z.m becomes c.m.L(e) *)
 let subst_everywhere w z e =
-  w.phase <- P.subst z e w.phase;
-  Array.iteri (fun q o -> w.outputs.(q) <- B.subst z e o) w.outputs;
+  let with_z =
+    List.map
+      (fun t ->
+        let c = t.coef in
+        t.coef <- 0;
+        (List.filter (fun x -> x <> z) t.mono, c))
+      (holding w z)
+  in
+  let lift = P.terms (P.lift e) in
+  List.iter
+    (fun (m, c) ->
+      List.iter
+        (fun (n, d) -> add_term w (B.union_vars n m) ((c * d) land 7))
+        lift)
+    with_z;
+  Array.iteri
+    (fun q o ->
+      let o' = B.subst z e o in
+      if o' != o then begin
+        let count k x = w.in_outputs.(x) <- w.in_outputs.(x) + k in
+        List.iter (count (-1)) (B.vars o);
+        List.iter (count 1) (B.vars o');
+        w.outputs.(q) <- o'
+      end)
+    w.outputs;
   Array.iteri
     (fun b o ->
       match o with
@@ -77,103 +141,106 @@ let solvable_var ~inputs r =
       | _ -> None)
     monos
 
+(* the terms holding [v] are v.Q; the rules need Q = c + 4.R, with c
+   the coefficient of the lone [v] *)
 let try_var w protected v =
-  if (not w.live.(v)) || mem_sorted v protected then false
-  else begin
-    let in_outputs = Array.exists (B.mem_var v) w.outputs in
-    if in_outputs then false
-    else begin
-      let q, s = P.factor v w.phase in
-      match P.terms q with
-      | [] ->
-          (* absent everywhere *)
-          w.live.(v) <- false;
-          w.scale <- w.scale - 2;
-          w.phase <- s;
-          w.st <- { w.st with elim = w.st.elim + 1 };
-          true
-      | terms ->
+  if (not w.live.(v)) || protected.(v) || w.in_outputs.(v) > 0 then false
+  else
+    match holding w v with
+    | [] ->
+        (* absent everywhere *)
+        w.live.(v) <- false;
+        w.scale <- w.scale - 2;
+        w.st <- { w.st with elim = w.st.elim + 1 };
+        true
+    | terms ->
+        let lone t = match t.mono with [ _ ] -> true | _ -> false in
+        if List.exists (fun t -> (not (lone t)) && t.coef <> 4) terms then false
+        else begin
           let c =
-            match List.assoc_opt [] terms with Some c -> c | None -> 0
+            match List.find_opt lone terms with Some t -> t.coef | None -> 0
           in
-          let rest = List.filter (fun (m, _) -> m <> []) terms in
-          if List.for_all (fun (_, k) -> k = 4) rest then begin
-            let r_of_rest =
-              List.fold_left
-                (fun acc (m, _) ->
+          let r_of_rest =
+            List.fold_left
+              (fun acc t ->
+                if lone t then acc
+                else
                   B.xor acc
                     (List.fold_left
-                       (fun e x -> B.conj e (B.var x))
-                       B.one m))
-                B.zero rest
-            in
-            match c with
-            | 0 | 4 ->
-                let r =
-                  if c = 4 then B.not_ r_of_rest else r_of_rest
-                in
-                if B.is_zero r then begin
-                  w.live.(v) <- false;
-                  w.scale <- w.scale - 2;
-                  w.phase <- s;
-                  w.st <- { w.st with hh = w.st.hh + 1 };
-                  true
-                end
-                else if B.is_const r = Some true then begin
-                  w.zero <- true;
-                  true
-                end
-                else begin
-                  match solvable_var ~inputs:w.inputs r with
-                  | Some z ->
-                      let r' = B.xor r (B.var z) in
-                      w.live.(v) <- false;
-                      w.live.(z) <- false;
-                      w.scale <- w.scale - 2;
-                      w.phase <- s;
-                      subst_everywhere w z r';
-                      w.st <-
-                        {
-                          w.st with
-                          hh = w.st.hh + 1;
-                          subst = w.st.subst + 1;
-                        };
-                      true
-                  | None -> false
-                end
-            | 2 | 6 ->
+                       (fun e x -> if x = v then e else B.conj e (B.var x))
+                       B.one t.mono))
+              B.zero terms
+          in
+          let drop () = List.iter (fun t -> t.coef <- 0) terms in
+          match c with
+          | 0 | 4 ->
+              let r = if c = 4 then B.not_ r_of_rest else r_of_rest in
+              if B.is_zero r then begin
                 w.live.(v) <- false;
-                w.scale <- w.scale - 1;
-                w.phase <-
-                  P.add s
-                    (P.add
-                       (P.const (if c = 2 then 1 else 7))
-                       (P.scale (if c = 2 then 6 else 2) (P.lift r_of_rest)));
-                w.st <- { w.st with omega = w.st.omega + 1 };
+                w.scale <- w.scale - 2;
+                drop ();
+                w.st <- { w.st with hh = w.st.hh + 1 };
                 true
-            | _ -> false
-          end
-          else false
-    end
-  end
+              end
+              else if B.is_const r = Some true then begin
+                w.zero <- true;
+                true
+              end
+              else begin
+                match solvable_var ~inputs:w.inputs r with
+                | Some z ->
+                    let r' = B.xor r (B.var z) in
+                    w.live.(v) <- false;
+                    w.live.(z) <- false;
+                    w.scale <- w.scale - 2;
+                    drop ();
+                    subst_everywhere w z r';
+                    w.st <-
+                      { w.st with hh = w.st.hh + 1; subst = w.st.subst + 1 };
+                    true
+                | None -> false
+              end
+          | 2 | 6 ->
+              w.live.(v) <- false;
+              w.scale <- w.scale - 1;
+              drop ();
+              add_term w [] (if c = 2 then 1 else 7);
+              add_phase w (P.scale (if c = 2 then 6 else 2) (P.lift r_of_rest));
+              w.st <- { w.st with omega = w.st.omega + 1 };
+              true
+          | _ -> false
+        end
 
 let normalize (ps : Pathsum.t) =
   Obs.with_span "verify.reduce" (fun () ->
       if ps.Pathsum.zero_amplitude then (ps, no_stats)
       else begin
+        let n = ps.Pathsum.next_var in
         let w =
           {
             scale = ps.Pathsum.scale;
-            phase = ps.Pathsum.phase;
+            terms = [];
+            const = 0;
+            occ = Array.make n [];
+            in_outputs = Array.make n 0;
             outputs = Array.copy ps.Pathsum.outputs;
             bits = Array.copy ps.Pathsum.bits;
             ghosts = ps.Pathsum.ghosts;
             inputs = ps.Pathsum.inputs;
-            live = Array.make ps.Pathsum.next_var true;
+            live = Array.make n true;
             zero = false;
             st = no_stats;
           }
         in
+        List.iter
+          (fun (m, c) -> if m = [] then w.const <- c else new_term w m c)
+          (P.terms ps.Pathsum.phase);
+        Array.iter
+          (fun o ->
+            List.iter
+              (fun x -> w.in_outputs.(x) <- w.in_outputs.(x) + 1)
+              (B.vars o))
+          w.outputs;
         (* a ghost observation that substitution collapsed to a
            constant, or that now duplicates another observation (up to
            negation), pins nothing: sweeping it may unblock further
@@ -198,18 +265,20 @@ let normalize (ps : Pathsum.t) =
           !swept
         in
         let changed = ref true in
+        let protected = Array.make n false in
         while !changed && not w.zero do
           changed := false;
           if sweep_ghosts () then changed := true;
-          let protected =
-            Pathsum.protected_vars
-              {
-                ps with
-                Pathsum.bits = w.bits;
-                ghosts = w.ghosts;
-                inputs = w.inputs;
-              }
-          in
+          Array.fill protected 0 n false;
+          List.iter
+            (fun x -> protected.(x) <- true)
+            (Pathsum.protected_vars
+               {
+                 ps with
+                 Pathsum.bits = w.bits;
+                 ghosts = w.ghosts;
+                 inputs = w.inputs;
+               });
           let v = ref 0 in
           while !v < Array.length w.live && not w.zero do
             if try_var w protected !v then changed := true;
@@ -220,10 +289,17 @@ let normalize (ps : Pathsum.t) =
         Obs.incr ~n:w.st.hh "verify.reduce.hh";
         Obs.incr ~n:w.st.omega "verify.reduce.omega";
         Obs.incr ~n:w.st.subst "verify.reduce.subst";
+        let phase =
+          P.of_terms
+            (([], w.const)
+            :: List.filter_map
+                 (fun t -> if t.coef = 0 then None else Some (t.mono, t.coef))
+                 w.terms)
+        in
         ( {
             ps with
             Pathsum.scale = w.scale;
-            phase = w.phase;
+            phase;
             outputs = w.outputs;
             bits = w.bits;
             ghosts = w.ghosts;

@@ -12,9 +12,12 @@ exception Unsupported of string
 
 let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
+(* The phase is write-only until [run] returns, so each gate only
+   prepends its terms to [phase]; they are summed and sorted once, at
+   the end. *)
 type state = {
   mutable scale : int;
-  mutable phase : Pathsum.Phase.t;
+  mutable phase : (int list * int) list;
   outputs : Pathsum.Bexpr.t array;
   bits : Pathsum.Bexpr.t option array;
   mutable ghosts : Pathsum.Bexpr.t list;
@@ -27,7 +30,10 @@ let fresh st =
   st.next_var <- v + 1;
   v
 
-let add_phase st p = st.phase <- Pathsum.Phase.add st.phase p
+(* phase += c.m, for a sorted monomial [m] *)
+let add_term st m c = st.phase <- (m, c) :: st.phase
+
+let add_phase st p = st.phase <- Pathsum.Phase.terms p @ st.phase
 
 (* Hadamard on [t]: new path variable y, phase += 4.y.L(f_t),
    f_t := y.  Only unguarded: a controlled H has no phase-polynomial
@@ -35,8 +41,7 @@ let add_phase st p = st.phase <- Pathsum.Phase.add st.phase p
 let apply_h st target =
   let y = fresh st in
   List.iter
-    (fun m ->
-      add_phase st (Pathsum.Phase.of_term 4 (Pathsum.Bexpr.union_vars [ y ] m)))
+    (fun m -> add_term st (Pathsum.Bexpr.union_vars [ y ] m) 4)
     (Pathsum.Bexpr.monomials st.outputs.(target));
   st.outputs.(target) <- Pathsum.Bexpr.var y;
   st.scale <- st.scale + 1
@@ -190,7 +195,7 @@ let run ?(symbolic_inputs = false) ?(measures = []) c =
       let st =
         {
           scale = 0;
-          phase = Pathsum.Phase.zero;
+          phase = [];
           outputs =
             (if symbolic_inputs then Array.init num_qubits Pathsum.Bexpr.var
              else Array.make num_qubits Pathsum.Bexpr.zero);
@@ -212,7 +217,7 @@ let run ?(symbolic_inputs = false) ?(measures = []) c =
       Obs.incr ~n:!count "verify.symexec.instructions";
       {
         Pathsum.scale = st.scale;
-        phase = st.phase;
+        phase = Pathsum.Phase.of_terms st.phase;
         outputs = st.outputs;
         bits = st.bits;
         ghosts = st.ghosts;

@@ -417,6 +417,82 @@ let test_certify_golden () =
   compare_golden
     (golden_file ~file:"certify_golden.txt" (), certify_golden_lines ())
 
+(* Every normalized path sum pinned byte for byte.  pathsum_golden.txt
+   holds one line per circuit: its name, the rule counts of
+   Reduce.normalize, then the MD5 of the normalized sum as printed, or
+   the exception symbolic execution raises.  That pins symexec's
+   variable numbering and every rewrite reduction picks.  The circuits
+   are the traditional and transformed sides of every
+   certify_golden.txt case, the Table I BV strings and their dyn1 and
+   dyn2 transforms, DJ(XOR_16) under dyn1 and dyn2, and GROVER-3,
+   SIMON-1011 and QPE-4 before and after Reuse.rewire. *)
+let pathsum_golden_line (name, c) =
+  name ^ " "
+  ^
+  match Verify.Symexec.run c with
+  | ps ->
+      let ps, (st : Verify.Reduce.stats) = Verify.Reduce.normalize ps in
+      Printf.sprintf "elim=%d hh=%d omega=%d subst=%d %s" st.elim st.hh
+        st.omega st.subst
+        (Digest.to_hex (Digest.string (Verify.Pathsum.to_string ps)))
+  | exception Verify.Symexec.Unsupported msg -> "raises Unsupported " ^ msg
+
+let pathsum_golden_cases () =
+  let certify_cases =
+    List.concat_map
+      (fun (o : Algorithms.Oracle.t) ->
+        List.concat_map
+          (fun (name, c) ->
+            (name ^ "/traditional", c)
+            :: List.concat_map
+                 (fun (label, mode) ->
+                   match Dqc.Transform.transform ~mode c with
+                   | exception
+                       ( Dqc.Transform.Not_transformable _
+                       | Dqc.Interaction.Cyclic _ ) ->
+                       []
+                   | r ->
+                       [
+                         (name ^ "/" ^ label, r.circuit);
+                         ( name ^ "/" ^ label ^ "/corrupt",
+                           Dqc.Certifier.corrupt r.circuit );
+                       ])
+                 golden_modes)
+          (golden_prepared o))
+      Testkit.table2_and_generated_oracles
+  in
+  let schemes name c =
+    List.map
+      (fun s ->
+        ( name ^ "/" ^ Dqc.Toffoli_scheme.to_string s,
+          (Dqc.Toffoli_scheme.transform s c).circuit ))
+      Dqc.Toffoli_scheme.[ Dynamic_1; Dynamic_2 ]
+  in
+  let reuse =
+    List.concat_map
+      (fun (name, c) ->
+        [ (name, c); (name ^ "/reuse", fst (Dqc.Reuse.rewire c)) ])
+      [
+        ("GROVER-3", Algorithms.Grover.measured ~n:3 ~marked:5);
+        ("SIMON-1011", Algorithms.Simon.measured_circuit "1011");
+        ("QPE-4", Algorithms.Qpe.kitaev ~bits:4 ~phase:(3. /. 8.));
+      ]
+  in
+  certify_cases
+  @ List.concat_map
+      (fun s ->
+        let name = "BV_" ^ s and c = bv s in
+        (name, c) :: schemes name c)
+      Algorithms.Bv.paper_benchmarks
+  @ schemes "DJ(XOR_16)"
+      (Algorithms.Dj.circuit (Algorithms.Mct_bench.xor_n 16))
+  @ reuse
+
+let test_pathsum_golden () =
+  compare_golden
+    ( golden_file ~file:"pathsum_golden.txt" (),
+      List.map pathsum_golden_line (pathsum_golden_cases ()) )
+
 (* ------------------------------------------------------------------ *)
 (* Direct MCT (future work)                                           *)
 
@@ -875,6 +951,7 @@ let () =
           Alcotest.test_case "golden outputs" `Quick test_transform_golden;
           Alcotest.test_case "golden certifier verdicts" `Quick
             test_certify_golden;
+          Alcotest.test_case "golden path sums" `Quick test_pathsum_golden;
         ] );
       ( "direct_mct",
         [

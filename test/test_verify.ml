@@ -118,6 +118,45 @@ let test_static_is_not_trivially_true () =
   check_bool "X /= I" false (C.check_static x0 id2)
 
 (* ------------------------------------------------------------------ *)
+(* The comparator's renaming                                          *)
+
+(* H q; H q in front of a circuit adds two path variables, which the
+   HH rule removes, so every surviving variable of the normalized sum
+   is numbered two higher than without the prefix: the comparator has
+   to find a renaming that is not the identity.  The structural route
+   alone decides (no exhaustive fallback).  Circuits with a conditioned
+   or controlled H are left out: symbolic execution rejects a guarded
+   H even when reduction would make its guard constant.  The count of
+   circuits proved equal to themselves pins the filter. *)
+let test_prefix_hh_renaming () =
+  let rng = Random.State.make [| 0xC0DE |] in
+  let guarded_h = function
+    | Instruction.Unitary { gate = Gate.H; controls = _ :: _; _ }
+    | Instruction.Conditioned (_, { gate = Gate.H; _ }) ->
+        true
+    | Instruction.Unitary _ | Instruction.Conditioned _
+    | Instruction.Measure _ | Instruction.Reset _ | Instruction.Barrier _ ->
+        false
+  in
+  let proved a b = C.is_proved (C.check_channel ~max_refute_vars:0 a b) in
+  let kept = ref 0 in
+  for k = 1 to 2000 do
+    let c = Testkit.random_dynamic_circuit ~max_qubits:4 ~max_instrs:14 rng in
+    let q = Random.State.int rng (Circ.num_qubits c) in
+    if (not (List.exists guarded_h (Circ.instructions c))) && proved c c
+    then begin
+      incr kept;
+      let hh =
+        Circ.create ~roles:(Circ.roles c) ~num_bits:(Circ.num_bits c)
+          (u Gate.H q :: u Gate.H q :: Circ.instructions c)
+      in
+      check_bool (Printf.sprintf "draw %d: H%d H%d prefix proved" k q q) true
+        (proved c hh)
+    end
+  done;
+  check_int "circuits proved equal to themselves" 472 !kept
+
+(* ------------------------------------------------------------------ *)
 (* Table I / Table II benchmarks, both schemes                        *)
 
 let certify_traditional name traditional =
@@ -263,6 +302,11 @@ let () =
             test_static_toffoli_decompositions;
           Alcotest.test_case "not trivially true" `Quick
             test_static_is_not_trivially_true;
+        ] );
+      ( "comparator",
+        [
+          Alcotest.test_case "H H prefix renames" `Quick
+            test_prefix_hh_renaming;
         ] );
       ( "benchmarks",
         [
