@@ -311,12 +311,12 @@ let cpu_best ?(runs = 20) f =
   done;
   !best
 
-(* The pipeline's analyze.resources pass shares the abstract
-   interpretation trace with the lint/analyze passes through the pass
-   context (Pass.fresh_facts), so what a compile pays for the resource
-   summary is the marginal walk over a trace it already has: that is
-   the gated fraction.  The cold time (trace included) is reported
-   beside it but tracks the interpreter, whose budget is perf's. *)
+(* The resource analyzer's walk over an interpreter trace it is handed,
+   as a fraction of one pipeline compile of the same circuit: that is
+   the gated fraction.  No compile pass computes the summary; Auto
+   computes it once per run (Sim.Backend.resource_summary).  The cold
+   time (trace included) is reported beside it but tracks the
+   interpreter, whose budget is perf's. *)
 let analyze_overhead () =
   let dj = Algorithms.Dj.circuit and_9 in
   let options =
@@ -1042,6 +1042,19 @@ let workloads () : (string * (unit -> unit)) list =
       ("optimize BV-4 dyn", fun () -> ignore (Dqc.Optimize.run bv));
     ]
   in
+  (* Pipeline.compile end to end on two compile-corpus items: DJ(MAJ_5)
+     under dyn1 with the optimizer, and GROVER-3 through the reuse
+     flow *)
+  let compile_tests =
+    List.filter_map
+      (fun (name, options, c) ->
+        if List.mem name [ "DJ(MAJ_5) dyn1 opt"; "GROVER-3 reuse" ] then
+          Some
+            ( "compile " ^ name,
+              fun () -> ignore (Dqc.Pipeline.compile ~options c) )
+        else None)
+      (Testkit.compile_corpus ())
+  in
   (* the engine-selection study: the same Table-I-style dyn2 AND
      ladder forced dense vs left to Auto (which plans it sparse) — the
      headline pair — plus the hybrid mixed-sparsity witness and a
@@ -1090,6 +1103,7 @@ let workloads () : (string * (unit -> unit)) list =
   ]
   @ kernels @ backend_engines @ noise_tests @ sparse_tests @ lint_tests
   @ analyze_tests @ verify_tests @ reuse_tests @ optimize_tests
+  @ compile_tests
 
 (* "transform BV-4" -> "transform": the leading token names the group *)
 let group_of_name name =

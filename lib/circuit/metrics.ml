@@ -56,9 +56,6 @@ let t_count c =
       | Gate.Vdg | Gate.Rx _ | Gate.Ry _ | Gate.Rz _ | Gate.Phase _ ->
           false)
 
-let cx_count c =
-  count_apps c (fun (a : Instruction.app) -> List.length a.controls = 1)
-
 (* ASAP layering: an instruction lands on layer
    1 + max(level of its qubits, level of the bits it reads/writes).
    Instructions excluded from depth still advance their qubit levels'

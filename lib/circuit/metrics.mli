@@ -27,10 +27,6 @@ val gate_count : Circ.t -> int
     cost driver of Clifford+T circuits. *)
 val t_count : Circ.t -> int
 
-(** Number of 2-qubit applications (one quantum control), plain or
-    conditioned. *)
-val cx_count : Circ.t -> int
-
 (** [depth ?include_measure ?include_reset c] is the layered depth.
     Both flags default to [true]. A classically controlled gate is
     additionally sequenced after the measurement that writes its

@@ -51,21 +51,3 @@ let iteration_order c =
             pick remaining (q :: order))
   in
   pick work []
-
-let to_dot c =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "digraph interaction {\n";
-  List.iteri
-    (fun q role ->
-      match role with
-      | Circ.Data -> Buffer.add_string buf (Printf.sprintf "  q%d;\n" q)
-      | Circ.Ancilla ->
-          Buffer.add_string buf
-            (Printf.sprintf "  q%d [shape=diamond];\n" q)
-      | Circ.Answer -> ())
-    (Array.to_list (Circ.roles c));
-  List.iter
-    (fun (s, t) -> Buffer.add_string buf (Printf.sprintf "  q%d -> q%d;\n" s t))
-    (edges c);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

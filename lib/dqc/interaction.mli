@@ -20,7 +20,3 @@ val edges : Circ.t -> (int * int) list
 (** Iteration order over the work qubits (data and ancilla).
     @raise Cyclic (see above). *)
 val iteration_order : Circ.t -> int list
-
-(** Graphviz rendering of the interaction digraph (work qubits as
-    nodes, Case-2 edges as arrows, answers omitted). *)
-val to_dot : Circ.t -> string

@@ -372,10 +372,6 @@ let run ?(max_sweeps = 4) c =
       { before = c; after = !current; total = !total; sweeps = !rounds;
         proved = !proved })
 
-let gates_delta r = Metrics.gate_count r.before - Metrics.gate_count r.after
-let depth_delta r =
-  Metrics.dynamic_depth r.before - Metrics.dynamic_depth r.after
-
 let pp_stats fmt s =
   Format.fprintf fmt
     "%d gate%s, %d uncompute%s, %d reset%s, %d measure%s removed; \

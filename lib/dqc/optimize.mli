@@ -110,9 +110,5 @@ type result = {
     @raise Refuted as the sweeps do. *)
 val run : ?max_sweeps:int -> Circ.t -> result
 
-val gates_delta : result -> int  (** paper-convention gate count, before - after *)
-
-val depth_delta : result -> int  (** dynamic depth, before - after *)
-
 val pp_stats : Format.formatter -> stats -> unit
 val stats_to_string : stats -> string

@@ -26,7 +26,6 @@ type ctx = {
   tv_sampled : bool;
   facts : Lint.Trace.t option;
   lint : Lint.report option;
-  resources : (Circ.t * Lint.Resource.summary) option;
   reuse : Reuse.report option;
   notes : (string * string) list;
 }
@@ -47,7 +46,6 @@ let init ~config circuit =
     tv_sampled = false;
     facts = None;
     lint = None;
-    resources = None;
     reuse = None;
     notes = [];
   }
@@ -57,11 +55,6 @@ let note key value ctx = { ctx with notes = (key, value) :: ctx.notes }
 let fresh_facts ctx =
   match ctx.facts with
   | Some trace when Lint.Trace.circuit trace == ctx.circuit -> Some trace
-  | Some _ | None -> None
-
-let fresh_resources ctx =
-  match ctx.resources with
-  | Some (c, summary) when c == ctx.circuit -> Some summary
   | Some _ | None -> None
 
 type t = { name : string; kind : kind; doc : string; run : ctx -> ctx }

@@ -62,9 +62,6 @@ type ctx = {
           state; consumers must check the trace still belongs to
           [circuit] before using it *)
   lint : Lint.report option;
-  resources : (Circ.t * Lint.Resource.summary) option;
-      (** static resource/sparsity summary, tagged with the circuit it
-          was computed for; use {!fresh_resources} to read it *)
   reuse : Reuse.report option;
   notes : (string * string) list;
       (** accumulated diagnostics, newest first *)
@@ -80,10 +77,6 @@ val note : string -> string -> ctx -> ctx
     the {e current} circuit, [None] otherwise (stale facts are never
     returned). *)
 val fresh_facts : ctx -> Lint.Trace.t option
-
-(** [fresh_resources ctx] is the context's resource summary when it was
-    computed for the {e current} circuit, [None] otherwise. *)
-val fresh_resources : ctx -> Lint.Resource.summary option
 
 type t = { name : string; kind : kind; doc : string; run : ctx -> ctx }
 

@@ -1,10 +1,13 @@
 (** Ordered execution of a pass schedule with per-pass telemetry.
 
     Each pass runs inside an [Obs] span named [pipeline.pass.<name>]
-    (attributes: kind plus the before-side metrics snapshot) and, on
-    success, bumps the [pipeline.pass.<name>.runs] counter.  The
-    manager snapshots qubit count, gate count and dynamic depth before
-    and after every pass so schedules can be profiled stage by stage.
+    and, on success, bumps the [pipeline.pass.<name>.runs] counter.
+    While a collector is installed the span carries the pass kind and
+    the qubit and gate counts of the circuit entering the pass; while a
+    flight recorder is armed, [pass.begin] and [pass.end] events carry
+    the qubit count, gate count and dynamic depth of the circuit
+    entering and leaving it.  With neither installed no snapshot is
+    taken.
 
     Execution short-circuits on the first failing pass: the pass's
     exception is re-raised unchanged (so [Lint.Rejected],
@@ -16,12 +19,6 @@ type event = {
   pass : string;
   kind : Pass.kind;
   elapsed_ns : float;  (** CPU time spent inside the pass *)
-  qubits_before : int;
-  qubits_after : int;
-  gates_before : int;
-  gates_after : int;
-  depth_before : int;
-  depth_after : int;
 }
 
 type outcome = {
@@ -32,4 +29,3 @@ type outcome = {
 (** Run the schedule over the context.  Re-raises the first pass
     failure after recording it. *)
 val run : Pass.t list -> Pass.ctx -> outcome
-

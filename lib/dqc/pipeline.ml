@@ -84,14 +84,7 @@ let equivalence_body (ctx : Pass.ctx) =
   end
 
 let reuse_body (ctx : Pass.ctx) =
-  (* the analyzer's per-qubit reference counts (when fresh) spare the
-     scheduler its own usage recount *)
-  let usage =
-    Option.map
-      (fun (s : Lint.Resource.summary) -> s.Lint.Resource.usage_counts)
-      (Pass.fresh_resources ctx)
-  in
-  let circuit, report = Reuse.rewire ?usage ctx.Pass.circuit in
+  let circuit, report = Reuse.rewire ctx.Pass.circuit in
   let ctx = { ctx with Pass.circuit; Pass.reuse = Some report } in
   if Reuse.saved report = 0 then
     Pass.note "reuse" "no retired wire could be re-hosted" ctx
@@ -101,22 +94,6 @@ let analyze_body (ctx : Pass.ctx) =
   match Pass.fresh_facts ctx with
   | Some _ -> ctx
   | None -> { ctx with Pass.facts = Some (Lint.Trace.run ctx.Pass.circuit) }
-
-let analyze_resources_body (ctx : Pass.ctx) =
-  match Pass.fresh_resources ctx with
-  | Some _ -> ctx
-  | None ->
-      let trace =
-        match Pass.fresh_facts ctx with
-        | Some t -> t
-        | None -> Lint.Trace.run ctx.Pass.circuit
-      in
-      let summary = Lint.Resource.analyze ~trace ctx.Pass.circuit in
-      {
-        ctx with
-        Pass.facts = Some trace;
-        Pass.resources = Some (ctx.Pass.circuit, summary);
-      }
 
 let prune_resets_body (ctx : Pass.ctx) =
   match Pass.fresh_facts ctx with
@@ -264,11 +241,6 @@ let builtin_passes =
     Pass.make ~name:"analyze" ~kind:Pass.Analysis
       ~doc:"abstract interpretation; shares its facts through the context"
       analyze_body;
-    Pass.make ~name:"analyze.resources" ~kind:Pass.Analysis
-      ~doc:
-        "per-segment sparsity/resource summary (relational domain); shares \
-         summary and trace through the context"
-      analyze_resources_body;
     Pass.make ~name:"prune_resets" ~kind:Pass.Transform
       ~doc:"drop resets the analysis facts prove redundant"
       prune_resets_body;
@@ -410,14 +382,7 @@ module Options = struct
           opt t.optimize [ "optimize.fold"; "optimize.dce"; "optimize.affine" ]
         in
         if t.reuse then
-          [
-            "prepare";
-            "analyze.resources";
-            "reuse";
-            "analyze";
-            "prune_resets";
-            "reuse_certify";
-          ]
+          [ "prepare"; "reuse"; "analyze"; "prune_resets"; "reuse_certify" ]
           @ opt t.expand_cv [ "expand_cv" ]
           @ optimize
           @ opt t.peephole [ "peephole" ]
@@ -448,7 +413,6 @@ type output = {
   qubits : int;
   gates : int;
   depth : int;
-  duration_ns : float;
   certified : bool;
   tv : float option;
   tv_sampled : bool;
@@ -500,7 +464,6 @@ let compile_body ~options traditional =
           qubits = Circ.num_qubits circuit;
           gates = Metrics.gate_count circuit;
           depth = Metrics.dynamic_depth circuit;
-          duration_ns = Metrics.duration circuit;
           certified = ctx.Pass.certified;
           tv = ctx.Pass.tv;
           tv_sampled = ctx.Pass.tv_sampled;
@@ -527,7 +490,7 @@ let pp fmt o =
     "@[<v>qubits: %d, gates: %d, depth: %d, duration: %.2f us@,\
      iterations: %d, unsound reorderings: %d@,%s@,%s"
     o.qubits o.gates o.depth
-    (o.duration_ns /. 1000.)
+    (Metrics.duration o.circuit /. 1000.)
     o.iterations o.violations
     (if o.certified then "equivalence: certified symbolically (exact proof)"
      else

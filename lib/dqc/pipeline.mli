@@ -3,8 +3,8 @@ open Circuit
 (** End-to-end compilation driver, built on the staged pass manager:
     {!Options} assembles a schedule of built-in {!Pass}es and
     {!compile} hands it to {!Pass_manager.run}, so every stage runs
-    inside a [pipeline.pass.<name>] span with before/after metrics
-    snapshots (see docs/PASSES.md).
+    inside a [pipeline.pass.<name>] span and is timed (see
+    docs/PASSES.md).
 
     The default (DQC) schedule chains: Toffoli-scheme substitution ->
     dynamic transformation (single- or multi-slot) -> symbolic
@@ -139,7 +139,6 @@ type output = {
   qubits : int;
   gates : int;
   depth : int;
-  duration_ns : float;
   certified : bool;
       (** the symbolic certifier proved equivalence — exact evidence,
           any width, no simulation; when set, [tv] is [None] because
@@ -156,8 +155,7 @@ type output = {
           {!Lint.clean} when present — errors raise instead *)
   reuse : Reuse.report option;
       (** the reuse pass's report ([None] outside the reuse flow) *)
-  events : Pass_manager.event list;
-      (** per-pass timing and metrics snapshots, in execution order *)
+  events : Pass_manager.event list;  (** per-pass timing, in execution order *)
   notes : (string * string) list;
       (** diagnostics the passes recorded (certifier verdicts, pruning
           counts), oldest first *)

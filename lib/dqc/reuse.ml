@@ -57,7 +57,7 @@ let role_rank = function
   | Circ.Answer -> 1
   | Circ.Ancilla -> 0
 
-let rewire ?usage c =
+let rewire c =
   Obs.with_span "dqc.reuse"
     ~attrs:[ ("qubits", string_of_int (Circ.num_qubits c)) ]
     (fun () ->
@@ -67,18 +67,11 @@ let rewire ?usage c =
       if m = 0 then (c, unchanged_report nq)
       else begin
         let qubits_of, preds, succs = dependencies instrs in
-        let remaining =
-          (* trust the analyzer's reference counts when they cover this
-             register; anything else falls back to a local recount *)
-          match usage with
-          | Some u when Array.length u = nq -> Array.copy u
-          | Some _ | None ->
-              let remaining = Array.make nq 0 in
-              Array.iter
-                (List.iter (fun q -> remaining.(q) <- remaining.(q) + 1))
-                qubits_of;
-              remaining
-        in
+        (* per qubit, the instructions still to schedule that touch it *)
+        let remaining = Array.make nq 0 in
+        Array.iter
+          (List.iter (fun q -> remaining.(q) <- remaining.(q) + 1))
+          qubits_of;
         let wire_of = Array.make nq (-1) in
         let free = ref [] in
         let next_wire = ref 0 in

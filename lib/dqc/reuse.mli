@@ -40,19 +40,13 @@ type report = {
 (** Qubits saved: [qubits_before - qubits_after]. *)
 val saved : report -> int
 
-(** [rewire ?usage c] returns the rewired circuit and its report.
+(** [rewire c] returns the rewired circuit and its report.
     When no wire can host a second qubit, [c] itself is returned (same
     physical value — callers may test with [==]) with an empty-chain
     report.  Classical bits are never remapped, so the rewired circuit
     records its measurements into exactly the original register —
-    the property the channel certification rests on.
-
-    [usage], when given, must be [c]'s per-qubit instruction reference
-    counts (each instruction contributing 1 per distinct qubit it
-    touches — exactly {!Lint.Resource.summary.usage_counts}); the
-    scheduler then skips its own recount.  A [usage] of the wrong
-    length is ignored. *)
-val rewire : ?usage:int array -> Circ.t -> Circ.t * report
+    the property the channel certification rests on. *)
+val rewire : Circ.t -> Circ.t * report
 
 (** [prune_resets trace] drops every [Reset q] whose pre-state already
     proves qubit [q] is |0> (the abstract interpreter's [Zero] fact —

@@ -28,7 +28,6 @@ type summary = {
   forks : int array;
   dynamic_depth : int;
   feedforward_depth : int;
-  usage_counts : int array;
   live_ranges : live_range option array;
 }
 
@@ -63,24 +62,16 @@ let is_collapse (i : Instruction.t) =
       false
 
 (* Per-qubit bookkeeping over an instruction's qubit list, written as
-   plain recursion: the analyzer runs on every compile, so its inner
-   loop allocates no closures. *)
+   plain recursion: the analyzer runs on every Auto run, so its inner
+   loop allocates no closures.  Each is idempotent, so a qubit named
+   twice needs no dedupe. *)
 
-(* whether [qs] is free of repeats, stamping each qubit with [i] *)
-let rec stamp last i = function
-  | [] -> true
-  | q :: qs ->
-      let fresh = last.(q) <> i in
-      last.(q) <- i;
-      fresh && stamp last i qs
-
-let rec touch ~usage ~first_use ~last_use i = function
+let rec touch ~first_use ~last_use i = function
   | [] -> ()
   | q :: qs ->
-      usage.(q) <- usage.(q) + 1;
       if first_use.(q) < 0 then first_use.(q) <- i;
       last_use.(q) <- i;
-      touch ~usage ~first_use ~last_use i qs
+      touch ~first_use ~last_use i qs
 
 let rec max_over a acc = function
   | [] -> acc
@@ -194,23 +185,21 @@ let analyze_body trace =
   in
   let segments = segments starts in
   (* dynamic depth and feed-forward critical path: longest path in the
-     dependency DAG; crossing a measurement->conditioned classical edge
-     counts one feed-forward hop *)
+     dependency DAG, layered as {!Metrics.dynamic_depth} layers it (a
+     conditioned gate after the measurement that writes its bit, a
+     measurement after its bit's previous writer); crossing a
+     measurement->conditioned classical edge counts one feed-forward
+     hop *)
   let nb = Circ.num_bits c in
   let qdepth = Array.make nq 0
   and qff = Array.make nq 0
   and bdepth = Array.make nb 0
   and bff = Array.make nb 0 in
-  let usage = Array.make nq 0 in
   let first_use = Array.make nq (-1) and last_use = Array.make nq (-1) in
   for i = 0 to m - 1 do
     let instr = Trace.instr trace i in
-    let qs =
-      (* a well-formed instruction names each qubit once *)
-      let qs = Instruction.qubits instr in
-      if stamp last_use i qs then qs else List.sort_uniq Int.compare qs
-    in
-    touch ~usage ~first_use ~last_use i qs;
+    let qs = Instruction.qubits instr in
+    touch ~first_use ~last_use i qs;
     let qd = max_over qdepth 0 qs and qf = max_over qff 0 qs in
     match instr with
     | Instruction.Barrier _ ->
@@ -221,15 +210,16 @@ let analyze_body trace =
         set_all qdepth (qd + 1) qs;
         set_all qff qf qs
     | Instruction.Conditioned (cond, _) ->
-        let bs = List.sort_uniq Int.compare (List.map fst cond.bits) in
-        let d = max_over bdepth (qd + 1) bs in
+        let bs = List.map fst cond.bits in
+        let d = 1 + max_over bdepth qd bs in
         (* reading a measured bit into a gate is the feed-forward hop *)
         let f = 1 + max_over bff (qf - 1) bs in
         set_all qdepth d qs;
         set_all qff f qs
     | Instruction.Measure { qubit; bit } ->
-        qdepth.(qubit) <- qd + 1;
-        bdepth.(bit) <- qd + 1;
+        let d = 1 + max qd bdepth.(bit) in
+        qdepth.(qubit) <- d;
+        bdepth.(bit) <- d;
         bff.(bit) <- qf
     | Instruction.Reset q ->
         qdepth.(q) <- qd + 1;
@@ -270,7 +260,6 @@ let analyze_body trace =
     forks;
     dynamic_depth;
     feedforward_depth;
-    usage_counts = usage;
     live_ranges =
       Array.init nq (fun q ->
           if first_use.(q) < 0 then None

@@ -74,13 +74,11 @@ type summary = {
           [i] on at most [2^forks.(i)] branches, and
           [forks.(instructions)] is its fork depth *)
   dynamic_depth : int;
-      (** critical path counting quantum and classical dependencies *)
+      (** critical path counting quantum and classical dependencies:
+          {!Circuit.Metrics.dynamic_depth} of the circuit *)
   feedforward_depth : int;
       (** maximum number of measurement->conditioned-gate hops on any
           dependency path *)
-  usage_counts : int array;
-      (** per qubit, the number of instructions referencing it — the
-          retirement counts {!Dqc.Reuse.rewire}'s scheduler consumes *)
   live_ranges : live_range option array;
       (** per qubit; [None] when the qubit is never referenced *)
 }

@@ -28,8 +28,6 @@ let join_wires a b =
     rel = a.rel;
   }
 
-let join a b = { (join_wires a b) with rel = Reldom.join a.rel b.rel }
-
 type cond_status = Holds | Fails | Unknown
 
 let cond_status s (c : Instruction.cond) =

@@ -19,9 +19,6 @@ val qubit : t -> int -> Absdom.Qubit.t
 val bit : t -> int -> Absdom.Bit.t
 val rel : t -> Reldom.t
 
-(** Element-wise upper bound ({!Reldom.join} on the relational part). *)
-val join : t -> t -> t
-
 (** Static evaluation of a classical condition: [Fails] covers both a
     contradictory conjunction (which can never hold, whatever the
     register reads) and a test against a [Known] bit of the opposite

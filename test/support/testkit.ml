@@ -1,11 +1,11 @@
 (* Circuits shared by the tests and the benchmark harness: the random
    dynamic-circuit generator, the oracle corpus of the benchmark-wide
    lint and certification tests, the dyn2 Toffoli ladder, the
-   mixed-sparsity hybrid witness, the teleportation circuit and the
-   paper jobs' compile and corpus; the exact walk's fork-everything
-   leaves; and the per-shot oracles of sampled and noisy runs.  Each
-   exists once, so a test and a bench row that name the same workload
-   run the same circuit. *)
+   mixed-sparsity hybrid witness, the teleportation circuit, the paper
+   jobs' compile and corpus and the compile corpus; the exact walk's
+   fork-everything leaves; and the per-shot oracles of sampled and
+   noisy runs.  Each exists once, so a test and a bench row that name
+   the same workload run the same circuit. *)
 
 open Circuit
 
@@ -210,6 +210,49 @@ let paper_jobs () =
               c ))
         Dqc.Toffoli_scheme.[ ("dyn1", Dynamic_1); ("dyn2", Dynamic_2) ])
     benchmarks
+
+(* perfbench's compile-corpus, 83 compiles as (name, options, input):
+   the Table I BV strings under the default options; the DJ circuits of
+   the Table II oracles and AND_4/6/8, OR_4, MAJ_5 and XOR_16 under
+   dyn1 and dyn2, each with the optimizer off and on, named like
+   "DJ(AND) dyn1 opt"; and GROVER-3, SIMON-1011 and QPE-4 through the
+   reuse flow, named like "QPE-4 reuse". *)
+let compile_corpus () =
+  let module O = Dqc.Pipeline.Options in
+  let module A = Algorithms in
+  let bv =
+    List.map
+      (fun s -> ("BV_" ^ s, O.default, A.Bv.circuit s))
+      A.Bv.paper_benchmarks
+  in
+  let mct =
+    A.Mct_bench.[ and_n 4; and_n 6; and_n 8; or_n 4; majority_n 5; xor_n 16 ]
+  in
+  let dj =
+    List.concat_map
+      (fun (o : A.Oracle.t) ->
+        List.concat_map
+          (fun (tag, scheme) ->
+            List.map
+              (fun optimize ->
+                ( Printf.sprintf "DJ(%s) %s%s" o.name tag
+                    (if optimize then " opt" else ""),
+                  O.default |> O.with_scheme scheme |> O.with_optimize optimize,
+                  A.Dj.circuit o ))
+              [ false; true ])
+          Dqc.Toffoli_scheme.[ ("dyn1", Dynamic_1); ("dyn2", Dynamic_2) ])
+      (A.Dj_toffoli.oracles @ mct)
+  in
+  let reuse =
+    List.map
+      (fun (name, c) -> (name ^ " reuse", O.with_reuse true O.default, c))
+      [
+        ("GROVER-3", A.Grover.measured ~n:3 ~marked:5);
+        ("SIMON-1011", A.Simon.measured_circuit "1011");
+        ("QPE-4", A.Qpe.kitaev ~bits:4 ~phase:(3. /. 8.));
+      ]
+  in
+  bv @ dj @ reuse
 
 (* The leaves of the exact walk forking at every measurement, trailing
    ones included, on the dense engine: the (register, probability) of

@@ -223,8 +223,7 @@ let test_t_and_cx_counts () =
   Circ.Builder.cv b 0 1;
   Circ.Builder.conditioned b ~bit:0 Gate.T 0;
   let c = Circ.Builder.build b in
-  check_int "t count includes conditioned" 3 (Metrics.t_count c);
-  check_int "cx count counts 2q apps" 2 (Metrics.cx_count c)
+  check_int "t count includes conditioned" 3 (Metrics.t_count c)
 
 let test_depth_basics () =
   let c = bell () in

@@ -493,6 +493,27 @@ let test_pathsum_golden () =
     ( golden_file ~file:"pathsum_golden.txt" (),
       List.map pathsum_golden_line (pathsum_golden_cases ()) )
 
+(* Every compile-corpus output pinned byte for byte.  compile_golden.txt
+   holds one line per Testkit.compile_corpus item: its name, the MD5 of
+   the output circuit's QASM text, its qubits, gates and depth, whether
+   it was certified, its iteration and violation counts, and the MD5 of
+   the notes its passes recorded.  The pass events are left out. *)
+let compile_golden_line (name, options, c) =
+  let o = Dqc.Pipeline.compile ~options c in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  Printf.sprintf
+    "%s %s qubits=%d gates=%d depth=%d certified=%b iterations=%d \
+     violations=%d notes=%s"
+    name
+    (md5 (Qasm.to_string o.circuit))
+    o.qubits o.gates o.depth o.certified o.iterations o.violations
+    (md5 (String.concat "\n" (List.map (fun (k, v) -> k ^ "=" ^ v) o.notes)))
+
+let test_compile_golden () =
+  compare_golden
+    ( golden_file ~file:"compile_golden.txt" (),
+      List.map compile_golden_line (Testkit.compile_corpus ()) )
+
 (* ------------------------------------------------------------------ *)
 (* Direct MCT (future work)                                           *)
 
@@ -760,21 +781,6 @@ let test_analysis_min_slots_dyn1 () =
   let r = Dqc.Analysis.analyze prepared in
   check_bool "dyn1 exact from 2" true (r.Dqc.Analysis.min_exact_slots = Some 2)
 
-let test_interaction_to_dot () =
-  let o = Option.get (Algorithms.Dj_toffoli.oracle_by_name "AND") in
-  let prepared =
-    Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_1
-      (Algorithms.Dj.circuit o)
-  in
-  let dot = Dqc.Interaction.to_dot prepared in
-  let contains sub =
-    let n = String.length dot and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub dot i m = sub || go (i + 1)) in
-    go 0
-  in
-  check_bool "digraph" true (contains "digraph interaction");
-  check_bool "edge" true (contains "q0 -> q1;")
-
 (* ------------------------------------------------------------------ *)
 (* Toffoli_scheme                                                     *)
 
@@ -990,6 +996,7 @@ let () =
           Alcotest.test_case "sound multislot native" `Quick
             test_pipeline_sound_multislot_native;
           Alcotest.test_case "direct mct" `Quick test_pipeline_direct_mct;
+          Alcotest.test_case "golden outputs" `Quick test_compile_golden;
         ] );
       ( "multi_transform",
         [
@@ -1012,7 +1019,6 @@ let () =
           Alcotest.test_case "verdicts" `Quick test_analysis_verdicts;
           Alcotest.test_case "report fields" `Quick test_analysis_report_fields;
           Alcotest.test_case "min slots dyn1" `Quick test_analysis_min_slots_dyn1;
-          Alcotest.test_case "interaction dot" `Quick test_interaction_to_dot;
         ] );
       ( "toffoli_scheme",
         [

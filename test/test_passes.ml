@@ -30,9 +30,8 @@ let test_registry_contents () =
         (List.exists (fun p -> name p = n) passes))
     [
       "prepare"; "transform"; "certify"; "equivalence"; "reuse"; "analyze";
-      "analyze.resources"; "prune_resets"; "reuse_certify"; "expand_cv";
-      "optimize.fold"; "optimize.dce"; "optimize.affine"; "peephole";
-      "lower_native"; "lint";
+      "prune_resets"; "reuse_certify"; "expand_cv"; "optimize.fold";
+      "optimize.dce"; "optimize.affine"; "peephole"; "lower_native"; "lint";
     ];
   let kind_of n =
     (List.find (fun p -> name p = n) passes).Dqc.Pass.kind
@@ -60,8 +59,8 @@ let test_schedule_names () =
   in
   check_strings "reuse schedule"
     [
-      "prepare"; "analyze.resources"; "reuse"; "analyze"; "prune_resets";
-      "reuse_certify"; "expand_cv"; "analyze"; "lint";
+      "prepare"; "reuse"; "analyze"; "prune_resets"; "reuse_certify";
+      "expand_cv"; "analyze"; "lint";
     ]
     reuse_names;
   (* the optimizer slots in after expand_cv, ahead of peephole *)
@@ -126,6 +125,83 @@ let test_per_pass_counters () =
         (Obs.Collector.counter c ("pipeline.pass." ^ name ^ ".runs")))
     (event_names out);
   check_int "no failures" 0 (Obs.Collector.counter c "pipeline.pass.failed")
+
+(* What the manager's snapshot feeds: each pass's span carries the
+   qubits and gates of the circuit entering it, and its pass.begin and
+   pass.end flight events the qubits, gates and depth of the circuit
+   entering and leaving it.  The circuits come from running the same
+   schedule pass by pass. *)
+let test_snapshots_match_circuits () =
+  let check_schedule label options c =
+    let _, expected =
+      List.fold_left
+        (fun ((ctx : Dqc.Pass.ctx), acc) (p : Dqc.Pass.t) ->
+          let next = p.Dqc.Pass.run ctx in
+          (next, (p.Dqc.Pass.name, ctx.circuit, next.circuit) :: acc))
+        (Dqc.Pass.init ~config:(Dqc.Pipeline.Options.config options) c, [])
+        (Dqc.Pipeline.Options.schedule options)
+    in
+    let expected = List.rev expected in
+    let recorder, (collector, _) =
+      Obs.Flight.with_recorder ~capacity:4096 (fun () ->
+          Obs.with_collector (fun () -> Dqc.Pipeline.compile ~options c))
+    in
+    let spans =
+      List.filter
+        (fun (s : Obs.Collector.span) ->
+          String.starts_with ~prefix:"pipeline.pass." s.name)
+        (Obs.Collector.spans collector)
+    in
+    let events kind =
+      List.filter
+        (fun (e : Obs.Flight.event) -> e.kind = kind)
+        (Obs.Flight.events recorder)
+    in
+    let n = List.length expected in
+    check_int (label ^ ": one span a pass") n (List.length spans);
+    check_int (label ^ ": one pass.begin a pass") n
+      (List.length (events "pass.begin"));
+    check_int (label ^ ": one pass.end a pass") n
+      (List.length (events "pass.end"));
+    let check_event what name circuit (e : Obs.Flight.event) =
+      let field key =
+        match List.assoc_opt key e.data with
+        | Some (Obs.Json.Int v) -> v
+        | _ -> Alcotest.failf "%s: %s %s has no int %s" label what name key
+      in
+      check_bool
+        (Printf.sprintf "%s: %s names %s" label what name)
+        true
+        (List.assoc_opt "pass" e.data = Some (Obs.Json.String name));
+      check_int (label ^ ": " ^ what ^ " qubits") (Circ.num_qubits circuit)
+        (field "qubits");
+      check_int (label ^ ": " ^ what ^ " gates") (Metrics.gate_count circuit)
+        (field "gates");
+      check_int (label ^ ": " ^ what ^ " depth") (Metrics.dynamic_depth circuit)
+        (field "depth")
+    in
+    List.iteri
+      (fun i (name, before, after) ->
+        let span = List.nth spans i in
+        Alcotest.(check string)
+          (label ^ ": span name") ("pipeline.pass." ^ name) span.name;
+        Alcotest.(check (option string))
+          (label ^ ": " ^ name ^ " span qubits")
+          (Some (string_of_int (Circ.num_qubits before)))
+          (List.assoc_opt "qubits" span.attrs);
+        Alcotest.(check (option string))
+          (label ^ ": " ^ name ^ " span gates")
+          (Some (string_of_int (Metrics.gate_count before)))
+          (List.assoc_opt "gates" span.attrs);
+        check_event "pass.begin" name before
+          (List.nth (events "pass.begin") i);
+        check_event "pass.end" name after (List.nth (events "pass.end") i))
+      expected
+  in
+  check_schedule "default" Dqc.Pipeline.Options.default (bv "1011");
+  check_schedule "reuse"
+    Dqc.Pipeline.Options.(with_reuse true default)
+    (Algorithms.Grover.measured ~n:3 ~marked:5)
 
 exception Boom
 
@@ -483,7 +559,9 @@ let prop_optimizer_monotone =
     (fun instrs ->
       let c = Circ.create ~roles:roles3 ~num_bits:3 instrs in
       let r = opt c in
-      Dqc.Optimize.gates_delta r >= 0 && Dqc.Optimize.depth_delta r >= 0)
+      let before = r.Dqc.Optimize.before and after = r.Dqc.Optimize.after in
+      Metrics.gate_count before - Metrics.gate_count after >= 0
+      && Metrics.dynamic_depth before - Metrics.dynamic_depth after >= 0)
 
 (* the end-to-end guard: whatever the optimizer did — including
    deleting measurements, which leave the certifier's shared-bit
@@ -517,6 +595,8 @@ let () =
           Alcotest.test_case "deterministic ordering" `Quick
             test_pass_ordering_deterministic;
           Alcotest.test_case "per-pass counters" `Quick test_per_pass_counters;
+          Alcotest.test_case "snapshots match the circuits" `Quick
+            test_snapshots_match_circuits;
           Alcotest.test_case "short-circuit on failure" `Quick
             test_short_circuit_on_failure;
         ] );

@@ -136,6 +136,23 @@ let test_analyzer_bounds_sound () =
            (Sim.Program.compile summary.Lint.Resource.witness))
   done
 
+(* The analyzer's dynamic depth is Metrics.dynamic_depth: a
+   conditioned gate is layered after the measurement that writes its
+   bit, and a measurement after its bit's previous writer.  Checked on
+   2000 random dynamic circuits and the 70 paper jobs. *)
+let test_analyzer_depth_matches_metrics () =
+  let check name c =
+    check_int (name ^ ": dynamic depth") (Metrics.dynamic_depth c)
+      (Lint.Resource.analyze c).Lint.Resource.dynamic_depth
+  in
+  let rng = Random.State.make [| 0x5AB5E |] in
+  for k = 1 to 2000 do
+    check
+      (Printf.sprintf "circuit %d" k)
+      (Testkit.random_dynamic_circuit ~max_qubits:8 ~max_instrs:32 rng)
+  done;
+  List.iter (fun (name, c) -> check name c) (Testkit.paper_jobs ())
+
 (* Fork soundness: [forks.(i)] bounds the branches the dense
    enumerator holds before instruction [i].  [held.(i)] counts them —
    the leaves of the length-[i] prefix, forking as Exact does on every
@@ -939,6 +956,8 @@ let () =
           Alcotest.test_case "forks bound the held branches" `Slow
             test_forks_sound;
           Alcotest.test_case "forks per branch" `Quick test_forks_per_branch;
+          Alcotest.test_case "analyzer depth = Metrics depth" `Quick
+            test_analyzer_depth_matches_metrics;
         ] );
       ( "dyn2 ladder",
         [
