@@ -1,4 +1,4 @@
-.PHONY: all build test bench ci fmt-check state-check gate perf-gate perf-baseline clean
+.PHONY: all build test bench ci fmt-check state-check exports-check gate perf-gate perf-baseline clean
 
 all: build
 
@@ -32,6 +32,30 @@ state-check:
 	  echo "state-check: process-wide state outside lib/obs:"; echo "$$bad"; exit 1; \
 	else echo "state-check: OK"; fi
 
+# No unused exports: every `val` of a lib/ interface is named, as a
+# word, by some file outside its own module (its .ml and .mli) in lib/,
+# bin/, bench/, perfbench/, examples/ or test/.  A value only its own
+# module uses comes out of the .mli; one nothing uses is deleted.  The
+# check lists each offender as `<interface>: <name>`.
+exports-check:
+	@bad=$$( { grep -Ho '^ *val [a-z_][A-Za-z0-9_'"'"']*' \
+	      $$(find lib -name '*.mli') | sed -E 's/\.mli: *val +/ /; s/^/V /'; \
+	    awk '{ k = FILENAME; sub(/\.mli?$$/, "", k); \
+	           while (match($$0, /[A-Za-z_][A-Za-z0-9_'"'"']*/)) { \
+	             print "W", k, substr($$0, RSTART, RLENGTH); \
+	             $$0 = substr($$0, RSTART + RLENGTH) } }' \
+	      $$(find lib bin bench perfbench examples test \
+	           -name '*.ml' -o -name '*.mli') | sort -u; } \
+	  | awk '$$1 == "V" { val[++n] = $$2 " " $$3; next } \
+	         !($$3 in key) { key[$$3] = $$2; next } \
+	         key[$$3] != $$2 { key[$$3] = "*" } \
+	         END { for (i = 1; i <= n; i++) { split(val[i], a, " "); \
+	                 if (!(a[2] in key) || key[a[2]] == a[1]) \
+	                   print a[1] ".mli: " a[2] } }' | sort); \
+	if [ -n "$$bad" ]; then \
+	  echo "exports-check: exports no other file names:"; echo "$$bad"; exit 1; \
+	else echo "exports-check: OK"; fi
+
 # Timing gate: the four checks that are timings, one row each — the
 # static analyzer's marginal cost stays under 5% of pipeline compile
 # on DJ(AND_9) (CPU time, best of 20), Auto (sparse) beats forced
@@ -64,8 +88,9 @@ perf-baseline:
 # exit codes and telemetry exports included) + the
 # execution-backend study (non-zero exit when the walk and the
 # per-shot replay disagree) + the timing gate + the perf regression
-# gate + source hygiene + the no-hidden-state check (OCAMLRUNPARAM=b:
-# backtraces on uncaught exceptions).
+# gate + source hygiene + the no-hidden-state check + the
+# unused-exports check (OCAMLRUNPARAM=b: backtraces on uncaught
+# exceptions).
 ci:
 	OCAMLRUNPARAM=b dune build @all @runtest
 	OCAMLRUNPARAM=b dune exec bench/main.exe -- backend
@@ -73,6 +98,7 @@ ci:
 	$(MAKE) perf-gate
 	$(MAKE) fmt-check
 	$(MAKE) state-check
+	$(MAKE) exports-check
 
 clean:
 	dune clean

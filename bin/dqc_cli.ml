@@ -684,12 +684,12 @@ let analyze_cmd =
         let summary = Lint.Resource.analyze c in
         if json then
           print_endline
-            (Obs.Json.to_string (Lint.Resource.to_json ~name summary))
+            (Obs.Json.to_string (Lint.Resource.to_json ~name c summary))
         else begin
           let mct = scheme = Dqc.Toffoli_scheme.Direct_mct in
           print_endline (Dqc.Analysis.to_string (Dqc.Analysis.analyze ~mct c));
           print_newline ();
-          print_endline (Lint.Resource.to_string summary);
+          print_endline (Lint.Resource.to_string c summary);
           let engine = Sim.Backend.select ~shots:1024 c in
           Printf.printf "auto backend (1024 shots): %s\n"
             (Sim.Backend.engine_name engine);
@@ -1233,8 +1233,20 @@ let optimize_cmd =
        then 0
        else 1)
   in
+  let exits =
+    [
+      Cmd.Exit.info 0 ~doc:"when every rewrite is proved.";
+      Cmd.Exit.info 1
+        ~doc:"when a sweep is reverted or the benchmark is unknown.";
+      Cmd.Exit.info Cmd.Exit.cli_error ~doc:"on command line parsing errors.";
+      Cmd.Exit.info Cmd.Exit.internal_error
+        ~doc:
+          "when the certifier refutes a rewrite (Optimize.Refuted): the \
+           optimizer's facts are wrong, which is a bug.";
+    ]
+  in
   Cmd.v
-    (Cmd.info "optimize"
+    (Cmd.info "optimize" ~exits
        ~doc:
          "Run the certified optimizer (constant-measurement folding, \
           observability dead-code elimination, affine-fact rewrites); every \

@@ -111,9 +111,6 @@ module Builder = struct
   let conditioned b ~bit ?(value = true) g q =
     add b (Instruction.Conditioned (Instruction.cond_bit bit value, Instruction.app g q))
 
-  let conditioned_on b cond ?(controls = []) g q =
-    add b (Instruction.Conditioned (cond, Instruction.app ~controls g q))
-
   let barrier b qs = add b (Instruction.Barrier qs)
 
   let build b : circuit =

@@ -41,8 +41,6 @@ val map_instructions : (Instruction.t -> Instruction.t list) -> t -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
-val role_to_string : role -> string
-
 (** {1 Builder}
 
     Imperative construction buffer for generators. *)
@@ -76,11 +74,6 @@ module Builder : sig
   (** [conditioned b ~bit ?value g t] adds [if (bit == value) g t]
       ([value] defaults to [true]). *)
   val conditioned : t -> bit:int -> ?value:bool -> Gate.t -> int -> unit
-
-  (** [conditioned_on b cond ?controls g t] adds a gate guarded by an
-      arbitrary conjunction, optionally with quantum controls. *)
-  val conditioned_on :
-    t -> Instruction.cond -> ?controls:int list -> Gate.t -> int -> unit
 
   val barrier : t -> int list -> unit
   val build : t -> circuit

@@ -83,10 +83,12 @@ let token_to_string = function
   | EqEq -> "=="
   | AndAnd -> "&&"
 
+(* each token with the line it starts on *)
 let tokenize src =
   let n = String.length src in
   let tokens = ref [] in
-  let push t = tokens := t :: !tokens in
+  let line = ref 1 in
+  let push t = tokens := (t, !line) :: !tokens in
   let is_ident_char c =
     (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
     || c = '_' || c = '.'
@@ -96,7 +98,10 @@ let tokenize src =
     if i >= n then ()
     else
       match src.[i] with
-      | ' ' | '\t' | '\n' | '\r' -> go (i + 1)
+      | '\n' ->
+          incr line;
+          go (i + 1)
+      | ' ' | '\t' | '\r' -> go (i + 1)
       | '/' when i + 1 < n && src.[i + 1] = '/' ->
           let rec eol j = if j < n && src.[j] <> '\n' then eol (j + 1) else j in
           go (eol i)
@@ -193,21 +198,23 @@ let split_gate_name name =
   try_prefix 0
 
 type parser_state = {
-  mutable toks : token list;
+  mutable toks : (token * int) list;
+  mutable line : int;  (** of the last token read *)
   mutable num_qubits : int option;
   mutable num_bits : int;
   mutable qreg : string;
   mutable creg : string;
-  mutable instrs : Instruction.t list;  (** reversed *)
+  mutable instrs : (int * Instruction.t) list;  (** reversed, by line *)
 }
 
-let peek st = match st.toks with [] -> None | t :: _ -> Some t
+let peek st = match st.toks with [] -> None | (t, _) :: _ -> Some t
 
 let next st =
   match st.toks with
   | [] -> parse_fail "unexpected end of input"
-  | t :: rest ->
+  | (t, line) :: rest ->
       st.toks <- rest;
+      st.line <- line;
       t
 
 let expect st want =
@@ -225,6 +232,14 @@ let expect_int st =
   match next st with
   | Number f when Float.is_integer f -> int_of_float f
   | t -> parse_fail "expected integer, got %s" (token_to_string t)
+
+(* [n] of a register declaration [qubit[n]] or [bit[n]] *)
+let expect_width st =
+  expect st LBracket;
+  let n = expect_int st in
+  if n < 0 then parse_fail "line %d: negative register width %d" st.line n;
+  expect st RBracket;
+  n
 
 (* reg[index] *)
 let expect_indexed st ~reg =
@@ -294,7 +309,10 @@ let rec parse_cond_tests st acc =
   | _ -> List.rev acc
 
 let parse_statement st =
-  match next st with
+  let first = next st in
+  let line = st.line in
+  let add i = st.instrs <- (line, i) :: st.instrs in
+  match first with
   | Ident "OPENQASM" ->
       (match next st with
       | Number _ -> ()
@@ -306,27 +324,27 @@ let parse_statement st =
       | t -> parse_fail "expected include path, got %s" (token_to_string t));
       expect st Semi
   | Ident "qubit" ->
-      expect st LBracket;
-      let n = expect_int st in
-      expect st RBracket;
+      let n = expect_width st in
       st.qreg <- expect_ident st;
       st.num_qubits <- Some n;
       expect st Semi
   | Ident "bit" ->
-      expect st LBracket;
-      let n = expect_int st in
-      expect st RBracket;
+      let n = expect_width st in
+      (* the register's upper bound is Circ.create's *)
+      (match Circ.create ~roles:[||] ~num_bits:n [] with
+      | (_ : Circ.t) -> ()
+      | exception Invalid_argument msg -> parse_fail "line %d: %s" st.line msg);
       st.creg <- expect_ident st;
       st.num_bits <- n;
       expect st Semi
   | Ident "reset" ->
       let q = expect_indexed st ~reg:st.qreg in
       expect st Semi;
-      st.instrs <- Instruction.Reset q :: st.instrs
+      add (Instruction.Reset q)
   | Ident "barrier" ->
       let qs = parse_operands st ~reg:st.qreg [] in
       expect st Semi;
-      st.instrs <- Instruction.Barrier qs :: st.instrs
+      add (Instruction.Barrier qs)
   | Ident "if" ->
       expect st LParen;
       let bits = parse_cond_tests st [] in
@@ -335,8 +353,7 @@ let parse_statement st =
       let name = expect_ident st in
       let app = parse_application st name in
       expect st RBrace;
-      st.instrs <-
-        Instruction.Conditioned ({ Instruction.bits }, app) :: st.instrs
+      add (Instruction.Conditioned ({ Instruction.bits }, app))
   | Ident name when name = st.creg ->
       (* c[i] = measure q[j]; *)
       expect st LBracket;
@@ -348,16 +365,16 @@ let parse_statement st =
       | t -> parse_fail "expected measure, got %s" (token_to_string t));
       let qubit = expect_indexed st ~reg:st.qreg in
       expect st Semi;
-      st.instrs <- Instruction.Measure { qubit; bit } :: st.instrs
+      add (Instruction.Measure { qubit; bit })
   | Ident name ->
-      let app = parse_application st name in
-      st.instrs <- Instruction.Unitary app :: st.instrs
+      add (Instruction.Unitary (parse_application st name))
   | t -> parse_fail "unexpected token %s" (token_to_string t)
 
 let parse ?roles source =
   let st =
     {
       toks = tokenize source;
+      line = 1;
       num_qubits = None;
       num_bits = 0;
       qreg = "q";
@@ -381,7 +398,16 @@ let parse ?roles source =
         r
     | None -> Array.make num_qubits Circ.Data
   in
-  Circ.create ~roles ~num_bits:st.num_bits (List.rev st.instrs)
+  let instrs = List.rev st.instrs in
+  List.iter
+    (fun (line, i) ->
+      if not (Instruction.well_formed ~num_qubits ~num_bits:st.num_bits i) then
+        parse_fail
+          "line %d: ill-formed %s (%d qubits, %d bits: an index out of \
+           range or a qubit named twice)"
+          line (Instruction.to_string i) num_qubits st.num_bits)
+    instrs;
+  Circ.create ~roles ~num_bits:st.num_bits (List.map snd instrs)
 
 let to_string ?(name = "dqc_circuit") c =
   let buf = Buffer.create 512 in

@@ -19,7 +19,10 @@ exception Parse_error of string
     QASM carries no qubit-role information; [roles] overrides the
     default of every qubit being {!Circ.Data}.
 
-    @raise Parse_error on malformed input.
+    @raise Parse_error on malformed input, which includes a qubit or
+    bit index outside its register, a qubit named twice in one
+    instruction, a negative register width and a bit register wider
+    than {!Circ.create} allows; these messages name the line.
     @raise Invalid_argument when [roles] disagrees with the declared
     qubit count. *)
 val parse : ?roles:Circ.role array -> string -> Circ.t

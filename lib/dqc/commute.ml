@@ -39,8 +39,6 @@ let decide matrix (a : Instruction.app) (b : Instruction.app) =
   then true
   else matrix a b
 
-let unitary_apps = decide (fun a b -> matrix_commute (canonical a b))
-
 type memo = (int * Instruction.app * Instruction.app, bool) Hashtbl.t
 
 let memo () : memo = Hashtbl.create 64

@@ -12,10 +12,6 @@ open Circuit
     meets at most a dozen), so {!instrs} answers each one from a
     {!memo} after its first check. *)
 
-(** [unitary_apps a b] decides commutation of two unitary applications
-    exactly (up to 1e-9 on the commutator norm), without a memo. *)
-val unitary_apps : Instruction.app -> Instruction.app -> bool
-
 (** A table from canonical pairs to their matrix verdicts.  It lives
     for one caller's run: {!Transform.transform} and
     {!Reuse.rewire} each make a fresh one per call, so no table
@@ -25,8 +21,8 @@ type memo
 val memo : unit -> memo
 
 (** [instrs memo a b] is a sound (possibly conservative) commutation
-    test for arbitrary instructions; it agrees with {!unitary_apps} on
-    the applications of unitary and conditioned gates and records each
+    test for arbitrary instructions; on two unitary applications it is
+    exact (up to 1e-9 on the commutator norm), and it records each
     matrix verdict in [memo].  Classically conditioned gates only read
     the register, so two conditioned gates (or a conditioned and a
     plain gate) commute exactly when their unitary applications do;

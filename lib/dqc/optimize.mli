@@ -110,5 +110,4 @@ type result = {
     @raise Refuted as the sweeps do. *)
 val run : ?max_sweeps:int -> Circ.t -> result
 
-val pp_stats : Format.formatter -> stats -> unit
 val stats_to_string : stats -> string

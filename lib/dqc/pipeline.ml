@@ -284,11 +284,9 @@ module Options = struct
     scheme : Toffoli_scheme.t;
     mode : [ `Algorithm1 | `Sound ];
     slots : int;
-    expand_cv : bool;
     peephole : bool;
     native : bool;
     check_equivalence : bool;
-    certify : bool;
     backend_policy : Sim.Backend.policy;
     lint : bool;
     reuse : bool;
@@ -301,11 +299,9 @@ module Options = struct
       scheme = Toffoli_scheme.Dynamic_2;
       mode = `Algorithm1;
       slots = 1;
-      expand_cv = true;
       peephole = false;
       native = false;
       check_equivalence = true;
-      certify = true;
       backend_policy = Sim.Backend.Auto;
       lint = true;
       reuse = false;
@@ -324,11 +320,9 @@ module Options = struct
               slots));
     { t with slots }
 
-  let with_expand_cv expand_cv t = { t with expand_cv }
   let with_peephole peephole t = { t with peephole }
   let with_native native t = { t with native }
   let with_check_equivalence check_equivalence t = { t with check_equivalence }
-  let with_certify certify t = { t with certify }
   let with_backend_policy backend_policy t = { t with backend_policy }
   let with_lint lint t = { t with lint }
   let with_reuse reuse t = { t with reuse }
@@ -347,20 +341,6 @@ module Options = struct
   let with_passes names t =
     List.iter (fun name -> ignore (lookup name)) names;
     { t with passes = Some names }
-
-  let scheme t = t.scheme
-  let mode t = t.mode
-  let slots t = t.slots
-  let expand_cv t = t.expand_cv
-  let peephole t = t.peephole
-  let native t = t.native
-  let check_equivalence t = t.check_equivalence
-  let certify t = t.certify
-  let backend_policy t = t.backend_policy
-  let lint t = t.lint
-  let reuse t = t.reuse
-  let optimize t = t.optimize
-  let passes t = t.passes
 
   let config t =
     {
@@ -382,17 +362,18 @@ module Options = struct
           opt t.optimize [ "optimize.fold"; "optimize.dce"; "optimize.affine" ]
         in
         if t.reuse then
-          [ "prepare"; "reuse"; "analyze"; "prune_resets"; "reuse_certify" ]
-          @ opt t.expand_cv [ "expand_cv" ]
+          [
+            "prepare"; "reuse"; "analyze"; "prune_resets"; "reuse_certify";
+            "expand_cv";
+          ]
           @ optimize
           @ opt t.peephole [ "peephole" ]
           @ opt t.native [ "lower_native" ]
           @ opt t.lint [ "analyze"; "lint" ]
         else
           [ "prepare"; "transform" ]
-          @ opt (t.check_equivalence && t.certify) [ "certify" ]
-          @ opt t.check_equivalence [ "equivalence" ]
-          @ opt t.expand_cv [ "expand_cv" ]
+          @ opt t.check_equivalence [ "certify"; "equivalence" ]
+          @ [ "expand_cv" ]
           @ optimize
           @ opt t.peephole [ "peephole" ]
           @ opt t.native [ "lower_native" ]
@@ -447,8 +428,8 @@ let compile_body ~options traditional =
   Obs.with_span "pipeline.compile"
       ~attrs:
         [
-          ("scheme", Toffoli_scheme.to_string (Options.scheme options));
-          ("slots", string_of_int (Options.slots options));
+          ("scheme", Toffoli_scheme.to_string options.Options.scheme);
+          ("slots", string_of_int options.Options.slots);
         ]
       (fun () ->
         let schedule = Options.schedule options in

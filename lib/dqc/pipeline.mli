@@ -8,8 +8,8 @@ open Circuit
 
     The default (DQC) schedule chains: Toffoli-scheme substitution ->
     dynamic transformation (single- or multi-slot) -> symbolic
-    certification -> numeric equivalence evidence -> optional CV
-    expansion / peephole / native lowering -> the lint gate.  With
+    certification -> numeric equivalence evidence -> CV expansion ->
+    optional optimizer / peephole / native lowering -> the lint gate.  With
     {!Options.with_reuse} the transform stage is replaced by the
     general causal-cone qubit-reuse pass, whose rewiring is proved
     channel-equivalent by the path-sum certifier
@@ -49,9 +49,9 @@ val registered_passes : unit -> Pass.t list
 module Options : sig
   type t
 
-  (** [Dynamic_2], [`Algorithm1], 1 slot, CV expansion on, peephole
-      off, native off, equivalence check on, certifier on,
-      [Sim.Backend.Auto], lint on, reuse off, default schedule. *)
+  (** [Dynamic_2], [`Algorithm1], 1 slot, peephole off, native off,
+      equivalence check on, [Sim.Backend.Auto], lint on, reuse off,
+      optimizer off, default schedule. *)
   val default : t
 
   val with_scheme : Toffoli_scheme.t -> t -> t
@@ -60,18 +60,16 @@ module Options : sig
   (** @raise Invalid_options when [slots < 1]. *)
   val with_slots : int -> t -> t
 
-  val with_expand_cv : bool -> t -> t
   val with_peephole : bool -> t -> t
   val with_native : bool -> t -> t
-  val with_check_equivalence : bool -> t -> t
 
-  (** Run the symbolic equivalence certifier ({!Certifier.certify})
-      ahead of the numeric checkers — on by default.  A [Proved]
-      verdict is recorded as [certified] and makes the TV computations
-      unnecessary; on [Unknown] or [Refuted] the numeric evidence
-      chain (exact, then sampled) runs as before.  Only effective when
-      [check_equivalence] is on and [slots = 1]. *)
-  val with_certify : bool -> t -> t
+  (** Check the compiled circuit against the traditional one — on by
+      default.  The symbolic certifier ({!Certifier.certify}) runs
+      first; a [Proved] verdict is recorded as [certified] and makes
+      the TV computations unnecessary, and on [Unknown] or [Refuted]
+      the numeric evidence chain (exact, then sampled) runs.  The
+      certifier is effective only with [slots = 1]. *)
+  val with_check_equivalence : bool -> t -> t
 
   (** Execution backend the pipeline's shot-based stages (the sampled
       equivalence fallback beyond 12 qubits) dispatch through. *)
@@ -103,20 +101,6 @@ module Options : sig
       pass runs in a {!Pass_manager.run} schedule instead.
       @raise Invalid_options on an unknown name. *)
   val with_passes : string list -> t -> t
-
-  val scheme : t -> Toffoli_scheme.t
-  val mode : t -> [ `Algorithm1 | `Sound ]
-  val slots : t -> int
-  val expand_cv : t -> bool
-  val peephole : t -> bool
-  val native : t -> bool
-  val check_equivalence : t -> bool
-  val certify : t -> bool
-  val backend_policy : t -> Sim.Backend.policy
-  val lint : t -> bool
-  val reuse : t -> bool
-  val optimize : t -> bool
-  val passes : t -> string list option
 
   (** The pass context configuration the options denote. *)
   val config : t -> Pass.config

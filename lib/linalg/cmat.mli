@@ -37,9 +37,6 @@ val kron : t -> t -> t
 (** [apply m v] is the matrix-vector product. *)
 val apply : t -> Cvec.t -> Cvec.t
 
-(** Max-modulus over all entries. *)
-val max_abs : t -> float
-
 val approx_equal : ?eps:float -> t -> t -> bool
 
 (** [approx_equal_up_to_phase a b] holds when [a] = e^{i.phi} [b]. *)

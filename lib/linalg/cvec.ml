@@ -22,10 +22,6 @@ let of_array a =
   done;
   v
 
-let to_array v =
-  Array.init (Array.length v.re) (fun k ->
-      { Complex.re = v.re.(k); im = v.im.(k) })
-
 let copy v = { re = Array.copy v.re; im = Array.copy v.im }
 let dim v = Array.length v.re
 let re v = v.re

@@ -13,7 +13,6 @@ val make : int -> t
 val basis : int -> int -> t
 
 val of_array : Complex.t array -> t
-val to_array : t -> Complex.t array
 val copy : t -> t
 val dim : t -> int
 val get : t -> int -> Complex.t

@@ -35,12 +35,6 @@ val provably_zero : State.t -> int -> bool
     bit may still be pinned by the relational rows. *)
 val bit_value : State.t -> int -> bool option
 
-(** Gates that fix |0⟩ exactly — droppable on a provably-|0⟩ target.
-    An uncontrolled Rz only contributes a global phase there, which is
-    unobservable; the controlled version kicks a relative phase and
-    must stay. *)
-val dead_on_zero : controlled:bool -> Gate.t -> bool
-
 (** Exact, observation-preserving gate simplification: a provably-|0⟩
     control kills the application ([None]), a provably-|1⟩ control is
     dropped from the control list, and a |0⟩-fixing gate on a

@@ -18,8 +18,6 @@ type t = {
   suggestion : string option;  (** how to fix it, when known *)
 }
 
-val severity_to_string : severity -> string
-
 (** [Error] < [Warning] < [Hint]. *)
 val severity_rank : severity -> int
 

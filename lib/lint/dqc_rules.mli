@@ -2,14 +2,12 @@
     dynamic transformation (Algorithm 1 and its multi-slot
     generalization). *)
 
-(** [Error] when more than [max_live] data-role qubits are live
-    simultaneously — a data qubit turns live at the first gate that
-    touches it and dies at its measurement or reset.  [max_live] is
-    the physical slot count: 1 for the paper's design point. *)
-val live_data : max_live:int -> Pass.t
-
-(** [Error] on any reset of an answer-role qubit. *)
-val answer_reset : Pass.t
-
-(** Both passes; [max_live] defaults to 1. *)
+(** Both passes, in order:
+    - [dqc-live-data]: [Error] when more than [max_live] data-role
+      qubits are live simultaneously — a data qubit turns live at the
+      first gate that touches it and dies at its measurement or reset.
+      [max_live] is the physical slot count, 1 (the default) for the
+      paper's design point;
+    - [dqc-answer-reset]: [Error] on any reset of an answer-role
+      qubit. *)
 val passes : ?max_live:int -> unit -> Pass.t list

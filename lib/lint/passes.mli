@@ -5,32 +5,27 @@
 (** [Error]: a gate touches a freshly measured, never-reset qubit. *)
 val use_after_measure : Pass.t
 
-(** [Error]: a classical condition reads an [Unwritten] bit. *)
-val cond_unmeasured_bit : Pass.t
-
-(** [Error] on an internally contradictory conjunction
-    ([c3 == 1 && c3 == 0]); [Warning] on a test that contradicts a
-    statically known bit value. *)
-val contradictory_condition : Pass.t
-
-(** [Warning]: a measurement overwrites a result nothing has read. *)
-val measurement_clobbers_bit : Pass.t
-
 (** [Hint]: reset of a provably-|0⟩ qubit. *)
 val redundant_reset : Pass.t
 
-(** [Warning]: a gate whose operands are all measured-and-never-
-    referenced-again cannot affect any outcome. *)
-val dead_gate : Pass.t
-
-(** [Hint]: a mid-circuit measurement whose result is never read. *)
-val dead_bit : Pass.t
-
-(** [Error] when an ancilla provably ends in |1⟩; [Hint] when its
-    return to |0⟩ cannot be verified statically. *)
-val ancilla_not_zero : Pass.t
-
-(** All of the above, in catalogue order. *)
+(** The catalogue, in order:
+    - {!use_after_measure};
+    - [cond-unmeasured-bit]: [Error] when a classical condition reads
+      an [Unwritten] bit;
+    - [contradictory-condition]: [Error] on an internally
+      contradictory conjunction ([c3 == 1 && c3 == 0]); [Warning] on a
+      test that contradicts a statically known bit value;
+    - [measurement-clobbers-bit]: [Warning] when a measurement
+      overwrites a result nothing has read;
+    - {!redundant_reset};
+    - [dead-gate]: [Warning] on a gate whose operands are all
+      measured-and-never-referenced-again, which cannot affect any
+      outcome;
+    - [dead-bit]: [Hint] on a mid-circuit measurement whose result is
+      never read;
+    - [ancilla-not-zero]: [Error] when an ancilla provably ends in
+      |1⟩; [Hint] when its return to |0⟩ cannot be verified
+      statically. *)
 val general : Pass.t list
 
 (** [Warning]: a condition reads a bit whose latest write measured a

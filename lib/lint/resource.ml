@@ -11,8 +11,6 @@ type segment = {
   nondet : int;
 }
 
-type live_range = { first : int; last : int }
-
 type summary = {
   num_qubits : int;
   num_bits : int;
@@ -26,9 +24,6 @@ type summary = {
   log2_bounds : int array;
   nondet_branches : int;
   forks : int array;
-  dynamic_depth : int;
-  feedforward_depth : int;
-  live_ranges : live_range option array;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -60,28 +55,6 @@ let is_collapse (i : Instruction.t) =
   | Instruction.Unitary _ | Instruction.Conditioned _ | Instruction.Barrier _
     ->
       false
-
-(* Per-qubit bookkeeping over an instruction's qubit list, written as
-   plain recursion: the analyzer runs on every Auto run, so its inner
-   loop allocates no closures.  Each is idempotent, so a qubit named
-   twice needs no dedupe. *)
-
-let rec touch ~first_use ~last_use i = function
-  | [] -> ()
-  | q :: qs ->
-      if first_use.(q) < 0 then first_use.(q) <- i;
-      last_use.(q) <- i;
-      touch ~first_use ~last_use i qs
-
-let rec max_over a acc = function
-  | [] -> acc
-  | q :: qs -> max_over a (max acc a.(q)) qs
-
-let rec set_all a v = function
-  | [] -> ()
-  | q :: qs ->
-      a.(q) <- v;
-      set_all a v qs
 
 (* ------------------------------------------------------------------ *)
 
@@ -184,56 +157,7 @@ let analyze_body trace =
         :: segments rest
   in
   let segments = segments starts in
-  (* dynamic depth and feed-forward critical path: longest path in the
-     dependency DAG, layered as {!Metrics.dynamic_depth} layers it (a
-     conditioned gate after the measurement that writes its bit, a
-     measurement after its bit's previous writer); crossing a
-     measurement->conditioned classical edge counts one feed-forward
-     hop *)
   let nb = Circ.num_bits c in
-  let qdepth = Array.make nq 0
-  and qff = Array.make nq 0
-  and bdepth = Array.make nb 0
-  and bff = Array.make nb 0 in
-  let first_use = Array.make nq (-1) and last_use = Array.make nq (-1) in
-  for i = 0 to m - 1 do
-    let instr = Trace.instr trace i in
-    let qs = Instruction.qubits instr in
-    touch ~first_use ~last_use i qs;
-    let qd = max_over qdepth 0 qs and qf = max_over qff 0 qs in
-    match instr with
-    | Instruction.Barrier _ ->
-        (* synchronization only: aligns depths without adding a layer *)
-        set_all qdepth qd qs;
-        set_all qff qf qs
-    | Instruction.Unitary _ ->
-        set_all qdepth (qd + 1) qs;
-        set_all qff qf qs
-    | Instruction.Conditioned (cond, _) ->
-        let bs = List.map fst cond.bits in
-        let d = 1 + max_over bdepth qd bs in
-        (* reading a measured bit into a gate is the feed-forward hop *)
-        let f = 1 + max_over bff (qf - 1) bs in
-        set_all qdepth d qs;
-        set_all qff f qs
-    | Instruction.Measure { qubit; bit } ->
-        let d = 1 + max qd bdepth.(bit) in
-        qdepth.(qubit) <- d;
-        bdepth.(bit) <- d;
-        bff.(bit) <- qf
-    | Instruction.Reset q ->
-        qdepth.(q) <- qd + 1;
-        qff.(q) <- qf
-  done;
-  let dynamic_depth =
-    max
-      (Array.fold_left max 0 qdepth)
-      (if nb = 0 then 0 else Array.fold_left max 0 bdepth)
-  in
-  let feedforward_depth =
-    max (Array.fold_left max 0 qff)
-      (if nb = 0 then 0 else Array.fold_left max 0 bff)
-  in
   let witness =
     Circ.create ~roles:(Circ.roles c) ~num_bits:nb
       (Array.fold_right
@@ -258,12 +182,6 @@ let analyze_body trace =
     log2_bounds = Array.init (m + 1) bound;
     nondet_branches = sum (fun s -> s.nondet);
     forks;
-    dynamic_depth;
-    feedforward_depth;
-    live_ranges =
-      Array.init nq (fun q ->
-          if first_use.(q) < 0 then None
-          else Some { first = first_use.(q); last = last_use.(q) });
   }
 
 let analyze ?trace c =
@@ -283,6 +201,35 @@ let analyze ?trace c =
       analyze_body trace)
 
 (* ------------------------------------------------------------------ *)
+(* The report *)
+
+(* The feed-forward depth — the most measurement->conditioned-gate hops
+   on any dependency path — and per qubit the instruction indices of
+   its first and last reference ([None] when never referenced). *)
+let feedforward c =
+  let nq = Circ.num_qubits c in
+  let qff = Array.make nq 0 and bff = Array.make (Circ.num_bits c) 0 in
+  let live = Array.make nq None in
+  let max_over a init = List.fold_left (fun acc x -> max acc a.(x)) init in
+  List.iteri
+    (fun i instr ->
+      let qs = Instruction.qubits instr in
+      List.iter
+        (fun q ->
+          let first = match live.(q) with Some (f, _) -> f | None -> i in
+          live.(q) <- Some (first, i))
+        qs;
+      let qf = max_over qff 0 qs in
+      let set f = List.iter (fun q -> qff.(q) <- f) qs in
+      match instr with
+      | Instruction.Unitary _ | Instruction.Reset _ | Instruction.Barrier _ ->
+          set qf
+      | Instruction.Conditioned (cond, _) ->
+          (* reading a measured bit into a gate is the feed-forward hop *)
+          set (1 + max_over bff (qf - 1) (List.map fst cond.bits))
+      | Instruction.Measure { bit; _ } -> bff.(bit) <- qf)
+    (Circ.instructions c);
+  (max (Array.fold_left max 0 qff) (Array.fold_left max 0 bff), live)
 
 let segment_to_json s =
   Obs.Json.Obj
@@ -297,7 +244,8 @@ let segment_to_json s =
       ("nondet", Obs.Json.Int s.nondet);
     ]
 
-let to_json ?name s =
+let to_json ?name c s =
+  let feedforward_depth, live = feedforward c in
   Obs.Json.Obj
     [
       ("schema", Obs.Json.String "dqc.analyze/1");
@@ -311,26 +259,25 @@ let to_json ?name s =
       ("non_clifford", Obs.Json.Int s.non_clifford);
       ("log2_bound_peak", Obs.Json.Int s.log2_bound_peak);
       ("nondet_branches", Obs.Json.Int s.nondet_branches);
-      ("dynamic_depth", Obs.Json.Int s.dynamic_depth);
-      ("feedforward_depth", Obs.Json.Int s.feedforward_depth);
+      ("dynamic_depth", Obs.Json.Int (Metrics.dynamic_depth c));
+      ("feedforward_depth", Obs.Json.Int feedforward_depth);
       ("segments", Obs.Json.List (List.map segment_to_json s.segments));
       ( "live_ranges",
         Obs.Json.List
           (List.filter_map Fun.id
-             (List.init (Array.length s.live_ranges) (fun q ->
-                  match s.live_ranges.(q) with
-                  | None -> None
-                  | Some r ->
-                      Some
-                        (Obs.Json.Obj
-                           [
-                             ("qubit", Obs.Json.Int q);
-                             ("first", Obs.Json.Int r.first);
-                             ("last", Obs.Json.Int r.last);
-                           ])))) );
+             (List.mapi
+                (fun q ->
+                  Option.map (fun (first, last) ->
+                      Obs.Json.Obj
+                        [
+                          ("qubit", Obs.Json.Int q);
+                          ("first", Obs.Json.Int first);
+                          ("last", Obs.Json.Int last);
+                        ]))
+                (Array.to_list live))) );
     ]
 
-let pp fmt s =
+let pp c fmt s =
   Format.fprintf fmt
     "@[<v>%d instruction%s over %d qubit%s in %d segment%s:@,\
      clifford %b, T %d, non-Clifford %d, log2 amplitude bound <= %d,@,\
@@ -342,7 +289,8 @@ let pp fmt s =
     (List.length s.segments)
     (if List.length s.segments = 1 then "" else "s")
     s.clifford s.t_count s.non_clifford s.log2_bound_peak s.nondet_branches
-    s.dynamic_depth s.feedforward_depth;
+    (Metrics.dynamic_depth c)
+    (fst (feedforward c));
   List.iter
     (fun seg ->
       Format.fprintf fmt
@@ -353,4 +301,4 @@ let pp fmt s =
     s.segments;
   Format.fprintf fmt "@]"
 
-let to_string s = Format.asprintf "%a" pp s
+let to_string c s = Format.asprintf "%a" (pp c) s

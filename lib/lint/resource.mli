@@ -39,9 +39,6 @@ type segment = {
           segment's true branch points *)
 }
 
-type live_range = { first : int; last : int }
-    (** instruction indices of the first and last reference *)
-
 type summary = {
   num_qubits : int;
   num_bits : int;
@@ -73,14 +70,6 @@ type summary = {
           same qubit counts once.  The enumeration reaches instruction
           [i] on at most [2^forks.(i)] branches, and
           [forks.(instructions)] is its fork depth *)
-  dynamic_depth : int;
-      (** critical path counting quantum and classical dependencies:
-          {!Circuit.Metrics.dynamic_depth} of the circuit *)
-  feedforward_depth : int;
-      (** maximum number of measurement->conditioned-gate hops on any
-          dependency path *)
-  live_ranges : live_range option array;
-      (** per qubit; [None] when the qubit is never referenced *)
 }
 
 (** Analyze a circuit (one [analyze.resources] span; one
@@ -89,8 +78,17 @@ type summary = {
     @raise Invalid_argument on a foreign trace. *)
 val analyze : ?trace:Trace.t -> Circ.t -> summary
 
-(** [dqc.analyze/1] JSON document. *)
-val to_json : ?name:string -> summary -> Obs.Json.t
+(** [to_json ?name c s] is the [dqc.analyze/1] JSON document of [c]
+    and its summary [s].  Besides the summary it reports what only the
+    report reads, computed from [c] when printed: the dynamic depth
+    ({!Circuit.Metrics.dynamic_depth}), the feed-forward depth (the
+    most measurement->conditioned-gate hops on any dependency path) and
+    each referenced qubit's live range (the instruction indices of its
+    first and last reference). *)
+val to_json : ?name:string -> Circ.t -> summary -> Obs.Json.t
 
-val pp : Format.formatter -> summary -> unit
-val to_string : summary -> string
+(** [pp c] prints the summary of [c] with its dynamic and feed-forward
+    depths, as {!to_json} computes them. *)
+val pp : Circ.t -> Format.formatter -> summary -> unit
+
+val to_string : Circ.t -> summary -> string

@@ -12,7 +12,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 
 (** Write the value to [path] followed by a newline. *)

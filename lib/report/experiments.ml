@@ -977,20 +977,3 @@ let optimize_report () =
       ]
     ~rows ()
 
-let full_report ?shots ?seed () =
-  String.concat "\n"
-    [
-      table1_report ();
-      table2_report ();
-      fig7_report ?shots ?seed ();
-      equivalence_report ();
-      mct_report ();
-      routing_report ();
-      duration_report ();
-      scale_report ();
-      slots_report ();
-      reuse_report ();
-      sparsity_report ();
-      optimize_report ();
-    ]
-

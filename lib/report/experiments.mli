@@ -204,13 +204,12 @@ type sparsity_row = {
 }
 
 (** E13 (extension): the relational analyzer's static sparsity bounds
-    against measured dense sparsity, per benchmark x scheme
-    (traditional / dynamic-1 / dynamic-2) plus the adaptive-parity
-    per-segment-Clifford workload.  Every row must be sound — the
-    test_sparse case "differential / analyzer bounds and witnesses"
-    enforces the same dominance over hundreds of random circuits. *)
-val sparsity_rows : unit -> sparsity_row list
-
+    against measured dense sparsity, one {!sparsity_row} per benchmark
+    x scheme (traditional / dynamic-1 / dynamic-2) plus the
+    adaptive-parity per-segment-Clifford workload.  Every row must be
+    sound — the test_sparse case "differential / analyzer bounds and
+    witnesses" enforces the same dominance over hundreds of random
+    circuits. *)
 val sparsity_report : unit -> string
 
 type optimize_row = {
@@ -244,6 +243,3 @@ val optimize_report : unit -> string
     @raise Dqc.Optimize.Refuted as {!Dqc.Optimize.run} does. *)
 val optimize_entry :
   name:string -> scheme:string -> Circuit.Circ.t -> optimize_row
-
-(** All reports concatenated. *)
-val full_report : ?shots:int -> ?seed:int -> unit -> string

@@ -48,11 +48,6 @@ let span_rows c =
       ])
     by_total
 
-let span_table c =
-  match span_rows c with
-  | [] -> "no spans recorded\n"
-  | rows -> Table.render ~headers:span_headers ~rows ()
-
 let counter_rows c =
   List.map
     (fun (name, v) -> [ name; string_of_int v ])
@@ -60,11 +55,6 @@ let counter_rows c =
   @ List.map
       (fun (name, v) -> [ name; Printf.sprintf "%.4g" v ])
       (Obs.Collector.gauges c)
-
-let counter_table c =
-  match counter_rows c with
-  | [] -> "no counters recorded\n"
-  | rows -> Table.render ~headers:[ "counter / gauge"; "value" ] ~rows ()
 
 let histogram_headers =
   [ "histogram"; "count"; "mean us"; "p50 us"; "p90 us"; "p99 us";
@@ -92,11 +82,6 @@ let histogram_rows c =
             usi (Obs.Histogram.max_value h);
           ])
     named
-
-let histogram_table c =
-  match histogram_rows c with
-  | [] -> "no histograms recorded\n"
-  | rows -> Table.render ~headers:histogram_headers ~rows ()
 
 let rec take k = function
   | [] -> []

@@ -1,17 +1,12 @@
 (** Human-readable sink for [Obs] collectors.
 
-    [span_table] aggregates spans by name (sorted by total time, with
-    p50/p99 from the same-name latency histogram and the share of
-    observed wall time), [counter_table] lists every counter and gauge,
-    [histogram_table] renders every latency histogram with its
-    percentile ladder, and [summary] stacks spans + counters — the
-    breakdown [dqc_cli stats] prints.  [profile_summary] is the
+    [summary] stacks two tables — the breakdown [dqc_cli stats] prints:
+    the spans aggregated by name (sorted by total time, with p50/p99
+    from the same-name latency histogram and the share of observed
+    wall time), then every counter and gauge.  [profile_summary] is the
     [dqc_cli profile] view: the full histogram ladder plus the top-k
     hottest spans. *)
 
-val span_table : Obs.Collector.t -> string
-val counter_table : Obs.Collector.t -> string
-val histogram_table : Obs.Collector.t -> string
 val summary : Obs.Collector.t -> string
 
 (** [profile_summary ?top c] ([top] defaults to 8). *)

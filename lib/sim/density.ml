@@ -229,7 +229,3 @@ let total_rho st =
     st.branches (Linalg.Cmat.make dim dim)
 
 let trace st = branch_trace (total_rho st)
-
-let purity st =
-  let rho = total_rho st in
-  branch_trace (Linalg.Cmat.mul rho rho)

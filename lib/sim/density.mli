@@ -34,10 +34,6 @@ val register_distribution : t -> Dist.t
 val measured_distribution :
   ?model:Noise.model -> measures:(int * int) list -> Circ.t -> Dist.t
 
-(** Tr(rho^2) of the total (register-averaged) state: 1 on pure
-    states, 1/2^n at the maximally mixed state. *)
-val purity : t -> float
-
 (** Total trace (should be 1 up to numerics) — a sanity check that
     every channel is trace-preserving. *)
 val trace : t -> float

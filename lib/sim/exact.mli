@@ -34,14 +34,10 @@ val program_distribution :
     of the compiled circuit on the dense engine. *)
 val register_distribution : ?prune:float -> Circ.t -> Dist.t
 
-(** [plan_distribution ~plan c] instruments [c] with the plan's
-    terminal measurements ({!Measurement_plan.instrument}) and returns
-    the exact register distribution. *)
-val plan_distribution :
-  ?prune:float -> plan:Measurement_plan.t -> Circ.t -> Dist.t
-
-(** [measured_distribution ~measures c] is
-    [plan_distribution ~plan:(Measurement_plan.of_pairs measures) c]. *)
+(** [measured_distribution ~measures c] appends the terminal
+    measurements [(qubit, bit)] of [measures]
+    ({!Measurement_plan.instrument}) and returns the exact register
+    distribution. *)
 val measured_distribution :
   ?prune:float -> measures:(int * int) list -> Circ.t -> Dist.t
 

@@ -3,14 +3,7 @@ open Circuit
 type t = Measure_all | Measures of (int * int) list
 
 let measure_all = Measure_all
-let none = Measures []
-let measure ~qubit ~bit = Measures [ (qubit, bit) ]
 let of_pairs pairs = Measures pairs
-
-let combine a b =
-  match (a, b) with
-  | Measure_all, _ | _, Measure_all -> Measure_all
-  | Measures xs, Measures ys -> Measures (xs @ ys)
 
 let to_pairs ~num_qubits = function
   | Measure_all -> List.init num_qubits (fun q -> (q, q))
@@ -29,13 +22,3 @@ let instrument plan c =
       in
       Circ.create ~roles:(Circ.roles c) ~num_bits:(width plan c)
         (Circ.instructions c @ extra)
-
-let pp fmt = function
-  | Measure_all -> Format.pp_print_string fmt "measure-all"
-  | Measures [] -> Format.pp_print_string fmt "none"
-  | Measures pairs ->
-      Format.fprintf fmt "@[<h>%a@]"
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-           (fun fmt (q, b) -> Format.fprintf fmt "q%d->c%d" q b))
-        pairs

@@ -54,7 +54,6 @@ let create n ~num_bits =
 let num_qubits st = st.n
 let num_bits st = st.nbits
 let register st = st.reg
-let set_register st reg = st.reg <- reg
 let set_bit st k b = st.reg <- Bits.set st.reg k b
 let get_bit st k = Bits.get st.reg k
 let nnz st = st.size

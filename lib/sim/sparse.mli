@@ -41,7 +41,6 @@ val copy : t -> t
 val num_qubits : t -> int
 val num_bits : t -> int
 val register : t -> int
-val set_register : t -> int -> unit
 val set_bit : t -> int -> bool -> unit
 val get_bit : t -> int -> bool
 

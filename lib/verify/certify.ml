@@ -67,7 +67,6 @@ type view = {
   v_phase : P.t;
   v_anchors : B.t list;  (* ordered observable expressions *)
   v_ghosts : B.t list;  (* decohered environment, canonical *)
-  v_inputs : int array option;
 }
 
 (* fold an environment expression into the pool unless it pins nothing
@@ -109,26 +108,7 @@ let view_channel (ps : Pathsum.t) ~shared =
         v_phase = ps.Pathsum.phase;
         v_anchors = anchors;
         v_ghosts = List.sort B.compare !pool;
-        v_inputs = ps.Pathsum.inputs;
       }
-
-(* static view: the outputs themselves are the ordered observables
-   (unitary / state-preparation comparison) *)
-let view_static (ps : Pathsum.t) =
-  let anchors = Array.to_list ps.Pathsum.outputs in
-  let pool = ref [] in
-  Array.iter
-    (function
-      | Some e -> pool := add_pool anchors !pool e | None -> ())
-    ps.Pathsum.bits;
-  List.iter (fun e -> pool := add_pool anchors !pool e) ps.Pathsum.ghosts;
-  {
-    v_scale = ps.Pathsum.scale;
-    v_phase = ps.Pathsum.phase;
-    v_anchors = anchors;
-    v_ghosts = List.sort B.compare !pool;
-    v_inputs = ps.Pathsum.inputs;
-  }
 
 let view_vars v =
   List.sort_uniq Int.compare
@@ -209,7 +189,6 @@ let occurrences v =
    ghosts (an unordered pool) and the phase terms a sorted multiset. *)
 type color_key =
   | Free
-  | Input of int  (* pinned input variable of this qubit *)
   | Refined of
       int
       * (int * int list list) list
@@ -226,96 +205,54 @@ let signature occ col x =
       List.sort compare (List.map (fun (c, m) -> (c, co m)) occ.in_phase.(x))
     )
 
-(* match the free variables of [vb] to those of [va]; pinned input
-   variables map positionally by qubit.  Returns a total renaming for
-   [vb]'s variables, or None when the structures cannot correspond. *)
+(* match the variables of [vb] to those of [va].  Returns a total
+   renaming for [vb]'s variables, or None when the structures cannot
+   correspond. *)
 let build_rename va vb =
-  match (va.v_inputs, vb.v_inputs) with
-  | Some _, None | None, Some _ -> None
-  | (Some _ | None), _ -> (
-      let pinned_pairs =
-        match (va.v_inputs, vb.v_inputs) with
-        | Some ia, Some ib when Array.length ia = Array.length ib ->
-            Some (Array.to_list (Array.map2 (fun a b -> (b, a)) ia ib))
-        | Some _, Some _ -> None
-        | None, None -> Some []
-        | Some _, None | None, Some _ -> None
-      in
-      match pinned_pairs with
-      | None -> None
-      | Some pinned_pairs ->
-          let occ_a = occurrences va and occ_b = occurrences vb in
-          let pinned_a = List.map snd pinned_pairs
-          and pinned_b = List.map fst pinned_pairs in
-          let free occ pinned =
-            List.filter
-              (fun i -> not (List.mem occ.vars.(i) pinned))
-              (List.init (Array.length occ.vars) Fun.id)
-          in
-          let free_a = free occ_a pinned_a and free_b = free occ_b pinned_b in
-          if List.length free_a <> List.length free_b then None
-          else begin
-            (* one table for both sides, so that colors compare across
-               them *)
-            let table : (color_key, int) Hashtbl.t = Hashtbl.create 97 in
-            let color_of k =
-              match Hashtbl.find_opt table k with
-              | Some c -> c
-              | None ->
-                  let c = Hashtbl.length table in
-                  Hashtbl.add table k c;
-                  c
-            in
-            (* a side's colors by place *)
-            let init occ free pinned =
-              let col = Array.make (Array.length occ.vars) (-1) in
-              List.iter (fun i -> col.(i) <- color_of Free) free;
-              List.iteri
-                (fun q x ->
-                  let c = color_of (Input q) and i = place occ.vars x in
-                  if i >= 0 then col.(i) <- c)
-                pinned;
-              col
-            in
-            let col_a = init occ_a free_a pinned_a in
-            let col_b = init occ_b free_b pinned_b in
-            let refine occ col =
-              let next =
-                Array.init (Array.length col) (fun i ->
-                    color_of (signature occ col i))
-              in
-              Array.blit next 0 col 0 (Array.length col)
-            in
-            for _round = 1 to 3 do
-              (* both sides in the same round so the shared table stays
-                 aligned *)
-              refine occ_a col_a;
-              refine occ_b col_b
-            done;
-            let sorted col l =
-              List.sort
-                (fun i j ->
-                  if col.(i) <> col.(j) then Int.compare col.(i) col.(j)
-                  else Int.compare i j)
-                l
-            in
-            let sa = sorted col_a free_a and sb = sorted col_b free_b in
-            if not (List.equal (fun i j -> col_a.(i) = col_b.(j)) sa sb) then
-              None
-            else begin
-              let target = Array.copy occ_b.vars in
-              List.iter2 (fun j i -> target.(j) <- occ_a.vars.(i)) sb sa;
-              List.iter
-                (fun (b, a) ->
-                  let j = place occ_b.vars b in
-                  if j >= 0 then target.(j) <- a)
-                pinned_pairs;
-              Some
-                (fun x ->
-                  let j = place occ_b.vars x in
-                  if j < 0 then x else target.(j))
-            end
-          end)
+  let occ_a = occurrences va and occ_b = occurrences vb in
+  let n = Array.length occ_a.vars in
+  if Array.length occ_b.vars <> n then None
+  else begin
+    (* one table for both sides, so that colors compare across them *)
+    let table : (color_key, int) Hashtbl.t = Hashtbl.create 97 in
+    let color_of k =
+      match Hashtbl.find_opt table k with
+      | Some c -> c
+      | None ->
+          let c = Hashtbl.length table in
+          Hashtbl.add table k c;
+          c
+    in
+    let col_a = Array.make n (color_of Free) in
+    let col_b = Array.make n (color_of Free) in
+    let refine occ col =
+      let next = Array.init n (fun i -> color_of (signature occ col i)) in
+      Array.blit next 0 col 0 n
+    in
+    for _round = 1 to 3 do
+      (* both sides in the same round so the shared table stays
+         aligned *)
+      refine occ_a col_a;
+      refine occ_b col_b
+    done;
+    let sorted col =
+      List.sort
+        (fun i j ->
+          if col.(i) <> col.(j) then Int.compare col.(i) col.(j)
+          else Int.compare i j)
+        (List.init n Fun.id)
+    in
+    let sa = sorted col_a and sb = sorted col_b in
+    if not (List.equal (fun i j -> col_a.(i) = col_b.(j)) sa sb) then None
+    else begin
+      let target = Array.make n 0 in
+      List.iter2 (fun j i -> target.(j) <- occ_a.vars.(i)) sb sa;
+      Some
+        (fun x ->
+          let j = place occ_b.vars x in
+          if j < 0 then x else target.(j))
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Enumeration over packed assignments                                *)
@@ -425,16 +362,14 @@ let branch_constant va d =
        !ok
      end
 
-let phase_ok ~branch_phase va phase_b =
+let phase_ok va phase_b =
   let d = P.add va.v_phase (P.neg phase_b) in
-  match P.is_const d with
-  | Some _ -> true
-  | None -> branch_phase && branch_constant va d
+  match P.is_const d with Some _ -> true | None -> branch_constant va d
 
 (* ------------------------------------------------------------------ *)
 (* The structural comparator                                          *)
 
-let equate ?(branch_phase = true) va vb =
+let equate va vb =
   Obs.with_span "verify.compare" (fun () ->
       va.v_scale = vb.v_scale
       && List.length va.v_anchors = List.length vb.v_anchors
@@ -453,7 +388,7 @@ let equate ?(branch_phase = true) va vb =
           in
           List.for_all2 B.equal va.v_anchors anchors_b
           && List.for_all2 B.equal ghosts_a ghosts_b
-          && phase_ok ~branch_phase va (P.rename f vb.v_phase))
+          && phase_ok va (P.rename f vb.v_phase))
 
 let compare_channel ps_a ps_b ~shared =
   if ps_a.Pathsum.zero_amplitude || ps_b.Pathsum.zero_amplitude then
@@ -693,19 +628,6 @@ let build_replay ~data_bit ~answer_phys ~iteration_order (dqc : Circ.t) =
   with
   | Replay_unsupported msg -> Error msg
   | Invalid_argument msg -> Error msg
-
-(* ------------------------------------------------------------------ *)
-(* Static netlist identity                                            *)
-
-let check_static ?(inputs = `Symbolic) a b =
-  Circ.num_qubits a = Circ.num_qubits b
-  &&
-  let symbolic_inputs = inputs = `Symbolic in
-  let pa, _ = Reduce.normalize (Symexec.run ~symbolic_inputs a) in
-  let pb, _ = Reduce.normalize (Symexec.run ~symbolic_inputs b) in
-  if pa.Pathsum.zero_amplitude || pb.Pathsum.zero_amplitude then
-    pa.Pathsum.zero_amplitude && pb.Pathsum.zero_amplitude
-  else equate ~branch_phase:false (view_static pa) (view_static pb)
 
 (* ------------------------------------------------------------------ *)
 (* General channel certification of two measured circuits            *)

@@ -75,15 +75,6 @@ val certify :
     Telemetry as {!certify}. *)
 val check_channel : ?max_refute_vars:int -> Circ.t -> Circ.t -> verdict
 
-(** [check_static a b] proves two measurement-free netlists equal as
-    unitaries (symbolic basis inputs, default) or as state
-    preparations from |0…0⟩ ([~inputs:`Zero]), up to global phase.
-    Complete only in one direction: [true] is a proof, [false] is not
-    a refutation.
-    @raise Symexec.Unsupported outside the exact gate fragment. *)
-val check_static : ?inputs:[ `Symbolic | `Zero ] -> Circ.t -> Circ.t -> bool
-
 val scope_to_string : scope -> string
-val pp_verdict : Format.formatter -> verdict -> unit
 val verdict_to_string : verdict -> string
 val is_proved : verdict -> bool

@@ -221,21 +221,19 @@ type t = {
   outputs : Bexpr.t array;
   bits : Bexpr.t option array;
   ghosts : Bexpr.t list;
-  inputs : int array option;  (* symbolic input variable per qubit *)
   next_var : int;
   zero_amplitude : bool;
 }
 
-(* the variables of the recorded and discarded observations and of
-   the inputs, unsorted and repeated *)
+(* the variables of the recorded and discarded observations, unsorted
+   and repeated *)
 let observed t =
   let exprs =
     Array.fold_left
       (fun acc -> function Some e -> e :: acc | None -> acc)
       t.ghosts t.bits
   in
-  (match t.inputs with Some a -> Array.to_list a | None -> [])
-  @ List.concat_map (fun e -> List.concat (Bexpr.monomials e)) exprs
+  List.concat_map (fun e -> List.concat (Bexpr.monomials e)) exprs
 
 let all_vars t =
   List.sort_uniq Int.compare
@@ -245,8 +243,7 @@ let all_vars t =
         (Array.to_list t.outputs))
 
 (* variables that may never be eliminated: they parametrize an
-   observation (a recorded bit, a discarded measurement) or a symbolic
-   circuit input *)
+   observation (a recorded bit, a discarded measurement) *)
 let protected_vars t = List.sort_uniq Int.compare (observed t)
 
 let pp fmt t =

@@ -96,7 +96,6 @@ type t = {
   outputs : Bexpr.t array;  (** per-qubit basis-state function *)
   bits : Bexpr.t option array;  (** recorded measurement expressions *)
   ghosts : Bexpr.t list;  (** discarded observations (reset, clobber) *)
-  inputs : int array option;  (** symbolic input variable per qubit *)
   next_var : int;
   zero_amplitude : bool;  (** the whole sum reduced to 0 *)
 }
@@ -104,8 +103,8 @@ type t = {
 (** Every variable occurring anywhere, ascending. *)
 val all_vars : t -> int list
 
-(** Variables that parametrize an observation (recorded bit, ghost) or
-    a symbolic input — reduction must never eliminate these. *)
+(** Variables that parametrize an observation (recorded bit, ghost) —
+    reduction must never eliminate these. *)
 val protected_vars : t -> int list
 
 val pp : Format.formatter -> t -> unit

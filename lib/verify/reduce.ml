@@ -45,7 +45,6 @@ type work = {
   outputs : B.t array;
   bits : B.t option array;
   mutable ghosts : B.t list;
-  inputs : int array option;
   live : bool array;
   mutable zero : bool;
   mutable st : stats;
@@ -118,25 +117,15 @@ let subst_everywhere w z e =
     w.bits;
   w.ghosts <- List.map (B.subst z e) w.ghosts
 
-(* a variable of R occurring exactly once, as the lone monomial [z]
-   (and not a pinned input): the constraint R = 0 solves to
-   z = R xor z *)
-let solvable_var ~inputs r =
+(* a variable of R occurring exactly once, as the lone monomial [z]:
+   the constraint R = 0 solves to z = R xor z *)
+let solvable_var r =
   let monos = B.monomials r in
-  let is_input z =
-    match inputs with
-    | Some a -> Array.exists (fun v -> v = z) a
-    | None -> false
-  in
   List.find_map
     (fun m ->
       match m with
-      | [ z ]
-        when (not (is_input z))
-             && not
-                  (List.exists
-                     (fun n -> n <> m && List.mem z n)
-                     monos) ->
+      | [ z ] when not (List.exists (fun n -> n <> m && List.mem z n) monos)
+        ->
           Some z
       | _ -> None)
     monos
@@ -187,7 +176,7 @@ let try_var w protected v =
                 true
               end
               else begin
-                match solvable_var ~inputs:w.inputs r with
+                match solvable_var r with
                 | Some z ->
                     let r' = B.xor r (B.var z) in
                     w.live.(v) <- false;
@@ -226,7 +215,6 @@ let normalize (ps : Pathsum.t) =
             outputs = Array.copy ps.Pathsum.outputs;
             bits = Array.copy ps.Pathsum.bits;
             ghosts = ps.Pathsum.ghosts;
-            inputs = ps.Pathsum.inputs;
             live = Array.make n true;
             zero = false;
             st = no_stats;
@@ -273,12 +261,7 @@ let normalize (ps : Pathsum.t) =
           List.iter
             (fun x -> protected.(x) <- true)
             (Pathsum.protected_vars
-               {
-                 ps with
-                 Pathsum.bits = w.bits;
-                 ghosts = w.ghosts;
-                 inputs = w.inputs;
-               });
+               { ps with Pathsum.bits = w.bits; ghosts = w.ghosts });
           let v = ref 0 in
           while !v < Array.length w.live && not w.zero do
             if try_var w protected !v then changed := true;

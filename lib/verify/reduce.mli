@@ -13,13 +13,11 @@
       sums to √2·ω^{±(1+2·L(R))·…}: drop it, [scale -= 1], fold the
       residual phase back in.
 
-    Variables protected by {!Pathsum.protected_vars} (observed or
-    pinned inputs) and variables still parametrizing an output are
-    never eliminated.  Counters: [verify.reduce.{elim,hh,omega,subst}]. *)
+    Variables protected by {!Pathsum.protected_vars} (observed) and
+    variables still parametrizing an output are never eliminated.
+    Counters: [verify.reduce.{elim,hh,omega,subst}]. *)
 
 type stats = { elim : int; hh : int; omega : int; subst : int }
-
-val no_stats : stats
 
 (** Total rule applications. *)
 val total : stats -> int

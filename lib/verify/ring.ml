@@ -23,15 +23,6 @@ let one = make 1 0 0 0
 let i = make 0 0 1 0
 let is_zero t = t.a = 0 && t.b = 0 && t.c = 0 && t.d = 0
 
-let omega_pow k =
-  let k = ((k mod 8) + 8) mod 8 in
-  let sign = if k >= 4 then -1 else 1 in
-  match k mod 4 with
-  | 0 -> make sign 0 0 0
-  | 1 -> make 0 sign 0 0
-  | 2 -> make 0 0 sign 0
-  | _ -> make 0 0 0 sign
-
 let of_int n = make n 0 0 0
 let neg t = { t with a = -t.a; b = -t.b; c = -t.c; d = -t.d }
 

@@ -18,9 +18,6 @@ val one : t
 val i : t
 val of_int : int -> t
 
-(** ω^k for any integer [k] (reduced mod 8). *)
-val omega_pow : int -> t
-
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
@@ -38,10 +35,8 @@ val div_root2 : int -> t -> t
 val is_zero : t -> bool
 val equal : t -> t -> bool
 
-(** Float view (for reports and tests only — never used in proofs). *)
-val to_complex : t -> float * float
-
-(** Real part of {!to_complex} — convenient for [norm_sq] values. *)
+(** Real part of the float view (for reports only — never used in
+    proofs); convenient for [norm_sq] values. *)
 val to_float : t -> float
 
 val to_string : t -> string

@@ -21,7 +21,6 @@ type state = {
   outputs : Pathsum.Bexpr.t array;
   bits : Pathsum.Bexpr.t option array;
   mutable ghosts : Pathsum.Bexpr.t list;
-  inputs : int array option;
   mutable next_var : int;
 }
 
@@ -184,7 +183,7 @@ let step st (i : Instruction.t) =
   | Instruction.Reset q -> reset st q
   | Instruction.Barrier _ -> ()
 
-let run ?(symbolic_inputs = false) ?(measures = []) c =
+let run ?(measures = []) c =
   Obs.with_span "verify.symexec" (fun () ->
       let num_qubits = Circ.num_qubits c in
       let num_bits =
@@ -196,15 +195,10 @@ let run ?(symbolic_inputs = false) ?(measures = []) c =
         {
           scale = 0;
           phase = [];
-          outputs =
-            (if symbolic_inputs then Array.init num_qubits Pathsum.Bexpr.var
-             else Array.make num_qubits Pathsum.Bexpr.zero);
+          outputs = Array.make num_qubits Pathsum.Bexpr.zero;
           bits = Array.make num_bits None;
           ghosts = [];
-          inputs =
-            (if symbolic_inputs then Some (Array.init num_qubits (fun q -> q))
-             else None);
-          next_var = (if symbolic_inputs then num_qubits else 0);
+          next_var = 0;
         }
       in
       let count = ref 0 in
@@ -221,7 +215,6 @@ let run ?(symbolic_inputs = false) ?(measures = []) c =
         outputs = st.outputs;
         bits = st.bits;
         ghosts = st.ghosts;
-        inputs = st.inputs;
         next_var = st.next_var;
         zero_amplitude = false;
       })

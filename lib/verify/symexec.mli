@@ -25,12 +25,8 @@ open Circuit
     certifier converts this into [Unknown]. *)
 exception Unsupported of string
 
-(** [run ?symbolic_inputs ?measures c] executes every instruction of
-    [c], then appends terminal measurements [(qubit, bit)] from
+(** [run ?measures c] executes every instruction of [c] from
+    |0…0⟩, then appends terminal measurements [(qubit, bit)] from
     [measures] (the bit space grows to accommodate them).
-    [symbolic_inputs] starts each qubit in a pinned symbolic basis
-    state instead of |0⟩ — use it to compare circuits as unitaries
-    rather than as state preparations.
     @raise Unsupported outside the exact fragment. *)
-val run :
-  ?symbolic_inputs:bool -> ?measures:(int * int) list -> Circ.t -> Pathsum.t
+val run : ?measures:(int * int) list -> Circ.t -> Pathsum.t

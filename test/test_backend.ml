@@ -23,25 +23,24 @@ let dyn2_and () =
 (* ------------------------------------------------------------------ *)
 (* Measurement plans                                                  *)
 
+(* the (qubit, bit) pairs a plan appends to an empty 3-qubit circuit *)
+let plan_pairs plan =
+  let empty =
+    Circuit.Circ.create ~roles:(Array.make 3 Circuit.Circ.Data) ~num_bits:0 []
+  in
+  List.filter_map
+    (function
+      | Circuit.Instruction.Measure { qubit; bit } -> Some (qubit, bit)
+      | _ -> None)
+    (Circuit.Circ.instructions (Sim.Measurement_plan.instrument plan empty))
+
 let test_plan_to_pairs () =
   Alcotest.(check (list (pair int int)))
     "measure_all" [ (0, 0); (1, 1); (2, 2) ]
-    (Sim.Measurement_plan.to_pairs ~num_qubits:3 Sim.Measurement_plan.measure_all);
-  let p =
-    Sim.Measurement_plan.(
-      combine (measure ~qubit:2 ~bit:0) (measure ~qubit:0 ~bit:1))
-  in
+    (plan_pairs Sim.Measurement_plan.measure_all);
   Alcotest.(check (list (pair int int)))
     "explicit pairs" [ (2, 0); (0, 1) ]
-    (Sim.Measurement_plan.to_pairs ~num_qubits:3 p)
-
-let test_plan_combine_absorbs () =
-  let p =
-    Sim.Measurement_plan.(combine measure_all (measure ~qubit:1 ~bit:5))
-  in
-  Alcotest.(check (list (pair int int)))
-    "measure_all absorbs" [ (0, 0); (1, 1) ]
-    (Sim.Measurement_plan.to_pairs ~num_qubits:2 p)
+    (plan_pairs (Sim.Measurement_plan.of_pairs [ (2, 0); (0, 1) ]))
 
 let test_plan_instrument () =
   let c = dj_and () in
@@ -285,7 +284,7 @@ let test_agreement_dj () =
 let test_agreement_teleport () =
   let c = Testkit.teleport Circuit.Gate.H in
   agree "teleport(H)" c
-    (Sim.Measurement_plan.measure ~qubit:2 ~bit:2)
+    (Sim.Measurement_plan.of_pairs [ (2, 2) ])
     [ Sim.Backend.Statevector_dense; Exact_branch ]
 
 let test_agreement_exact_reference () =
@@ -430,7 +429,6 @@ let () =
       ( "measurement_plan",
         [
           Alcotest.test_case "to_pairs" `Quick test_plan_to_pairs;
-          Alcotest.test_case "combine absorbs" `Quick test_plan_combine_absorbs;
           Alcotest.test_case "instrument" `Quick test_plan_instrument;
         ] );
       ( "parallel",

@@ -420,8 +420,67 @@ let prop_qasm_parser_total =
     (fun src ->
       match Qasm.parse src with
       | (_ : Circ.t) -> true
-      | exception Qasm.Parse_error _ -> true
-      | exception Invalid_argument _ -> true)
+      | exception Qasm.Parse_error _ -> true)
+
+(* The printing of a random dynamic circuit with one mutation: a
+   bracketed number (a register width, a qubit or bit index) replaced
+   by a value in or out of range, a line dropped, doubled or swapped
+   with the next, or the text cut short. *)
+let mutated_printing_gen =
+  QCheck2.Gen.(
+    map
+      (fun (seed, kind, pick, value) ->
+        let c =
+          Testkit.random_dynamic_circuit ~max_qubits:6 ~max_instrs:16
+            (Random.State.make [| seed |])
+        in
+        let src = Qasm.to_string c in
+        let lines = Array.of_list (String.split_on_char '\n' src) in
+        let nl = Array.length lines in
+        let with_lines f = String.concat "\n" (List.concat (List.init nl f)) in
+        match kind with
+        | 0 | 1 ->
+            (* the digits after each '[' *)
+            let digit i =
+              i < String.length src && src.[i] >= '0' && src.[i] <= '9'
+            in
+            let numbers = ref [] in
+            String.iteri
+              (fun i ch ->
+                if ch = '[' && digit (i + 1) then begin
+                  let j = ref (i + 1) in
+                  while digit !j do incr j done;
+                  numbers := (i + 1, !j) :: !numbers
+                end)
+              src;
+            let start, stop =
+              List.nth !numbers (pick mod List.length !numbers)
+            in
+            String.sub src 0 start ^ string_of_int value
+            ^ String.sub src stop (String.length src - stop)
+        | 2 ->
+            let k = pick mod nl in
+            with_lines (fun i -> if i = k then [] else [ lines.(i) ])
+        | 3 ->
+            let k = pick mod nl in
+            with_lines (fun i ->
+                if i = k then [ lines.(i); lines.(i) ] else [ lines.(i) ])
+        | 4 ->
+            let k = pick mod (nl - 1) in
+            with_lines (fun i ->
+                if i = k then [ lines.(k + 1) ]
+                else if i = k + 1 then [ lines.(k) ]
+                else [ lines.(i) ])
+        | _ -> String.sub src 0 (pick mod String.length src))
+      (quad int (int_bound 5) nat
+         (oneofl [ -2; -1; 0; 1; 2; 3; 7; 62; 63; 71; 91 ])))
+
+let prop_qasm_parse_errors_typed =
+  QCheck2.Test.make ~name:"qasm parser raises only Parse_error on mutations"
+    ~count:300 ~print:Fun.id mutated_printing_gen (fun src ->
+      match Qasm.parse src with
+      | (_ : Circ.t) -> true
+      | exception Qasm.Parse_error _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                         *)
@@ -499,6 +558,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_qasm_parse_errors;
           QCheck_alcotest.to_alcotest prop_qasm_roundtrip;
           QCheck_alcotest.to_alcotest prop_qasm_parser_total;
+          QCheck_alcotest.to_alcotest prop_qasm_parse_errors_typed;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -25,6 +25,10 @@ let write_scratch name text =
 
 let malformed = write_scratch "malformed.qasm" "this is not qasm\n"
 
+(* an index past the declared register *)
+let out_of_range =
+  write_scratch "out_of_range.qasm" "OPENQASM 3.0;\nqubit[2] q;\nx q[7];\n"
+
 (* two data qubits that control each other: no Case-2 iteration order *)
 let cyclic =
   write_scratch "cyclic.qasm"
@@ -70,6 +74,50 @@ let exit_code_rows =
 let exit_code_case (label, args, code) =
   Alcotest.test_case label `Quick (fun () ->
       check_int (label ^ ": exit code") code (run args))
+
+(* [args]' exit code and what it printed to [stream], whitespace runs
+   collapsed to one space *)
+let run_capture stream args =
+  let out = Filename.concat scratch "capture.txt" in
+  let stdout, stderr =
+    match stream with
+    | `Stdout -> (out, Filename.null)
+    | `Stderr -> (Filename.null, out)
+  in
+  let code = Sys.command (Filename.quote_command cli ~stdout ~stderr args) in
+  let text = In_channel.with_open_text out In_channel.input_all in
+  let words =
+    List.filter (( <> ) "")
+      (String.split_on_char ' '
+         (String.map (function '\n' | '\t' | '\r' -> ' ' | c -> c) text))
+  in
+  (code, String.concat " " words)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+(* a qubit index past the register is a parse error, reported against
+   the file, not an uncaught exception *)
+let test_out_of_range_index () =
+  let code, err = run_capture `Stderr [ "lint"; "--file"; out_of_range ] in
+  check_int "exit code" 1 code;
+  check_bool ("stderr names the file: " ^ err) true (contains err out_of_range)
+
+(* `optimize --help` lists its exit codes *)
+let test_optimize_exits () =
+  let code, help = run_capture `Stdout [ "optimize"; "--help=plain" ] in
+  check_int "exit code" 0 code;
+  List.iter
+    (fun line -> check_bool line true (contains help line))
+    [
+      "0 when every rewrite is proved.";
+      "1 when a sweep is reverted or the benchmark is unknown.";
+      "125 when the certifier refutes a rewrite";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry exports of `stats`                                       *)
@@ -195,7 +243,14 @@ let () =
     (fun () ->
       Alcotest.run ~and_exit:false "cli"
         [
-          ("exit codes", List.map exit_code_case exit_code_rows);
+          ( "exit codes",
+            List.map exit_code_case exit_code_rows
+            @ [
+                Alcotest.test_case "lint --file <index out of range>" `Quick
+                  test_out_of_range_index;
+                Alcotest.test_case "optimize --help lists exit codes" `Quick
+                  test_optimize_exits;
+              ] );
           ( "telemetry",
             [
               Alcotest.test_case "stats exports" `Quick test_stats_exports;

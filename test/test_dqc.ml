@@ -9,39 +9,34 @@ let app ?controls g t = Instruction.app ?controls g t
 (* ------------------------------------------------------------------ *)
 (* Commute                                                            *)
 
+(* the scheduler's entry point, with a fresh memo per call *)
+let instrs x y = Dqc.Commute.instrs (Dqc.Commute.memo ()) x y
+
+(* two unitary applications, through [instrs] *)
+let commute a b = instrs (Instruction.Unitary a) (Instruction.Unitary b)
+
 let test_commute_disjoint () =
-  check_bool "disjoint" true
-    (Dqc.Commute.unitary_apps (app Gate.H 0) (app Gate.X 1))
+  check_bool "disjoint" true (commute (app Gate.H 0) (app Gate.X 1))
 
 let test_commute_shared_control () =
   check_bool "control-control" true
-    (Dqc.Commute.unitary_apps
-       (app ~controls:[ 0 ] Gate.X 1)
-       (app ~controls:[ 0 ] Gate.V 2))
+    (commute (app ~controls:[ 0 ] Gate.X 1) (app ~controls:[ 0 ] Gate.V 2))
 
 let test_commute_negative () =
   check_bool "H vs its control" false
-    (Dqc.Commute.unitary_apps (app Gate.H 0) (app ~controls:[ 0 ] Gate.X 1));
-  check_bool "X vs Z same qubit" false
-    (Dqc.Commute.unitary_apps (app Gate.X 0) (app Gate.Z 0))
+    (commute (app Gate.H 0) (app ~controls:[ 0 ] Gate.X 1));
+  check_bool "X vs Z same qubit" false (commute (app Gate.X 0) (app Gate.Z 0))
 
 let test_commute_same_target_compatible () =
   (* CX and CV sharing a target commute because X and V commute *)
   check_bool "cx/cv shared target" true
-    (Dqc.Commute.unitary_apps
-       (app ~controls:[ 0 ] Gate.X 2)
-       (app ~controls:[ 1 ] Gate.V 2));
+    (commute (app ~controls:[ 0 ] Gate.X 2) (app ~controls:[ 1 ] Gate.V 2));
   check_bool "cx/cz shared target" false
-    (Dqc.Commute.unitary_apps
-       (app ~controls:[ 0 ] Gate.X 2)
-       (app ~controls:[ 1 ] Gate.Z 2))
+    (commute (app ~controls:[ 0 ] Gate.X 2) (app ~controls:[ 1 ] Gate.Z 2))
 
 let test_commute_diagonal_fast_path () =
   check_bool "t vs rz same qubit" true
-    (Dqc.Commute.unitary_apps (app Gate.T 0) (app (Gate.Rz 0.3) 0))
-
-(* the scheduler's entry point, with a fresh memo per call *)
-let instrs x y = Dqc.Commute.instrs (Dqc.Commute.memo ()) x y
+    (commute (app Gate.T 0) (app (Gate.Rz 0.3) 0))
 
 let test_commute_conditioned_pairs () =
   let cnd b = Instruction.cond_bit b true in
@@ -121,7 +116,7 @@ let prop_commute_memo =
           List.for_all
             (fun f ->
               let a = wire f a and b = wire f b in
-              let expected = Dqc.Commute.unitary_apps a b in
+              let expected = commute a b in
               Dqc.Commute.instrs memo (Unitary a) (Unitary b) = expected
               && Dqc.Commute.instrs memo (Conditioned (cond, a)) (Unitary b)
                  = expected)

@@ -395,17 +395,6 @@ let test_density_trace_preserved () =
   let st = Sim.Density.run ~model:Sim.Noise.default c in
   check_float "trace 1" 1. (Sim.Density.trace st)
 
-let test_density_purity () =
-  (* depolarizing noise mixes the state *)
-  let b = Circ.Builder.make ~roles:(roles 1) ~num_bits:0 () in
-  Circ.Builder.h b 0;
-  let c = Circ.Builder.build b in
-  let pure = Sim.Density.purity (Sim.Density.run c) in
-  check_float "pure" 1. pure;
-  let model = { Sim.Noise.ideal with Sim.Noise.p_depol1 = 0.5 } in
-  let mixed = Sim.Density.purity (Sim.Density.run ~model c) in
-  check_bool "mixed" true (mixed < 0.99)
-
 let test_density_meas_flip_exact () =
   let b = Circ.Builder.make ~roles:(roles 1) ~num_bits:1 () in
   Circ.Builder.measure b ~qubit:0 ~bit:0;
@@ -836,7 +825,6 @@ let () =
           Alcotest.test_case "matches exact" `Quick test_density_matches_exact;
           Alcotest.test_case "trace preserved" `Quick
             test_density_trace_preserved;
-          Alcotest.test_case "purity" `Quick test_density_purity;
           Alcotest.test_case "meas flip exact" `Quick
             test_density_meas_flip_exact;
           Alcotest.test_case "reset flip exact" `Quick

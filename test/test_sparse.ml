@@ -136,22 +136,46 @@ let test_analyzer_bounds_sound () =
            (Sim.Program.compile summary.Lint.Resource.witness))
   done
 
-(* The analyzer's dynamic depth is Metrics.dynamic_depth: a
-   conditioned gate is layered after the measurement that writes its
-   bit, and a measurement after its bit's previous writer.  Checked on
-   2000 random dynamic circuits and the 70 paper jobs. *)
-let test_analyzer_depth_matches_metrics () =
-  let check name c =
-    check_int (name ^ ": dynamic depth") (Metrics.dynamic_depth c)
-      (Lint.Resource.analyze c).Lint.Resource.dynamic_depth
-  in
+(* Every analyzer report pinned byte for byte.  analyze_golden.txt
+   holds one line per case: the case name, then the MD5s of the
+   dqc.analyze/1 document and of the text report.  The cases are the
+   70 paper jobs and the 220 differential circuits of stream 0x5AB5E,
+   as drawn. *)
+let analyze_golden_lines () =
   let rng = Random.State.make [| 0x5AB5E |] in
-  for k = 1 to 2000 do
-    check
-      (Printf.sprintf "circuit %d" k)
-      (Testkit.random_dynamic_circuit ~max_qubits:8 ~max_instrs:32 rng)
-  done;
-  List.iter (fun (name, c) -> check name c) (Testkit.paper_jobs ())
+  let differential =
+    List.init 220 (fun k ->
+        (Printf.sprintf "circuit %d" k, random_dynamic_circuit rng))
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  List.map
+    (fun (name, c) ->
+      let s = Lint.Resource.analyze c in
+      Printf.sprintf "%s %s %s" name
+        (md5 (Obs.Json.to_string (Lint.Resource.to_json ~name c s)))
+        (md5 (Lint.Resource.to_string c s)))
+    (Testkit.paper_jobs () @ differential)
+
+(* [file]'s lines against [lines], naming the first case that differs *)
+let check_golden file lines =
+  let golden =
+    In_channel.with_open_text file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let rec compare = function
+    | [], [] -> ()
+    | e :: es, a :: rest ->
+        if e = a then compare (es, rest)
+        else
+          Alcotest.failf "first differing case:\n  golden %s\n  now    %s" e a
+    | e :: _, [] -> Alcotest.failf "case no longer produced: %s" e
+    | [], a :: _ -> Alcotest.failf "case not in the golden file: %s" a
+  in
+  compare (golden, lines)
+
+let test_analyze_golden () =
+  check_golden "analyze_golden.txt" (analyze_golden_lines ())
 
 (* Fork soundness: [forks.(i)] bounds the branches the dense
    enumerator holds before instruction [i].  [held.(i)] counts them —
@@ -769,21 +793,7 @@ let exact_golden_lines () =
     (Testkit.paper_jobs () @ differential)
 
 let test_exact_golden () =
-  let golden =
-    In_channel.with_open_text "exact_golden.txt" In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "")
-  in
-  let rec compare = function
-    | [], [] -> ()
-    | e :: es, a :: rest ->
-        if e = a then compare (es, rest)
-        else
-          Alcotest.failf "first differing case:\n  golden %s\n  now    %s" e a
-    | e :: _, [] -> Alcotest.failf "case no longer produced: %s" e
-    | [], a :: _ -> Alcotest.failf "case not in the golden file: %s" a
-  in
-  compare (golden, exact_golden_lines ())
+  check_golden "exact_golden.txt" (exact_golden_lines ())
 
 (* Past the dense cap only the sparse engine can enumerate; the
    all-ones ladder is deterministic, so its law is a point mass. *)
@@ -956,8 +966,8 @@ let () =
           Alcotest.test_case "forks bound the held branches" `Slow
             test_forks_sound;
           Alcotest.test_case "forks per branch" `Quick test_forks_per_branch;
-          Alcotest.test_case "analyzer depth = Metrics depth" `Quick
-            test_analyzer_depth_matches_metrics;
+          Alcotest.test_case "analyzer reports = golden file" `Quick
+            test_analyze_golden;
         ] );
       ( "dyn2 ladder",
         [
