@@ -475,7 +475,6 @@ let stats_cmd =
           let module O = Dqc.Pipeline.Options in
           let options =
             O.default |> O.with_scheme scheme |> O.with_mode mode
-            |> O.with_backend_policy backend
             |> O.with_check_equivalence (not no_check)
           in
           let options =
@@ -506,12 +505,7 @@ let stats_cmd =
             name
             (Dqc.Toffoli_scheme.to_string scheme)
             shots out.qubits out.gates out.depth;
-          (match out.tv with
-          | Some tv ->
-              Printf.printf "equivalence: %s TV distance %.6f\n"
-                (if out.tv_sampled then "sampled" else "exact")
-                tv
-          | None -> print_string "equivalence: check skipped\n");
+          print_endline (Dqc.Pipeline.equivalence_summary out);
           Printf.printf "histogram: %d shots over %d distinct outcomes\n\n"
             (Sim.Runner.shots h)
             (List.length (Sim.Runner.to_list h));
@@ -587,7 +581,6 @@ let profile_cmd =
           let module O = Dqc.Pipeline.Options in
           let options =
             O.default |> O.with_scheme scheme |> O.with_mode mode
-            |> O.with_backend_policy backend
             |> O.with_check_equivalence false
           in
           let recorder, (collector, ()) =

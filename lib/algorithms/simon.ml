@@ -65,9 +65,9 @@ let sample_constraints ?(seed = 0x51707) ~runs ~dynamic s =
         Sim.Statevector.register st)
   end
 
-let recover_secret ?(seed = 0x51707) ?(max_runs = 200) ~dynamic s =
+let recover_secret ?(seed = 0x51707) ~dynamic s =
   let n = parse_secret s in
-  let constraints = sample_constraints ~seed ~runs:max_runs ~dynamic s in
+  let constraints = sample_constraints ~seed ~runs:200 ~dynamic s in
   (* accumulate until the nullspace is 1-dimensional *)
   let rec go acc = function
     | [] -> None

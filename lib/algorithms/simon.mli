@@ -31,10 +31,9 @@ val measured_circuit : string -> Circ.t
 val sample_constraints :
   ?seed:int -> runs:int -> dynamic:bool -> string -> int list
 
-(** [recover_secret ?seed ?max_runs ~dynamic s] runs Simon end-to-end:
-    sample until n-1 independent constraints, solve the nullspace, and
-    return the recovered secret (which the caller can compare to [s]).
-    Returns [None] when the nullspace is not 1-dimensional within
-    [max_runs] (default 200). *)
-val recover_secret :
-  ?seed:int -> ?max_runs:int -> dynamic:bool -> string -> int option
+(** [recover_secret ?seed ~dynamic s] runs Simon end-to-end: sample
+    until n-1 independent constraints, solve the nullspace, and return
+    the recovered secret (which the caller can compare to [s]).
+    Returns [None] when the nullspace is not 1-dimensional within 200
+    runs. *)
+val recover_secret : ?seed:int -> dynamic:bool -> string -> int option

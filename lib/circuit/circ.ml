@@ -13,6 +13,7 @@ let check_instr ~num_qubits ~num_bits i =
          (Instruction.to_string i) num_qubits num_bits)
 
 let max_bits = 62
+let max_qubits = 4096
 
 let create ~roles ~num_bits instrs =
   if num_bits < 0 || num_bits > max_bits then

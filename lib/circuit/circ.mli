@@ -17,6 +17,11 @@ type t
     oversized register. *)
 val create : roles:role array -> num_bits:int -> Instruction.t list -> t
 
+(** 4096: the widest qubit register any engine runs, the tableau's,
+    which holds [2(2n+1)] rows of [n] bools.  The QASM parser rejects
+    a wider declaration. *)
+val max_qubits : int
+
 val num_qubits : t -> int
 val num_bits : t -> int
 val role : t -> int -> role

@@ -63,7 +63,7 @@ let t_count c =
    measurements, so excluded instructions are transparent (they take no
    layer).  Excluded measure still publishes its bit at the current
    qubit level so a later conditioned gate stays ordered. *)
-let depth ?(include_measure = true) ?(include_reset = true) c =
+let depth ?(include_measure = true) c =
   let qlevel = Array.make (max 1 (Circ.num_qubits c)) 0 in
   let blevel = Array.make (max 1 (Circ.num_bits c)) 0 in
   let level_of (i : Instruction.t) =
@@ -74,9 +74,8 @@ let depth ?(include_measure = true) ?(include_reset = true) c =
   let place i =
     let included =
       match (i : Instruction.t) with
-      | Unitary _ | Conditioned _ -> true
+      | Unitary _ | Conditioned _ | Reset _ -> true
       | Measure _ -> include_measure
-      | Reset _ -> include_reset
       | Barrier _ -> false
     in
     let base = level_of i in

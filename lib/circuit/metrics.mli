@@ -27,12 +27,12 @@ val gate_count : Circ.t -> int
     cost driver of Clifford+T circuits. *)
 val t_count : Circ.t -> int
 
-(** [depth ?include_measure ?include_reset c] is the layered depth.
-    Both flags default to [true]. A classically controlled gate is
-    additionally sequenced after the measurement that writes its
-    condition bit. Barriers force a layer boundary on their qubits but
-    occupy no layer. *)
-val depth : ?include_measure:bool -> ?include_reset:bool -> Circ.t -> int
+(** [depth ?include_measure c] is the layered depth, measurements
+    included unless [include_measure] is [false]. A classically
+    controlled gate is additionally sequenced after the measurement
+    that writes its condition bit. Barriers force a layer boundary on
+    their qubits but occupy no layer. *)
+val depth : ?include_measure:bool -> Circ.t -> int
 
 (** Depth for a traditional circuit as tabulated in the paper:
     measurements excluded. *)

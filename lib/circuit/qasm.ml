@@ -325,6 +325,9 @@ let parse_statement st =
       expect st Semi
   | Ident "qubit" ->
       let n = expect_width st in
+      if n > Circ.max_qubits then
+        parse_fail "line %d: %d qubits, more than any engine runs (%d)" st.line
+          n Circ.max_qubits;
       st.qreg <- expect_ident st;
       st.num_qubits <- Some n;
       expect st Semi

@@ -21,8 +21,10 @@ exception Parse_error of string
 
     @raise Parse_error on malformed input, which includes a qubit or
     bit index outside its register, a qubit named twice in one
-    instruction, a negative register width and a bit register wider
-    than {!Circ.create} allows; these messages name the line.
+    instruction, a negative register width, a qubit register wider
+    than {!Circ.max_qubits} (rejected before it is allocated) and a bit
+    register wider than {!Circ.create} allows; these messages name the
+    line.
     @raise Invalid_argument when [roles] disagrees with the declared
     qubit count. *)
 val parse : ?roles:Circ.role array -> string -> Circ.t

@@ -21,7 +21,7 @@ type report = {
   verdict : verdict;
 }
 
-let analyze ?(mct = false) ?(check_equivalence = true) c =
+let analyze ?(mct = false) c =
   let count role = List.length (Circ.qubits_with_role c role) in
   let interaction_edges = Interaction.edges c in
   let cyclic =
@@ -46,7 +46,7 @@ let analyze ?(mct = false) ?(check_equivalence = true) c =
     }
   in
   let min_exact_slots =
-    if check_equivalence && Circ.num_qubits c <= 10 then
+    if Circ.num_qubits c <= 10 then
       Transform.min_exact_slots ~mct c
     else None
   in
@@ -69,7 +69,7 @@ let analyze ?(mct = false) ?(check_equivalence = true) c =
       match Transform.transform ~mode:`Algorithm1 ~mct c with
       | r ->
           let verdict =
-            if check_equivalence && Circ.num_qubits c <= 12 then begin
+            if Circ.num_qubits c <= 12 then begin
               let tv = Equivalence.tv_distance c r in
               if tv <= 1e-9 then Exact_observed else Approximate tv
             end

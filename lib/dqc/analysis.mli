@@ -33,13 +33,12 @@ type report = {
   verdict : verdict;
 }
 
-(** [analyze ?mct ?check_equivalence c] runs both scheduling modes and
-    (when [check_equivalence], default true, and the circuit is small
-    enough for exact evaluation — at most 12 qubits) compares exact
-    distributions.  [mct] is forwarded to {!Transform.transform}.
+(** [analyze ?mct c] runs both scheduling modes and (when the circuit
+    is small enough for exact evaluation — at most 12 qubits) compares
+    exact distributions.  [mct] is forwarded to {!Transform.transform}.
     Input gates must satisfy {!Transform.transform}'s preconditions;
     run a {!Decompose.Pass} first for Toffoli networks. *)
-val analyze : ?mct:bool -> ?check_equivalence:bool -> Circ.t -> report
+val analyze : ?mct:bool -> Circ.t -> report
 
 val verdict_to_string : verdict -> string
 val pp : Format.formatter -> report -> unit

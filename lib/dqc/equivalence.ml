@@ -36,8 +36,7 @@ let tv_distance c r =
 
 let equivalent ?(eps = 1e-9) c r = tv_distance c r <= eps
 
-let sampled_tv_distance ?(policy = Sim.Backend.Auto) ?(seed = 0x5A3D)
-    ?(shots = 4096) ?domains c (r : Transform.result) =
+let sampled_tv_distance c (r : Transform.result) =
   let num_data = List.length r.data_bit in
   let trad_measures =
     List.filter (fun (q, _) -> q < Circuit.Circ.num_qubits c) r.data_bit
@@ -50,8 +49,7 @@ let sampled_tv_distance ?(policy = Sim.Backend.Auto) ?(seed = 0x5A3D)
   let empirical measures circuit =
     Sim.Dist.marginal ~bits
       (Sim.Runner.to_dist
-         (Sim.Backend.run_measured ~policy ~seed ?domains ~shots ~measures
-            circuit))
+         (Sim.Backend.run_measured ~seed:0x5A3D ~shots:4096 ~measures circuit))
   in
   Sim.Dist.tv_distance (empirical trad_measures c)
     (empirical dyn_measures r.circuit)

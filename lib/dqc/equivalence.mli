@@ -33,17 +33,10 @@ val tv_distance : Circ.t -> Transform.result -> float
     1e-9 on the TV distance. *)
 val equivalent : ?eps:float -> Circ.t -> Transform.result -> bool
 
-(** [sampled_tv_distance ?policy ?seed ?shots ?domains c r] estimates
-    the same TV distance from shot histograms drawn through
-    {!Sim.Backend.run} — available where exact branch enumeration is
-    not (e.g. Clifford circuits at hundreds of qubits, via the
-    stabilizer backend).  Expect O(sqrt(support / shots)) sampling
-    noise on top of the true distance; [shots] defaults to 4096. *)
-val sampled_tv_distance :
-  ?policy:Sim.Backend.policy ->
-  ?seed:int ->
-  ?shots:int ->
-  ?domains:int ->
-  Circ.t ->
-  Transform.result ->
-  float
+(** [sampled_tv_distance c r] estimates the same TV distance from
+    4096-shot histograms that {!Sim.Backend.run} draws under Auto —
+    available where exact branch enumeration is not (e.g. Clifford
+    circuits at hundreds of qubits, on the tableau).  Expect
+    O(sqrt(support / 4096)) sampling noise on top of the true
+    distance. *)
+val sampled_tv_distance : Circ.t -> Transform.result -> float

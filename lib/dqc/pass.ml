@@ -6,7 +6,6 @@ type config = {
   scheme : Toffoli_scheme.t;
   mode : [ `Algorithm1 | `Sound ];
   slots : int;
-  backend_policy : Sim.Backend.policy;
 }
 
 type transformed = Single of Transform.result | Multi of Transform.result

@@ -32,7 +32,6 @@ type config = {
   scheme : Toffoli_scheme.t;
   mode : [ `Algorithm1 | `Sound ];
   slots : int;
-  backend_policy : Sim.Backend.policy;
 }
 
 (** The transform stage's full result, kept for downstream evidence

@@ -67,16 +67,14 @@ let equivalence_body (ctx : Pass.ctx) =
           }
         else if
           (* the exact evaluator is out of reach: fall back to a shot
-             estimate when both sides run on the tableau *)
+             estimate under Auto when both sides run on the tableau *)
           Sim.Stabilizer.supports (Sim.Program.compile reference)
           && Sim.Stabilizer.supports (Sim.Program.compile r.Transform.circuit)
         then
           {
             ctx with
             Pass.tv =
-              Some
-                (Equivalence.sampled_tv_distance
-                   ~policy:ctx.Pass.config.Pass.backend_policy reference r);
+              Some (Equivalence.sampled_tv_distance reference r);
             Pass.tv_sampled = true;
           }
         else ctx
@@ -287,7 +285,6 @@ module Options = struct
     peephole : bool;
     native : bool;
     check_equivalence : bool;
-    backend_policy : Sim.Backend.policy;
     lint : bool;
     reuse : bool;
     optimize : bool;
@@ -302,7 +299,6 @@ module Options = struct
       peephole = false;
       native = false;
       check_equivalence = true;
-      backend_policy = Sim.Backend.Auto;
       lint = true;
       reuse = false;
       optimize = false;
@@ -323,7 +319,6 @@ module Options = struct
   let with_peephole peephole t = { t with peephole }
   let with_native native t = { t with native }
   let with_check_equivalence check_equivalence t = { t with check_equivalence }
-  let with_backend_policy backend_policy t = { t with backend_policy }
   let with_lint lint t = { t with lint }
   let with_reuse reuse t = { t with reuse }
   let with_optimize optimize t = { t with optimize }
@@ -347,7 +342,6 @@ module Options = struct
       Pass.scheme = t.scheme;
       Pass.mode = t.mode;
       Pass.slots = t.slots;
-      Pass.backend_policy = t.backend_policy;
     }
 
   let schedule_names t =
@@ -466,20 +460,23 @@ let compile ?(options = Options.default) traditional =
   Obs.flush ();
   output
 
+let equivalence_summary o =
+  if o.certified then "equivalence: certified symbolically (exact proof)"
+  else
+    match o.tv with
+    | Some tv ->
+        Printf.sprintf "equivalence: %s TV distance %.6f"
+          (if o.tv_sampled then "sampled" else "exact")
+          tv
+    | None -> "equivalence: check skipped"
+
 let pp fmt o =
   Format.fprintf fmt
     "@[<v>qubits: %d, gates: %d, depth: %d, duration: %.2f us@,\
      iterations: %d, unsound reorderings: %d@,%s@,%s"
     o.qubits o.gates o.depth
     (Metrics.duration o.circuit /. 1000.)
-    o.iterations o.violations
-    (if o.certified then "equivalence: certified symbolically (exact proof)"
-     else
-       match o.tv with
-       | Some tv when o.tv_sampled ->
-           Printf.sprintf "sampled TV distance: %.6f" tv
-       | Some tv -> Printf.sprintf "exact TV distance: %.6f" tv
-       | None -> "equivalence check skipped")
+    o.iterations o.violations (equivalence_summary o)
     (match o.lint with
     | Some r -> "lint: " ^ Lint.summary r
     | None -> "lint: skipped");

@@ -20,7 +20,6 @@ open Circuit
       Pipeline.Options.default
       |> Pipeline.Options.with_scheme Toffoli_scheme.Dynamic_1
       |> Pipeline.Options.with_slots 2
-      |> Pipeline.Options.with_backend_policy Sim.Backend.Stabilizer
     ]} *)
 
 (** Raised by the {!Options} builders on invalid input — a slot count
@@ -70,10 +69,6 @@ module Options : sig
       the numeric evidence chain (exact, then sampled) runs.  The
       certifier is effective only with [slots = 1]. *)
   val with_check_equivalence : bool -> t -> t
-
-  (** Execution backend the pipeline's shot-based stages (the sampled
-      equivalence fallback beyond 12 qubits) dispatch through. *)
-  val with_backend_policy : Sim.Backend.policy -> t -> t
 
   (** Run the lint gate on the compiled output — on by default.  An
       error-severity diagnostic makes {!compile} raise
@@ -147,8 +142,8 @@ type output = {
 
 (** [compile ?options traditional] runs the schedule the options
     denote.  Beyond 12 qubits the exact equivalence check is replaced
-    by a sampled one through {!Sim.Backend.run} when both circuits are
-    Clifford (single-slot only); otherwise it is skipped as before.
+    by a sampled one ({!Equivalence.sampled_tv_distance}, under Auto)
+    when both circuits are Clifford; otherwise it is skipped.
     @raise Transform.Not_transformable / Interaction.Cyclic as the
     underlying stages do.
     @raise Lint.Rejected when the lint gate (on by default) finds an
@@ -156,6 +151,11 @@ type output = {
     @raise Reuse_refuted when the reuse flow's certification gate
     refutes the rewiring. *)
 val compile : ?options:Options.t -> Circ.t -> output
+
+(** The line {!pp} and [dqc_cli stats] print for the equivalence
+    evidence: "certified symbolically", an exact or a sampled TV
+    distance, or "check skipped". *)
+val equivalence_summary : output -> string
 
 val pp : Format.formatter -> output -> unit
 val to_string : output -> string

@@ -199,10 +199,8 @@ let transform ?(mode = `Algorithm1) ?(mct = false) ?(slots = 1) c =
     slots;
   }
 
-let min_exact_slots ?max_slots ?(mct = false) c =
-  let max_slots =
-    Option.value ~default:(List.length (work_qubits c)) max_slots
-  in
+let min_exact_slots ?(mct = false) c =
+  let max_slots = List.length (work_qubits c) in
   let rec go k =
     if k > max_slots then None
     else

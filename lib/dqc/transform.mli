@@ -93,9 +93,9 @@ val transform :
   result
 
 (** Smallest [slots] for which [`Sound] scheduling succeeds, searched
-    in 1..max_slots (default: the number of work qubits).  [None] when
-    even the traditional width fails. *)
-val min_exact_slots : ?max_slots:int -> ?mct:bool -> Circ.t -> int option
+    up to the number of work qubits.  [None] when even the traditional
+    width fails. *)
+val min_exact_slots : ?mct:bool -> Circ.t -> int option
 
 (** Count of classically controlled gates in the result — the metric
     the paper uses to contrast dynamic-1 and dynamic-2. *)

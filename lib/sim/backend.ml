@@ -62,8 +62,8 @@ let sparse_cap n =
   else None
 
 let tableau_cap n =
-  if n > Stabilizer.max_qubits then
-    Some (Printf.sprintf "tableau capped at %d qubits" Stabilizer.max_qubits)
+  if n > Circ.max_qubits then
+    Some (Printf.sprintf "tableau capped at %d qubits" Circ.max_qubits)
   else None
 
 (* The exact enumerator keeps one state per open fork.  On the dense

@@ -110,7 +110,7 @@ val resource_summary : Circ.t -> Lint.Resource.summary
     {!Sparse.max_qubits}, the dense enumerator, which holds one 2^n
     state per open fork, at most 16 qubits or an amplitude bound of at
     most 16, and the tableau, sampled or enumerated, at most
-    {!Stabilizer.max_qubits} qubits, a Clifford verdict from the
+    {!Circuit.Circ.max_qubits} qubits, a Clifford verdict from the
     analyzer and a witness whose every kernel it maps
     ({!Stabilizer.supports}). *)
 
@@ -165,7 +165,7 @@ val predict : shots:int -> Circ.t -> prediction
     @raise Invalid_argument when [Statevector_dense] is forced beyond
     {!Statevector.max_qubits}, [Sparse_statevector] beyond
     {!Sparse.max_qubits}, [Stabilizer] beyond
-    {!Stabilizer.max_qubits}, [Exact_branch] where no enumerator fits
+    {!Circuit.Circ.max_qubits}, [Exact_branch] where no enumerator fits
     (past {!Sparse.max_qubits} on a non-Clifford circuit), or [Auto]
     where no engine does. *)
 val select :

@@ -11,12 +11,11 @@ type t = {
   mutable reg : int;
 }
 
-let max_qubits = 4096
-
 let create n ~num_bits:_ =
-  if n < 0 || n > max_qubits then
+  if n < 0 || n > Circuit.Circ.max_qubits then
     invalid_arg
-      (Printf.sprintf "Stabilizer.create: %d qubits (max %d)" n max_qubits);
+      (Printf.sprintf "Stabilizer.create: %d qubits (max %d)" n
+         Circuit.Circ.max_qubits);
   let rows = (2 * n) + 1 in
   let x = Array.make_matrix rows n false in
   let z = Array.make_matrix rows n false in

@@ -30,9 +30,6 @@ type t
 
 exception Unsupported of string
 
-(** 4096 qubits: the tableau holds [2(2n+1)] rows of [n] bools. *)
-val max_qubits : int
-
 (** True when every kernel of the program maps onto the tableau (see
     above) — the feasibility check {!Backend} runs on the analyzer's
     witness. *)

@@ -17,7 +17,9 @@
 
    Variables occurring in an output still parametrize the state and
    variables occurring in a recorded observation are pinned by it
-   (Pathsum.protected_vars); neither may be eliminated. *)
+   (Pathsum.protected_vars); neither may be eliminated.  HH may solve
+   for an observed z, and then the variables of its replacement are
+   observed from that substitution on. *)
 
 type stats = { elim : int; hh : int; omega : int; subst : int }
 
@@ -184,6 +186,9 @@ let try_var w protected v =
                     w.scale <- w.scale - 2;
                     drop ();
                     subst_everywhere w z r';
+                    (* an observation of z now observes r' instead *)
+                    if protected.(z) then
+                      List.iter (fun x -> protected.(x) <- true) (B.vars r');
                     w.st <-
                       { w.st with hh = w.st.hh + 1; subst = w.st.subst + 1 };
                     true

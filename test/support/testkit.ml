@@ -1,54 +1,181 @@
 (* Circuits shared by the tests and the benchmark harness: the random
-   dynamic-circuit generator, the oracle corpus of the benchmark-wide
-   lint and certification tests, the dyn2 Toffoli ladder, the
-   mixed-sparsity hybrid witness, the teleportation circuit, the paper
-   jobs' compile and corpus and the compile corpus; the exact walk's
-   fork-everything leaves; and the per-shot oracles of sampled and
-   noisy runs.  Each exists once, so a test and a bench row that name
-   the same workload run the same circuit. *)
+   dynamic-circuit generator every property and differential test
+   draws from, with its QCheck2 wrapper and its unitary, Clifford and
+   certifiable parts; the oracle corpus of the benchmark-wide lint and
+   certification tests, the dyn2 Toffoli ladder, the mixed-sparsity
+   hybrid witness, the teleportation circuit, the paper jobs' compile
+   and corpus and the compile corpus; the exact walk's fork-everything
+   leaves; and the per-shot oracles of sampled and noisy runs.  Each
+   exists once, so a test and a bench row that name the same workload
+   run the same circuit. *)
 
 open Circuit
 
-(* Random dynamic circuits: Clifford+T 1-qubit gates, CX/CZ, Toffolis,
-   mid-circuit measures, resets and conditioned gates, on 2..max_qubits
-   qubits and 5..max_instrs instructions.  Every draw comes from [rng]
-   in a fixed order, so one seed and one pair of bounds always give the
-   same stream. *)
+(* Random dynamic circuits, the one grammar every property and
+   differential test draws from: 1 to [max_qubits] qubits, 1 to 4 bits
+   and 0 to [max_instrs] instructions, each one of
+   - a one-qubit gate: H, X, Y, Z, S, Sdg, T, Tdg, V, Vdg, or Rx, Ry,
+     Rz or Phase at a random angle;
+   - a CX, a CZ or a Toffoli, about a fifth of the instructions (the
+     analyzer's affine rows and the certifier lean on them);
+   - any one-qubit gate under one or two controls;
+   - a measurement, a reset or a barrier;
+   - a one-qubit gate, plain or under one control, conditioned on one
+     bit being 0 or 1.
+   A gate acts on distinct qubits, as many as the register holds, so
+   on one qubit a CX is an X.  Every draw comes from [rng] in a fixed
+   order: one [rng] state and one pair of bounds always give the same
+   circuit. *)
 let random_dynamic_circuit ~max_qubits ~max_instrs rng =
-  let nq = 2 + Random.State.int rng (max_qubits - 1) in
-  let nb = 1 + Random.State.int rng 2 in
-  let m = 5 + Random.State.int rng (max_instrs - 4) in
-  let gates = Gate.[ H; X; Y; Z; S; Sdg; T; Tdg; V; Rz 0.37 ] in
-  let any_gate () = List.nth gates (Random.State.int rng (List.length gates)) in
-  let instr _ =
-    match Random.State.int rng 10 with
-    | 0 | 1 | 2 | 3 ->
-        Instruction.Unitary
-          (Instruction.app (any_gate ()) (Random.State.int rng nq))
-    | 4 | 5 ->
-        let c = Random.State.int rng nq and t = Random.State.int rng nq in
-        let g = if Random.State.bool rng then Gate.X else Gate.Z in
-        if c = t then Instruction.Unitary (Instruction.app g t)
-        else Instruction.Unitary (Instruction.app ~controls:[ c ] g t)
-    | 6 ->
-        let c1 = Random.State.int rng nq
-        and c2 = Random.State.int rng nq
-        and t = Random.State.int rng nq in
-        if c1 = t || c2 = t || c1 = c2 then
-          Instruction.Unitary (Instruction.app Gate.X t)
-        else Instruction.Unitary (Instruction.app ~controls:[ c1; c2 ] Gate.X t)
-    | 7 ->
-        Instruction.Measure
-          { qubit = Random.State.int rng nq; bit = Random.State.int rng nb }
-    | 8 -> Instruction.Reset (Random.State.int rng nq)
-    | _ ->
-        Instruction.Conditioned
-          ( Instruction.cond_bit (Random.State.int rng nb)
-              (Random.State.bool rng),
-            Instruction.app (any_gate ()) (Random.State.int rng nq) )
+  let int n = Random.State.int rng n and bool () = Random.State.bool rng in
+  let nq = 1 + int max_qubits in
+  let nb = 1 + int 4 in
+  let m = int (max_instrs + 1) in
+  let gate () =
+    let angle () = Random.State.float rng 6.28 in
+    match int 14 with
+    | 10 -> Gate.Rx (angle ())
+    | 11 -> Gate.Ry (angle ())
+    | 12 -> Gate.Rz (angle ())
+    | 13 -> Gate.Phase (angle ())
+    | k -> Gate.[| H; X; Y; Z; S; Sdg; T; Tdg; V; Vdg |].(k)
   in
-  let roles = Array.make nq Circ.Data in
-  Circ.create ~roles ~num_bits:nb (List.init m instr)
+  (* [k] distinct qubits, at most the register's, the last drawn first *)
+  let rec qubits k acc =
+    if List.length acc = min k nq then acc
+    else
+      let q = int nq in
+      qubits k (if List.mem q acc then acc else q :: acc)
+  in
+  (* [g] on the first of [k] qubits under the others *)
+  let on k g =
+    match qubits k [] with
+    | target :: controls -> Instruction.app ~controls g target
+    | [] -> assert false
+  in
+  let instr _ =
+    match int 18 with
+    | 0 | 1 | 2 | 3 | 4 | 5 | 6 -> Instruction.Unitary (on 1 (gate ()))
+    | 7 | 8 | 9 -> Instruction.Unitary (on 2 (if bool () then Gate.X else Z))
+    | 10 -> Instruction.Unitary (on 3 Gate.X)
+    | 11 ->
+        let g = gate () in
+        Instruction.Unitary (on (2 + int 2) g)
+    | 12 | 13 ->
+        let qubit = int nq in
+        Instruction.Measure { qubit; bit = int nb }
+    | 14 -> Instruction.Reset (int nq)
+    | 15 | 16 ->
+        let bit = int nb in
+        let cond = Instruction.cond_bit bit (bool ()) in
+        let g = gate () in
+        Instruction.Conditioned (cond, on (1 + int 2) g)
+    | _ -> Instruction.Barrier (qubits (1 + int nq) [])
+  in
+  Circ.create ~roles:(Array.make nq Circ.Data) ~num_bits:nb (List.init m instr)
+
+(* [random_dynamic_circuit] as a QCheck2 generator.  A failing circuit
+   shrinks by dropping one instruction at a time until none can go;
+   qubits and bits stay. *)
+let circuit_gen ~max_qubits ~max_instrs =
+  let shrink c =
+    let instrs = Circ.instructions c in
+    Seq.init (List.length instrs) (fun k ->
+        Circ.create ~roles:(Circ.roles c) ~num_bits:(Circ.num_bits c)
+          (List.filteri (fun i _ -> i <> k) instrs))
+  in
+  QCheck2.Gen.make_primitive
+    ~gen:(random_dynamic_circuit ~max_qubits ~max_instrs)
+    ~shrink
+
+(* A property over [circuit_gen]'s draws; a counterexample prints as
+   the OpenQASM that reproduces it. *)
+let circuit_test ~name ~count ~max_qubits ~max_instrs prop =
+  QCheck2.Test.make ~name ~count ~print:Qasm.to_string
+    (circuit_gen ~max_qubits ~max_instrs)
+    prop
+
+(* The unitary part of a draw: its measurements, resets and barriers
+   dropped and its conditioned gates made plain. *)
+let unitary_part =
+  Circ.map_instructions (function
+    | Instruction.Unitary a | Instruction.Conditioned (_, a) ->
+        [ Instruction.Unitary a ]
+    | Instruction.Measure _ | Instruction.Reset _ | Instruction.Barrier _ ->
+        [])
+
+(* The Clifford part of a draw, which the tableau runs: a plain gate
+   outside {H, X, Y, Z, S, Sdg} becomes a fixed stand-in from that set
+   (T and Phase an S, Tdg an Sdg, V, Vdg and Rx an X, Ry a Y, Rz a Z),
+   and a controlled gate a CX (X-like gates) or a CZ on its first
+   control.  Measurements, resets, barriers and conditions stay. *)
+let clifford_part =
+  let app (a : Instruction.app) =
+    match a.controls with
+    | [] ->
+        let g =
+          match a.gate with
+          | (Gate.H | X | Y | Z | S | Sdg) as g -> g
+          | T | Phase _ -> S
+          | Tdg -> Sdg
+          | V | Vdg | Rx _ -> X
+          | Ry _ -> Y
+          | Rz _ -> Z
+        in
+        Instruction.app g a.target
+    | c :: _ ->
+        let g =
+          match a.gate with
+          | Gate.H | X | Y | V | Vdg | Rx _ | Ry _ -> Gate.X
+          | Z | S | Sdg | T | Tdg | Rz _ | Phase _ -> Gate.Z
+        in
+        Instruction.app ~controls:[ c ] g a.target
+  in
+  Circ.map_instructions (function
+    | Instruction.Unitary a -> [ Instruction.Unitary (app a) ]
+    | Instruction.Conditioned (cond, a) ->
+        [ Instruction.Conditioned (cond, app a) ]
+    | (Instruction.Measure _ | Instruction.Reset _ | Instruction.Barrier _) as i
+      ->
+        [ i ])
+
+(* The part of a draw the path-sum certifier reads: Rx and Rz angles
+   rounded to multiples of pi/2 and Phase angles to multiples of pi/4,
+   a Ry made a Y, a controlled or conditioned H an X, and a condition
+   on a bit no measurement wrote yet settled by that bit's 0 (a draw's
+   conditions test one bit). *)
+let certifiable_part c =
+  let snap step theta = step *. Float.round (theta /. step) in
+  let app ~guarded (a : Instruction.app) =
+    let gate =
+      match a.gate with
+      | Gate.Rx t -> Gate.Rx (snap (Float.pi /. 2.) t)
+      | Rz t -> Rz (snap (Float.pi /. 2.) t)
+      | Phase t -> Phase (snap (Float.pi /. 4.) t)
+      | Ry _ -> Y
+      | H when guarded || a.controls <> [] -> X
+      | (H | X | Y | Z | S | Sdg | T | Tdg | V | Vdg) as g -> g
+    in
+    { a with gate }
+  in
+  let written = Array.make (Circ.num_bits c) false in
+  let step acc (i : Instruction.t) =
+    match i with
+    | Conditioned (cond, a)
+      when List.exists (fun (b, _) -> written.(b)) cond.bits ->
+        Instruction.Conditioned (cond, app ~guarded:true a) :: acc
+    | Conditioned (cond, a) ->
+        if Instruction.cond_holds cond 0 then
+          Unitary (app ~guarded:false a) :: acc
+        else acc
+    | Unitary a -> Unitary (app ~guarded:false a) :: acc
+    | Measure { bit; _ } ->
+        written.(bit) <- true;
+        i :: acc
+    | Reset _ | Barrier _ -> i :: acc
+  in
+  Circ.create ~roles:(Circ.roles c) ~num_bits:(Circ.num_bits c)
+    (List.rev (List.fold_left step [] (Circ.instructions c)))
 
 (* The Table II oracles plus generated AND/OR/NAND/MAJ oracles of 4 to
    8 inputs, whose C^nX reductions the paper does not tabulate. *)
@@ -58,6 +185,16 @@ let table2_and_generated_oracles =
   @ List.map Algorithms.Mct_bench.or_n [ 4; 6 ]
   @ List.map Algorithms.Mct_bench.nand_n [ 4; 6 ]
   @ List.map Algorithms.Mct_bench.majority_n [ 5; 7 ]
+
+(* DJ(AND), the Table II oracle most engine tests run, and its dyn2
+   transform. *)
+let dj_and () =
+  Algorithms.Dj.circuit
+    (Option.get (Algorithms.Dj_toffoli.oracle_by_name "AND"))
+
+let dyn2_and () =
+  (Dqc.Toffoli_scheme.transform Dqc.Toffoli_scheme.Dynamic_2 (dj_and ()))
+    .Dqc.Transform.circuit
 
 (* A Table-I-style AND network under the paper's ancilla-unrolled
    dynamic-2 substitution: inputs 0..k-1, ladder ancillas k..2k-3, the

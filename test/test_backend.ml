@@ -14,12 +14,6 @@ let check_hist msg a b =
 let hist_tv a b =
   Sim.Dist.tv_distance (Sim.Runner.to_dist a) (Sim.Runner.to_dist b)
 
-let dj_and () = Algorithms.Dj.circuit (Option.get (Algorithms.Dj_toffoli.oracle_by_name "AND"))
-
-let dyn2_and () =
-  (Dqc.Toffoli_scheme.transform Dqc.Toffoli_scheme.Dynamic_2 (dj_and ()))
-    .Dqc.Transform.circuit
-
 (* ------------------------------------------------------------------ *)
 (* Measurement plans                                                  *)
 
@@ -43,7 +37,7 @@ let test_plan_to_pairs () =
     (plan_pairs (Sim.Measurement_plan.of_pairs [ (2, 0); (0, 1) ]))
 
 let test_plan_instrument () =
-  let c = dj_and () in
+  let c = Testkit.dj_and () in
   let instrumented =
     Sim.Measurement_plan.instrument Sim.Measurement_plan.measure_all c
   in
@@ -137,7 +131,7 @@ let test_select_auto () =
   check_bool "Clifford -> the cheapest predicted engine" true
     (Option.map fst cheapest = Some (Sim.Backend.select ~shots:1024 bv));
   check_bool "non-Clifford, few branch points -> exact" true
-    (Sim.Backend.select ~shots:1024 (dj_and ()) = `Exact)
+    (Sim.Backend.select ~shots:1024 (Testkit.dj_and ()) = `Exact)
 
 (* Each Auto decision records one backend.select flight event whose
    winner is what select returns and the least of its predicted costs. *)
@@ -178,8 +172,8 @@ let test_select_event_argmin () =
           Alcotest.failf "%s: expected one backend.select event, got %d" name
             (List.length evs))
     [
-      ("dyn2 DJ(AND), 1024 shots", dyn2_and (), 1024);
-      ("dyn2 DJ(AND), 1 shot", dyn2_and (), 1);
+      ("dyn2 DJ(AND), 1024 shots", Testkit.dyn2_and (), 1024);
+      ("dyn2 DJ(AND), 1 shot", Testkit.dyn2_and (), 1);
       ("hybrid witness m = 8", Testkit.hybrid_witness ~m:8, 64);
       ("hybrid win", Testkit.hybrid_win ~n:10 ~layers:8 ~tail:10, 16);
       ("Clifford BV_1011", Algorithms.Bv.circuit "1011", 1024);
@@ -189,7 +183,8 @@ let test_select_event_argmin () =
     ]
 
 let test_select_forced_stabilizer_raises () =
-  match Sim.Backend.select ~policy:Sim.Backend.Stabilizer ~shots:16 (dj_and ()) with
+  let dj = Testkit.dj_and () in
+  match Sim.Backend.select ~policy:Sim.Backend.Stabilizer ~shots:16 dj with
   | exception Sim.Stabilizer.Unsupported _ -> ()
   | _ -> Alcotest.fail "expected Stabilizer.Unsupported"
 
@@ -225,7 +220,7 @@ let test_select_many_terminal_outcomes () =
 (* Determinism of Backend.run                                         *)
 
 let test_run_deterministic_across_domains () =
-  let c = dyn2_and () in
+  let c = Testkit.dyn2_and () in
   let run domains =
     Sim.Backend.run ~policy:Sim.Backend.Statevector_dense ~seed:7 ~domains
       ~shots:300 c
@@ -235,7 +230,7 @@ let test_run_deterministic_across_domains () =
   check_hist "5 domains" reference (run 5)
 
 let test_run_deterministic_auto () =
-  let c = dj_and () in
+  let c = Testkit.dj_and () in
   let plan = Sim.Measurement_plan.measure_all in
   let reference = Sim.Backend.run ~seed:11 ~domains:1 ~plan ~shots:256 c in
   check_hist "auto, 4 domains" reference
@@ -278,7 +273,7 @@ let test_agreement_bv () =
 
 let test_agreement_dj () =
   (* Toffoli oracle: not Clifford, so dense vs exact only *)
-  agree "DJ(AND)" (dj_and ()) Sim.Measurement_plan.measure_all
+  agree "DJ(AND)" (Testkit.dj_and ()) Sim.Measurement_plan.measure_all
     [ Sim.Backend.Statevector_dense; Exact_branch ]
 
 let test_agreement_teleport () =
@@ -289,7 +284,7 @@ let test_agreement_teleport () =
 
 let test_agreement_exact_reference () =
   (* sampled histograms track the exact branching distribution *)
-  let c = dyn2_and () in
+  let c = Testkit.dyn2_and () in
   let exact = Sim.Exact.register_distribution c in
   let h =
     Sim.Backend.run ~policy:Sim.Backend.Statevector_dense ~seed:31 ~shots c
@@ -313,24 +308,24 @@ let test_prefix_cache_equivalence () =
       (Sim.Backend.run ~policy:Sim.Backend.Statevector_dense ~seed:13
          ~domains:1 ~shots:400 c)
   in
-  check_circuit "dyn2 DJ(AND)" (dyn2_and ());
+  check_circuit "dyn2 DJ(AND)" (Testkit.dyn2_and ());
   check_circuit "teleport" (Testkit.teleport Circuit.Gate.H);
   check_circuit "terminal-only measures"
     (Sim.Measurement_plan.instrument Sim.Measurement_plan.measure_all
-       (dj_and ()))
+       (Testkit.dj_and ()))
 
 (* ------------------------------------------------------------------ *)
 (* Noise engine on the parallel shot engine                           *)
 
 let test_noise_deterministic_across_domains () =
-  let c = dyn2_and () in
+  let c = Testkit.dyn2_and () in
   let run domains =
     Sim.Noise.run_shots ~seed:17 ~domains ~model:Sim.Noise.default ~shots:300 c
   in
   check_hist "noisy, 1 vs 4 domains" (run 1) (run 4)
 
 let test_noise_ideal_matches_exact () =
-  let c = dyn2_and () in
+  let c = Testkit.dyn2_and () in
   let h =
     Sim.Noise.run_shots ~seed:19 ~model:Sim.Noise.ideal ~shots:4096 c
   in

@@ -377,41 +377,23 @@ let test_qasm_parse_errors () =
   check_bool "bad number" true (bad "qubit[1] q;\nrz(zz) q[0];");
   check_bool "parameter on h" true (bad "qubit[1] q;\nh(0.5) q[0];")
 
-let gate_pool =
-  Gate.[ H; X; Y; Z; S; Sdg; T; Tdg; V; Vdg; Rx 0.25; Rz (-1.5); Phase 0.75 ]
-
-let random_dynamic_instr_gen =
-  QCheck2.Gen.(
-    oneof
-      [
-        map2
-          (fun g q -> Instruction.Unitary (Instruction.app g q))
-          (oneofl gate_pool) (int_range 0 2);
-        map3
-          (fun g c t ->
-            if c = t then Instruction.Unitary (Instruction.app g t)
-            else Instruction.Unitary (Instruction.app ~controls:[ c ] g t))
-          (oneofl gate_pool) (int_range 0 2) (int_range 0 2);
-        map2
-          (fun q b -> Instruction.Measure { qubit = q; bit = b })
-          (int_range 0 2) (int_range 0 1);
-        map (fun q -> Instruction.Reset q) (int_range 0 2);
-        map3
-          (fun g q b ->
-            Instruction.Conditioned
-              (Instruction.cond_bit b true, Instruction.app g q))
-          (oneofl gate_pool) (int_range 0 2) (int_range 0 1);
-      ])
+(* A qubit register wider than any engine runs is refused at its
+   declaration, before the parser allocates its roles; the widest one
+   the tableau runs parses. *)
+let test_qasm_register_bound () =
+  let widest = Circ.max_qubits in
+  let decl n = Printf.sprintf "OPENQASM 3.0;\nqubit[%d] q;\nh q[0];\n" n in
+  check_int "widest register" widest (Circ.num_qubits (Qasm.parse (decl widest)));
+  match Qasm.parse (decl (widest + 1)) with
+  | (_ : Circ.t) -> Alcotest.fail "a register past the bound parsed"
+  | exception Qasm.Parse_error msg ->
+      check_bool ("names the line: " ^ msg) true
+        (String.starts_with ~prefix:"line 2: " msg)
 
 let prop_qasm_roundtrip =
-  QCheck2.Test.make ~name:"qasm roundtrip on random dynamic circuits"
-    ~count:100
-    QCheck2.Gen.(list_size (int_range 0 25) random_dynamic_instr_gen)
-    (fun instrs ->
-      let roles = [| Circ.Data; Circ.Data; Circ.Answer |] in
-      let c = Circ.create ~roles ~num_bits:2 instrs in
-      let parsed = Qasm.parse ~roles (Qasm.to_string c) in
-      Circ.equal parsed c)
+  Testkit.circuit_test ~name:"qasm roundtrip on random dynamic circuits"
+    ~count:100 ~max_qubits:3 ~max_instrs:25 (fun c ->
+      Circ.equal (Qasm.parse (Qasm.to_string c)) c)
 
 let prop_qasm_parser_total =
   (* the parser never escapes with an unexpected exception *)
@@ -429,11 +411,7 @@ let prop_qasm_parser_total =
 let mutated_printing_gen =
   QCheck2.Gen.(
     map
-      (fun (seed, kind, pick, value) ->
-        let c =
-          Testkit.random_dynamic_circuit ~max_qubits:6 ~max_instrs:16
-            (Random.State.make [| seed |])
-        in
+      (fun (c, kind, pick, value) ->
         let src = Qasm.to_string c in
         let lines = Array.of_list (String.split_on_char '\n' src) in
         let nl = Array.length lines in
@@ -472,7 +450,9 @@ let mutated_printing_gen =
                 else if i = k + 1 then [ lines.(k) ]
                 else [ lines.(i) ])
         | _ -> String.sub src 0 (pick mod String.length src))
-      (quad int (int_bound 5) nat
+      (quad
+         (Testkit.circuit_gen ~max_qubits:6 ~max_instrs:16)
+         (int_bound 5) nat
          (oneofl [ -2; -1; 0; 1; 2; 3; 7; 62; 63; 71; 91 ])))
 
 let prop_qasm_parse_errors_typed =
@@ -556,6 +536,8 @@ let () =
             test_qasm_roundtrip_dynamic;
           Alcotest.test_case "parse basics" `Quick test_qasm_parse_basics;
           Alcotest.test_case "parse errors" `Quick test_qasm_parse_errors;
+          Alcotest.test_case "register width bound" `Quick
+            test_qasm_register_bound;
           QCheck_alcotest.to_alcotest prop_qasm_roundtrip;
           QCheck_alcotest.to_alcotest prop_qasm_parser_total;
           QCheck_alcotest.to_alcotest prop_qasm_parse_errors_typed;

@@ -29,6 +29,10 @@ let malformed = write_scratch "malformed.qasm" "this is not qasm\n"
 let out_of_range =
   write_scratch "out_of_range.qasm" "OPENQASM 3.0;\nqubit[2] q;\nx q[7];\n"
 
+(* one qubit more than any engine runs *)
+let too_wide =
+  write_scratch "too_wide.qasm" "OPENQASM 3.0;\nqubit[4097] q;\nh q[0];\n"
+
 (* two data qubits that control each other: no Case-2 iteration order *)
 let cyclic =
   write_scratch "cyclic.qasm"
@@ -69,7 +73,10 @@ let exit_code_rows =
           (cmd ^ " --file <malformed>", [ cmd; "--file"; malformed ], 1);
         ])
       [ "analyze"; "lint"; "verify" ]
-  @ [ ("verify --file <cyclic>", [ "verify"; "--file"; cyclic ], 1) ]
+  @ [
+      ("verify --file <cyclic>", [ "verify"; "--file"; cyclic ], 1);
+      ("lint --file <register too wide>", [ "lint"; "--file"; too_wide ], 1);
+    ]
 
 let exit_code_case (label, args, code) =
   Alcotest.test_case label `Quick (fun () ->
@@ -100,24 +107,33 @@ let contains s sub =
   in
   at 0
 
+(* [args] exits with [code] and prints each of [lines] to [stream] *)
+let prints stream args code lines () =
+  let code', out = run_capture stream args in
+  check_int "exit code" code code';
+  List.iter (fun l -> check_bool (l ^ " in: " ^ out) true (contains out l)) lines
+
 (* a qubit index past the register is a parse error, reported against
    the file, not an uncaught exception *)
-let test_out_of_range_index () =
-  let code, err = run_capture `Stderr [ "lint"; "--file"; out_of_range ] in
-  check_int "exit code" 1 code;
-  check_bool ("stderr names the file: " ^ err) true (contains err out_of_range)
+let test_out_of_range_index =
+  prints `Stderr [ "lint"; "--file"; out_of_range ] 1 [ out_of_range ]
 
 (* `optimize --help` lists its exit codes *)
-let test_optimize_exits () =
-  let code, help = run_capture `Stdout [ "optimize"; "--help=plain" ] in
-  check_int "exit code" 0 code;
-  List.iter
-    (fun line -> check_bool line true (contains help line))
+let test_optimize_exits =
+  prints `Stdout [ "optimize"; "--help=plain" ] 0
     [
       "0 when every rewrite is proved.";
       "1 when a sweep is reverted or the benchmark is unknown.";
       "125 when the certifier refutes a rewrite";
     ]
+
+(* `stats` reports the equivalence evidence the compile produced: the
+   certifier proves DJ(AND), and --no-check skips the stage *)
+let test_stats_equivalence () =
+  let stats extra = [ "stats"; "AND"; "--shots"; "64" ] @ extra in
+  prints `Stdout (stats []) 0
+    [ "equivalence: certified symbolically (exact proof)" ] ();
+  prints `Stdout (stats [ "--no-check" ]) 0 [ "equivalence: check skipped" ] ()
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry exports of `stats`                                       *)
@@ -254,6 +270,8 @@ let () =
           ( "telemetry",
             [
               Alcotest.test_case "stats exports" `Quick test_stats_exports;
+              Alcotest.test_case "stats equivalence line" `Quick
+                test_stats_equivalence;
               Alcotest.test_case "analyze predictions" `Quick
                 test_analyze_predictions;
             ] );

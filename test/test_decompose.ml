@@ -389,19 +389,6 @@ let test_merge_rotations () =
     (List.length
        (merged (mk [ u (Gate.Rz 0.3) 0; u (Gate.Phase 0.4) 0 ])))
 
-let gate_gen = QCheck2.Gen.oneofl Gate.[ H; X; Y; Z; S; Sdg; T; Tdg; V; Vdg ]
-
-let random_circuit_gen =
-  QCheck2.Gen.(
-    list_size (int_range 0 20)
-      (oneof
-         [
-           map2 (fun g q -> u g q) gate_gen (int_range 0 2);
-           map3
-             (fun g c t -> if c = t then u g c else u ~controls:[ c ] g t)
-             gate_gen (int_range 0 2) (int_range 0 2);
-         ]))
-
 let prop_merge_preserves_unitary =
   QCheck2.Test.make ~name:"rotation merging preserves circuit unitary"
     ~count:60
@@ -422,11 +409,11 @@ let prop_merge_preserves_unitary =
       Sim.Unitary.equivalent c (Decompose.Peephole.merge_rotations c))
 
 let prop_peephole_preserves_unitary =
-  QCheck2.Test.make ~name:"peephole preserves circuit unitary" ~count:100
-    random_circuit_gen
-    (fun instrs ->
-      let c = circuit_of ~n:3 instrs in
-      Sim.Unitary.equivalent ~up_to_phase:false c (Decompose.Peephole.cancel_inverses c))
+  Testkit.circuit_test ~name:"peephole preserves circuit unitary" ~count:100
+    ~max_qubits:3 ~max_instrs:20 (fun c ->
+      let c = Testkit.unitary_part c in
+      Sim.Unitary.equivalent ~up_to_phase:false c
+        (Decompose.Peephole.cancel_inverses c))
 
 (* Every decomposition output must carry no error-severity lint
    diagnostic: in particular the ancilla-backed schemes must provably

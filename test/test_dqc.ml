@@ -748,7 +748,7 @@ let test_analysis_verdicts () =
   let verdict c = is (Dqc.Analysis.analyze c).Dqc.Analysis.verdict in
   Alcotest.(check string) "BV certified" "certified"
     (verdict (Algorithms.Bv.circuit "101"));
-  let dj = Algorithms.Dj.circuit (Option.get (Algorithms.Dj_toffoli.oracle_by_name "AND")) in
+  let dj = Testkit.dj_and () in
   Alcotest.(check string) "dyn1 approximate" "approximate"
     (verdict (Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_1 dj));
   Alcotest.(check string) "dyn2 observed" "observed"
@@ -823,65 +823,60 @@ let test_dyn1_inexact () =
         (Dqc.Equivalence.tv_distance dj r > 0.1))
     Algorithms.Dj_toffoli.oracles
 
-(* qcheck: random BV/DJ-shaped circuits (1-qubit gates on data qubits,
-   X/V-type oracle gates onto the answer — the commuting family real
-   oracles use) transform exactly *)
-let random_bv_like_gen =
-  QCheck2.Gen.(
-    list_size (int_range 1 15)
-      (oneof
-         [
-           map2
-             (fun g q -> u g q)
-             (oneofl Gate.[ H; X; Z; T; S ])
-             (int_range 0 2);
-           map (fun c -> u ~controls:[ c ] Gate.X 3) (int_range 0 2);
-           map (fun c -> u ~controls:[ c ] Gate.V 3) (int_range 0 2);
-         ]))
+(* qcheck: Testkit's draws on up to 4 qubits, their unitary part laid
+   out as a BV/DJ circuit: qubits 0-2 data, qubit 3 the answer.  A
+   one-qubit gate stays on a data qubit, and on the answer if
+   [answer_gates]; a controlled gate keeps one control from the data
+   qubits and lands on the answer as [onto] its gate.  The draws run
+   to 45 and 30 instructions to put 5.6 and 4.1 gates on the answer on
+   average. *)
+let oracle_shaped ~answer_gates ~onto c =
+  let instrs =
+    List.filter_map
+      (fun (i : Instruction.t) ->
+        match i with
+        | Unitary { gate; controls = []; target } ->
+            if target < 3 || answer_gates then Some (u gate target) else None
+        | Unitary { gate; controls; target } ->
+            let control = List.find (fun q -> q < 3) (controls @ [ target ]) in
+            Some (u ~controls:[ control ] (onto gate) 3)
+        | Conditioned _ | Measure _ | Reset _ | Barrier _ -> None)
+      (Circ.instructions (Testkit.unitary_part c))
+  in
+  Circ.create ~roles:[| Circ.Data; Circ.Data; Circ.Data; Circ.Answer |]
+    ~num_bits:0 instrs
 
+(* Oracle-shaped: gates on the answer only from data qubits, and only
+   X-type ones (X, V, Vdg, Rx; any other gate becomes an X), the
+   commuting family real oracles use: these transform exactly. *)
 let prop_oracle_shaped_exact =
-  QCheck2.Test.make ~name:"random oracle-shaped circuits transform exactly"
-    ~count:60 random_bv_like_gen
-    (fun instrs ->
-      let roles = [| Circ.Data; Circ.Data; Circ.Data; Circ.Answer |] in
-      let c = Circ.create ~roles ~num_bits:0 instrs in
-      let r = Dqc.Transform.transform c in
-      Dqc.Equivalence.equivalent c r)
+  Testkit.circuit_test ~name:"random oracle-shaped circuits transform exactly"
+    ~count:60 ~max_qubits:4 ~max_instrs:45 (fun c ->
+      let c =
+        oracle_shaped ~answer_gates:false
+          ~onto:(function[@warning "-4"]
+            | (Gate.X | V | Vdg | Rx _) as g -> g | _ -> Gate.X)
+          c
+      in
+      Dqc.Transform.transform c |> Dqc.Equivalence.equivalent c)
 
-(* fully random circuits (including mid-stream answer-qubit gates) may
+(* Any gate onto the answer, and one-qubit gates on it mid-stream, may
    be unsound under Algorithm 1 — but zero recorded violations must
    imply exact equivalence, and sound mode, when it succeeds, must be
-   exact *)
-let random_any_gen =
-  QCheck2.Gen.(
-    list_size (int_range 1 12)
-      (oneof
-         [
-           map2
-             (fun g q -> u g q)
-             (oneofl Gate.[ H; X; Z; T; S ])
-             (int_range 0 3);
-           map2
-             (fun g c -> u ~controls:[ c ] g 3)
-             (oneofl Gate.[ X; V; Z; H ])
-             (int_range 0 2);
-         ]))
+   exact. *)
+let any_shaped = oracle_shaped ~answer_gates:true ~onto:Fun.id
 
 let prop_no_violations_implies_exact =
-  QCheck2.Test.make
-    ~name:"zero violations implies exact equivalence" ~count:60 random_any_gen
-    (fun instrs ->
-      let roles = [| Circ.Data; Circ.Data; Circ.Data; Circ.Answer |] in
-      let c = Circ.create ~roles ~num_bits:0 instrs in
+  Testkit.circuit_test ~name:"zero violations implies exact equivalence"
+    ~count:60 ~max_qubits:4 ~max_instrs:30 (fun c ->
+      let c = any_shaped c in
       let r = Dqc.Transform.transform c in
       r.violations <> [] || Dqc.Equivalence.equivalent c r)
 
 let prop_sound_mode_exact =
-  QCheck2.Test.make ~name:"sound mode success implies exact equivalence"
-    ~count:60 random_any_gen
-    (fun instrs ->
-      let roles = [| Circ.Data; Circ.Data; Circ.Data; Circ.Answer |] in
-      let c = Circ.create ~roles ~num_bits:0 instrs in
+  Testkit.circuit_test ~name:"sound mode success implies exact equivalence"
+    ~count:60 ~max_qubits:4 ~max_instrs:30 (fun c ->
+      let c = any_shaped c in
       match Dqc.Transform.transform ~mode:`Sound c with
       | r -> Dqc.Equivalence.equivalent c r
       | exception Dqc.Transform.Not_transformable _ -> true)

@@ -12,15 +12,8 @@ let hist_pairs = Alcotest.(list (pair int int))
 let check_hist msg a b =
   Alcotest.check hist_pairs msg (Sim.Runner.to_list a) (Sim.Runner.to_list b)
 
-let dj_and () =
-  Algorithms.Dj.circuit (Option.get (Algorithms.Dj_toffoli.oracle_by_name "AND"))
-
-let dyn2_and () =
-  (Dqc.Toffoli_scheme.transform Dqc.Toffoli_scheme.Dynamic_2 (dj_and ()))
-    .Dqc.Transform.circuit
-
 let terminal_only () =
-  Sim.Measurement_plan.instrument Sim.Measurement_plan.measure_all (dj_and ())
+  Sim.Measurement_plan.(instrument measure_all) (Testkit.dj_and ())
 
 (* ------------------------------------------------------------------ *)
 (* A tiny JSON parser, enough to validate the exporters' output.  The
@@ -264,7 +257,7 @@ let gauge_int c name =
 
 (* every shot shares the unitary prefix the walk runs once *)
 let test_prefix_hits_equal_shots () =
-  let c, _h = Obs.with_collector (fun () -> run_dense (dyn2_and ())) in
+  let c, _h = Obs.with_collector (fun () -> run_dense (Testkit.dyn2_and ())) in
   check_int "hit per shot" shots (Obs.Collector.counter c "backend.prefix.hit");
   check_int "backend.shots" shots (Obs.Collector.counter c "backend.shots");
   check_int "engine tagged" 1 (Obs.Collector.counter c "backend.run.dense");
@@ -275,7 +268,7 @@ let test_prefix_hits_equal_shots () =
    adds one branch, so the leaves are one more than the copies; the
    dyn2 run's collapses part its shots, on fewer branches than shots. *)
 let test_walk_counters () =
-  let c, _h = Obs.with_collector (fun () -> run_dense (dyn2_and ())) in
+  let c, _h = Obs.with_collector (fun () -> run_dense (Testkit.dyn2_and ())) in
   let branches = Obs.Collector.counter c "backend.walk.branches"
   and copies = Obs.Collector.counter c "backend.walk.copies" in
   check_bool "the shots part ways" true (branches > 1);
@@ -341,7 +334,8 @@ let engine_counters c =
   |> List.sort compare
 
 let test_counters_domain_independent () =
-  let run domains = Obs.with_collector (fun () -> run_dense ~domains (dyn2_and ())) in
+  let c = Testkit.dyn2_and () in
+  let run domains = Obs.with_collector (fun () -> run_dense ~domains c) in
   let c1, h1 = run 1 in
   let c4, h4 = run 4 in
   check_hist "histograms identical 1 vs 4 domains" h1 h4;
@@ -363,15 +357,16 @@ let test_counters_domain_independent () =
     (hist_count c4 "parallel.block")
 
 let test_histogram_unchanged_by_telemetry () =
-  let bare = run_dense (dyn2_and ()) in
-  let _c, observed = Obs.with_collector (fun () -> run_dense (dyn2_and ())) in
+  let c = Testkit.dyn2_and () in
+  let bare = run_dense c in
+  let _c, observed = Obs.with_collector (fun () -> run_dense c) in
   check_hist "telemetry does not perturb sampling" bare observed
 
 (* ------------------------------------------------------------------ *)
 (* Engine counters from the simulators                                *)
 
 let test_simulator_counters () =
-  let c, _h = Obs.with_collector (fun () -> run_dense (dyn2_and ())) in
+  let c, _h = Obs.with_collector (fun () -> run_dense (Testkit.dyn2_and ())) in
   check_bool "compiled ops counted" true
     (Obs.Collector.counter c "sim.program.ops" > 0);
   check_bool "collapses counted" true
@@ -379,7 +374,8 @@ let test_simulator_counters () =
 
 let test_exact_counters () =
   let c, _d =
-    Obs.with_collector (fun () -> Sim.Exact.register_distribution (dyn2_and ()))
+    Obs.with_collector (fun () ->
+        Sim.Exact.register_distribution (Testkit.dyn2_and ()))
   in
   check_bool "leaves counted" true (Obs.Collector.counter c "sim.exact.leaves" > 0);
   check_bool "enumeration span" true
@@ -428,7 +424,7 @@ let test_one_compile_per_run () =
 
 let test_pipeline_spans () =
   let c, _out =
-    Obs.with_collector (fun () -> Dqc.Pipeline.compile (dj_and ()))
+    Obs.with_collector (fun () -> Dqc.Pipeline.compile (Testkit.dj_and ()))
   in
   let stats = Obs.Collector.span_stats c in
   let has name = List.mem_assoc name stats in
@@ -457,7 +453,7 @@ let test_pipeline_spans () =
 
 let collect_workload () =
   Obs.with_collector (fun () ->
-      let out = Dqc.Pipeline.compile (dj_and ()) in
+      let out = Dqc.Pipeline.compile (Testkit.dj_and ()) in
       ignore
         (Sim.Backend.run ~policy:Sim.Backend.Statevector_dense ~seed:5 ~shots:64
            out.Dqc.Pipeline.circuit))

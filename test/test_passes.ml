@@ -509,55 +509,46 @@ let test_diagnostics_match_rewrites () =
         rw.Dqc.Optimize.stats.Dqc.Optimize.resets_removed)
     counts_corpus
 
-(* random measured circuits over 3 qubits / 3 bits exercising every
-   rewrite family: constant and superposed measures, resets, feed-
-   forward conditions, CX chains *)
-let random_measured_gen =
-  QCheck2.Gen.(
-    list_size (int_range 1 10)
-      (oneof
-         [
-           map2
-             (fun g q -> Instruction.Unitary (Instruction.app g q))
-             (oneofl Gate.[ H; X; Z; S ])
-             (int_range 0 2);
-           map2
-             (fun c t ->
-               let t = if c = t then (t + 1) mod 3 else t in
-               Instruction.Unitary (Instruction.app ~controls:[ c ] Gate.X t))
-             (int_range 0 2) (int_range 0 2);
-           map2
-             (fun q b -> Instruction.Measure { qubit = q; bit = b })
-             (int_range 0 2) (int_range 0 2);
-           map (fun q -> Instruction.Reset q) (int_range 0 2);
-           map2
-             (fun b q ->
-               Instruction.Conditioned
-                 (Instruction.cond_bit b true, Instruction.app Gate.X q))
-             (int_range 0 2) (int_range 0 2);
-         ]))
+(* ------------------------------------------------------------------ *)
+(* The sampled equivalence fallback: past 12 qubits the exact check is
+   out of reach, and with the certifier left out of the schedule the
+   equivalence stage estimates the TV distance from shots, both sides
+   of BV_1111111111111 running on the tableau under Auto. *)
+let test_sampled_equivalence () =
+  let module O = Dqc.Pipeline.Options in
+  let options =
+    O.with_passes
+      [ "prepare"; "transform"; "equivalence"; "expand_cv"; "lint" ]
+      O.default
+  in
+  let out =
+    Dqc.Pipeline.compile ~options (Algorithms.Bv.circuit "1111111111111")
+  in
+  check_bool "sampled" true out.Dqc.Pipeline.tv_sampled;
+  Alcotest.(check (option (float 0.))) "tv" (Some 0.) out.Dqc.Pipeline.tv
 
-let roles3 = [| Circ.Data; Circ.Data; Circ.Data |]
+(* ------------------------------------------------------------------ *)
+(* The certifiable part of Testkit's random dynamic circuits on up to
+   3 qubits and 10 instructions exercises every rewrite family:
+   constant and superposed measures, resets, feed-forward conditions,
+   CX chains; a rewrite the certifier cannot prove is reverted. *)
+let measured_test ~name ~count prop =
+  Testkit.circuit_test ~name ~count ~max_qubits:3 ~max_instrs:10 (fun c ->
+      prop (Testkit.certifiable_part c))
 
 (* enough rounds to drain any trailing chain a 10-instruction circuit
    can build, so a second run has provably nothing left to find *)
 let opt ?(max_sweeps = 12) c = Dqc.Optimize.run ~max_sweeps c
 
 let prop_optimizer_idempotent =
-  QCheck2.Test.make ~name:"optimizer is idempotent" ~count:100
-    random_measured_gen
-    (fun instrs ->
-      let c = Circ.create ~roles:roles3 ~num_bits:3 instrs in
+  measured_test ~name:"optimizer is idempotent" ~count:100 (fun c ->
       let first = opt c in
       let second = opt first.Dqc.Optimize.after in
       Circ.equal second.Dqc.Optimize.after second.Dqc.Optimize.before)
 
 let prop_optimizer_monotone =
-  QCheck2.Test.make
-    ~name:"optimizer never increases gate count or dynamic depth" ~count:100
-    random_measured_gen
-    (fun instrs ->
-      let c = Circ.create ~roles:roles3 ~num_bits:3 instrs in
+  measured_test ~name:"optimizer never increases gate count or dynamic depth"
+    ~count:100 (fun c ->
       let r = opt c in
       let before = r.Dqc.Optimize.before and after = r.Dqc.Optimize.after in
       Metrics.gate_count before - Metrics.gate_count after >= 0
@@ -569,11 +560,8 @@ let prop_optimizer_monotone =
    register is unchanged, and every accepted rewrite carried a Proved
    certificate (reverts are allowed, sampling never happens) *)
 let prop_optimizer_preserves_register =
-  QCheck2.Test.make
-    ~name:"optimized circuits keep the exact register distribution"
-    ~count:200 random_measured_gen
-    (fun instrs ->
-      let c = Circ.create ~roles:roles3 ~num_bits:3 instrs in
+  measured_test ~name:"optimized circuits keep the exact register distribution"
+    ~count:200 (fun c ->
       let r = opt c in
       let before = Sim.Exact.register_distribution r.Dqc.Optimize.before in
       let after = Sim.Exact.register_distribution r.Dqc.Optimize.after in
@@ -599,6 +587,8 @@ let () =
             test_snapshots_match_circuits;
           Alcotest.test_case "short-circuit on failure" `Quick
             test_short_circuit_on_failure;
+          Alcotest.test_case "sampled equivalence past 12 qubits" `Quick
+            test_sampled_equivalence;
         ] );
       ( "reuse",
         [

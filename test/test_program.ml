@@ -13,86 +13,6 @@ let check_hist msg a b =
   Alcotest.check hist_pairs msg (Sim.Runner.to_list a) (Sim.Runner.to_list b)
 
 (* ------------------------------------------------------------------ *)
-(* Random circuit generator: plain/controlled unitaries, mid-circuit
-   measurement, active reset, classically conditioned gates, barriers *)
-
-let random_gate rng =
-  match Random.State.int rng 14 with
-  | 0 -> Gate.H
-  | 1 -> Gate.X
-  | 2 -> Gate.Y
-  | 3 -> Gate.Z
-  | 4 -> Gate.S
-  | 5 -> Gate.Sdg
-  | 6 -> Gate.T
-  | 7 -> Gate.Tdg
-  | 8 -> Gate.V
-  | 9 -> Gate.Vdg
-  | 10 -> Gate.Rx (Random.State.float rng 6.28)
-  | 11 -> Gate.Ry (Random.State.float rng 6.28)
-  | 12 -> Gate.Rz (Random.State.float rng 6.28)
-  | _ -> Gate.Phase (Random.State.float rng 6.28)
-
-(* [k] distinct qubits of [n], target first *)
-let distinct_qubits rng n k =
-  let chosen = ref [] in
-  while List.length !chosen < k do
-    let q = Random.State.int rng n in
-    if not (List.mem q !chosen) then chosen := q :: !chosen
-  done;
-  !chosen
-
-let random_instr rng ~n ~num_bits : Instruction.t =
-  match Random.State.int rng 12 with
-  | 0 | 1 | 2 | 3 ->
-      Instruction.Unitary
-        (Instruction.app (random_gate rng) (Random.State.int rng n))
-  | 4 | 5 ->
-      if n < 2 then
-        Instruction.Unitary
-          (Instruction.app (random_gate rng) (Random.State.int rng n))
-      else
-        let k = min n (2 + Random.State.int rng 2) in
-        (match distinct_qubits rng n k with
-        | target :: controls ->
-            Instruction.Unitary
-              (Instruction.app ~controls (random_gate rng) target)
-        | [] -> assert false)
-  | 6 | 7 ->
-      Instruction.Measure
-        { qubit = Random.State.int rng n; bit = Random.State.int rng num_bits }
-  | 8 -> Instruction.Reset (Random.State.int rng n)
-  | 9 | 10 ->
-      let cond =
-        Instruction.cond_bit
-          (Random.State.int rng num_bits)
-          (Random.State.bool rng)
-      in
-      let controls =
-        if n >= 2 && Random.State.bool rng then
-          match distinct_qubits rng n 2 with
-          | [ _; c ] -> [ c ]
-          | _ -> []
-        else []
-      in
-      let target =
-        let rec pick () =
-          let t = Random.State.int rng n in
-          if List.mem t controls then pick () else t
-        in
-        pick ()
-      in
-      Instruction.Conditioned (cond, Instruction.app ~controls (random_gate rng) target)
-  | _ -> Instruction.Barrier (distinct_qubits rng n (1 + Random.State.int rng n))
-
-let random_circuit rng =
-  let n = 1 + Random.State.int rng 10 in
-  let num_bits = 1 + Random.State.int rng 4 in
-  let depth = 5 + Random.State.int rng 40 in
-  let instrs = List.init depth (fun _ -> random_instr rng ~n ~num_bits) in
-  Circ.create ~roles:(Array.make n Circ.Data) ~num_bits instrs
-
-(* ------------------------------------------------------------------ *)
 (* Differential: compiled ≡ generic interpreter, amplitude for
    amplitude and bit for bit.  Both paths consume the RNG in source
    order and each kernel does the interpreter's float arithmetic, so
@@ -117,7 +37,8 @@ let check_states ~msg a b =
         x.Complex.re x.Complex.im y.Complex.re y.Complex.im
   done
 
-(* 220 circuits from one generator plus 50 from a second: (generator
+(* Testkit's random dynamic circuits on up to 10 qubits and 44
+   instructions, 220 from one stream plus 50 from a second: (stream
    seed, circuits drawn from it, case label prefix) *)
 let random_suites =
   [ ([| 0x5EED; 42 |], 220, ""); ([| 0xD1FF |], 50, "D1FF ") ]
@@ -127,7 +48,9 @@ let test_differential_random () =
     (fun (gen_seed, cases, label) ->
       let gen = Random.State.make gen_seed in
       for case = 0 to cases - 1 do
-        let c = random_circuit gen in
+        let c =
+          Testkit.random_dynamic_circuit ~max_qubits:10 ~max_instrs:44 gen
+        in
         let seed = Random.State.int gen 1_000_000 in
         let run_with f = f ~rng:(Random.State.make [| seed |]) c in
         let compiled = run_with Sim.Statevector.run in

@@ -57,81 +57,44 @@ let prop_in_span =
 (* ------------------------------------------------------------------ *)
 (* Random abstract states                                              *)
 
-let nq = 4
-let nb = 2
-let gate_pool = Gate.[ H; X; Y; Z; S; Sdg; T; Tdg ]
+(* Instruction lists from Testkit's random dynamic circuits on up to 4
+   qubits: a law over [parts] lists splits one draw of up to
+   [24 * parts] instructions into [parts] runs, [run 0] first. *)
+let law_test ~name ~count ~parts prop =
+  Testkit.circuit_test ~name ~count ~max_qubits:4 ~max_instrs:(24 * parts)
+    (fun c ->
+      let instrs = Circ.instructions c in
+      let n = List.length instrs in
+      prop c (fun k -> List.filteri (fun i _ -> i * parts / n = k) instrs))
 
-let instr_gen =
-  QCheck2.Gen.(
-    oneof
-      [
-        map2
-          (fun g q -> Instruction.Unitary (Instruction.app g q))
-          (oneofl gate_pool)
-          (int_range 0 (nq - 1));
-        map3
-          (fun g c t ->
-            if c = t then Instruction.Unitary (Instruction.app g t)
-            else Instruction.Unitary (Instruction.app ~controls:[ c ] g t))
-          (oneofl Gate.[ X; Z ])
-          (int_range 0 (nq - 1))
-          (int_range 0 (nq - 1));
-        map3
-          (fun c1 t g ->
-            let c2 = (c1 + 1) mod nq in
-            if t = c1 || t = c2 then Instruction.Unitary (Instruction.app g t)
-            else
-              Instruction.Unitary (Instruction.app ~controls:[ c1; c2 ] Gate.X t))
-          (int_range 0 (nq - 1))
-          (int_range 0 (nq - 1))
-          (oneofl gate_pool);
-        map2
-          (fun q b -> Instruction.Measure { qubit = q; bit = b })
-          (int_range 0 (nq - 1))
-          (int_range 0 (nb - 1));
-        map (fun q -> Instruction.Reset q) (int_range 0 (nq - 1));
-        map3
-          (fun g q b ->
-            Instruction.Conditioned
-              (Instruction.cond_bit b true, Instruction.app g q))
-          (oneofl gate_pool)
-          (int_range 0 (nq - 1))
-          (int_range 0 (nb - 1));
-      ])
-
-let instrs_gen = QCheck2.Gen.(list_size (int_range 0 24) instr_gen)
-
-let state_of instrs =
+let state_of c instrs =
   List.fold_left Lint.Reldom.step
-    (Lint.Reldom.init ~num_qubits:nq ~num_bits:nb)
+    (Lint.Reldom.init ~num_qubits:(Circ.num_qubits c)
+       ~num_bits:(Circ.num_bits c))
     instrs
 
 let partition d = List.map fst (Lint.Reldom.blocks d)
 
-let implications d =
-  ( List.init nq (Lint.Reldom.implied_qubit d),
-    List.init nb (Lint.Reldom.implied_bit d) )
+let implications c d =
+  ( List.init (Circ.num_qubits c) (Lint.Reldom.implied_qubit d),
+    List.init (Circ.num_bits c) (Lint.Reldom.implied_bit d) )
 
 (* ------------------------------------------------------------------ *)
 (* Join laws                                                           *)
 
 let prop_join_comm =
-  QCheck2.Test.make ~name:"join commutative" ~count:200
-    QCheck2.Gen.(pair instrs_gen instrs_gen)
-    (fun (s1, s2) ->
-      let a = state_of s1 and b = state_of s2 in
+  law_test ~name:"join commutative" ~count:200 ~parts:2 (fun c run ->
+      let a = state_of c (run 0) and b = state_of c (run 1) in
       Lint.Reldom.equal (Lint.Reldom.join a b) (Lint.Reldom.join b a))
 
 let prop_join_idempotent =
-  QCheck2.Test.make ~name:"join idempotent" ~count:200 instrs_gen (fun s ->
-      let a = state_of s in
+  law_test ~name:"join idempotent" ~count:200 ~parts:1 (fun c run ->
+      let a = state_of c (run 0) in
       Lint.Reldom.equal (Lint.Reldom.join a a) a)
 
 let prop_join_upper_bound =
-  QCheck2.Test.make ~name:"join is an upper bound" ~count:200
-    QCheck2.Gen.(pair instrs_gen instrs_gen)
-    (fun (s1, s2) ->
-      let a = state_of s1 and b = state_of s2 in
+  law_test ~name:"join is an upper bound" ~count:200 ~parts:2 (fun c run ->
+      let a = state_of c (run 0) and b = state_of c (run 1) in
       let j = Lint.Reldom.join a b in
       Lint.Reldom.leq a j && Lint.Reldom.leq b j)
 
@@ -139,25 +102,24 @@ let prop_join_upper_bound =
    domain is only associative up to mutual upper-bounding because the
    rank join is not a least upper bound *)
 let prop_join_assoc_scoped =
-  QCheck2.Test.make ~name:"join associative (partition exact, rank bounded)"
-    ~count:150
-    QCheck2.Gen.(triple instrs_gen instrs_gen instrs_gen)
-    (fun (s1, s2, s3) ->
-      let a = state_of s1 and b = state_of s2 and c = state_of s3 in
-      let x = Lint.Reldom.join (Lint.Reldom.join a b) c in
-      let y = Lint.Reldom.join a (Lint.Reldom.join b c) in
+  law_test ~name:"join associative (partition exact, rank bounded)"
+    ~count:150 ~parts:3 (fun c run ->
+      let a = state_of c (run 0)
+      and b = state_of c (run 1)
+      and d = state_of c (run 2) in
+      let x = Lint.Reldom.join (Lint.Reldom.join a b) d in
+      let y = Lint.Reldom.join a (Lint.Reldom.join b d) in
       partition x = partition y
-      && implications x = implications y
-      && Lint.Reldom.leq a x && Lint.Reldom.leq b x && Lint.Reldom.leq c x
-      && Lint.Reldom.leq a y && Lint.Reldom.leq b y && Lint.Reldom.leq c y)
+      && implications c x = implications c y
+      && Lint.Reldom.leq a x && Lint.Reldom.leq b x && Lint.Reldom.leq d x
+      && Lint.Reldom.leq a y && Lint.Reldom.leq b y && Lint.Reldom.leq d y)
 
 (* the affine rows of a join hold in both arguments: facts proved on
    both sides survive the Zassenhaus span intersection *)
 let prop_join_keeps_common_facts =
-  QCheck2.Test.make ~name:"join keeps facts common to both sides" ~count:200
-    QCheck2.Gen.(pair instrs_gen instrs_gen)
-    (fun (s1, s2) ->
-      let a = state_of s1 and b = state_of s2 in
+  law_test ~name:"join keeps facts common to both sides" ~count:200 ~parts:2
+    (fun c run ->
+      let a = state_of c (run 0) and b = state_of c (run 1) in
       let j = Lint.Reldom.join a b in
       let qubit_ok q =
         match (Lint.Reldom.implied_qubit a q, Lint.Reldom.implied_qubit b q) with
@@ -170,29 +132,28 @@ let prop_join_keeps_common_facts =
         | Some va, Some vb when va = vb -> Lint.Reldom.implied_bit j bi = Some va
         | Some _, Some _ | Some _, None | None, Some _ | None, None -> true
       in
-      List.for_all qubit_ok (List.init nq Fun.id)
-      && List.for_all bit_ok (List.init nb Fun.id))
+      List.for_all qubit_ok (List.init (Circ.num_qubits c) Fun.id)
+      && List.for_all bit_ok (List.init (Circ.num_bits c) Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Transfer monotonicity                                               *)
 
+(* a <= b by the upper-bound law; stepping either by any instruction
+   of the third run must preserve it *)
 let prop_transfer_monotone =
-  QCheck2.Test.make ~name:"transfer monotone" ~count:200
-    QCheck2.Gen.(triple instrs_gen instrs_gen instr_gen)
-    (fun (s1, s2, i) ->
-      let a = state_of s1 in
-      let b = Lint.Reldom.join a (state_of s2) in
-      (* a <= b by the upper-bound law; stepping must preserve it *)
-      Lint.Reldom.leq (Lint.Reldom.step a i) (Lint.Reldom.step b i))
+  law_test ~name:"transfer monotone" ~count:200 ~parts:3 (fun c run ->
+      let a = state_of c (run 0) in
+      let b = Lint.Reldom.join a (state_of c (run 1)) in
+      List.for_all
+        (fun i -> Lint.Reldom.leq (Lint.Reldom.step a i) (Lint.Reldom.step b i))
+        (run 2))
 
 let prop_leq_reflexive_on_join_chain =
-  QCheck2.Test.make ~name:"leq reflexive and transitive up the join chain"
-    ~count:150
-    QCheck2.Gen.(triple instrs_gen instrs_gen instrs_gen)
-    (fun (s1, s2, s3) ->
-      let a = state_of s1 in
-      let ab = Lint.Reldom.join a (state_of s2) in
-      let abc = Lint.Reldom.join ab (state_of s3) in
+  law_test ~name:"leq reflexive and transitive up the join chain" ~count:150
+    ~parts:3 (fun c run ->
+      let a = state_of c (run 0) in
+      let ab = Lint.Reldom.join a (state_of c (run 1)) in
+      let abc = Lint.Reldom.join ab (state_of c (run 2)) in
       Lint.Reldom.leq a a && Lint.Reldom.leq a ab && Lint.Reldom.leq ab abc
       && Lint.Reldom.leq a abc)
 
@@ -200,13 +161,13 @@ let prop_leq_reflexive_on_join_chain =
 (* Bound sanity                                                        *)
 
 let prop_bound_within_register =
-  QCheck2.Test.make ~name:"support bound within the register" ~count:300
-    instrs_gen (fun s ->
-      let d = state_of s in
-      let k = Lint.Reldom.log2_support_bound d in
-      0 <= k && k <= nq)
+  law_test ~name:"support bound within the register" ~count:300 ~parts:1
+    (fun c run ->
+      let k = Lint.Reldom.log2_support_bound (state_of c (run 0)) in
+      0 <= k && k <= Circ.num_qubits c)
 
 let test_init_facts () =
+  let nq = 4 and nb = 2 in
   let d = Lint.Reldom.init ~num_qubits:nq ~num_bits:nb in
   check_bool "tracked" true (Lint.Reldom.tracked d);
   check_bool "bound 0" true (Lint.Reldom.log2_support_bound d = 0);
@@ -219,13 +180,14 @@ let test_init_facts () =
 
 let test_parity_relation () =
   (* H 0; CX 0 1: x0 = x1 on every branch, one rank-1 block of {0,1} *)
-  let d =
-    state_of
+  let c =
+    Circ.create ~roles:(Array.make 4 Circ.Data) ~num_bits:2
       [
         Instruction.Unitary (Instruction.app Gate.H 0);
         Instruction.Unitary (Instruction.app ~controls:[ 0 ] Gate.X 1);
       ]
   in
+  let d = state_of c (Circ.instructions c) in
   check_bool "bound 1" true (Lint.Reldom.log2_support_bound d = 1);
   check_bool "entangled" true
     (List.exists (fun (m, _) -> m = [ 0; 1 ]) (partition d |> List.map (fun m -> (m, ()))));

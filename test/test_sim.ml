@@ -503,46 +503,19 @@ let test_stab_unsupported () =
        false
      with Sim.Stabilizer.Unsupported _ -> true)
 
-(* Random 3-qubit Clifford circuits over every kernel the tableau
-   maps, with mid-circuit measurement, reset and feed-forward. *)
-let clifford_gen =
-  QCheck2.Gen.(
-    list_size (int_range 1 15)
-      (oneof
-         [
-           map2
-             (fun g q -> Instruction.Unitary (Instruction.app g q))
-             (oneofl Gate.[ H; X; Y; Z; S; Sdg ])
-             (int_range 0 2);
-           map3
-             (fun g a d ->
-               let b = (a + 1 + d) mod 3 in
-               Instruction.Unitary (Instruction.app ~controls:[ a ] g b))
-             (oneofl Gate.[ X; Z ])
-             (int_range 0 2) (int_range 0 1);
-           map2
-             (fun q b -> Instruction.Measure { qubit = q; bit = b })
-             (int_range 0 2) (int_range 0 2);
-           map (fun q -> Instruction.Reset q) (int_range 0 2);
-           map3
-             (fun g (b, v) q ->
-               Instruction.Conditioned
-                 ({ Instruction.bits = [ (b, v) ] }, Instruction.app g q))
-             (oneofl Gate.[ X; Z ])
-             (pair (int_range 0 2) bool)
-             (int_range 0 2);
-         ]))
-
-let clifford_circuit instrs =
-  Circ.create ~roles:(roles 3) ~num_bits:3
-    (instrs @ List.init 3 (fun q -> Instruction.Measure { qubit = q; bit = q }))
+(* The Clifford part of Testkit's random dynamic circuits on up to 3
+   qubits and 15 instructions, every kernel the tableau maps with
+   mid-circuit measurement, reset and feed-forward, each qubit [q]
+   measured into bit [q] at the end. *)
+let clifford_test ~name ~count prop =
+  Testkit.circuit_test ~name ~count ~max_qubits:3 ~max_instrs:15 (fun c ->
+      prop
+        (Sim.Measurement_plan.instrument Sim.Measurement_plan.measure_all
+           (Testkit.clifford_part c)))
 
 let prop_stabilizer_matches_exact =
-  QCheck2.Test.make
-    ~name:"stabilizer shots match the exact distribution" ~count:20
-    clifford_gen
-    (fun instrs ->
-      let c = clifford_circuit instrs in
+  clifford_test ~name:"stabilizer shots match the exact distribution"
+    ~count:20 (fun c ->
       let d_exact = Sim.Exact.register_distribution c in
       let d_stab =
         Sim.Runner.to_dist
@@ -553,21 +526,26 @@ let prop_stabilizer_matches_exact =
 (* The tableau keeps the engines' randomness contract, so on a
    Clifford circuit it replays the dense shot stream draw for draw. *)
 let prop_stabilizer_is_dense =
-  QCheck2.Test.make ~name:"tableau shots = dense shots, same seed"
-    ~count:100 clifford_gen (fun instrs ->
-      let c = clifford_circuit instrs in
+  clifford_test ~name:"tableau shots = dense shots, same seed" ~count:100
+    (fun c ->
       let run policy = Sim.Backend.run ~policy ~seed:17 ~shots:200 c in
       Sim.Runner.to_list (run Sim.Backend.Stabilizer)
       = Sim.Runner.to_list (run Sim.Backend.Statevector_dense))
 
 let prop_stabilizer_exact_law =
-  QCheck2.Test.make ~name:"tableau exact law = dense exact law" ~count:100
-    clifford_gen (fun instrs ->
-      let p = Sim.Program.compile (clifford_circuit instrs) in
+  clifford_test ~name:"tableau exact law = dense exact law" ~count:100
+    (fun c ->
+      let p = Sim.Program.compile c in
       let law engine = Sim.Exact.program_distribution ~engine p in
       Sim.Dist.approx_equal ~eps:1e-12
         (law (module Sim.Stabilizer.Tableau_engine : Sim.Engine.Core))
         (law (module Sim.Statevector.Dense_engine : Sim.Engine.Core)))
+
+(* Every Clifford part of a draw runs on the tableau. *)
+let prop_clifford_part_supported =
+  Testkit.circuit_test ~name:"tableau supports every Clifford part" ~count:300
+    ~max_qubits:8 ~max_instrs:32 (fun c ->
+      Sim.Stabilizer.supports (Sim.Program.compile (Testkit.clifford_part c)))
 
 module Tableau = Sim.Stabilizer.Tableau_engine
 
@@ -862,6 +840,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_stabilizer_matches_exact;
           QCheck_alcotest.to_alcotest prop_stabilizer_is_dense;
           QCheck_alcotest.to_alcotest prop_stabilizer_exact_law;
+          QCheck_alcotest.to_alcotest prop_clifford_part_supported;
           Alcotest.test_case "zero-probability project" `Quick
             test_stab_zero_probability;
           Alcotest.test_case "kernel table" `Quick test_stab_kernel_table;

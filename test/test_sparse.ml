@@ -25,10 +25,8 @@ let check_hist msg a b =
 let dense_engine = (module Sim.Statevector.Dense_engine : Sim.Engine.Core)
 let sparse_engine = (module Sim.Sparse.Sparse_engine : Sim.Engine.Core)
 
-(* The random dynamic circuits (Clifford+T 1-qubit gates, CX/CZ,
-   Toffolis, mid-circuit measures, resets, conditioned gates) of
-   Testkit: this file's own stream draws up to 8 qubits and 32
-   instructions, the wide stream up to 10 and 35. *)
+(* Testkit's random dynamic circuits: this file's own stream draws up
+   to 8 qubits and 32 instructions, the wide stream up to 10 and 35. *)
 let random_dynamic_circuit rng =
   Testkit.random_dynamic_circuit ~max_qubits:8 ~max_instrs:32 rng
 
@@ -308,11 +306,7 @@ let test_forks_per_branch () =
       check_int name expected f.(Array.length f - 1))
     [
       ("BV_1011 dyn2", paper_job dyn2 (Algorithms.Bv.circuit "1011"), 2);
-      ( "DJ(AND) dyn2",
-        paper_job dyn2
-          (Algorithms.Dj.circuit
-             (Option.get (Algorithms.Dj_toffoli.oracle_by_name "AND"))),
-        2 );
+      ("DJ(AND) dyn2", paper_job dyn2 (Testkit.dj_and ()), 2);
       ("DJ(AND_4) dyn2", paper_job dyn2 (dj_and_n 4), 6);
       ("DJ(AND_5) dyn1", paper_job dyn1 (dj_and_n 5), 7);
       ("DJ(AND_5) dyn2", paper_job dyn2 (dj_and_n 5), 8);
@@ -517,12 +511,7 @@ let dense_sparse_tableau =
    the walk shares against the replay on dyn2 DJ(AND), teleport and a
    terminal-only DJ(AND). *)
 let walk_rows () =
-  let dyn2_and =
-    (Dqc.Toffoli_scheme.transform Dqc.Toffoli_scheme.Dynamic_2
-       (Algorithms.Dj.circuit
-          (Option.get (Algorithms.Dj_toffoli.oracle_by_name "AND"))))
-      .Dqc.Transform.circuit
-  in
+  let dyn2_and = Testkit.dyn2_and () in
   let differential =
     let rng = Random.State.make [| 0x5AB5E |] in
     List.concat
