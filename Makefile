@@ -85,20 +85,21 @@ perf-baseline:
 # One-command gate: full build of every target (examples/ and
 # perfbench/ included, so a public name they use cannot vanish
 # unnoticed) + the tier-1 tests (every correctness check, the CLI's
-# exit codes and telemetry exports included) + the
-# execution-backend study (non-zero exit when the walk and the
-# per-shot replay disagree) + the timing gate + the perf regression
-# gate + source hygiene + the no-hidden-state check + the
-# unused-exports check (OCAMLRUNPARAM=b: backtraces on uncaught
-# exceptions).
+# exit codes and telemetry exports included) + source hygiene + the
+# no-hidden-state check + the unused-exports check, then the timed
+# steps: the execution-backend study (non-zero exit when the walk and
+# the per-shot replay disagree) + the timing gate + the perf
+# regression gate (OCAMLRUNPARAM=b: backtraces on uncaught
+# exceptions).  The static checks run first so that a red timing step
+# cannot hide them.
 ci:
 	OCAMLRUNPARAM=b dune build @all @runtest
-	OCAMLRUNPARAM=b dune exec bench/main.exe -- backend
-	$(MAKE) gate
-	$(MAKE) perf-gate
 	$(MAKE) fmt-check
 	$(MAKE) state-check
 	$(MAKE) exports-check
+	OCAMLRUNPARAM=b dune exec bench/main.exe -- backend
+	$(MAKE) gate
+	$(MAKE) perf-gate
 
 clean:
 	dune clean

@@ -311,12 +311,12 @@ let cpu_best ?(runs = 20) f =
   done;
   !best
 
-(* The resource analyzer's walk over an interpreter trace it is handed,
+(* The resource analyzer's walk over a trace interpreted beforehand,
    as a fraction of one pipeline compile of the same circuit: that is
    the gated fraction.  No compile pass computes the summary; Auto
-   computes it once per run (Sim.Backend.resource_summary).  The cold
-   time (trace included) is reported beside it but tracks the
-   interpreter, whose budget is perf's. *)
+   computes it once per run, interpreting the circuit first
+   (Sim.Backend.resource_summary).  That cold time is reported beside
+   it but tracks the interpreter, whose budget is perf's. *)
 let analyze_overhead () =
   let dj = Algorithms.Dj.circuit and_9 in
   let options =
@@ -325,9 +325,9 @@ let analyze_overhead () =
     |> O.with_scheme Dqc.Toffoli_scheme.Dynamic_1
     |> O.with_check_equivalence false
   in
-  let t_cold = cpu_best (fun () -> Lint.Resource.analyze dj) in
+  let t_cold = cpu_best (fun () -> Sim.Backend.resource_summary dj) in
   let trace = Lint.Trace.run dj in
-  let t_analyze = cpu_best (fun () -> Lint.Resource.analyze ~trace dj) in
+  let t_analyze = cpu_best (fun () -> Lint.Resource.analyze trace) in
   let t_compile = cpu_best (fun () -> Dqc.Pipeline.compile ~options dj) in
   ( t_analyze /. t_compile,
     Printf.sprintf
@@ -974,7 +974,8 @@ let workloads () : (string * (unit -> unit)) list =
   in
   let analyze_tests =
     List.map
-      (fun (name, c) -> (name, fun () -> ignore (Lint.Resource.analyze c)))
+      (fun (name, c) ->
+        (name, fun () -> ignore (Sim.Backend.resource_summary c)))
       (Lazy.force analyze_workloads)
   in
   (* the symbolic certifier: no simulation, so the wide instances

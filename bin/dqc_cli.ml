@@ -674,7 +674,7 @@ let analyze_cmd =
         prerr_endline "give a benchmark name or --file <qasm>";
         exit 1
     | Some (name, c) ->
-        let summary = Lint.Resource.analyze c in
+        let summary = Sim.Backend.resource_summary c in
         if json then
           print_endline
             (Obs.Json.to_string (Lint.Resource.to_json ~name c summary))
@@ -1070,12 +1070,18 @@ let slots_cmd =
 
 let passes_cmd =
   let run () =
+    let passes = Dqc.Pipeline.registered_passes () in
+    let width =
+      List.fold_left
+        (fun w (p : Dqc.Pass.t) -> max w (String.length p.Dqc.Pass.name))
+        0 passes
+    in
     List.iter
       (fun (p : Dqc.Pass.t) ->
-        Printf.printf "%-14s %-10s %s\n" p.Dqc.Pass.name
+        Printf.printf "%-*s %-10s %s\n" width p.Dqc.Pass.name
           (Dqc.Pass.kind_to_string p.Dqc.Pass.kind)
           p.Dqc.Pass.doc)
-      (Dqc.Pipeline.registered_passes ())
+      passes
   in
   Cmd.v
     (Cmd.info "passes"

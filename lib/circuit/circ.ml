@@ -109,8 +109,10 @@ module Builder = struct
   let measure b ~qubit ~bit = add b (Instruction.Measure { qubit; bit })
   let reset b q = add b (Instruction.Reset q)
 
-  let conditioned b ~bit ?(value = true) g q =
-    add b (Instruction.Conditioned (Instruction.cond_bit bit value, Instruction.app g q))
+  let conditioned b ~bit g q =
+    add b
+      (Instruction.Conditioned
+         (Instruction.cond_bit bit true, Instruction.app g q))
 
   let barrier b qs = add b (Instruction.Barrier qs)
 

@@ -76,9 +76,8 @@ module Builder : sig
   val measure : t -> qubit:int -> bit:int -> unit
   val reset : t -> int -> unit
 
-  (** [conditioned b ~bit ?value g t] adds [if (bit == value) g t]
-      ([value] defaults to [true]). *)
-  val conditioned : t -> bit:int -> ?value:bool -> Gate.t -> int -> unit
+  (** [conditioned b ~bit g t] adds [if (bit == 1) g t]. *)
+  val conditioned : t -> bit:int -> Gate.t -> int -> unit
 
   val barrier : t -> int list -> unit
   val build : t -> circuit

@@ -108,7 +108,8 @@ let default_timing =
    its qubits are free (and, for conditioned gates, its bits have been
    written plus the feed-forward latency) and occupies its qubits for
    its duration; measurements publish their bit at their finish time. *)
-let duration ?(timing = default_timing) c =
+let duration c =
+  let timing = default_timing in
   let qfree = Array.make (max 1 (Circ.num_qubits c)) 0. in
   let bready = Array.make (max 1 (Circ.num_bits c)) 0. in
   let place (i : Instruction.t) =

@@ -62,7 +62,8 @@ type timing = {
 (** 2022-era IBM-like figures: 35 / 300 / 700 / 840 / 660 ns. *)
 val default_timing : timing
 
-(** Critical-path duration in ns.  A conditioned gate starts no
-    earlier than [t_feedforward] after its condition bits are written;
-    barriers synchronize their qubits at zero cost. *)
-val duration : ?timing:timing -> Circ.t -> float
+(** Critical-path duration in ns under {!default_timing}.  A
+    conditioned gate starts no earlier than [t_feedforward] after its
+    condition bits are written; barriers synchronize their qubits at
+    zero cost. *)
+val duration : Circ.t -> float

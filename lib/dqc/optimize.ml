@@ -44,13 +44,6 @@ let changed s = s <> zero
 
 type rewrite = { circuit : Circ.t; stats : stats; reverted : bool }
 
-(* the trace is reused only while it still describes the circuit —
-   same contract as [Pass.fresh_facts] *)
-let trace_for ?trace c =
-  match trace with
-  | Some t when Circ.equal (Trace.circuit t) c -> t
-  | Some _ | None -> Trace.run c
-
 (* ------------------------------------------------------------------ *)
 (* Sweeps: one pass over the trace, collecting the kept instructions.
    Every rewrite below preserves the concrete semantics of the
@@ -318,9 +311,9 @@ let certified ~family before (after, stats) =
         flight family "reverted" stats before after;
         { circuit = before; stats = zero; reverted = true }
 
-let sweep ~family ~run ?trace c =
+let sweep ~family ~run trace =
   Obs.with_span ("optimize." ^ family) (fun () ->
-      let trace = trace_for ?trace c in
+      let c = Trace.circuit trace in
       let instrs, stats = run trace in
       let after =
         if changed stats then
@@ -329,16 +322,12 @@ let sweep ~family ~run ?trace c =
       in
       certified ~family c (after, stats))
 
-let fold ?trace c = sweep ~family:"fold" ~run:(fun t -> fold_sweep t) ?trace c
+let fold trace = sweep ~family:"fold" ~run:fold_sweep trace
+let affine trace = sweep ~family:"affine" ~run:affine_sweep trace
 
-let affine ?trace c =
-  sweep ~family:"affine" ~run:(fun t -> affine_sweep t) ?trace c
-
-let dce ?trace c =
+let dce trace =
   Obs.with_span "optimize.dce" (fun () ->
-      let trace = trace_for ?trace c in
-      let after, stats = dce_sweep trace in
-      certified ~family:"dce" c (after, stats))
+      certified ~family:"dce" (Trace.circuit trace) (dce_sweep trace))
 
 (* ------------------------------------------------------------------ *)
 
@@ -357,12 +346,17 @@ let run ?(max_sweeps = 4) c =
       let current = ref c in
       let rounds = ref 0 in
       let continue = ref true in
+      (* a sweep that returned its input hands its trace on *)
+      let trace_of r t =
+        if r.circuit == Trace.circuit t then t else Trace.run r.circuit
+      in
       while !continue && !rounds < max_sweeps do
         incr rounds;
-        let trace = Trace.run !current in
-        let r1 = fold ~trace !current in
-        let r2 = dce ~trace r1.circuit in
-        let r3 = affine ~trace r2.circuit in
+        let t1 = Trace.run !current in
+        let r1 = fold t1 in
+        let t2 = trace_of r1 t1 in
+        let r2 = dce t2 in
+        let r3 = affine (trace_of r2 t2) in
         let round_stats = add r1.stats (add r2.stats r3.stats) in
         if r1.reverted || r2.reverted || r3.reverted then proved := false;
         total := add !total round_stats;

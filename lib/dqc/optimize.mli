@@ -80,17 +80,17 @@ type rewrite = {
           rather than trusted — never a sampled fallback *)
 }
 
-(** [fold ?trace c] — single constant-measurement / feed-forward
-    folding sweep, certified when it changes [c].  [trace] (when it
-    belongs to [c]) avoids re-running the abstract interpreter.
+(** [fold trace] — single constant-measurement / feed-forward folding
+    sweep over the circuit [trace] interpreted, certified when it
+    changes that circuit.
     @raise Refuted when the certifier disproves the rewrite. *)
-val fold : ?trace:Lint.Trace.t -> Circ.t -> rewrite
+val fold : Lint.Trace.t -> rewrite
 
 (** Single dead-gate / redundant-reset / dead-wire sweep. *)
-val dce : ?trace:Lint.Trace.t -> Circ.t -> rewrite
+val dce : Lint.Trace.t -> rewrite
 
 (** Single affine-fact (constant-control) sweep. *)
-val affine : ?trace:Lint.Trace.t -> Circ.t -> rewrite
+val affine : Lint.Trace.t -> rewrite
 
 (** Aggregate outcome of {!run}. *)
 type result = {
@@ -106,7 +106,9 @@ type result = {
 
 (** Run fold, dce and affine to a fixpoint (bounded by [max_sweeps]
     rounds, default 4).  Each round interprets the current circuit
-    once and shares the trace across the three sweeps' fact queries.
+    once, and again after each sweep that rewrites it: a sweep that
+    returns its input circuit hands its trace to the next sweep, so a
+    round that changes nothing interprets once.
     @raise Refuted as the sweeps do. *)
 val run : ?max_sweeps:int -> Circ.t -> result
 

@@ -23,7 +23,6 @@ type ctx = {
   certified : bool;
   tv : float option;
   tv_sampled : bool;
-  facts : Lint.Trace.t option;
   lint : Lint.report option;
   reuse : Reuse.report option;
   notes : (string * string) list;
@@ -43,18 +42,12 @@ let init ~config circuit =
     certified = false;
     tv = None;
     tv_sampled = false;
-    facts = None;
     lint = None;
     reuse = None;
     notes = [];
   }
 
 let note key value ctx = { ctx with notes = (key, value) :: ctx.notes }
-
-let fresh_facts ctx =
-  match ctx.facts with
-  | Some trace when Lint.Trace.circuit trace == ctx.circuit -> Some trace
-  | Some _ | None -> None
 
 type t = { name : string; kind : kind; doc : string; run : ctx -> ctx }
 

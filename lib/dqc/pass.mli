@@ -7,9 +7,9 @@ open Circuit
     A pass is a named, kinded function over a typed context that
     carries the circuit being compiled together with everything the
     stages accumulate: the transform bookkeeping, equivalence
-    evidence, lint facts (the abstract interpreter's trace, shared so
-    downstream passes need not re-interpret), reports and free-form
-    notes.  Passes never talk to each other directly — the context is
+    evidence, reports and free-form notes.  A pass that needs the
+    abstract interpreter's facts interprets the current circuit
+    itself.  Passes never talk to each other directly — the context is
     the only channel, which is what makes schedules reorderable and
     custom passes composable with the built-in ones: a schedule is a
     plain [t list] for {!Pass_manager.run}.
@@ -56,10 +56,6 @@ type ctx = {
   certified : bool;
   tv : float option;
   tv_sampled : bool;
-  facts : Lint.Trace.t option;
-      (** abstract-interpretation facts for some earlier rewrite
-          state; consumers must check the trace still belongs to
-          [circuit] before using it *)
   lint : Lint.report option;
   reuse : Reuse.report option;
   notes : (string * string) list;
@@ -71,11 +67,6 @@ val init : config:config -> Circ.t -> ctx
 
 (** [note key value ctx] prepends a diagnostic note. *)
 val note : string -> string -> ctx -> ctx
-
-(** [fresh_facts ctx] is the context's trace when it was computed for
-    the {e current} circuit, [None] otherwise (stale facts are never
-    returned). *)
-val fresh_facts : ctx -> Lint.Trace.t option
 
 type t = { name : string; kind : kind; doc : string; run : ctx -> ctx }
 

@@ -88,33 +88,21 @@ let reuse_body (ctx : Pass.ctx) =
     Pass.note "reuse" "no retired wire could be re-hosted" ctx
   else ctx
 
-let analyze_body (ctx : Pass.ctx) =
-  match Pass.fresh_facts ctx with
-  | Some _ -> ctx
-  | None -> { ctx with Pass.facts = Some (Lint.Trace.run ctx.Pass.circuit) }
-
 let prune_resets_body (ctx : Pass.ctx) =
-  match Pass.fresh_facts ctx with
-  | None -> ctx
-  | Some trace ->
-      let circuit, pruned = Reuse.prune_resets trace in
-      if pruned = 0 then ctx
-      else begin
-        let reuse =
-          match ctx.Pass.reuse with
-          | Some r ->
-              Some
-                {
-                  r with
-                  Reuse.resets_pruned = r.Reuse.resets_pruned + pruned;
-                }
-          | None -> None
-        in
-        Pass.note "prune_resets"
-          (Printf.sprintf "%d provably-redundant reset%s dropped" pruned
-             (if pruned = 1 then "" else "s"))
-          { ctx with Pass.circuit; Pass.reuse = reuse }
-      end
+  let circuit, pruned = Reuse.prune_resets ctx.Pass.circuit in
+  if pruned = 0 then ctx
+  else begin
+    let reuse =
+      match ctx.Pass.reuse with
+      | Some r ->
+          Some { r with Reuse.resets_pruned = r.Reuse.resets_pruned + pruned }
+      | None -> None
+    in
+    Pass.note "prune_resets"
+      (Printf.sprintf "%d provably-redundant reset%s dropped" pruned
+         (if pruned = 1 then "" else "s"))
+      { ctx with Pass.circuit; Pass.reuse = reuse }
+  end
 
 (* prove the rewired circuit's outcome channel unchanged.  Try the
    strongest claim first — channel equality against the untouched
@@ -158,14 +146,11 @@ let reuse_certify_body (ctx : Pass.ctx) =
           raise (Reuse_refuted cex.Verify.Certify.detail)
       | Verify.Certify.Unknown _ -> { ctx with Pass.certified = false })
 
-(* the optimizer passes: certified analysis-driven rewrites.  Each
-   body reuses the interpreter facts already in the context when they
-   are fresh; a changed circuit invalidates them implicitly
-   ([Pass.fresh_facts] compares circuits). *)
-let optimize_pass family
-    (runf : ?trace:Lint.Trace.t -> Circ.t -> Optimize.rewrite)
+(* the optimizer passes: certified analysis-driven rewrites, each over
+   a fresh interpretation of the current circuit *)
+let optimize_pass family (sweep : Lint.Trace.t -> Optimize.rewrite)
     (ctx : Pass.ctx) =
-  let r = runf ?trace:(Pass.fresh_facts ctx) ctx.Pass.circuit in
+  let r = sweep (Lint.Trace.run ctx.Pass.circuit) in
   if r.Optimize.reverted then
     Pass.note
       ("optimize." ^ family)
@@ -206,10 +191,9 @@ let lint_body (ctx : Pass.ctx) =
     | Some _ -> Lint.default_passes
     | None -> Lint.dqc_passes ~max_live:ctx.Pass.config.Pass.slots ()
   in
-  let trace = Pass.fresh_facts ctx in
-  (* run-then-raise rather than [Lint.check] so the flight recorder sees
-     every diagnostic before a rejection unwinds the pipeline *)
-  let report = Lint.run ?trace ~passes ctx.Pass.circuit in
+  (* the flight recorder sees every diagnostic before a rejection
+     unwinds the pipeline *)
+  let report = Lint.run ~passes ctx.Pass.circuit in
   if Obs.Flight.enabled () then
     List.iter
       (fun d ->
@@ -236,11 +220,8 @@ let builtin_passes =
     Pass.make ~name:"reuse" ~kind:Pass.Transform
       ~doc:"causal-cone qubit reuse: rewire retired wires behind resets"
       reuse_body;
-    Pass.make ~name:"analyze" ~kind:Pass.Analysis
-      ~doc:"abstract interpretation; shares its facts through the context"
-      analyze_body;
     Pass.make ~name:"prune_resets" ~kind:Pass.Transform
-      ~doc:"drop resets the analysis facts prove redundant"
+      ~doc:"drop resets the abstract interpreter proves redundant"
       prune_resets_body;
     Pass.make ~name:"reuse_certify" ~kind:Pass.Gate
       ~doc:"path-sum channel certification of the reuse rewiring"
@@ -356,14 +337,11 @@ module Options = struct
           opt t.optimize [ "optimize.fold"; "optimize.dce"; "optimize.affine" ]
         in
         if t.reuse then
-          [
-            "prepare"; "reuse"; "analyze"; "prune_resets"; "reuse_certify";
-            "expand_cv";
-          ]
+          [ "prepare"; "reuse"; "prune_resets"; "reuse_certify"; "expand_cv" ]
           @ optimize
           @ opt t.peephole [ "peephole" ]
           @ opt t.native [ "lower_native" ]
-          @ opt t.lint [ "analyze"; "lint" ]
+          @ opt t.lint [ "lint" ]
         else
           [ "prepare"; "transform" ]
           @ opt t.check_equivalence [ "certify"; "equivalence" ]

@@ -78,10 +78,10 @@ module Options : sig
   val with_lint : bool -> t -> t
 
   (** Compile through the qubit-reuse flow instead of the Algorithm 1
-      transform: prepare -> reuse -> analyze -> prune_resets ->
-      reuse_certify, then the configured lowering passes and the lint
-      gate.  The certifier's verdict lands in [certified]; a refuted
-      rewiring raises {!Reuse_refuted}. *)
+      transform: prepare -> reuse -> prune_resets -> reuse_certify,
+      then the configured lowering passes and the lint gate.  The
+      certifier's verdict lands in [certified]; a refuted rewiring
+      raises {!Reuse_refuted}. *)
   val with_reuse : bool -> t -> t
 
   (** Run the certified optimizer ([optimize.fold] / [optimize.dce] /

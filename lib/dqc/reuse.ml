@@ -172,8 +172,7 @@ let rewire c =
         end
       end)
 
-let prune_resets trace =
-  let c = Lint.Trace.circuit trace in
+let prune_resets c =
   let keep = ref [] in
   let pruned = ref 0 in
   Lint.Trace.iteri
@@ -185,7 +184,7 @@ let prune_resets trace =
       | Instruction.Conditioned _ | Instruction.Measure _
       | Instruction.Barrier _ ->
           keep := instr :: !keep)
-    trace;
+    (Lint.Trace.run c);
   if !pruned = 0 then (c, 0)
   else
     ( Circ.create ~roles:(Circ.roles c) ~num_bits:(Circ.num_bits c)

@@ -48,13 +48,12 @@ val saved : report -> int
     the property the channel certification rests on. *)
 val rewire : Circ.t -> Circ.t * report
 
-(** [prune_resets trace] drops every [Reset q] whose pre-state already
-    proves qubit [q] is |0> (the abstract interpreter's [Zero] fact —
-    the same fact the linter's [redundant-reset] hint reports), and
-    returns the pruned circuit with the number of resets removed.
-    The trace must belong to the circuit being pruned; it is the
-    pipeline's shared lint-facts context entry. *)
-val prune_resets : Lint.Trace.t -> Circ.t * int
+(** [prune_resets c] interprets [c] and drops every [Reset q] whose
+    pre-state already proves qubit [q] is |0>
+    ({!Lint.Deadness.provably_zero}, the fact behind the linter's
+    [redundant-reset] hint).  It returns the pruned circuit ([c]
+    itself when no reset goes) and the number of resets removed. *)
+val prune_resets : Circ.t -> Circ.t * int
 
 val pp_report : Format.formatter -> report -> unit
 val report_to_string : report -> string

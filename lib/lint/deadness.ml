@@ -94,7 +94,6 @@ let first_measure_of trace =
 let of_trace trace =
   { trace; last = last_reference_of trace; first_m = first_measure_of trace }
 
-let trace t = t.trace
 let last_reference t = Array.copy t.last
 
 let dead_unitary t i =

@@ -18,7 +18,6 @@ open Circuit
 type t
 
 val of_trace : Trace.t -> t
-val trace : t -> Trace.t
 
 (** {1 Per-state facts} *)
 

@@ -27,18 +27,11 @@ let dqc_passes ?max_live () = default_passes @ Dqc_rules.passes ?max_live ()
 let certifier_passes =
   [ Passes.cond_after_clobber; Passes.nonzero_global_phase_reset ]
 
-let run ?(passes = default_passes) ?trace c =
+let run ?(passes = default_passes) c =
   Obs.with_span "lint.run"
     ~attrs:[ ("passes", string_of_int (List.length passes)) ]
     (fun () ->
-      let trace =
-        match trace with
-        | Some t ->
-            if not (Circuit.Circ.equal (Trace.circuit t) c) then
-              invalid_arg "Lint.run: trace belongs to a different circuit";
-            t
-        | None -> Trace.run c
-      in
+      let trace = Trace.run c in
       let instructions = Trace.length trace in
       Obs.incr ~n:instructions "lint.instructions";
       let diagnostics =
@@ -67,11 +60,6 @@ let run ?(passes = default_passes) ?trace c =
       })
 
 let clean r = r.errors = 0
-
-let check ?passes ?trace c =
-  let r = run ?passes ?trace c in
-  if not (clean r) then raise (Rejected r);
-  r
 
 let summary r =
   Printf.sprintf "%d error%s, %d warning%s, %d hint%s over %d instruction%s \

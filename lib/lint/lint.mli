@@ -36,9 +36,9 @@ type report = {
   passes_run : int;
 }
 
-(** Raised by {!check} (and the pipeline's lint gate) when a circuit
-    carries error-severity diagnostics.  A printer is registered, so
-    uncaught exceptions list the errors. *)
+(** Raised by the pipeline's lint gate (the [lint] pass of
+    [Dqc.Pipeline]) when a circuit carries error-severity diagnostics.
+    A printer is registered, so uncaught exceptions list the errors. *)
 exception Rejected of report
 
 (** {!Passes.general} — the catalogue meaningful for any circuit. *)
@@ -55,19 +55,12 @@ val dqc_passes : ?max_live:int -> unit -> Pass.t list
 val certifier_passes : Pass.t list
 
 (** Interpret the circuit once and run every pass over the trace
-    ([passes] defaults to {!default_passes}).  A caller that already
-    interpreted the circuit — e.g. the pipeline's analysis pass, whose
-    facts are shared through the pass context — can pass its [trace]
-    to skip the re-interpretation.
-    @raise Invalid_argument when [trace] belongs to another circuit. *)
-val run : ?passes:Pass.t list -> ?trace:Trace.t -> Circuit.Circ.t -> report
+    ([passes] defaults to {!default_passes}). *)
+val run : ?passes:Pass.t list -> Circuit.Circ.t -> report
 
 (** A report with no error-severity diagnostics.  Warnings and hints
     do not make a circuit unclean. *)
 val clean : report -> bool
-
-(** [run], then @raise Rejected when the report is not {!clean}. *)
-val check : ?passes:Pass.t list -> ?trace:Trace.t -> Circuit.Circ.t -> report
 
 (** One-line count summary, e.g. ["2 errors, 0 warnings, 1 hint over
     34 instructions (10 passes)"]. *)

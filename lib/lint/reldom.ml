@@ -17,8 +17,6 @@ type t = {
   tracked : bool;
 }
 
-let num_qubits t = t.num_qubits
-let num_bits t = t.num_bits
 let tracked t = t.tracked
 let width t = t.num_qubits + t.num_bits + 1
 let qbit q = 1 lsl q
@@ -480,28 +478,3 @@ let blocks t =
     end
   done;
   !out
-
-let pp fmt t =
-  let pp_block fmt (members, r) =
-    Format.fprintf fmt "{%s}:%d"
-      (String.concat "," (List.map string_of_int members))
-      r
-  in
-  let pp_row fmt r =
-    let vars = ref [] in
-    for b = t.num_bits - 1 downto 0 do
-      if r land cbit t b <> 0 then vars := Printf.sprintf "b%d" b :: !vars
-    done;
-    for q = t.num_qubits - 1 downto 0 do
-      if r land qbit q <> 0 then vars := Printf.sprintf "q%d" q :: !vars
-    done;
-    Format.fprintf fmt "%s=%d"
-      (String.concat "+" !vars)
-      (if r land const_bit t <> 0 then 1 else 0)
-  in
-  Format.fprintf fmt "@[<h>blocks %a;@ rows %a%s@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_block)
-    (blocks t)
-    (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_row)
-    t.rows
-    (if t.tracked then "" else " (untracked)")

@@ -37,9 +37,6 @@ type t
     for every qubit and bit. *)
 val init : num_qubits:int -> num_bits:int -> t
 
-val num_qubits : t -> int
-val num_bits : t -> int
-
 (** Whether the affine-row component is live for these dimensions. *)
 val tracked : t -> bool
 
@@ -86,5 +83,3 @@ val log2_support_bound : t -> int
 (** Blocks as (members, capped rank) pairs, ascending by representative
     — for reports and debugging. *)
 val blocks : t -> (int list * int) list
-
-val pp : Format.formatter -> t -> unit

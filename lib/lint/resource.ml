@@ -62,17 +62,11 @@ let analyze_body trace =
   let c = Trace.circuit trace in
   let m = Trace.length trace in
   let nq = Circ.num_qubits c in
-  let bound =
-    (* each index is queried both as a segment boundary and as a peak
-       candidate; memoize so the per-index bound is computed once *)
-    let memo = Array.make (m + 1) (-1) in
-    fun i ->
-      if memo.(i) >= 0 then memo.(i)
-      else begin
-        let v = Reldom.log2_support_bound (State.rel (Trace.pre trace i)) in
-        memo.(i) <- v;
-        v
-      end
+  (* every index is read: as a segment boundary, as a peak candidate
+     and in [log2_bounds] *)
+  let bounds =
+    Array.init (m + 1) (fun i ->
+        Reldom.log2_support_bound (State.rel (Trace.pre trace i)))
   in
   (* witness instructions, per original index *)
   let witness_at =
@@ -126,7 +120,7 @@ let analyze_body trace =
         and t_count = ref 0
         and non_clifford = ref 0
         and nondet = ref 0
-        and peak = ref (bound start) in
+        and peak = ref bounds.(start) in
         for i = start to stop - 1 do
           (match witness_at.(i) with
           | None -> ()
@@ -142,7 +136,7 @@ let analyze_body trace =
           let d = nondet_at i in
           nondet := !nondet + d;
           forks.(i + 1) <- (forks.(i) + if i < trailing then d else 0);
-          peak := max !peak (bound (i + 1))
+          peak := max !peak bounds.(i + 1)
         done;
         {
           start;
@@ -150,7 +144,7 @@ let analyze_body trace =
           clifford = !clifford;
           t_count = !t_count;
           non_clifford = !non_clifford;
-          log2_bound_end = bound stop;
+          log2_bound_end = bounds.(stop);
           log2_bound_peak = !peak;
           nondet = !nondet;
         }
@@ -179,26 +173,16 @@ let analyze_body trace =
       List.fold_left
         (fun acc (s : segment) -> max acc s.log2_bound_peak)
         0 segments;
-    log2_bounds = Array.init (m + 1) bound;
+    log2_bounds = bounds;
     nondet_branches = sum (fun s -> s.nondet);
     forks;
   }
 
-let analyze ?trace c =
+let analyze trace =
   Obs.with_span "analyze.resources"
-    ~attrs:[ ("qubits", string_of_int (Circ.num_qubits c)) ]
-    (fun () ->
-      let trace =
-        match trace with
-        | Some t ->
-            let tc = Trace.circuit t in
-            if not (tc == c || Circ.equal tc c) then
-              invalid_arg "Resource.analyze: trace belongs to a different \
-                           circuit";
-            t
-        | None -> Trace.run c
-      in
-      analyze_body trace)
+    ~attrs:
+      [ ("qubits", string_of_int (Circ.num_qubits (Trace.circuit trace))) ]
+    (fun () -> analyze_body trace)
 
 (* ------------------------------------------------------------------ *)
 (* The report *)

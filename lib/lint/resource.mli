@@ -72,11 +72,11 @@ type summary = {
           [forks.(instructions)] is its fork depth *)
 }
 
-(** Analyze a circuit (one [analyze.resources] span; one
-    [analyze.segment] counter bump per segment).  Pass [trace] to reuse
-    an existing interpreter run; it must belong to [c].
-    @raise Invalid_argument on a foreign trace. *)
-val analyze : ?trace:Trace.t -> Circ.t -> summary
+(** Analyze the circuit a trace interpreted (one [analyze.resources]
+    span; one [analyze.segment] counter bump per segment).  To analyze
+    a circuit, call [Sim.Backend.resource_summary], which interprets
+    it first. *)
+val analyze : Trace.t -> summary
 
 (** [to_json ?name c s] is the [dqc.analyze/1] JSON document of [c]
     and its summary [s].  Besides the summary it reports what only the

@@ -779,7 +779,7 @@ let measured_log2_peak ?(seeds = 3) c =
   lg 0 !peak
 
 let sparsity_entry ~name ~scheme c =
-  let summary = Lint.Resource.analyze c in
+  let summary = Sim.Backend.resource_summary c in
   let log2_bound = summary.Lint.Resource.log2_bound_peak in
   let log2_measured = measured_log2_peak c in
   {
@@ -904,7 +904,7 @@ let optimize_reuse_input scheme circuit =
     let s = scheme in
     Dqc.Pipeline.Options.(
       default |> with_scheme s |> with_reuse true
-      |> with_passes [ "prepare"; "reuse"; "analyze"; "reuse_certify" ])
+      |> with_passes [ "prepare"; "reuse"; "reuse_certify" ])
   in
   (Dqc.Pipeline.compile ~options circuit).Dqc.Pipeline.circuit
 

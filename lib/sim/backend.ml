@@ -20,7 +20,7 @@ let policy_of_string s =
 
 let pp_policy fmt p = Format.pp_print_string fmt (policy_to_string p)
 
-let resource_summary c = Lint.Resource.analyze c
+let resource_summary c = Lint.Resource.analyze (Lint.Trace.run c)
 
 let engine_name = function
   | `Stabilizer -> "stabilizer"

@@ -59,9 +59,9 @@ val policy_of_string : string -> policy option
 
 val pp_policy : Format.formatter -> policy -> unit
 
-(** The circuit's static resource summary ({!Lint.Resource.analyze}),
-    computed afresh on every call.  {!select} and {!run} analyze each
-    circuit they plan at most once per call. *)
+(** The circuit's static resource summary, {!Lint.Resource.analyze}
+    over [Lint.Trace.run c], both computed on every call.  {!select}
+    and {!run} analyze each circuit they plan at most once per call. *)
 val resource_summary : Circ.t -> Lint.Resource.summary
 
 (** {1 Engine selection}

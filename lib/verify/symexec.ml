@@ -167,10 +167,10 @@ let guard_of st ~controls ~tests =
   in
   List.fold_left
     (fun acc (b, v) ->
-      match st.bits.(b) with
-      | None -> unsupported "condition reads unwritten bit c%d" b
-      | Some e ->
-          Pathsum.Bexpr.conj acc (if v then e else Pathsum.Bexpr.not_ e))
+      (* every engine starts the register at 0: an unwritten bit is the
+         constant 0 *)
+      let e = Option.value st.bits.(b) ~default:Pathsum.Bexpr.zero in
+      Pathsum.Bexpr.conj acc (if v then e else Pathsum.Bexpr.not_ e))
     g tests
 
 let step st (i : Instruction.t) =

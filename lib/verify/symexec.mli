@@ -8,7 +8,8 @@ open Circuit
       the parametric gates);
     - quantum controls and classical conditions both become GF(2)
       guard factors on the gate's transfer (a test [c_b == 0]
-      contributes the factor [e_b ⊕ 1]);
+      contributes the factor [e_b ⊕ 1]); a bit no measurement wrote
+      reads the constant 0 every engine starts the register at;
     - [Measure] records the qubit's current function as the bit's
       expression — this pins the measurement branches without
       case-splitting (see {!Pathsum});
@@ -21,8 +22,8 @@ open Circuit
     touched. *)
 
 (** Raised on instructions outside the exact fragment (controlled H,
-    arbitrary-angle rotations, a condition on an unwritten bit).  The
-    certifier converts this into [Unknown]. *)
+    arbitrary-angle rotations).  The certifier converts this into
+    [Unknown]. *)
 exception Unsupported of string
 
 (** [run ?measures c] executes every instruction of [c] from

@@ -141,9 +141,7 @@ let clifford_part =
 
 (* The part of a draw the path-sum certifier reads: Rx and Rz angles
    rounded to multiples of pi/2 and Phase angles to multiples of pi/4,
-   a Ry made a Y, a controlled or conditioned H an X, and a condition
-   on a bit no measurement wrote yet settled by that bit's 0 (a draw's
-   conditions test one bit). *)
+   a Ry made a Y, and a controlled or conditioned H an X. *)
 let certifiable_part c =
   let snap step theta = step *. Float.round (theta /. step) in
   let app ~guarded (a : Instruction.app) =
@@ -158,24 +156,13 @@ let certifiable_part c =
     in
     { a with gate }
   in
-  let written = Array.make (Circ.num_bits c) false in
-  let step acc (i : Instruction.t) =
-    match i with
-    | Conditioned (cond, a)
-      when List.exists (fun (b, _) -> written.(b)) cond.bits ->
-        Instruction.Conditioned (cond, app ~guarded:true a) :: acc
-    | Conditioned (cond, a) ->
-        if Instruction.cond_holds cond 0 then
-          Unitary (app ~guarded:false a) :: acc
-        else acc
-    | Unitary a -> Unitary (app ~guarded:false a) :: acc
-    | Measure { bit; _ } ->
-        written.(bit) <- true;
-        i :: acc
-    | Reset _ | Barrier _ -> i :: acc
-  in
-  Circ.create ~roles:(Circ.roles c) ~num_bits:(Circ.num_bits c)
-    (List.rev (List.fold_left step [] (Circ.instructions c)))
+  Circ.map_instructions
+    (function
+      | Instruction.Conditioned (cond, a) ->
+          [ Instruction.Conditioned (cond, app ~guarded:true a) ]
+      | Unitary a -> [ Unitary (app ~guarded:false a) ]
+      | (Measure _ | Reset _ | Barrier _) as i -> [ i ])
+    c
 
 (* The Table II oracles plus generated AND/OR/NAND/MAJ oracles of 4 to
    8 inputs, whose C^nX reductions the paper does not tabulate. *)

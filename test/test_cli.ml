@@ -135,6 +135,29 @@ let test_stats_equivalence () =
     [ "equivalence: certified symbolically (exact proof)" ] ();
   prints `Stdout (stats [ "--no-check" ]) 0 [ "equivalence: check skipped" ] ()
 
+(* the lines [args] prints to stdout; it must exit 0 *)
+let stdout_lines args =
+  let out = Filename.concat scratch "stdout.txt" in
+  check_int (String.concat " " args ^ ": exit code") 0
+    (Sys.command
+       (Filename.quote_command cli ~stdout:out ~stderr:Filename.null args));
+  In_channel.with_open_text out In_channel.input_lines
+
+(* `passes` lists the 14 built-in passes, each line's kind column at
+   the same offset *)
+let test_passes_columns () =
+  let lines = stdout_lines [ "passes" ] in
+  check_int "passes listed" 14 (List.length lines);
+  let kind_offset l =
+    let rec skip i = if l.[i] = ' ' then skip (i + 1) else i in
+    skip (String.index l ' ')
+  in
+  List.iter
+    (fun l ->
+      check_int ("kind column of: " ^ l) (kind_offset (List.hd lines))
+        (kind_offset l))
+    lines
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry exports of `stats`                                       *)
 
@@ -216,19 +239,13 @@ let test_stats_exports () =
    under "auto backend (1024 shots)", and the engine exact enumerates
    on — the tableau for XORA_15, whose witness is Clifford *)
 let analyze_lines args =
-  let out = Filename.concat scratch "analyze.txt" in
-  check_int "analyze exit code" 0
-    (Sys.command
-       (Filename.quote_command cli ~stdout:out ~stderr:Filename.null
-          ("analyze" :: args)));
-  let lines = In_channel.with_open_text out In_channel.input_lines in
   let rec after = function
     | l :: rest when String.starts_with ~prefix:"auto backend (1024 shots)" l ->
         rest
     | _ :: rest -> after rest
     | [] -> Alcotest.fail "no auto backend line"
   in
-  after lines
+  after (stdout_lines ("analyze" :: args))
 
 let test_analyze_predictions () =
   let engines =
@@ -267,6 +284,9 @@ let () =
                 Alcotest.test_case "optimize --help lists exit codes" `Quick
                   test_optimize_exits;
               ] );
+          ( "listings",
+            [ Alcotest.test_case "passes columns" `Quick test_passes_columns ]
+          );
           ( "telemetry",
             [
               Alcotest.test_case "stats exports" `Quick test_stats_exports;

@@ -314,8 +314,8 @@ let test_examples_rejected () =
             (severities Lint.Diagnostic.Error (Lint.run c) <> []))
     files
 
-(* Each corpus circuit makes the CLI gate (and Lint.check) reject. *)
-let test_check_raises () =
+(* A corpus circuit makes the pipeline's lint gate reject. *)
+let test_gate_raises () =
   let c =
     Circ.create ~roles:d1 ~num_bits:2
       [
@@ -325,9 +325,10 @@ let test_check_raises () =
         Instruction.Measure { qubit = 0; bit = 1 };
       ]
   in
-  check_bool "Lint.check raises Rejected" true
-    (match Lint.check c with
-    | (_ : Lint.report) -> false
+  let options = Dqc.Pipeline.Options.(with_passes [ "lint" ] default) in
+  check_bool "the lint gate raises Rejected" true
+    (match Dqc.Pipeline.compile ~options c with
+    | (_ : Dqc.Pipeline.output) -> false
     | exception Lint.Rejected r -> r.errors > 0)
 
 (* ------------------------------------------------------------------ *)
@@ -633,7 +634,7 @@ let () =
             corpus_cond_after_clobber_negative;
           Alcotest.test_case "nonzero-global-phase-reset" `Quick
             corpus_nonzero_global_phase_reset;
-          Alcotest.test_case "Lint.check raises" `Quick test_check_raises;
+          Alcotest.test_case "lint gate raises" `Quick test_gate_raises;
           Alcotest.test_case "examples/*.qasm rejected" `Quick
             test_examples_rejected;
         ] );

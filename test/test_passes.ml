@@ -29,7 +29,7 @@ let test_registry_contents () =
       check_bool (n ^ " registered") true
         (List.exists (fun p -> name p = n) passes))
     [
-      "prepare"; "transform"; "certify"; "equivalence"; "reuse"; "analyze";
+      "prepare"; "transform"; "certify"; "equivalence"; "reuse";
       "prune_resets"; "reuse_certify"; "expand_cv"; "optimize.fold";
       "optimize.dce"; "optimize.affine"; "peephole"; "lower_native"; "lint";
     ];
@@ -59,8 +59,7 @@ let test_schedule_names () =
   in
   check_strings "reuse schedule"
     [
-      "prepare"; "reuse"; "analyze"; "prune_resets"; "reuse_certify";
-      "expand_cv"; "analyze"; "lint";
+      "prepare"; "reuse"; "prune_resets"; "reuse_certify"; "expand_cv"; "lint";
     ]
     reuse_names;
   (* the optimizer slots in after expand_cv, ahead of peephole *)
@@ -338,8 +337,7 @@ let test_prune_provably_zero_reset () =
   let rewired, report = Dqc.Reuse.rewire c in
   check_int "one wire" 1 (Circ.num_qubits rewired);
   check_int "one reset inserted" 1 report.Dqc.Reuse.resets_inserted;
-  let trace = Lint.Trace.run rewired in
-  let pruned_circuit, pruned = Dqc.Reuse.prune_resets trace in
+  let pruned_circuit, pruned = Dqc.Reuse.prune_resets rewired in
   check_int "reset pruned" 1 pruned;
   check_bool "no reset left" true
     (List.for_all
@@ -494,7 +492,7 @@ let test_diagnostics_match_rewrites () =
              (fun (d : Lint.Diagnostic.t) -> d.Lint.Diagnostic.pass = pass)
              report.Lint.diagnostics)
       in
-      let rw = Dqc.Optimize.dce c in
+      let rw = Dqc.Optimize.dce (Lint.Trace.run c) in
       check_bool (name ^ " dce proved") false rw.Dqc.Optimize.reverted;
       check_int
         (name ^ ": dead-gate diagnostics = gates removed")
@@ -526,6 +524,51 @@ let test_sampled_equivalence () =
   in
   check_bool "sampled" true out.Dqc.Pipeline.tv_sampled;
   Alcotest.(check (option (float 0.))) "tv" (Some 0.) out.Dqc.Pipeline.tv
+
+(* ------------------------------------------------------------------ *)
+(* Each pass that reads the abstract interpreter's facts interprets the
+   circuit in front of it once, and nothing else does: the default DQC
+   flow interprets for its lint gate, the optimizer's three passes and
+   reuse's prune_resets each for themselves.  A round of Optimize.run
+   that changes nothing interprets once, its sweeps handing the trace
+   on. *)
+let test_interpretations_per_compile () =
+  let interpretations f =
+    let collector, _ = Obs.with_collector f in
+    List.length
+      (List.filter
+         (fun (s : Obs.Collector.span) -> s.name = "lint.interpret")
+         (Obs.Collector.spans collector))
+  in
+  let module O = Dqc.Pipeline.Options in
+  let dj_and =
+    Algorithms.Dj.circuit
+      (Option.get (Algorithms.Dj_toffoli.oracle_by_name "AND"))
+  and grover = Algorithms.Grover.measured ~n:3 ~marked:5 in
+  let compile options c () = ignore (Dqc.Pipeline.compile ~options c) in
+  let fixpoint =
+    (Dqc.Optimize.run ~max_sweeps:12
+       (Dqc.Pipeline.compile dj_and).Dqc.Pipeline.circuit)
+      .Dqc.Optimize.after
+  in
+  let idle_round () =
+    let r = Dqc.Optimize.run ~max_sweeps:1 fixpoint in
+    check_bool "the round changed nothing" false
+      (Dqc.Optimize.changed r.Dqc.Optimize.total)
+  in
+  List.iter
+    (fun (label, expected, f) -> check_int label expected (interpretations f))
+    [
+      ("DJ(AND) dyn2, default DQC flow", 1, compile O.default dj_and);
+      ( "DJ(AND) dyn2, with_optimize",
+        4,
+        compile (O.with_optimize true O.default) dj_and );
+      ( "DJ(AND) dyn2, with_reuse",
+        2,
+        compile (O.with_reuse true O.default) dj_and );
+      ("GROVER_3, with_reuse", 2, compile (O.with_reuse true O.default) grover);
+      ("an optimizer round that changes nothing", 1, idle_round);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The certifiable part of Testkit's random dynamic circuits on up to
@@ -589,6 +632,8 @@ let () =
             test_short_circuit_on_failure;
           Alcotest.test_case "sampled equivalence past 12 qubits" `Quick
             test_sampled_equivalence;
+          Alcotest.test_case "one interpretation per fact-reading pass"
+            `Quick test_interpretations_per_compile;
         ] );
       ( "reuse",
         [

@@ -89,7 +89,7 @@ let test_analyzer_bounds_sound () =
   let rng = Random.State.make [| 0xA17A |] in
   for k = 1 to 200 do
     let c = wide_random_circuit rng in
-    let summary = Lint.Resource.analyze c in
+    let summary = Sim.Backend.resource_summary c in
     let instrs = Array.of_list (Circ.instructions c) in
     let bounds = summary.Lint.Resource.log2_bounds in
     List.iter
@@ -148,7 +148,7 @@ let analyze_golden_lines () =
   let md5 s = Digest.to_hex (Digest.string s) in
   List.map
     (fun (name, c) ->
-      let s = Lint.Resource.analyze c in
+      let s = Sim.Backend.resource_summary c in
       Printf.sprintf "%s %s %s" name
         (md5 (Obs.Json.to_string (Lint.Resource.to_json ~name c s)))
         (md5 (Lint.Resource.to_string c s)))
@@ -240,7 +240,7 @@ let test_forks_sound () =
   let mutant_caught = ref false in
   for k = 0 to 219 do
     let c = random_dynamic_circuit rng in
-    let forks = (Lint.Resource.analyze c).Lint.Resource.forks in
+    let forks = (Sim.Backend.resource_summary c).Lint.Resource.forks in
     (match fork_undercount forks c with
     | Some (i, held) ->
         Alcotest.failf "circuit %d: %d branches before instruction %d, forks %d"
@@ -280,7 +280,7 @@ let test_forks_per_branch () =
     Instruction.Conditioned
       ({ Instruction.bits = [ (0, true) ] }, Instruction.app g q)
   in
-  let forks c = (Lint.Resource.analyze c).Lint.Resource.forks in
+  let forks c = (Sim.Backend.resource_summary c).Lint.Resource.forks in
   List.iter
     (fun (name, c, expected) ->
       Alcotest.(check (list int)) name expected (Array.to_list (forks c)))
@@ -877,7 +877,7 @@ let test_terminal_measurements_not_forks () =
   let measured =
     Sim.Measurement_plan.instrument Sim.Measurement_plan.measure_all (dj8 ())
   in
-  let s = Lint.Resource.analyze measured in
+  let s = Sim.Backend.resource_summary measured in
   check_int "9 nondeterministic collapses" 9 s.Lint.Resource.nondet_branches;
   check_int "no fork" 0 s.Lint.Resource.forks.(s.Lint.Resource.instructions);
   (match Sim.Backend.select ~shots:1024 measured with
@@ -906,7 +906,7 @@ let test_terminal_measurements_not_forks () =
    the m = 8 witness the bound climbs to 8 over the H gates and each
    measured superposed qubit lowers it by one. *)
 let test_bounds_drop_per_measurement () =
-  let s = Lint.Resource.analyze (Testkit.hybrid_witness ~m:8) in
+  let s = Sim.Backend.resource_summary (Testkit.hybrid_witness ~m:8) in
   Alcotest.(check (list int))
     "bounds before instructions 8..16"
     [ 8; 7; 6; 5; 4; 3; 2; 1; 0 ]

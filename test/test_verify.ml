@@ -141,10 +141,10 @@ let test_static_is_not_trivially_true () =
    to find a renaming that is not the identity.  The structural route
    alone decides (no exhaustive fallback).  Each draw is mapped to its
    certifiable part: symbolic execution rejects a guarded H even when
-   reduction would make its guard constant, rotations at random angles
-   and a condition on a bit never written.  The draws that measure no
-   bit, which the certifier leaves undecided, are left out, and the
-   count of the others pins the filter. *)
+   reduction would make its guard constant, and rotations at random
+   angles.  The draws that measure no bit, which the certifier leaves
+   undecided, are left out, and the count of the others pins the
+   filter. *)
 let test_prefix_hh_renaming () =
   let rng = Random.State.make [| 0xC0DE |] in
   let proved a b = C.is_proved (C.check_channel ~max_refute_vars:0 a b) in
@@ -180,6 +180,29 @@ let test_observed_variable_substituted () =
   let tail = c [ u Gate.H 0; u Gate.V 0 ] in
   check_bool "tail dropped" true (C.is_proved (C.check_channel tail (c [])));
   check_bool "tail added" true (C.is_proved (C.check_channel (c []) tail))
+
+(* A condition on a bit no measurement wrote reads the 0 the register
+   starts at, as every engine and the linter read it: a gate
+   conditioned on [c1 == 0] fires. *)
+let test_unwritten_bit_reads_zero () =
+  let cond b v g t =
+    Instruction.Conditioned (Instruction.cond_bit b v, Instruction.app g t)
+  and measure qubit bit = Instruction.Measure { qubit; bit } in
+  let c ~qubits ~bits instrs =
+    Circ.create ~roles:(Array.make qubits Circ.Data) ~num_bits:bits instrs
+  in
+  let fired =
+    c ~qubits:2 ~bits:3
+      [ u Gate.H 0; cond 1 false Gate.X 1; measure 0 0; measure 1 2 ]
+  in
+  check_bool "proved against itself" true
+    (C.is_proved (C.check_channel ~max_refute_vars:0 fired fired));
+  let flipped = c ~qubits:1 ~bits:2 [ cond 1 false Gate.X 0; measure 0 0 ]
+  and plain = c ~qubits:1 ~bits:2 [ measure 0 0 ] in
+  check_bool "refuted against the unconditioned circuit" true
+    (match C.check_channel flipped plain with
+    | C.Refuted _ -> true
+    | C.Proved _ | C.Unknown _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Table I / Table II benchmarks, both schemes                        *)
@@ -334,6 +357,8 @@ let () =
             test_prefix_hh_renaming;
           Alcotest.test_case "observed variable solved for" `Quick
             test_observed_variable_substituted;
+          Alcotest.test_case "an unwritten bit reads 0" `Quick
+            test_unwritten_bit_reads_zero;
         ] );
       ( "benchmarks",
         [
